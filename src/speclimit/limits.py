@@ -7,6 +7,14 @@ prior Bayesian upper limits on a non-negative signal amplitude with
 background nuisances profiled out, and a seeded pseudo-experiment
 harness with coverage accounting.
 
+Nuisances are profiled exactly wherever every free parameter enters
+the prediction linearly and only the default bounds apply: the
+chi-square profile is a weighted least-squares parabola, and the
+Poisson NLL is convex, so a damped Newton iteration with the analytic
+Hessian A^T diag(n/mu^2) A finds its minimum (Baker & Cousins, NIM 221
+(1984) 437). A free line centroid or explicit bounds fall back to
+nested Nelder-Mead minimizations.
+
 Posterior convention: for the chi-square statistic the posterior
 density on the signal s >= 0 is proportional to exp(-chi2_prof(s)/2);
 for the Poisson likelihood it is exp(-(nll_prof(s) - min)). Scans are
@@ -31,6 +39,7 @@ from .errors import (
     ScanRangeError,
     ShapeError,
 )
+from .newton import in_poisson_domain, minimize_linear_poisson, poisson_hessian
 from .spectra import (
     BinnedSpectrum,
     EnergyGrid,
@@ -314,7 +323,8 @@ class FitResult:
 def _least_squares_start(problem: FitProblem, evaluator: _MuEvaluator) -> np.ndarray:
     """Weighted least-squares seed for linear problems, clipped to bounds.
 
-    Purely an initial guess; the simplex does the actual minimization.
+    Purely an initial guess; the simplex or the Newton iteration does
+    the actual minimization.
     """
     x0 = problem.initial_values()
     if not evaluator.linear:
@@ -339,7 +349,9 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
 
     Restarts from seeded perturbations of the best point until the
     statistic stops improving by more than tol. Deterministic for a
-    fixed problem and seed.
+    fixed problem and seed. `converged` reports whether the simplex run
+    that produced the returned point met its tolerances within its
+    evaluation budget; a run that hit the budget is still returned.
     """
     evaluator = _MuEvaluator(problem)
     stat = _statistic_fn(problem, evaluator)
@@ -366,6 +378,7 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
     trace = [(-1, best_f)]
     n_restarts = 0
     improved_recently = True
+    converged = False
     for attempt in range(max_restarts + 1):
         start = best_z if attempt == 0 else best_z + rng.normal(0.0, 1e-3, z0.size)
         start = np.clip(start, [b[0] for b in z_bounds], [b[1] for b in z_bounds])
@@ -383,8 +396,12 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
             best_f = float(result.fun)
             best_z = np.asarray(result.x)
             improved_recently = attempt == 0 or improvement > tol
+            converged = bool(result.success)
         else:
             improved_recently = False
+            if attempt == 0:
+                # the start is already the optimum the first run found
+                converged = bool(result.success)
         n_restarts = attempt
         if attempt >= 1 and not improved_recently:
             break
@@ -399,18 +416,45 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
         )
     return FitResult(values=best_z * scales, statistic=best_f,
                      n_restarts=n_restarts, n_evaluations=n_evals,
-                     converged=True, trace=tuple(trace))
+                     converged=converged, trace=tuple(trace))
 
 
 def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarray:
     """One-sigma uncertainties from the statistic's curvature.
 
-    Central finite-difference Hessian; covariance is 2 H^-1 for the
-    chi-square statistic and H^-1 for the Poisson NLL.
+    Linear problems use the exact curvature: the covariance is
+    (A^T W A)^-1 for the chi-square statistic and
+    (A^T diag(n/mu^2) A)^-1 for the Poisson NLL. A free centroid falls
+    back to a central finite-difference Hessian H, with covariance
+    2 H^-1 for chi-square and H^-1 for the Poisson NLL.
     """
     evaluator = _MuEvaluator(problem)
-    stat = _statistic_fn(problem, evaluator)
     x = np.asarray(values, dtype=float)
+    if evaluator.linear:
+        columns = evaluator.columns
+        if problem.statistic == "chi2":
+            info = columns.T @ (columns / _variance_floor(problem.observed)[:, None])
+        else:
+            mu = evaluator(x)
+            if not in_poisson_domain(problem.observed, mu):
+                raise FitError("expected counts leave the Poisson domain; "
+                               "the curvature is undefined there")
+            info = poisson_hessian(columns, problem.observed, mu)
+        try:
+            cov = np.linalg.inv(info)
+        except np.linalg.LinAlgError as err:
+            raise FitError(f"singular curvature matrix: {err}") from err
+    else:
+        cov = _finite_difference_covariance(problem, evaluator, x)
+    diag = np.diag(cov)
+    if np.any(diag <= 0):
+        raise FitError("curvature matrix is not positive definite at the minimum")
+    return np.sqrt(diag)
+
+
+def _finite_difference_covariance(problem: FitProblem, evaluator: _MuEvaluator,
+                                  x: np.ndarray) -> np.ndarray:
+    stat = _statistic_fn(problem, evaluator)
     n = x.size
     steps = 1e-4 * np.maximum(np.abs(x), 1.0)
     hess = np.empty((n, n))
@@ -430,12 +474,7 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
         cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError as err:
         raise FitError(f"singular curvature matrix: {err}") from err
-    if problem.statistic == "chi2":
-        cov = 2.0 * cov
-    diag = np.diag(cov)
-    if np.any(diag <= 0):
-        raise FitError("curvature matrix is not positive definite at the minimum")
-    return np.sqrt(diag)
+    return 2.0 * cov if problem.statistic == "chi2" else cov
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +617,94 @@ def _default_signal_bounds_only(problem: FitProblem) -> bool:
     return True
 
 
+def _gaussian_profiler(core: _LinearGaussianCore):
+    """Exact profiled chi-square of a linear Gaussian problem."""
+    shat = max(core.best_signal(), 0.0)
+    stat_min = float(core.profiled(shat)[0])
+    info = {"profile_solver": "exact-gaussian", "profile_failures": 0}
+    return core.profiled, shat, stat_min, core.curvature_sigma(), info
+
+
+def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
+    """Profiled Poisson NLL of a linear problem by exact Newton solves.
+
+    The global fit leaves the signal free; the profile is convex in
+    the signal, so when that fit lands below zero the bounded optimum
+    is the profile at zero. The scan scale then comes from bracketing
+    the profile's rise, since the curvature far below zero says nothing
+    about the posterior's width above it; otherwise it is the signal's
+    sigma from the inverse Hessian at the global fit.
+    """
+    observed = problem.observed
+    idx = problem.signal_index()
+    signal_col = evaluator.columns[:, idx]
+    nuisance_cols = np.delete(evaluator.columns, idx, axis=1)
+    info = {"profile_solver": "newton", "profile_failures": 0, "newton_iterations": 0}
+
+    def solve(columns, offsets, starts, where):
+        x, nll, iterations = minimize_linear_poisson(observed, columns, offsets, starts, where)
+        info["newton_iterations"] += iterations
+        return x, nll
+
+    starts = [x for x in (_least_squares_start(problem, evaluator), problem.initial_values())
+              if in_poisson_domain(observed, evaluator(x))]
+    if not starts:
+        raise FitError("no starting point gives positive expected counts in every "
+                       "bin with counts")
+    theta, nll = solve(evaluator.columns, evaluator.base[None], starts[0][None],
+                       lambda i: "the global fit")
+    theta = theta[0]
+
+    if not nuisance_cols.shape[1]:
+        stat = _statistic_fn(problem, evaluator)
+
+        def pstat(s_values):
+            s = np.atleast_1d(np.asarray(s_values, dtype=float))
+            return np.array([stat(np.array([v])) for v in s])
+    else:
+        # The domain is convex in (signal, nuisances), so nuisances
+        # interpolated between solved points are feasible starts, and
+        # close ones; np.interp holds the end values beyond them
+        known_s = theta[idx:idx + 1]
+        known_nu = np.delete(theta, idx)[None]
+        template_nu = np.delete(problem.initial_values(), idx)
+
+        def pstat(s_values):
+            nonlocal known_s, known_nu
+            s = np.atleast_1d(np.asarray(s_values, dtype=float))
+            offsets = evaluator.base + s[:, None] * signal_col
+            starts = np.column_stack([np.interp(s, known_s, nu) for nu in known_nu.T])
+            outside = ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
+            starts[outside] = template_nu
+            outside &= ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
+            if np.any(outside):
+                raise FitError(f"no feasible start for the Poisson profile at signal = "
+                               f"{s[np.argmax(outside)]!r}")
+            nu, nll = solve(nuisance_cols, offsets, starts, lambda i: f"signal = {s[i]!r}")
+            order = np.argsort(np.concatenate([known_s, s]), kind="stable")
+            known_s = np.concatenate([known_s, s])[order]
+            known_nu = np.concatenate([known_nu, nu])[order]
+            return nll
+
+    if theta[idx] < 0.0:
+        return pstat, 0.0, float(pstat(np.zeros(1))[0]), None, info
+    cov = np.linalg.inv(poisson_hessian(evaluator.columns, observed, evaluator(theta)))
+    return pstat, float(theta[idx]), float(nll[0]), float(np.sqrt(cov[idx, idx])), info
+
+
 def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int):
-    """Profiled statistic via nested simplex minimizations, warm-started."""
+    """Profiled statistic via nested simplex minimizations, warm-started.
+
+    Inner runs that stop without meeting their tolerances are counted
+    in the returned info as profile failures.
+    """
     stat = _statistic_fn(problem, evaluator)
     idx = problem.signal_index()
     n = len(problem.free)
     nuis_idx = [i for i in range(n) if i != idx]
     bounds = problem.bounds_list()
     state = {"last": None}
+    info = {"profile_solver": "simplex", "profile_failures": 0}
 
     full_fit = fit_minimize(problem, seed=seed)
     shat = float(full_fit.values[idx])
@@ -601,7 +720,7 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
                 theta[idx] = sv
                 out[k] = stat(theta)
             return out
-        return pstat, shat, float(full_fit.statistic)
+        return pstat, shat, float(full_fit.statistic), None, info
 
     nuis_bounds = [bounds[i] for i in nuis_idx]
 
@@ -616,6 +735,8 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
                           options={"xatol": 1e-10, "fatol": _SIMPLEX_TOL * 1e-3,
                                    "maxiter": 400 * len(nuis_idx) + 400,
                                    "maxfev": 400 * len(nuis_idx) + 400})
+        if not result.success:
+            info["profile_failures"] += 1
         state["last"] = np.asarray(result.x)
         return float(result.fun)
 
@@ -627,7 +748,7 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
             out[k] = profile_one(sv, start)
         return out
 
-    return pstat, shat, float(full_fit.statistic)
+    return pstat, shat, float(full_fit.statistic), None, info
 
 
 def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str) -> np.ndarray:
@@ -666,10 +787,10 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
                              "attempted scan range; widen the model bounds")
 
     n = 257
+    s = np.linspace(0.0, s_max, n)
+    values = pstat(s)
     previous = None
     while True:
-        s = np.linspace(0.0, s_max, n)
-        values = pstat(s)
         weights = _posterior_weight(values, stat_min, statistic)
         cdf = np.concatenate([[0.0], np.cumsum(np.diff(s) * 0.5 * (weights[1:] + weights[:-1]))])
         norm = cdf[-1]
@@ -682,25 +803,34 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
         if n > 200_000:
             raise ScanRangeError(f"scan for {label!r} failed to stabilize the quantile")
         n = 2 * n - 1
+        s = np.linspace(0.0, s_max, n)
+        # the spacing halves exactly, so the even points are the
+        # previous grid and only the midpoints need the profile
+        refined = np.empty(n)
+        refined[::2] = values
+        refined[1::2] = pstat(s[1::2])
+        values = refined
 
 
 def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
                          grid_rtol: float = 1e-3) -> LimitResult:
     """Upper bound at credibility cl with a flat prior on the signal >= 0.
 
-    Background nuisances are profiled: exactly for linear chi-square
-    problems, by nested simplex minimization otherwise. The scan grid
-    refines until the bound moves by less than grid_rtol.
+    Background nuisances are profiled exactly when every free
+    parameter is linear and only the default bounds apply: by weighted
+    least squares for chi-square and by damped Newton iterations for
+    the Poisson NLL. A free centroid or explicit bounds fall back to
+    nested simplex minimizations. The scan grid refines until the
+    bound moves by less than grid_rtol. The metadata names the profile
+    solver ("exact-gaussian", "newton" or "simplex"), counts the
+    profile points whose minimization stopped short, and for Newton
+    the iterations taken.
     """
     if not 0.0 < cl < 1.0:
         raise DomainError("confidence level must lie strictly between 0 and 1")
 
     if isinstance(problem, GaussianResidualProblem):
-        core = _core_from_residual_problem(problem)
-        shat = max(core.best_signal(), 0.0)
-        stat_min = float(core.profiled(shat)[0])
-        pstat = core.profiled
-        sigma_hint = core.curvature_sigma()
+        profile = _gaussian_profiler(_core_from_residual_problem(problem))
         statistic = "chi2"
         label = problem.name
         method = "bayesian-gaussian-residual"
@@ -708,20 +838,17 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         evaluator = _MuEvaluator(problem)
         statistic = problem.statistic
         label = problem.parameter_name(problem.signal)
-        if evaluator.linear and statistic == "chi2" and _default_signal_bounds_only(problem):
-            core = _core_from_fit_problem(problem, evaluator)
-            shat = max(core.best_signal(), 0.0)
-            stat_min = float(core.profiled(shat)[0])
-            pstat = core.profiled
-            sigma_hint = core.curvature_sigma()
-            method = "bayesian-chi2-profile"
+        method = f"bayesian-{statistic}-profile"
+        if not (evaluator.linear and _default_signal_bounds_only(problem)):
+            profile = _nonlinear_profiler(problem, evaluator, seed)
+        elif statistic == "chi2":
+            profile = _gaussian_profiler(_core_from_fit_problem(problem, evaluator))
         else:
-            pstat, shat, stat_min = _nonlinear_profiler(problem, evaluator, seed)
-            sigma_hint = None
-            method = f"bayesian-{statistic}-profile"
+            profile = _newton_profiler(problem, evaluator)
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 
+    pstat, shat, stat_min, sigma_hint, info = profile
     bound, s, values = _scan_upper_bound(pstat, shat, stat_min, statistic, cl,
                                          grid_rtol, sigma_hint, label)
     scan = _thin_scan(s, values)
@@ -738,6 +865,7 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
             "statistic_min": stat_min,
             "scan_max": float(s[-1]),
             "scan_points": int(s.size),
+            **info,
         },
     )
 

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, poisson
 
+import speclimit.limits as limits_module
+from speclimit.newton import minimize_linear_poisson
 from speclimit import (
     BinnedSpectrum,
     DegenerateMapError,
@@ -20,6 +22,7 @@ from speclimit import (
     DomainError,
     EnergyGrid,
     Exposure,
+    FitError,
     FitProblem,
     GaussianLine,
     GaussianResidualProblem,
@@ -247,6 +250,51 @@ def test_parameter_uncertainty_matches_linear_algebra():
     assert sigma == pytest.approx(analytic, rel=1e-4)
 
 
+def test_fit_reports_a_simplex_run_that_hit_its_budget(monkeypatch):
+    def budget_exhausted(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        result.success = False
+        return result
+
+    minimize = limits_module.minimize
+    monkeypatch.setattr(limits_module, "minimize", budget_exhausted)
+    result = fit_minimize(_closure_problem("chi2"), seed=0)
+    assert not result.converged
+    assert result.by_name(_closure_problem("chi2"))["c0.amplitude"] == pytest.approx(
+        TRUTH_AMPLITUDE, rel=1e-6)
+
+
+@pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
+def test_linear_uncertainties_are_the_exact_inverse_curvature(statistic):
+    # the 1/E amplitude fits near zero, where a finite-difference step
+    # of 1e-4 barely moves the statistic and the nearly collinear 1/E
+    # and flat columns amplify its rounding in the inverse
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = SpectralModel(components=(GaussianLine(7.7, 60.0), OneOverEContinuum(0.0),
+                                      PolynomialBackground((400.0,))), response=RESPONSE)
+    spectrum = simulate_spectrum(truth, grid, seed=3, tag="measured")
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    problem = FitProblem.from_spectrum(spectrum, truth, free=free, signal=free[0],
+                                       statistic=statistic)
+    values = fit_minimize(problem, seed=0).values
+    sigma = parameter_uncertainties(problem, values)
+
+    def expected(line=0.0, alpha=0.0, flat=0.0):
+        return predict_counts(SpectralModel(components=(
+            GaussianLine(7.7, line), OneOverEContinuum(alpha),
+            PolynomialBackground((flat,))), response=RESPONSE), grid)
+
+    columns = np.column_stack([expected(line=1.0), expected(alpha=1.0), expected(flat=1.0)])
+    n = spectrum.counts.astype(float)
+    if statistic == "chi2":
+        weights = 1.0 / np.maximum(n, 1.0)
+    else:
+        weights = n / (columns @ values) ** 2
+    exact = np.sqrt(np.diag(np.linalg.inv(columns.T @ (columns * weights[:, None]))))
+    assert abs(values[1]) < exact[1]  # the 1/E amplitude really fits near zero
+    np.testing.assert_allclose(sigma, exact, rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-residual bounds against the analytic truncated normal
 
@@ -354,6 +402,96 @@ def test_linear_fast_path_agrees_with_nested_profiler():
     assert fast.method == "bayesian-chi2-profile"
     assert slow.method == "bayesian-chi2-profile"
     assert slow.upper_bound == pytest.approx(fast.upper_bound, rel=2e-3)
+    assert fast.metadata["profile_solver"] == "exact-gaussian"
+    assert slow.metadata["profile_solver"] == "simplex"
+    assert slow.metadata["profile_failures"] == 0
+
+
+def test_newton_poisson_profile_agrees_with_nested_simplex():
+    grid_rtol = 1e-3
+    newton = bayesian_upper_limit(_limit_fixture("poisson_nll"), 0.95, grid_rtol=grid_rtol)
+    # the default nuisance bounds, given explicitly, force the simplex
+    simplex = bayesian_upper_limit(
+        _limit_fixture("poisson_nll", bounds={(1, "coefficients", 0): (-np.inf, np.inf)}),
+        0.95, grid_rtol=grid_rtol)
+    assert newton.method == simplex.method == "bayesian-poisson_nll-profile"
+    assert newton.metadata["profile_solver"] == "newton"
+    assert newton.metadata["newton_iterations"] > 0
+    assert newton.metadata["profile_failures"] == 0
+    assert simplex.metadata["profile_solver"] == "simplex"
+    assert newton.upper_bound == pytest.approx(simplex.upper_bound, rel=grid_rtol)
+    assert newton.metadata["statistic_min"] == pytest.approx(
+        simplex.metadata["statistic_min"], rel=1e-9)
+
+
+def _profile_flat_background(observed, line, flat, s, iterations=200):
+    """Poisson NLL minimized over a flat background b >= the empty-bin
+    floor, by bisection on its monotone score; returns (nll, binding)."""
+    occupied = observed > 0
+    floor = np.max(-s * line[~occupied] / flat[~occupied])
+
+    def score(b):
+        mu = s * line + b * flat
+        with np.errstate(divide="ignore"):  # at s = 0 the floor leaves mu = 0
+            return np.sum(flat) - np.sum(observed[occupied] * flat[occupied] / mu[occupied])
+
+    binding = score(floor) >= 0.0
+    lo, hi = floor, observed.sum() / flat.sum() + 1.0
+    if not binding:
+        for _ in range(iterations):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if score(mid) > 0 else (mid, hi)
+    b = floor if binding else 0.5 * (lo + hi)
+    mu = s * line + b * flat
+    nll = np.sum(mu) - np.sum(observed[occupied] * np.log(mu[occupied]))
+    return nll + np.sum([math.lgamma(n + 1.0) for n in observed]), binding
+
+
+def test_newton_profile_holds_empty_bins_at_zero_expectation():
+    # counts only under the line: at large signal the background wants
+    # to go negative and mu >= 0 in the empty bins stops it
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = np.zeros(60)
+    observed[22:27] = [2.0, 6.0, 9.0, 6.0, 2.0]
+    problem = FitProblem.from_values(grid, observed, _line_model(20.0, 10.0),
+                                     free=((0, "amplitude"), (1, "coefficients", 0)),
+                                     signal=(0, "amplitude"), statistic="poisson_nll")
+    result = bayesian_upper_limit(problem, 0.95)
+    line = predict_counts(_line_model(1.0, 0.0), grid)
+    flat = predict_counts(_line_model(0.0, 1.0), grid)
+    binding = 0
+    for s, value in result.scan[::8]:
+        expected, bound_active = _profile_flat_background(observed, line, flat, s)
+        binding += bound_active
+        assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+    assert binding > 10
+    # from a start far above the optimum the first Newton steps overshoot
+    # onto the floor, which must be released where the optimum is interior
+    s = np.linspace(0.5, 60.0, 120)
+    _, nll, _ = minimize_linear_poisson(observed, flat[:, None], s[:, None] * line,
+                                        np.full((s.size, 1), 50.0), str)
+    expected = np.array([_profile_flat_background(observed, line, flat, v) for v in s])
+    assert 0 < expected[:, 1].sum() < s.size
+    np.testing.assert_allclose(nll, expected[:, 0], rtol=1e-10)
+
+
+def test_newton_profile_rejects_a_nuisance_without_counts():
+    # the second line lies where every bin is empty, so nothing in the
+    # data constrains its amplitude
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = predict_counts(_line_model(30.0, 200.0), grid).round()
+    observed[grid.upper_edges > 8.16] = 0.0
+    far_line = predict_counts(SpectralModel(components=(GaussianLine(9.3, 1.0),),
+                                            response=RESPONSE), grid)
+    assert np.all(far_line[observed > 0] == 0.0)
+    template = SpectralModel(components=(GaussianLine(7.7, 30.0), GaussianLine(9.3, 1.0),
+                                         PolynomialBackground((200.0,))), response=RESPONSE)
+    problem = FitProblem.from_values(grid, observed, template,
+                                     free=((0, "amplitude"), (1, "amplitude"),
+                                           (2, "coefficients", 0)),
+                                     signal=(0, "amplitude"), statistic="poisson_nll")
+    with pytest.raises(FitError, match="singular Poisson Hessian"):
+        bayesian_upper_limit(problem, 0.95)
 
 
 def test_chi2_and_poisson_bounds_agree_at_high_counts():
@@ -371,6 +509,23 @@ def test_chi2_and_poisson_bounds_agree_at_high_counts():
     nll_bound = bayesian_upper_limit(nll_problem, 0.95, grid_rtol=1e-4)
     assert nll_bound.upper_bound == pytest.approx(chi2_bound.upper_bound, rel=0.02)
     assert nll_bound.method == "bayesian-poisson_nll-profile"
+
+
+def test_scan_refinement_profiles_only_the_new_midpoints():
+    calls = []
+
+    def parabola(s_values):
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        calls.append(s)
+        return (s - 1.0) ** 2
+
+    bound, s, values = limits_module._scan_upper_bound(
+        parabola, 1.0, 0.0, "chi2", 0.95, 1e-9, sigma_hint=1.0)
+    evaluated = np.concatenate(calls[1:])  # calls[0] probes the scan range
+    assert s.size > 257
+    assert evaluated.size == s.size
+    assert np.array_equal(np.sort(evaluated), s)
+    assert np.array_equal(values, parabola(s))
 
 
 def test_limit_metadata_and_scan_contents():
@@ -418,6 +573,19 @@ def test_ensemble_chi2_mean_near_bin_count():
     # chi-square at the optimum has roughly n_bins - 2 degrees of freedom
     assert np.mean(result.best_signals >= 0.0)
     assert 0.9 <= result.coverage <= 1.0
+
+
+def test_poisson_ensemble_covers_an_injected_line_at_low_counts():
+    # about 3 counts per bin and a 20-count line: the regime where the
+    # Poisson likelihood, not chi-square, is the right statistic
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(20.0, 3.0 / 0.05)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    n, cl = 300, 0.95
+    result = run_pseudo_experiments(truth, grid, free, (0, "amplitude"), n=n, cl=cl,
+                                    seed=7, statistic="poisson_nll")
+    assert result.n_failed == 0
+    assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
 
 
 def test_ensemble_requires_at_least_one_cycle():
