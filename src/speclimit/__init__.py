@@ -8,202 +8,76 @@ spectra; extracts posterior upper bounds on the violation probability
 beta^2/2 and on collapse-rate parameters in both coupling variants;
 and evaluates upgrade sensitivity budgets with exact rational
 arithmetic.
+
+The namespace is lazy: `import speclimit` loads no submodule, and each
+public name imports its home module on first use, so a run pays only
+for the modules (and numpy/scipy parts) it touches.
 """
 
-from .constants import (
-    AVOGADRO_PER_MOL,
-    BETA2_OVER_2_BOUND_CCD_SEARCH,
-    CODATA2018,
-    ELEMENTARY_CHARGE_C,
-    EV_PER_KEV,
-    FWHM_PER_SIGMA,
-    LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S,
-    LAMBDA_BOUND_80KGDAY_PER_S,
-    LAMBDA_BOUND_SLAB_CORRECTED_PER_S,
-    LAMBDA_BOUND_SLAB_PER_S,
-    SECONDS_PER_DAY,
-    Exposure,
-    PhysicalConstants,
-    constants_table,
-    days_to_seconds,
-    ev_to_kev,
-    fwhm_to_sigma,
-    kev_to_ev,
-    mass_ratio_squared,
-    seconds_to_days,
-    sigma_to_fwhm,
-)
-from .csl import (
-    NONRELATIVISTIC_LIMIT_KEV,
-    CslParams,
-    TargetMaterial,
-    alpha_from_lambda,
-    csl_rate_density,
-    electron_second_exposure,
-    expected_csl_counts,
-    lambda_from_alpha,
-    rate_coefficient,
-)
-from .errors import (
-    ConfigError,
-    DegenerateMapError,
-    DomainError,
-    FitError,
-    ModelError,
-    ScanRangeError,
-    ShapeError,
-    SpectrumFormatError,
-    ToolkitError,
-    ValidityError,
-)
-from .fileio import (
-    canonical_config_hash,
-    format_number,
-    load_config,
-    load_residual,
-    load_spectrum,
-    load_spectrum_with_header,
-    write_report,
-    write_residual,
-    write_spectrum,
-    write_table,
-)
-from .limits import (
-    EnsembleResult,
-    FitProblem,
-    FitResult,
-    GaussianResidualProblem,
-    LimitResult,
-    bayesian_upper_limit,
-    binned_chi2,
-    binned_poisson_nll,
-    fit_minimize,
-    parameter_uncertainties,
-    run_pseudo_experiments,
-)
-from .pep import (
-    PepRunConfig,
-    PepTransition,
-    PepViolationParameter,
-    forbidden_window,
-    pep_expected_counts,
-    pep_upper_limit,
-)
-from .projection import (
-    ImprovementBudget,
-    background_reduction,
-    budget_report_rows,
-    overall_improvement,
-    reference_budget,
-    total_linear_factor,
-)
-from .spectra import (
-    BinnedSpectrum,
-    DetectorResponse,
-    EnergyGrid,
-    GaussianLine,
-    OneOverEContinuum,
-    PolynomialBackground,
-    ResidualSpectrum,
-    SpectralModel,
-    component_bin_counts,
-    gaussian_line_density,
-    model_description,
-    model_from_description,
-    predict_counts,
-    simulate_spectrum,
-    subtract_spectra,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AVOGADRO_PER_MOL",
-    "BETA2_OVER_2_BOUND_CCD_SEARCH",
-    "BinnedSpectrum",
-    "CODATA2018",
-    "ConfigError",
-    "CslParams",
-    "DegenerateMapError",
-    "DetectorResponse",
-    "DomainError",
-    "ELEMENTARY_CHARGE_C",
-    "EV_PER_KEV",
-    "EnergyGrid",
-    "EnsembleResult",
-    "Exposure",
-    "FWHM_PER_SIGMA",
-    "FitError",
-    "FitProblem",
-    "FitResult",
-    "GaussianLine",
-    "GaussianResidualProblem",
-    "ImprovementBudget",
-    "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S",
-    "LAMBDA_BOUND_80KGDAY_PER_S",
-    "LAMBDA_BOUND_SLAB_CORRECTED_PER_S",
-    "LAMBDA_BOUND_SLAB_PER_S",
-    "LimitResult",
-    "ModelError",
-    "NONRELATIVISTIC_LIMIT_KEV",
-    "OneOverEContinuum",
-    "PepRunConfig",
-    "PepTransition",
-    "PepViolationParameter",
-    "PhysicalConstants",
-    "PolynomialBackground",
-    "ResidualSpectrum",
-    "ScanRangeError",
-    "SECONDS_PER_DAY",
-    "ShapeError",
-    "SpectralModel",
-    "SpectrumFormatError",
-    "TargetMaterial",
-    "ToolkitError",
-    "ValidityError",
-    "alpha_from_lambda",
-    "background_reduction",
-    "bayesian_upper_limit",
-    "binned_chi2",
-    "binned_poisson_nll",
-    "budget_report_rows",
-    "canonical_config_hash",
-    "component_bin_counts",
-    "constants_table",
-    "csl_rate_density",
-    "days_to_seconds",
-    "electron_second_exposure",
-    "ev_to_kev",
-    "expected_csl_counts",
-    "fit_minimize",
-    "forbidden_window",
-    "format_number",
-    "fwhm_to_sigma",
-    "gaussian_line_density",
-    "kev_to_ev",
-    "lambda_from_alpha",
-    "load_config",
-    "load_residual",
-    "load_spectrum",
-    "load_spectrum_with_header",
-    "mass_ratio_squared",
-    "model_description",
-    "model_from_description",
-    "overall_improvement",
-    "parameter_uncertainties",
-    "pep_expected_counts",
-    "pep_upper_limit",
-    "predict_counts",
-    "rate_coefficient",
-    "reference_budget",
-    "run_pseudo_experiments",
-    "seconds_to_days",
-    "sigma_to_fwhm",
-    "simulate_spectrum",
-    "subtract_spectra",
-    "total_linear_factor",
-    "write_report",
-    "write_residual",
-    "write_spectrum",
-    "write_table",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "constants": (
+        "AVOGADRO_PER_MOL", "BETA2_OVER_2_BOUND_CCD_SEARCH", "CODATA2018",
+        "ELEMENTARY_CHARGE_C", "EV_PER_KEV", "FWHM_PER_SIGMA",
+        "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S", "LAMBDA_BOUND_80KGDAY_PER_S",
+        "LAMBDA_BOUND_SLAB_CORRECTED_PER_S", "LAMBDA_BOUND_SLAB_PER_S",
+        "SECONDS_PER_DAY", "Exposure", "PhysicalConstants", "constants_table",
+        "days_to_seconds", "ev_to_kev", "fwhm_to_sigma", "kev_to_ev",
+        "mass_ratio_squared", "seconds_to_days", "sigma_to_fwhm",
+    ),
+    "csl": (
+        "NONRELATIVISTIC_LIMIT_KEV", "CslParams", "TargetMaterial", "alpha_from_lambda",
+        "csl_rate_density", "electron_second_exposure", "expected_csl_counts",
+        "lambda_from_alpha", "rate_coefficient",
+    ),
+    "errors": (
+        "ConfigError", "DegenerateMapError", "DomainError", "FitError", "ModelError",
+        "ScanRangeError", "ShapeError", "SpectrumFormatError", "ToolkitError",
+        "ValidityError",
+    ),
+    "fileio": (
+        "canonical_config_hash", "format_number", "load_config", "load_residual",
+        "load_spectrum", "load_spectrum_with_header", "write_report", "write_residual",
+        "write_spectrum", "write_table",
+    ),
+    "limits": (
+        "EnsembleResult", "FitProblem", "FitResult", "GaussianResidualProblem",
+        "LimitResult", "bayesian_upper_limit", "binned_chi2", "binned_poisson_nll",
+        "fit_minimize", "parameter_uncertainties", "run_pseudo_experiments",
+    ),
+    "pep": (
+        "PepRunConfig", "PepTransition", "PepViolationParameter", "forbidden_window",
+        "pep_expected_counts", "pep_upper_limit",
+    ),
+    "projection": (
+        "ImprovementBudget", "background_reduction", "budget_report_rows",
+        "overall_improvement", "reference_budget", "total_linear_factor",
+    ),
+    "spectra": (
+        "BinnedSpectrum", "DetectorResponse", "EnergyGrid", "GaussianLine",
+        "OneOverEContinuum", "PolynomialBackground", "ResidualSpectrum",
+        "SpectralModel", "component_bin_counts", "gaussian_line_density",
+        "model_description", "model_from_description", "predict_counts",
+        "simulate_spectrum", "subtract_spectra",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # resolved on every access and never stored in this module, so a
+    # function replaced in its home module is what the package returns
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,10 @@ constants in use.
 Every run is driven by a JSON config whose resolved form (after
 --seed/--cl overrides) is hashed into the report, so identical
 configs produce byte-identical output files.
+
+Each subcommand imports the modules it runs, and no others: numpy and
+scipy cost most of a short run's time, and `constants` or `--help`
+need neither.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .constants import CODATA2018, Exposure, constants_table
-from .csl import TargetMaterial, lambda_from_alpha
 from .errors import (
     ConfigError,
     DegenerateMapError,
@@ -30,30 +31,9 @@ from .errors import (
     SpectrumFormatError,
     ToolkitError,
 )
-from .fileio import (
-    canonical_config_hash,
-    format_number,
-    load_config,
-    load_spectrum,
-    write_report,
-    write_residual,
-    write_spectrum,
-    write_table,
-)
-from .limits import FitProblem, bayesian_upper_limit, fit_minimize, parameter_uncertainties
-from .pep import PepRunConfig, PepTransition, pep_upper_limit
-from .projection import ImprovementBudget, budget_report_rows, reference_budget
-from .spectra import (
-    DetectorResponse,
-    EnergyGrid,
-    OneOverEContinuum,
-    PolynomialBackground,
-    SpectralModel,
-    model_description,
-    model_from_description,
-    simulate_spectrum,
-    subtract_spectra,
-)
+
+if TYPE_CHECKING:
+    from .spectra import DetectorResponse, EnergyGrid
 
 __all__ = ["main"]
 
@@ -72,8 +52,10 @@ def _resolve_path(base: Path, value: str) -> Path:
 
 
 def _build_grid(entry: dict) -> EnergyGrid:
+    from .spectra import EnergyGrid
+
     if "edges" in entry:
-        return EnergyGrid(np.asarray(entry["edges"], dtype=float))
+        return EnergyGrid(entry["edges"])
     for key in ("lo_kev", "hi_kev", "n_bins"):
         if key not in entry:
             raise ConfigError(f"grid needs 'edges' or lo_kev/hi_kev/n_bins, missing {key!r}")
@@ -82,6 +64,8 @@ def _build_grid(entry: dict) -> EnergyGrid:
 
 
 def _build_response(entry: dict) -> DetectorResponse:
+    from .spectra import DetectorResponse
+
     if "fwhm_kev_at_ref" not in entry:
         raise ConfigError("response requires 'fwhm_kev_at_ref'")
     efficiency = entry.get("efficiency", 1.0)
@@ -115,6 +99,8 @@ def _out_dir(args) -> Path:
 
 
 def _load_cli_config(args, expected_kind: str) -> tuple[dict, Path]:
+    from .fileio import load_config
+
     path = Path(args.config)
     config = load_config(path)
     kind = config.get("kind")
@@ -134,6 +120,10 @@ def _load_cli_config(args, expected_kind: str) -> tuple[dict, Path]:
 
 
 def _cmd_simulate(args) -> int:
+    from .constants import Exposure
+    from .fileio import canonical_config_hash, write_report, write_spectrum
+    from .spectra import model_from_description, simulate_spectrum
+
     config, _ = _load_cli_config(args, "simulate")
     out = _out_dir(args)
     grid = _build_grid(_require(config, "grid", "simulate"))
@@ -171,6 +161,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_subtract(args) -> int:
+    from .fileio import canonical_config_hash, load_spectrum, write_report, write_residual
+    from .spectra import subtract_spectra
+
     out = _out_dir(args)
     on = load_spectrum(Path(args.on))
     off = load_spectrum(Path(args.off))
@@ -195,6 +188,10 @@ def _cmd_subtract(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .fileio import canonical_config_hash, format_number, load_spectrum, write_report
+    from .limits import FitProblem, fit_minimize, parameter_uncertainties
+    from .spectra import model_description, model_from_description
+
     config, base = _load_cli_config(args, "fit")
     out = _out_dir(args)
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "fit")))
@@ -241,8 +238,22 @@ def _cmd_fit(args) -> int:
 
 
 def _limit_csl(args, config: dict, base: Path) -> int:
+    from .constants import CODATA2018
+    from .csl import TargetMaterial, _check_energy_validity, lambda_from_alpha
+    from .fileio import (
+        canonical_config_hash,
+        format_number,
+        load_spectrum,
+        write_report,
+        write_table,
+    )
+    from .limits import FitProblem, bayesian_upper_limit
+    from .spectra import OneOverEContinuum, PolynomialBackground, SpectralModel
+
     out = _out_dir(args)
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "limit")))
+    # the collapse-rate map holds only in the non-relativistic window
+    _check_energy_validity(spectrum.grid.bin_edges)
     cl = float(config.get("confidence_level", 0.95))
     statistic = config.get("statistic", "chi2")
     seed = int(config.get("seed", 0))
@@ -315,6 +326,17 @@ def _limit_csl(args, config: dict, base: Path) -> int:
 
 
 def _limit_pep(args, config: dict, base: Path) -> int:
+    from .fileio import (
+        canonical_config_hash,
+        format_number,
+        load_spectrum,
+        write_report,
+        write_residual,
+        write_table,
+    )
+    from .pep import PepRunConfig, PepTransition, pep_upper_limit
+    from .spectra import subtract_spectra
+
     out = _out_dir(args)
     on = load_spectrum(_resolve_path(base, _require(config, "on", "limit")))
     off = load_spectrum(_resolve_path(base, _require(config, "off", "limit")))
@@ -389,6 +411,9 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .fileio import canonical_config_hash, load_config, write_report
+    from .projection import ImprovementBudget, budget_report_rows, reference_budget
+
     if args.config is not None:
         config = load_config(Path(args.config))
         if config.get("kind") != "project":
@@ -417,6 +442,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import constants_table
+
     table = constants_table()
     print(table, end="")
     if args.out is not None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import AVOGADRO_PER_MOL, CODATA2018, Exposure, PhysicalConstants
 from .errors import DegenerateMapError, DomainError, ValidityError
-from .spectra import EnergyGrid
+from .spectra import EnergyGrid, _one_over_e_unit_integrals
 
 __all__ = [
     "CslParams",
@@ -161,14 +161,15 @@ def expected_csl_counts(params: CslParams, target: TargetMaterial,
                         constants: PhysicalConstants = CODATA2018) -> np.ndarray:
     """Expected emitted counts per bin over the exposure.
 
-    Uses the closed-form bin integral C * ln(hi/lo) of the 1/E density.
+    Uses the closed-form bin integral C * ln(hi/lo) of the 1/E density,
+    the same one the spectral model's 1/E continuum uses.
     """
     if exposure.product_kg_day <= 0:
         raise DomainError("exposure must be positive")
     _check_energy_validity(grid.bin_edges)
     coeff = rate_coefficient(params, constants)
-    log_ratios = np.log(grid.upper_edges / grid.lower_edges)
-    return coeff * electron_second_exposure(target, exposure) * log_ratios
+    return (coeff * electron_second_exposure(target, exposure)
+            * _one_over_e_unit_integrals(grid))
 
 
 def alpha_from_lambda(params: CslParams, target: TargetMaterial,

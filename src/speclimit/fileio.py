@@ -5,19 +5,25 @@ lines followed by one `bin_lo bin_hi counts` row per bin. Floats are
 written with repr so files and reports round trip bit for bit; every
 report carries the sha256 hash of the resolved configuration that
 produced it.
+
+Reports, tables and configs need no numpy: the spectrum types are
+imported by the loaders that build them, so a run that only writes a
+report (`speclimit project`) stays free of the numeric stack.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import Exposure
 from .errors import ConfigError, SpectrumFormatError
-from .spectra import BinnedSpectrum, EnergyGrid, ResidualSpectrum, SPECTRUM_TAGS
+
+if TYPE_CHECKING:
+    from .spectra import BinnedSpectrum, ResidualSpectrum
 
 __all__ = [
     "SPECTRUM_FORMAT",
@@ -48,7 +54,7 @@ _EDGE_MATCH_RTOL = 1e-9
 
 def format_number(value) -> str:
     """Shortest exact decimal form; integers stay integers."""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return repr(float(value))
 
@@ -130,11 +136,12 @@ def _parse_bin_rows(path: Path, rows, n_value_columns: int):
         upper.append(hi)
         for c in range(n_value_columns):
             values[c].append((lineno, row_index, tokens[2 + c]))
-    edges = np.array(lower + [upper[-1]])
-    return edges, values
+    return lower + [upper[-1]], values
 
 
 def load_spectrum_with_header(path) -> tuple[BinnedSpectrum, dict]:
+    from .spectra import SPECTRUM_TAGS, BinnedSpectrum, EnergyGrid
+
     path = Path(path)
     if not path.exists():
         raise SpectrumFormatError(f"{path}: no such file")
@@ -158,8 +165,8 @@ def load_spectrum_with_header(path) -> tuple[BinnedSpectrum, dict]:
         raise SpectrumFormatError(f"{path}: unknown tag {header['tag']!r}")
 
     edges, (count_tokens,) = _parse_bin_rows(path, rows, 1)
-    counts = np.empty(edges.size - 1, dtype=np.int64)
-    for i, (lineno, row_index, token) in enumerate(count_tokens):
+    counts = []
+    for lineno, row_index, token in count_tokens:
         try:
             value = int(token)
         except ValueError as err:
@@ -171,7 +178,7 @@ def load_spectrum_with_header(path) -> tuple[BinnedSpectrum, dict]:
             raise SpectrumFormatError(
                 f"{path}:{lineno}: row {row_index} has negative counts {value}"
             )
-        counts[i] = value
+        counts.append(value)
 
     try:
         exposure = Exposure(mass_kg=float(header["mass-kg"]),
@@ -215,6 +222,8 @@ def write_residual(path, residual: ResidualSpectrum, *, extra_header: dict | Non
 
 
 def load_residual(path) -> ResidualSpectrum:
+    from .spectra import EnergyGrid, ResidualSpectrum
+
     path = Path(path)
     if not path.exists():
         raise SpectrumFormatError(f"{path}: no such file")
@@ -226,10 +235,10 @@ def load_residual(path) -> ResidualSpectrum:
     edges, (value_tokens, sigma_tokens) = _parse_bin_rows(path, rows, 2)
 
     def as_float(entries, what):
-        out = np.empty(len(entries))
-        for i, (lineno, row_index, token) in enumerate(entries):
+        out = []
+        for lineno, row_index, token in entries:
             try:
-                out[i] = float(token)
+                out.append(float(token))
             except ValueError as err:
                 raise SpectrumFormatError(
                     f"{path}:{lineno}: row {row_index} has bad {what}: {token!r}"
@@ -286,12 +295,12 @@ def write_report(path, rows) -> Path:
 def write_table(path, column_names, columns, *, header_lines=()) -> Path:
     """Whitespace-delimited numeric table for plotting."""
     path = Path(path)
-    arrays = [np.asarray(col) for col in columns]
-    if any(a.size != arrays[0].size for a in arrays):
+    columns = list(columns)
+    if any(len(col) != len(columns[0]) for col in columns):
         raise ValueError("all table columns must have equal length")
     lines = [f"# {line}" for line in header_lines]
     lines.append("# columns: " + " ".join(column_names))
-    for i in range(arrays[0].size):
-        lines.append(" ".join(format_number(a[i]) for a in arrays))
+    for row in zip(*columns):
+        lines.append(" ".join(format_number(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -23,12 +23,9 @@ refined adaptively until the quantile is grid-stable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from .errors import (
@@ -39,6 +36,7 @@ from .errors import (
     ScanRangeError,
     ShapeError,
 )
+from .fileio import canonical_config_hash
 from .newton import in_poisson_domain, minimize_linear_poisson, poisson_hessian
 from .spectra import (
     BinnedSpectrum,
@@ -353,6 +351,10 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
     that produced the returned point met its tolerances within its
     evaluation budget; a run that hit the budget is still returned.
     """
+    # imported here, as in _nonlinear_profiler: only the simplex paths
+    # need scipy.optimize, and its import costs more than a linear limit
+    from scipy.optimize import minimize
+
     evaluator = _MuEvaluator(problem)
     stat = _statistic_fn(problem, evaluator)
     bounds = problem.bounds_list()
@@ -698,6 +700,8 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
     Inner runs that stop without meeting their tolerances are counted
     in the returned info as profile failures.
     """
+    from scipy.optimize import minimize
+
     stat = _statistic_fn(problem, evaluator)
     idx = problem.signal_index()
     n = len(problem.free)
@@ -910,8 +914,7 @@ def _ensemble_config_hash(truth: SpectralModel, grid: EnergyGrid, free, signal,
         "statistic": statistic,
         "n": n,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_config_hash(payload)
 
 
 def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,

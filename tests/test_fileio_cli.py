@@ -340,6 +340,23 @@ def test_cli_continuum_limit_reports_mass_mode_ratio(tmp_path, capsys):
     assert float(report["exposure-kg-day"]) == 80.0
 
 
+def test_cli_continuum_limit_rejects_a_relativistic_window(tmp_path, capsys):
+    _copy_sample_configs(tmp_path)
+    simulate = json.loads((tmp_path / "simulate_continuum.json").read_text())
+    simulate["grid"] = {"lo_kev": 4.5, "hi_kev": 300.0, "n_bins": 59}
+    (tmp_path / "simulate_continuum.json").write_text(json.dumps(simulate))
+    assert main(["simulate", "--config", str(tmp_path / "simulate_continuum.json"),
+                 "--out", str(tmp_path / "runs/continuum")]) == 0
+    capsys.readouterr()
+    code = main(["limit", "--config", str(tmp_path / "limit_continuum.json"),
+                 "--out", str(tmp_path / "limit")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [build]:")
+    assert "non-relativistic" in err
+    assert not (tmp_path / "limit/report.txt").exists()
+
+
 def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),

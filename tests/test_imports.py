@@ -1,0 +1,110 @@
+"""Import budget: each run loads only the modules it needs.
+
+numpy and scipy dominate the wall time of a short `speclimit` process,
+so the package namespace is lazy and each subcommand imports what it
+runs. Every check starts a fresh interpreter, because the test process
+itself has long since imported everything.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import speclimit
+from speclimit.cli import main
+
+SRC_DIR = Path(speclimit.__file__).resolve().parent.parent
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_configs"
+
+# runs the CLI with the given arguments, then reports which modules it loaded
+_CLI_PROBE = """
+import json, sys
+from speclimit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _fresh_python(code, *args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli_modules(argv, cwd):
+    result = _fresh_python(_CLI_PROBE, *argv, cwd=cwd)
+    assert result["code"] == 0
+    return result["modules"]
+
+
+def _under(modules, *packages):
+    return sorted(m for m in modules if any(m == p or m.startswith(p + ".") for p in packages))
+
+
+def test_import_speclimit_loads_no_numeric_module():
+    modules = _fresh_python("import json, sys, speclimit; print(json.dumps(sorted(sys.modules)))")
+    assert _under(modules, "numpy", "scipy") == []
+    assert _under(modules, "speclimit") == ["speclimit"]
+
+
+def test_constants_subcommand_loads_no_numeric_module(tmp_path):
+    assert _under(_cli_modules(["constants"], tmp_path), "numpy", "scipy") == []
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """Sample configs plus the spectra the later steps read."""
+    work = tmp_path_factory.mktemp("pipeline")
+    for config in SAMPLE_DIR.glob("*.json"):
+        shutil.copy(config, work / config.name)
+    for argv in (["simulate", "--config", str(work / "simulate_forbidden_on.json"),
+                  "--out", str(work / "runs/on")],
+                 ["simulate", "--config", str(work / "simulate_forbidden_off.json"),
+                  "--out", str(work / "runs/off")],
+                 ["simulate", "--config", str(work / "simulate_continuum.json"),
+                  "--out", str(work / "runs/continuum")]):
+        assert main(argv) == 0
+    return work
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "simulate_continuum.json", "--out", "check/simulate"],
+    ["subtract", "--on", "runs/on/spectrum.txt", "--off", "runs/off/spectrum.txt",
+     "--out", "check/subtract"],
+    ["limit", "--config", "limit_forbidden.json", "--out", "check/pep"],
+    ["limit", "--config", "limit_continuum.json", "--out", "check/csl"],
+], ids=["simulate", "subtract", "limit-pep", "limit-csl"])
+def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
+    modules = _cli_modules(argv, pipeline_dir)
+    assert "numpy" in modules
+    assert _under(modules, "scipy.optimize", "scipy.integrate") == []
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    probe = """
+import json, speclimit
+resolved = [name for name in speclimit.__all__ if getattr(speclimit, name, None) is not None]
+try:
+    speclimit.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"all": speclimit.__all__, "resolved": resolved, "dir": dir(speclimit),
+                  "stored": sorted(set(vars(speclimit)) & set(speclimit.__all__)),
+                  "unknown": unknown}))
+"""
+    result = _fresh_python(probe)
+    assert len(result["all"]) == len(set(result["all"])) == 88
+    assert result["resolved"] == result["all"]
+    assert set(result["all"]) <= set(result["dir"])
+    # names are looked up on each access, never cached in the package
+    assert result["stored"] == []
+    assert result["unknown"] == "AttributeError"

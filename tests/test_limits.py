@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, poisson
 
@@ -256,8 +257,8 @@ def test_fit_reports_a_simplex_run_that_hit_its_budget(monkeypatch):
         result.success = False
         return result
 
-    minimize = limits_module.minimize
-    monkeypatch.setattr(limits_module, "minimize", budget_exhausted)
+    minimize = scipy.optimize.minimize
+    monkeypatch.setattr(scipy.optimize, "minimize", budget_exhausted)
     result = fit_minimize(_closure_problem("chi2"), seed=0)
     assert not result.converged
     assert result.by_name(_closure_problem("chi2"))["c0.amplitude"] == pytest.approx(
@@ -561,6 +562,17 @@ def test_ensemble_reproducible_and_seed_sensitive():
     assert a.n_completed == 40
     assert a.true_signal == 0.0
     assert 0.8 <= a.coverage <= 1.0
+
+
+def test_ensemble_config_hash_is_stable():
+    # frozen from the release before the ensemble hash went through
+    # fileio.canonical_config_hash: the digest names the same ensemble
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    result = run_pseudo_experiments(_line_model(0.0, 200.0), grid, free, (0, "amplitude"),
+                                    n=2, cl=0.95, seed=3)
+    assert result.config_hash == (
+        "d8c59c6ad390763d14d00ac6a23eb95c8293eab8c76e50b10a53c20af0a28ba0")
 
 
 def test_ensemble_chi2_mean_near_bin_count():

@@ -1,9 +1,9 @@
 """Grids, response, spectral components, simulation and subtraction.
 
-Bin contents produced by the adaptive-quadrature path are checked
-against closed-form integrals computed right here (Gaussian error
-function, logarithm, polynomial antiderivative), so the two routes to
-every number stay independent.
+Bin contents, which the package computes in closed form, are checked
+against integrals computed right here a second way (Gaussian error
+function, logarithm, polynomial antiderivative, scipy.integrate.quad),
+so the two routes to every number stay independent.
 """
 
 import math
@@ -161,6 +161,24 @@ def test_polynomial_bin_counts_match_antiderivative():
                 - 0.3 * (hi**2 - lo**2) / 2.0
                 + 0.02 * (hi**3 - lo**3) / 3.0)
     assert counts == pytest.approx(analytic, rel=1e-12)
+
+
+@pytest.mark.parametrize("power", [None, 0, 1, 2, 3], ids=["1/E", "E^0", "E^1", "E^2", "E^3"])
+@pytest.mark.parametrize("grid", [
+    EnergyGrid.uniform(4.5, 48.5, 88),
+    # 1 eV bins near 99 keV: ln(hi/lo) of the rounded ratio keeps only
+    # about eleven digits here, and hi^(k+1) - lo^(k+1) cancels as badly
+    EnergyGrid.uniform(98.99, 99.01, 20),
+], ids=["4.5-48.5keV", "1eV-bins-at-99keV"])
+def test_smooth_bin_integrals_match_quadrature(grid, power):
+    if power is None:
+        component, density = OneOverEContinuum(alpha=1.0), lambda e: 1.0 / e
+    else:
+        component, density = PolynomialBackground((0.0,) * power + (1.0,)), lambda e: e**power
+    counts = component_bin_counts(component, grid, RESPONSE)
+    oracle = [quad(density, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+              for lo, hi in zip(grid.lower_edges, grid.upper_edges)]
+    assert counts == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=30, deadline=None)
