@@ -33,7 +33,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .spectra import DetectorResponse, EnergyGrid
+    from .spectra import EnergyGrid
 
 __all__ = ["main"]
 
@@ -61,22 +61,6 @@ def _build_grid(entry: dict) -> EnergyGrid:
             raise ConfigError(f"grid needs 'edges' or lo_kev/hi_kev/n_bins, missing {key!r}")
     return EnergyGrid.uniform(float(entry["lo_kev"]), float(entry["hi_kev"]),
                               int(entry["n_bins"]))
-
-
-def _build_response(entry: dict) -> DetectorResponse:
-    from .spectra import DetectorResponse
-
-    if "fwhm_kev_at_ref" not in entry:
-        raise ConfigError("response requires 'fwhm_kev_at_ref'")
-    efficiency = entry.get("efficiency", 1.0)
-    if isinstance(efficiency, list):
-        efficiency = tuple(efficiency)
-    return DetectorResponse(
-        fwhm_kev_at_ref=float(entry["fwhm_kev_at_ref"]),
-        reference_energy_kev=float(entry.get("reference_energy_kev", 8.0)),
-        resolution_model=entry.get("resolution_model", "constant"),
-        efficiency=efficiency,
-    )
 
 
 def _parse_ref(entry) -> tuple:
@@ -248,7 +232,12 @@ def _limit_csl(args, config: dict, base: Path) -> int:
         write_table,
     )
     from .limits import FitProblem, bayesian_upper_limit
-    from .spectra import OneOverEContinuum, PolynomialBackground, SpectralModel
+    from .spectra import (
+        OneOverEContinuum,
+        PolynomialBackground,
+        SpectralModel,
+        _response_from_description,
+    )
 
     out = _out_dir(args)
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "limit")))
@@ -263,7 +252,7 @@ def _limit_csl(args, config: dict, base: Path) -> int:
 
     background_cfg = config.get("background", {})
     coefficients = tuple(float(c) for c in background_cfg.get("coefficients", [0.0]))
-    response = _build_response(config.get("response", {"fwhm_kev_at_ref": 0.3}))
+    response = _response_from_description(config.get("response", {"fwhm_kev_at_ref": 0.3}))
     target_cfg = config.get("target", {})
     target = TargetMaterial.from_table(
         target_cfg.get("element", "Ge"),
@@ -335,7 +324,7 @@ def _limit_pep(args, config: dict, base: Path) -> int:
         write_table,
     )
     from .pep import PepRunConfig, PepTransition, pep_upper_limit
-    from .spectra import subtract_spectra
+    from .spectra import _response_from_description, subtract_spectra
 
     out = _out_dir(args)
     on = load_spectrum(_resolve_path(base, _require(config, "on", "limit")))
@@ -348,7 +337,7 @@ def _limit_pep(args, config: dict, base: Path) -> int:
         normal_energy_kev=float(transition_cfg.get("normal_energy_kev", 8.0)),
         shift_kev=float(transition_cfg.get("shift_kev", 0.30)),
     )
-    response = _build_response(_require(config, "response", "limit"))
+    response = _response_from_description(_require(config, "response", "limit"))
     run_cfg = _require(config, "run", "limit")
     for key in ("current_a", "duration_s", "geometric_acceptance", "detection_efficiency"):
         if key not in run_cfg:

@@ -1,19 +1,19 @@
 """Fitting and upper-limit machinery for binned spectra.
 
 Provides the two fit statistics (Neyman chi-square with an empty-bin
-variance floor, and the Poisson negative log likelihood), a
-deterministic derivative-free simplex fit with seeded restarts, flat
-prior Bayesian upper limits on a non-negative signal amplitude with
-background nuisances profiled out, and a seeded pseudo-experiment
-harness with coverage accounting.
+variance floor, and the Poisson negative log likelihood), a fit that
+minimizes either, flat prior Bayesian upper limits on a non-negative
+signal amplitude with background nuisances profiled out, and a seeded
+pseudo-experiment harness with coverage accounting.
 
-Nuisances are profiled exactly wherever every free parameter enters
-the prediction linearly and only the default bounds apply: the
-chi-square profile is a weighted least-squares parabola, and the
-Poisson NLL is convex, so a damped Newton iteration with the analytic
-Hessian A^T diag(n/mu^2) A finds its minimum (Baker & Cousins, NIM 221
-(1984) 437). A free line centroid or explicit bounds fall back to
-nested Nelder-Mead minimizations.
+Problems are solved exactly wherever every free parameter enters the
+prediction linearly and only the default bounds apply: the chi-square
+is a weighted least-squares parabola, so its fit and its profile are
+closed form, and the Poisson NLL is convex, so a damped Newton
+iteration with the analytic Hessian A^T diag(n/mu^2) A finds its
+profile (Baker & Cousins, NIM 221 (1984) 437). A free line centroid or
+explicit bounds fall back to Nelder-Mead, with seeded restarts for the
+fit and nested runs for the profile; so does the linear Poisson fit.
 
 Posterior convention: for the chi-square statistic the posterior
 density on the signal s >= 0 is proportional to exp(-chi2_prof(s)/2);
@@ -71,6 +71,7 @@ STATISTICS = ("chi2", "poisson_nll")
 _LINEAR_ATTRS = {"amplitude", "alpha", "coefficients"}
 
 _SIMPLEX_TOL = 1e-9  # convergence tolerance on the fit statistic
+_MAX_RESTARTS = 6    # seeded simplex restarts after the first run
 
 
 def _variance_floor(observed: np.ndarray) -> np.ndarray:
@@ -201,20 +202,16 @@ class FitProblem:
     def from_spectrum(cls, spectrum: BinnedSpectrum, model: SpectralModel,
                       free, signal, statistic: str = "chi2",
                       bounds=None, names=None) -> "FitProblem":
-        return cls(grid=spectrum.grid, observed=spectrum.counts.astype(float),
-                   model=model, free=tuple(free), signal=tuple(signal),
-                   statistic=statistic, bounds=dict(bounds or {}),
-                   names=dict(names or {}))
+        return cls.from_values(spectrum.grid, spectrum.counts, model, free, signal,
+                               statistic, bounds, names)
 
     @classmethod
     def from_values(cls, grid: EnergyGrid, values, model: SpectralModel,
                     free, signal, statistic: str = "chi2",
                     bounds=None, names=None) -> "FitProblem":
         """Problem over real-valued expectations, e.g. noiseless closure fits."""
-        return cls(grid=grid, observed=np.asarray(values, dtype=float),
-                   model=model, free=tuple(free), signal=tuple(signal),
-                   statistic=statistic, bounds=dict(bounds or {}),
-                   names=dict(names or {}))
+        return cls(grid=grid, observed=values, model=model, free=free, signal=signal,
+                   statistic=statistic, bounds=bounds or {}, names=dict(names or {}))
 
     def parameter_name(self, ref) -> str:
         return self.names.get(tuple(ref), _ref_name(tuple(ref)))
@@ -341,22 +338,37 @@ def _least_squares_start(problem: FitProblem, evaluator: _MuEvaluator) -> np.nda
     return solution
 
 
-def fit_minimize(problem: FitProblem, *, seed: int = 0,
-                 max_restarts: int = 6, tol: float = _SIMPLEX_TOL) -> FitResult:
-    """Minimize the fit statistic with a bounded Nelder-Mead simplex.
+def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
+    """Minimize the fit statistic.
 
-    Restarts from seeded perturbations of the best point until the
-    statistic stops improving by more than tol. Deterministic for a
-    fixed problem and seed. `converged` reports whether the simplex run
-    that produced the returned point met its tolerances within its
-    evaluation budget; a run that hit the budget is still returned.
+    A linear chi-square problem with default bounds has an exact
+    optimum: the weighted least-squares signal clipped at zero, with
+    the nuisances solved at that signal (the parabola is convex with
+    one bound); a design the solve cannot invert raises. Other problems
+    run a bounded Nelder-Mead simplex, restarted from seeded
+    perturbations of the best point until the statistic stops
+    improving. `converged` reports whether the accepted simplex run met
+    its tolerances within its evaluation budget; a run that hit the
+    budget is still returned.
     """
-    # imported here, as in _nonlinear_profiler: only the simplex paths
-    # need scipy.optimize, and its import costs more than a linear limit
-    from scipy.optimize import minimize
-
     evaluator = _MuEvaluator(problem)
     stat = _statistic_fn(problem, evaluator)
+    if _solver_for(problem, evaluator) == "exact-gaussian":
+        try:
+            core = _core_from_fit_problem(problem, evaluator)
+        except DegenerateMapError as err:  # a fit, not a limit, has failed
+            raise FitError(str(err)) from err
+        signal = max(core.best_signal(), 0.0)
+        nuisances = [] if core.a is None else core.solver @ (core.y - signal * core.s_col)
+        values = np.insert(nuisances, problem.signal_index(), signal)
+        chi2 = stat(values)
+        return FitResult(values=values, statistic=chi2, n_restarts=0, n_evaluations=1,
+                         converged=True, trace=((-1, chi2),))
+
+    # only the simplex paths need scipy.optimize, and its import costs
+    # more than a linear fit or limit
+    from scipy.optimize import minimize
+
     bounds = problem.bounds_list()
     x0 = _least_squares_start(problem, evaluator)
 
@@ -381,12 +393,12 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
     n_restarts = 0
     improved_recently = True
     converged = False
-    for attempt in range(max_restarts + 1):
+    for attempt in range(_MAX_RESTARTS + 1):
         start = best_z if attempt == 0 else best_z + rng.normal(0.0, 1e-3, z0.size)
         start = np.clip(start, [b[0] for b in z_bounds], [b[1] for b in z_bounds])
         result = minimize(
             scaled_stat, start, method="Nelder-Mead", bounds=z_bounds,
-            options={"xatol": 1e-10, "fatol": tol * 1e-3,
+            options={"xatol": 1e-10, "fatol": _SIMPLEX_TOL * 1e-3,
                      "maxiter": 400 * (z0.size + 1), "maxfev": 400 * (z0.size + 1)},
         )
         trace.append((attempt, float(result.fun)))
@@ -397,7 +409,7 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
             improvement = best_f - result.fun
             best_f = float(result.fun)
             best_z = np.asarray(result.x)
-            improved_recently = attempt == 0 or improvement > tol
+            improved_recently = attempt == 0 or improvement > _SIMPLEX_TOL
             converged = bool(result.success)
         else:
             improved_recently = False
@@ -413,8 +425,8 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0,
     if improved_recently:
         # still improving when the restart budget ran out
         raise FitError(
-            f"fit did not converge within {max_restarts} restarts "
-            f"(last improvements above {tol}); trace: {trace}"
+            f"fit did not converge within {_MAX_RESTARTS} restarts "
+            f"(last improvements above {_SIMPLEX_TOL}); trace: {trace}"
         )
     return FitResult(values=best_z * scales, statistic=best_f,
                      n_restarts=n_restarts, n_evaluations=n_evals,
@@ -585,8 +597,6 @@ class _LinearGaussianCore:
 def _core_from_fit_problem(problem: FitProblem, evaluator: _MuEvaluator):
     idx = problem.signal_index()
     nuisance_cols = np.delete(evaluator.columns, idx, axis=1)
-    if nuisance_cols.shape[1] == 0:
-        nuisance_cols = None
     return _LinearGaussianCore(
         y=problem.observed - evaluator.base,
         variance=_variance_floor(problem.observed),
@@ -609,14 +619,14 @@ def _core_from_residual_problem(problem: GaussianResidualProblem):
     )
 
 
-def _default_signal_bounds_only(problem: FitProblem) -> bool:
-    for ref in problem.free:
-        if ref == problem.signal:
-            if problem.bounds.get(ref, (0.0, np.inf)) != (0.0, np.inf):
-                return False
-        elif ref in problem.bounds:
-            return False
-    return True
+def _solver_for(problem: FitProblem, evaluator: _MuEvaluator) -> str:
+    """The exact solver for the fit and the profile, or "simplex" if none:
+    exact needs every free parameter linear and only default bounds."""
+    # FitProblem admits bounds only on free parameters
+    default_bounds = problem.bounds in ({}, {problem.signal: (0.0, np.inf)})
+    if not (evaluator.linear and default_bounds):
+        return "simplex"
+    return "exact-gaussian" if problem.statistic == "chi2" else "newton"
 
 
 def _gaussian_profiler(core: _LinearGaussianCore):
@@ -625,6 +635,17 @@ def _gaussian_profiler(core: _LinearGaussianCore):
     stat_min = float(core.profiled(shat)[0])
     info = {"profile_solver": "exact-gaussian", "profile_failures": 0}
     return core.profiled, shat, stat_min, core.curvature_sigma(), info
+
+
+def _lone_signal_profile(problem: FitProblem, evaluator: _MuEvaluator):
+    """Profile of a problem whose only free parameter is the signal."""
+    stat = _statistic_fn(problem, evaluator)
+
+    def pstat(s_values):
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        return np.array([stat(np.array([v])) for v in s])
+
+    return pstat
 
 
 def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
@@ -658,11 +679,7 @@ def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
     theta = theta[0]
 
     if not nuisance_cols.shape[1]:
-        stat = _statistic_fn(problem, evaluator)
-
-        def pstat(s_values):
-            s = np.atleast_1d(np.asarray(s_values, dtype=float))
-            return np.array([stat(np.array([v])) for v in s])
+        pstat = _lone_signal_profile(problem, evaluator)
     else:
         # The domain is convex in (signal, nuisances), so nuisances
         # interpolated between solved points are feasible starts, and
@@ -711,20 +728,10 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
     info = {"profile_solver": "simplex", "profile_failures": 0}
 
     full_fit = fit_minimize(problem, seed=seed)
-    shat = float(full_fit.values[idx])
-    lo_sig = bounds[idx][0]
-    shat = max(shat, lo_sig)
+    shat = max(float(full_fit.values[idx]), bounds[idx][0])
 
     if not nuis_idx:
-        def pstat(s_values):
-            s = np.atleast_1d(np.asarray(s_values, dtype=float))
-            out = np.empty(s.size)
-            theta = full_fit.values.copy()
-            for k, sv in enumerate(s):
-                theta[idx] = sv
-                out[k] = stat(theta)
-            return out
-        return pstat, shat, float(full_fit.statistic), None, info
+        return _lone_signal_profile(problem, evaluator), shat, float(full_fit.statistic), None, info
 
     nuis_bounds = [bounds[i] for i in nuis_idx]
 
@@ -843,12 +850,13 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         statistic = problem.statistic
         label = problem.parameter_name(problem.signal)
         method = f"bayesian-{statistic}-profile"
-        if not (evaluator.linear and _default_signal_bounds_only(problem)):
-            profile = _nonlinear_profiler(problem, evaluator, seed)
-        elif statistic == "chi2":
+        solver = _solver_for(problem, evaluator)
+        if solver == "exact-gaussian":
             profile = _gaussian_profiler(_core_from_fit_problem(problem, evaluator))
-        else:
+        elif solver == "newton":
             profile = _newton_profiler(problem, evaluator)
+        else:
+            profile = _nonlinear_profiler(problem, evaluator, seed)
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 

@@ -442,19 +442,20 @@ def model_description(model: SpectralModel) -> dict:
     }
 
 
-def model_from_description(description: dict) -> SpectralModel:
-    resp = dict(description.get("response", {}))
-    if "fwhm_kev_at_ref" not in resp:
-        raise ModelError("model description lacks response.fwhm_kev_at_ref")
-    eff = resp.get("efficiency", 1.0)
-    if isinstance(eff, (list, tuple)):
-        resp["efficiency"] = tuple(eff)
-    response = DetectorResponse(
-        fwhm_kev_at_ref=float(resp["fwhm_kev_at_ref"]),
-        reference_energy_kev=float(resp.get("reference_energy_kev", 8.0)),
-        resolution_model=resp.get("resolution_model", "constant"),
-        efficiency=resp.get("efficiency", 1.0),
+def _response_from_description(entry: dict) -> DetectorResponse:
+    """The detector response of a model description or a run config."""
+    if "fwhm_kev_at_ref" not in entry:
+        raise ModelError("response lacks 'fwhm_kev_at_ref'")
+    return DetectorResponse(
+        fwhm_kev_at_ref=float(entry["fwhm_kev_at_ref"]),
+        reference_energy_kev=float(entry.get("reference_energy_kev", 8.0)),
+        resolution_model=entry.get("resolution_model", "constant"),
+        efficiency=entry.get("efficiency", 1.0),
     )
+
+
+def model_from_description(description: dict) -> SpectralModel:
+    response = _response_from_description(description.get("response", {}))
     comps = []
     for entry in description.get("components", []):
         kind = entry.get("kind")

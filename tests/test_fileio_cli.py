@@ -375,6 +375,42 @@ def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):
     assert fitted.components[0].amplitude == pytest.approx(600.0, abs=150.0)
 
 
+def test_cli_fit_rejects_a_signal_that_vanishes_on_the_grid(tmp_path, capsys):
+    _copy_sample_configs(tmp_path)
+    assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),
+                 "--out", str(tmp_path / "runs/on")]) == 0
+    config = json.loads((tmp_path / "fit_forbidden_line.json").read_text())
+    config["model"]["components"][0]["centroid_kev"] = 20.0
+    (tmp_path / "fit_forbidden_line.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main(["fit", "--config", str(tmp_path / "fit_forbidden_line.json"),
+                 "--out", str(tmp_path / "fit")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [fit]:")
+    assert "vanishes" in err
+    assert not (tmp_path / "fit/report.txt").exists()
+
+
+def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
+    _copy_sample_configs(tmp_path)
+    for name, out in [("simulate_forbidden_on.json", "runs/on"),
+                      ("simulate_forbidden_off.json", "runs/off")]:
+        assert main(["simulate", "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / out)]) == 0
+    config = json.loads((tmp_path / "limit_forbidden.json").read_text())
+    del config["response"]["fwhm_kev_at_ref"]
+    (tmp_path / "limit_forbidden.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main(["limit", "--config", str(tmp_path / "limit_forbidden.json"),
+                 "--out", str(tmp_path / "limit")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [")
+    assert "fwhm_kev_at_ref" in err
+    assert not (tmp_path / "limit/report.txt").exists()
+
+
 def test_cli_project_prints_headline_rows(tmp_path, capsys):
     assert main(["project"]) == 0
     assert capsys.readouterr().out == (

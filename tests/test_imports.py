@@ -81,7 +81,8 @@ def pipeline_dir(tmp_path_factory):
      "--out", "check/subtract"],
     ["limit", "--config", "limit_forbidden.json", "--out", "check/pep"],
     ["limit", "--config", "limit_continuum.json", "--out", "check/csl"],
-], ids=["simulate", "subtract", "limit-pep", "limit-csl"])
+    ["fit", "--config", "fit_forbidden_line.json", "--out", "check/fit"],
+], ids=["simulate", "subtract", "limit-pep", "limit-csl", "fit"])
 def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
     modules = _cli_modules(argv, pipeline_dir)
     assert "numpy" in modules

@@ -32,6 +32,7 @@ from speclimit import (
     PolynomialBackground,
     ShapeError,
     SpectralModel,
+    ToolkitError,
     bayesian_upper_limit,
     binned_chi2,
     binned_poisson_nll,
@@ -259,10 +260,50 @@ def test_fit_reports_a_simplex_run_that_hit_its_budget(monkeypatch):
 
     minimize = scipy.optimize.minimize
     monkeypatch.setattr(scipy.optimize, "minimize", budget_exhausted)
-    result = fit_minimize(_closure_problem("chi2"), seed=0)
+    result = fit_minimize(_closure_problem("poisson_nll"), seed=0)
     assert not result.converged
-    assert result.by_name(_closure_problem("chi2"))["c0.amplitude"] == pytest.approx(
+    assert result.by_name(_closure_problem("poisson_nll"))["c0.amplitude"] == pytest.approx(
         TRUTH_AMPLITUDE, rel=1e-6)
+
+
+def test_linear_chi2_fit_is_the_bounded_weighted_least_squares_optimum(monkeypatch):
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("a linear chi-square fit ran the simplex")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_simplex)
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    line = predict_counts(_line_model(1.0, 0.0), grid)
+    flat = predict_counts(_line_model(0.0, 1.0), grid)
+    excess = simulate_spectrum(_line_model(40.0, 80.0), grid, seed=7).counts.astype(float)
+    # a deficit where the line would sit: the unbounded optimum is negative
+    deficit = 80.0 * flat * np.where(np.abs(grid.centers - 7.7) < 0.3, 0.8, 1.0)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    for observed, clipped in ((excess, False), (deficit, True)):
+        problem = FitProblem.from_values(grid, observed, _line_model(10.0, 50.0),
+                                         free=free, signal=free[0])
+        result = fit_minimize(problem, seed=0)
+        root_w = 1.0 / np.sqrt(np.maximum(observed, 1.0))
+        design = np.column_stack([line, flat]) * root_w[:, None]
+        expected, *_ = np.linalg.lstsq(design, observed * root_w, rcond=None)
+        if clipped:
+            assert expected[0] < 0
+            # the signal sits on its bound; the flat term is fitted alone
+            (flat_only,), *_ = np.linalg.lstsq(design[:, 1:], observed * root_w, rcond=None)
+            expected = np.array([0.0, flat_only])
+        else:
+            assert expected[0] > 0
+        np.testing.assert_allclose(result.values, expected, rtol=1e-12)
+        resid = (observed - expected[0] * line - expected[1] * flat) * root_w
+        assert result.statistic == pytest.approx(float(resid @ resid), rel=1e-12)
+        assert result.converged
+        assert result.n_restarts == 0
+        assert result.n_evaluations == 1
+
+    # a line far outside the grid gives a signal column of zeros
+    problem = FitProblem.from_values(grid, excess, _line_model(10.0, 50.0, centroid=20.0),
+                                     free=free, signal=free[0])
+    with pytest.raises(ToolkitError, match="vanishes"):
+        fit_minimize(problem, seed=0)
 
 
 @pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
@@ -596,6 +637,18 @@ def test_poisson_ensemble_covers_an_injected_line_at_low_counts():
     n, cl = 300, 0.95
     result = run_pseudo_experiments(truth, grid, free, (0, "amplitude"), n=n, cl=cl,
                                     seed=7, statistic="poisson_nll")
+    assert result.n_failed == 0
+    assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
+
+
+def test_chi2_ensemble_covers_an_injected_line():
+    # unlike a zero truth, which every bound >= 0 covers, an injected
+    # signal can fall above a bound that is too tight
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(100.0, 30.0 / 0.05)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    n, cl = 300, 0.95
+    result = run_pseudo_experiments(truth, grid, free, (0, "amplitude"), n=n, cl=cl, seed=7)
     assert result.n_failed == 0
     assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
 
