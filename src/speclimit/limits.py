@@ -11,9 +11,14 @@ prediction linearly and only the default bounds apply: the chi-square
 is a weighted least-squares parabola, so its fit and its profile are
 closed form, and the Poisson NLL is convex, so a damped Newton
 iteration with the analytic Hessian A^T diag(n/mu^2) A finds its
-profile (Baker & Cousins, NIM 221 (1984) 437). A free line centroid or
-explicit bounds fall back to Nelder-Mead, with seeded restarts for the
-fit and nested runs for the profile; so does the linear Poisson fit.
+profile (Baker & Cousins, NIM 221 (1984) 437). One or two free line
+centroids are a variable projection (Golub & Pereyra, SIAM J. Numer.
+Anal. 10 (1973) 413): the linear parameters are solved exactly at each
+centroid value, and a grid-seeded Newton iteration with the exact
+gradient and Hessian refines the centroids, for the fit and for each
+profile point. Explicit bounds fall back to Nelder-Mead, with seeded
+restarts for the fit and nested runs for the profile; so do the linear
+Poisson fit and a Poisson centroid fit whose linear solve is singular.
 
 Posterior convention: for the chi-square statistic the posterior
 density on the signal s >= 0 is proportional to exp(-chi2_prof(s)/2);
@@ -24,6 +29,7 @@ refined adaptively until the quantile is grid-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -37,12 +43,20 @@ from .errors import (
     ShapeError,
 )
 from .fileio import canonical_config_hash
-from .newton import in_poisson_domain, minimize_linear_poisson, poisson_hessian
+from .newton import (
+    _NEWTON_MAX_ITER,
+    _NEWTON_RTOL,
+    in_poisson_domain,
+    minimize_linear_poisson,
+    poisson_hessian,
+)
 from .spectra import (
     BinnedSpectrum,
     EnergyGrid,
     PolynomialBackground,
     SpectralModel,
+    _gaussian_bin_fractions,
+    _line_fractions_and_derivatives,
     component_bin_counts,
     model_description,
     predict_counts,
@@ -65,10 +79,6 @@ __all__ = [
 ]
 
 STATISTICS = ("chi2", "poisson_nll")
-
-# attributes that enter the prediction linearly; everything else
-# (line centroids) forces the general evaluation path
-_LINEAR_ATTRS = {"amplitude", "alpha", "coefficients"}
 
 _SIMPLEX_TOL = 1e-9  # convergence tolerance on the fit statistic
 _MAX_RESTARTS = 6    # seeded simplex restarts after the first run
@@ -135,6 +145,16 @@ def _apply_params(model: SpectralModel, refs, values) -> SpectralModel:
         else:
             comps[ref[0]] = replace(comp, **{ref[1]: float(value)})
     return replace(model, components=tuple(comps))
+
+
+def _unit_component(component, ref):
+    """The component with the referenced parameter at 1 and every other
+    linear parameter at 0: its counts are that parameter's column."""
+    if ref[1] == "coefficients":
+        coefficients = [0.0] * len(component.coefficients)
+        coefficients[ref[2]] = 1.0
+        return replace(component, coefficients=tuple(coefficients))
+    return replace(component, **{ref[1]: 1.0})
 
 
 def _validate_ref(model: SpectralModel, ref):
@@ -237,60 +257,122 @@ class FitProblem:
         """The template model with the free parameters set to values."""
         return _apply_params(self.model, self.free, np.asarray(values, dtype=float))
 
+    @cached_property
+    def _design(self) -> "_Design":
+        # one design per problem, shared by its fit, uncertainties and limit
+        return _Design(self)
 
-class _MuEvaluator:
-    """Expected-counts evaluator specialised for the free parameters.
 
-    When every free parameter enters linearly the prediction is
-    base + columns @ theta with the columns precomputed once; line
-    centroids force a full model rebuild per call.
+class _Design:
+    """Expected counts mu = base + columns @ coefficients for a problem.
+
+    Every column is the unit integral of one linear parameter, built
+    once. A line whose centroid is free has its column, and the
+    column's first two centroid derivatives, rebuilt only when that
+    centroid moves; if the line's amplitude is fixed, the column gets
+    that amplitude as a constant coefficient. Without free centroids
+    the columns never change and mu is linear in the free parameters.
     """
 
     def __init__(self, problem: FitProblem):
-        self.problem = problem
-        self.grid = problem.grid
-        self.linear = all(ref[1] in _LINEAR_ATTRS for ref in problem.free)
-        if self.linear:
-            zeroed = _apply_params(problem.model, problem.free,
-                                   np.zeros(len(problem.free)))
-            self.base = predict_counts(zeroed, self.grid)
-            eff = problem.model.response.efficiency_for(self.grid)
-            cols = []
-            for ref in problem.free:
-                # partial derivative column: unit value minus the zeroed
-                # component, so fixed parts of shared components drop out
-                unit = _apply_params(zeroed, (ref,), (1.0,))
-                comp_unit = unit.components[ref[0]]
-                comp_zero = zeroed.components[ref[0]]
-                col = (component_bin_counts(comp_unit, self.grid, unit.response)
-                       - component_bin_counts(comp_zero, self.grid, unit.response))
-                cols.append(col * eff)
-            self.columns = np.column_stack(cols)
-        else:
-            self.base = None
-            self.columns = None
+        free, model, grid = problem.free, problem.model, problem.grid
+        self.response = model.response
+        self.edges = grid.bin_edges
+        self.eff = self.response.efficiency_for(grid)
+        self.centroid_idx = [i for i, ref in enumerate(free) if ref[1] == "centroid_kev"]
+        self.linear_idx = [i for i, ref in enumerate(free) if ref[1] != "centroid_kev"]
+        self.linear = not self.centroid_idx
+        lines = [free[i][0] for i in self.centroid_idx]
+        amplitudes = [(c, "amplitude") for c in lines]
+        # the base holds what no free parameter moves
+        zero = [free[i] for i in self.linear_idx] + [r for r in amplitudes if r not in free]
+        self.base = predict_counts(_apply_params(model, zero, np.zeros(len(zero))), grid)
+        cols = [np.zeros(grid.n_bins) if ref in amplitudes else
+                component_bin_counts(_unit_component(model.components[ref[0]], ref),
+                                     grid, self.response) * self.eff
+                for ref in (free[i] for i in self.linear_idx)]
+        self.line_columns, self.amplitude_idx, self.fixed_coefficients = [], [], []
+        for ref in amplitudes:
+            if ref in free:
+                self.line_columns.append(self.linear_idx.index(free.index(ref)))
+                self.amplitude_idx.append(free.index(ref))
+            else:
+                self.line_columns.append(len(cols))
+                self.amplitude_idx.append(None)
+                self.fixed_coefficients.append(model.components[ref[0]].amplitude)
+                cols.append(np.zeros(grid.n_bins))
+        self.columns = np.column_stack(cols)
+        self.centroids = np.full(len(lines), np.nan)
+        self.first = np.zeros((grid.n_bins, len(lines)))
+        self.second = np.zeros((grid.n_bins, len(lines)))
+        template = [model.components[c].centroid_kev for c in lines]
+        # centroid grid spacing and the largest Newton step: FWHM / 4
+        self.spacing = min((self.response.fwhm_at(c) for c in template), default=0.0) / 4.0
+        self.order = 1.0 if len(lines) < 2 or template[1] >= template[0] else -1.0
+        # variable projection needs the signal linear and every free
+        # line's amplitude free; it refines at most two centroids
+        self.projectable = (1 <= len(lines) <= 2 and None not in self.amplitude_idx
+                            and problem.signal_index() in self.linear_idx)
+
+    def at(self, centroids) -> np.ndarray:
+        """The columns with the free lines at the given centroids."""
+        for k in np.flatnonzero(np.asarray(centroids) != self.centroids):
+            fractions, first, second = _line_fractions_and_derivatives(
+                self.edges, float(centroids[k]), self.response)
+            self.columns[:, self.line_columns[k]] = fractions * self.eff
+            self.first[:, k] = first * self.eff
+            self.second[:, k] = second * self.eff
+            self.centroids[k] = centroids[k]
+        return self.columns
+
+    def coefficients(self, theta: np.ndarray) -> np.ndarray:
+        return np.concatenate([theta[self.linear_idx], self.fixed_coefficients])
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
         if self.linear:
             return self.base + self.columns @ theta
-        model = _apply_params(self.problem.model, self.problem.free, theta)
-        return predict_counts(model, self.grid)
+        self.at(theta[self.centroid_idx])
+        return self.base + self.columns @ self.coefficients(theta)
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """d mu / d theta, bins x free parameters."""
+        if self.linear:
+            return self.columns
+        self.at(theta[self.centroid_idx])
+        jac = np.empty((self.edges.size - 1, theta.size))
+        jac[:, self.linear_idx] = self.columns[:, :len(self.linear_idx)]
+        jac[:, self.centroid_idx] = self.first * self.coefficients(theta)[self.line_columns]
+        return jac
+
+    def second_derivatives(self, theta: np.ndarray):
+        """The non-zero d2 mu / d theta_i d theta_j as (i, j, per-bin vector)."""
+        terms = []
+        if self.linear:
+            return terms
+        self.at(theta[self.centroid_idx])
+        amplitudes = self.coefficients(theta)[self.line_columns]
+        for k, (i, a) in enumerate(zip(self.centroid_idx, self.amplitude_idx)):
+            terms.append((i, i, amplitudes[k] * self.second[:, k]))
+            if a is not None:
+                terms.append((i, a, self.first[:, k]))
+        return terms
 
 
-def _statistic_fn(problem: FitProblem, evaluator: _MuEvaluator):
+def _statistic_fn(problem: FitProblem, design: _Design):
     observed = problem.observed
     if problem.statistic == "chi2":
         variance = _variance_floor(observed)
 
         def stat(theta):
-            resid = observed - evaluator(theta)
+            resid = observed - design(theta)
             return float(np.sum(resid * resid / variance))
 
         return stat
 
     def stat(theta):
         try:
-            return _poisson_nll_from_mu(observed, evaluator(theta))
+            return _poisson_nll_from_mu(observed, design(theta))
         except ModelError:
             return np.inf
 
@@ -315,18 +397,18 @@ class FitResult:
                 for ref, v in zip(problem.free, self.values)}
 
 
-def _least_squares_start(problem: FitProblem, evaluator: _MuEvaluator) -> np.ndarray:
+def _least_squares_start(problem: FitProblem, design: _Design) -> np.ndarray:
     """Weighted least-squares seed for linear problems, clipped to bounds.
 
     Purely an initial guess; the simplex or the Newton iteration does
     the actual minimization.
     """
     x0 = problem.initial_values()
-    if not evaluator.linear:
+    if not design.linear:
         return x0
     weights = 1.0 / _variance_floor(problem.observed)
-    a = evaluator.columns * np.sqrt(weights)[:, None]
-    y = (problem.observed - evaluator.base) * np.sqrt(weights)
+    a = design.columns * np.sqrt(weights)[:, None]
+    y = (problem.observed - design.base) * np.sqrt(weights)
     try:
         solution, *_ = np.linalg.lstsq(a, y, rcond=None)
     except np.linalg.LinAlgError:
@@ -344,33 +426,51 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     A linear chi-square problem with default bounds has an exact
     optimum: the weighted least-squares signal clipped at zero, with
     the nuisances solved at that signal (the parabola is convex with
-    one bound); a design the solve cannot invert raises. Other problems
-    run a bounded Nelder-Mead simplex, restarted from seeded
-    perturbations of the best point until the statistic stops
-    improving. `converged` reports whether the accepted simplex run met
-    its tolerances within its evaluation budget; a run that hit the
-    budget is still returned.
+    one bound); a design the solve cannot invert raises. With one or
+    two free line centroids and default bounds the fit is a variable
+    projection: the linear parameters are solved exactly at each
+    centroid value (bounded weighted least squares, or Newton for the
+    Poisson NLL), the centroids start from the best point of a grid
+    about FWHM / 4 apart and a damped Newton iteration on the reduced
+    statistic refines them; its evaluations count the grid points.
+    Other problems (explicit bounds, a linear Poisson fit) run a
+    bounded Nelder-Mead simplex, restarted from seeded perturbations
+    of the best point until the statistic stops improving. `converged`
+    reports whether the accepted simplex run met its tolerances within
+    its evaluation budget; a run that hit the budget is still returned.
     """
-    evaluator = _MuEvaluator(problem)
-    stat = _statistic_fn(problem, evaluator)
-    if _solver_for(problem, evaluator) == "exact-gaussian":
+    design = problem._design
+    stat = _statistic_fn(problem, design)
+    solver = _solver_for(problem, design)
+    if solver == "exact-gaussian":
         try:
-            core = _core_from_fit_problem(problem, evaluator)
+            core = _core_from_fit_problem(problem, design)
         except DegenerateMapError as err:  # a fit, not a limit, has failed
             raise FitError(str(err)) from err
-        signal = max(core.best_signal(), 0.0)
-        nuisances = [] if core.a is None else core.solver @ (core.y - signal * core.s_col)
-        values = np.insert(nuisances, problem.signal_index(), signal)
+        values = _signal_and_nuisances(core, max(core.best_signal(), 0.0), problem.signal_index())
         chi2 = stat(values)
         return FitResult(values=values, statistic=chi2, n_restarts=0, n_evaluations=1,
                          converged=True, trace=((-1, chi2),))
+    if solver == "projection":
+        try:
+            return _projection_fit(problem, design)
+        except FitError:
+            # the Poisson Newton solve refuses spectra so sparse that a
+            # linear parameter gets no curvature from the bins with
+            # counts; the simplex still fits those
+            if problem.statistic == "chi2":
+                raise
 
     # only the simplex paths need scipy.optimize, and its import costs
     # more than a linear fit or limit
     from scipy.optimize import minimize
 
     bounds = problem.bounds_list()
-    x0 = _least_squares_start(problem, evaluator)
+    x0 = _least_squares_start(problem, design)
+    if not np.isfinite(stat(x0)):
+        # a Poisson seed with mu <= 0 in a bin with counts scores inf at
+        # every simplex point; the template may still be feasible
+        x0 = problem.initial_values()
 
     scales = np.maximum(np.abs(x0), 1.0)
     n_evals = 0
@@ -396,11 +496,14 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     for attempt in range(_MAX_RESTARTS + 1):
         start = best_z if attempt == 0 else best_z + rng.normal(0.0, 1e-3, z0.size)
         start = np.clip(start, [b[0] for b in z_bounds], [b[1] for b in z_bounds])
-        result = minimize(
-            scaled_stat, start, method="Nelder-Mead", bounds=z_bounds,
-            options={"xatol": 1e-10, "fatol": _SIMPLEX_TOL * 1e-3,
-                     "maxiter": 400 * (z0.size + 1), "maxfev": 400 * (z0.size + 1)},
-        )
+        # infeasible Poisson points score inf, and the simplex's
+        # convergence test subtracts its vertices' scores
+        with np.errstate(invalid="ignore"):
+            result = minimize(
+                scaled_stat, start, method="Nelder-Mead", bounds=z_bounds,
+                options={"xatol": 1e-10, "fatol": _SIMPLEX_TOL * 1e-3,
+                         "maxiter": 400 * (z0.size + 1), "maxfev": 400 * (z0.size + 1)},
+            )
         trace.append((attempt, float(result.fun)))
         # strict improvement only: a tie must not drift the optimum along
         # a numerically flat valley away from an already-optimal start
@@ -433,62 +536,259 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
                      converged=converged, trace=tuple(trace))
 
 
-def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarray:
-    """One-sigma uncertainties from the statistic's curvature.
+def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
+    """Gradient and Hessian of l = chi2 / 2, or of the Poisson NLL, at theta.
 
-    Linear problems use the exact curvature: the covariance is
-    (A^T W A)^-1 for the chi-square statistic and
-    (A^T diag(n/mu^2) A)^-1 for the Poisson NLL. A free centroid falls
-    back to a central finite-difference Hessian H, with covariance
-    2 H^-1 for chi-square and H^-1 for the Poisson NLL.
+    The Hessian is exact: J^T diag(d2l/dmu2) J plus sum_i dl/dmu_i
+    d2mu_i / dtheta^2, whose second term only free centroids make
+    non-zero. Its inverse is the covariance for either statistic.
     """
-    evaluator = _MuEvaluator(problem)
-    x = np.asarray(values, dtype=float)
-    if evaluator.linear:
-        columns = evaluator.columns
-        if problem.statistic == "chi2":
-            info = columns.T @ (columns / _variance_floor(problem.observed)[:, None])
-        else:
-            mu = evaluator(x)
-            if not in_poisson_domain(problem.observed, mu):
-                raise FitError("expected counts leave the Poisson domain; "
-                               "the curvature is undefined there")
-            info = poisson_hessian(columns, problem.observed, mu)
-        try:
-            cov = np.linalg.inv(info)
-        except np.linalg.LinAlgError as err:
-            raise FitError(f"singular curvature matrix: {err}") from err
+    observed = problem.observed
+    mu = design(theta)
+    jac = design.jacobian(theta)
+    if problem.statistic == "chi2":
+        variance = _variance_floor(observed)
+        dl_dmu = (mu - observed) / variance
+        hess = jac.T @ (jac / variance[:, None])
     else:
-        cov = _finite_difference_covariance(problem, evaluator, x)
+        occupied = observed > 0
+        # empty bins add terms linear in mu, so only bins with counts
+        # need mu > 0; a bin held at mu = 0 may round below it
+        if not np.all(mu[occupied] > 0):
+            raise FitError("expected counts leave the Poisson domain; "
+                           "the curvature is undefined there")
+        dl_dmu = np.where(occupied, 1.0 - observed / np.where(occupied, mu, 1.0), 1.0)
+        hess = poisson_hessian(jac, observed, mu)
+    for i, j, d2mu in design.second_derivatives(theta):
+        term = dl_dmu @ d2mu
+        hess[i, j] += term
+        if i != j:
+            hess[j, i] += term
+    return dl_dmu @ jac, hess
+
+
+def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarray:
+    """One-sigma uncertainties from the statistic's exact curvature.
+
+    The covariance is the inverse Hessian of chi2 / 2 or of the
+    Poisson NLL: (A^T W A)^-1 and (A^T diag(n/mu^2) A)^-1 for linear
+    problems, with the residual-weighted second derivatives of mu added
+    for free centroids.
+    """
+    _, hess = _curvature(problem, problem._design, np.asarray(values, dtype=float))
+    try:
+        cov = np.linalg.inv(hess)
+    except np.linalg.LinAlgError as err:
+        raise FitError(f"singular curvature matrix: {err}") from err
     diag = np.diag(cov)
     if np.any(diag <= 0):
         raise FitError("curvature matrix is not positive definite at the minimum")
     return np.sqrt(diag)
 
 
-def _finite_difference_covariance(problem: FitProblem, evaluator: _MuEvaluator,
-                                  x: np.ndarray) -> np.ndarray:
-    stat = _statistic_fn(problem, evaluator)
-    n = x.size
-    steps = 1e-4 * np.maximum(np.abs(x), 1.0)
-    hess = np.empty((n, n))
-    f0 = stat(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        hess[i, i] = (stat(x + ei) - 2.0 * f0 + stat(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = steps[j]
-            hess[i, j] = hess[j, i] = (
-                stat(x + ei + ej) - stat(x + ei - ej)
-                - stat(x - ei + ej) + stat(x - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError as err:
-        raise FitError(f"singular curvature matrix: {err}") from err
-    return 2.0 * cov if problem.statistic == "chi2" else cov
+# ---------------------------------------------------------------------------
+# variable projection over free line centroids (Golub & Pereyra, SIAM J.
+# Numer. Anal. 10 (1973) 413): every other free parameter is linear and
+# solved exactly at each centroid value, leaving a problem in 1-2 centroids
+
+
+def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, start):
+    """The linear parameters solved exactly at the given centroids.
+
+    signal None leaves the signal free and clips it at zero, a value
+    holds it there. The Poisson Newton iteration starts from the first
+    feasible of: the linear values of the full parameter vector start,
+    the weighted least-squares values, the template's. Returns the full
+    parameter vector, the statistic and whether the signal is held.
+    """
+    observed = problem.observed
+    columns = design.at(centroids)
+    linear = design.linear_idx
+    idx = problem.signal_index()
+    pos = linear.index(idx)
+    core = None
+
+    def least_squares():
+        nonlocal core
+        if core is None:
+            core = _LinearGaussianCore(observed - design.base, _variance_floor(observed),
+                                       columns[:, pos], np.delete(columns, pos, axis=1),
+                                       problem.parameter_name(problem.signal))
+        return core
+
+    theta = np.array(start, dtype=float)
+    theta[design.centroid_idx] = centroids
+    if problem.statistic == "chi2":
+        held = signal is not None
+        if signal is None:
+            signal = least_squares().best_signal()
+            held = signal < 0.0
+            signal = max(signal, 0.0)
+        theta[linear] = _signal_and_nuisances(least_squares(), signal, pos)
+        return theta, _chi2_from_mu(observed, design(theta)), held
+
+    where = f"centroids {list(map(float, centroids))!r}"
+    candidates = (lambda: theta[linear],
+                  lambda: _signal_and_nuisances(least_squares(),
+                                                max(least_squares().best_signal(), 0.0), pos),
+                  lambda: problem.initial_values()[linear])
+
+    def solve(keep, offset, where):
+        cols = columns[:, keep]
+        for candidate in candidates:
+            x0 = candidate()[keep]
+            if in_poisson_domain(observed, offset + cols @ x0):
+                if not keep:
+                    return x0, _poisson_nll_from_mu(observed, offset)
+                x, nll, _ = minimize_linear_poisson(observed, cols, offset[None], x0[None],
+                                                    lambda i: where)
+                return x[0], float(nll[0])
+        raise FitError(f"no feasible start for the linear parameters at {where}")
+
+    if signal is None:
+        x, nll = solve(list(range(len(linear))), design.base, where)
+        theta[linear] = x
+        if x[pos] >= 0.0:
+            return theta, nll, False
+        signal = 0.0  # the NLL is convex: the bounded optimum has the signal at zero
+    keep = [p for p in range(len(linear)) if p != pos]
+    theta[idx] = signal
+    theta[[linear[p] for p in keep]], nll = solve(
+        keep, design.base + signal * columns[:, pos], f"signal = {signal!r}, {where}")
+    return theta, nll, True
+
+
+def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
+    """Minimize the statistic over the centroids, the linear parameters
+    solved exactly at each, from the centroids of start.
+
+    The reduced gradient is the statistic's partial derivative in the
+    centroids at the inner optimum (envelope theorem) and the reduced
+    Hessian the Schur complement of the exact Hessian over the linear
+    parameters left free. An indefinite reduced Hessian gives way to
+    its absolute eigenvalues; steps move a centroid by at most FWHM / 4,
+    are backtracked until the statistic falls, and may neither reorder
+    the lines nor reach a centroid <= 0. Stops once the predicted
+    decrease falls below 1e-12 (1 + |stat|). Returns the parameters,
+    the statistic, the number of inner solves and Newton iterations.
+    """
+    cidx = design.centroid_idx
+    k = 2.0 if problem.statistic == "chi2" else 1.0  # statistic = k * l
+    theta, stat, held = _linear_solution(problem, design, start[cidx], signal, start)
+    solves = 1
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        score, hess = _curvature(problem, design, theta)
+        free = [i for i in design.linear_idx if not (held and i == problem.signal_index())]
+        gradient = score[cidx]
+        reduced = hess[np.ix_(cidx, cidx)]
+        if free:
+            coupling = hess[np.ix_(free, cidx)]
+            try:
+                reduced = reduced - coupling.T @ np.linalg.solve(hess[np.ix_(free, free)], coupling)
+            except np.linalg.LinAlgError as err:
+                raise FitError(f"singular curvature of the linear parameters: {err}") from err
+        eigenvalues, vectors = np.linalg.eigh(reduced)
+        magnitude = np.abs(eigenvalues)
+        magnitude = np.maximum(magnitude, max(1e-8 * magnitude.max(), 1e-12))
+        step = -vectors @ ((vectors.T @ gradient) / magnitude)
+        decrement = -gradient @ step
+        if k * decrement <= 2.0 * _NEWTON_RTOL * (1.0 + abs(stat)):
+            return theta, stat, solves, iteration
+        if iteration == _NEWTON_MAX_ITER:
+            break
+        step = step * min(1.0, design.spacing / np.abs(step).max())
+        slope = k * (gradient @ step)
+        t = 1.0
+        for _ in range(60):
+            centroids = theta[cidx] + t * step
+            if np.all(centroids > 0) and (
+                    len(cidx) < 2 or design.order * (centroids[1] - centroids[0]) > 0):
+                try:
+                    trial = _linear_solution(problem, design, centroids, signal, theta)
+                except (FitError, DegenerateMapError):
+                    trial = None
+                solves += 1
+                if trial is not None and trial[1] <= stat + 1e-4 * t * slope:
+                    theta, stat, held = trial
+                    break
+            t *= 0.5
+        else:
+            raise FitError(f"centroid line search failed at {list(map(float, theta[cidx]))!r}")
+    raise FitError(f"centroid Newton iteration did not converge in {_NEWTON_MAX_ITER} steps")
+
+
+def _grid_start(problem: FitProblem, design: _Design):
+    """Centroids of the best weighted least-squares fit on a grid about
+    FWHM / 4 apart across the window, in the template's centroid order.
+
+    Every grid column enters one Gram matrix; each grid tuple is then a
+    k x k solve, batched, with the signal clipped at zero as in the
+    exact fit. Returns the centroids and the number of tuples.
+    """
+    grid, observed = problem.grid, problem.observed
+    n_points = max(int(np.ceil((grid.hi_kev - grid.lo_kev) / design.spacing)),
+                   len(design.line_columns))
+    points = grid.lo_kev + (np.arange(n_points) + 0.5) * (grid.hi_kev - grid.lo_kev) / n_points
+    points = points[points > 0]
+    sigmas = np.array([design.response.sigma_at(p) for p in points])
+    lines = _gaussian_bin_fractions(grid.bin_edges, points[:, None], sigmas[:, None]).T
+    n_linear = len(design.linear_idx)
+    static = [p for p in range(n_linear) if p not in design.line_columns]
+    matrix = np.column_stack([lines * design.eff[:, None], design.columns[:, static]])
+    weights = 1.0 / _variance_floor(observed)
+    y = observed - design.base
+    gram = matrix.T @ (matrix * weights[:, None])
+    rhs = matrix.T @ (weights * y)
+    total = float(y @ (weights * y))
+
+    if len(design.line_columns) == 1:
+        tuples = np.arange(points.size)[:, None]
+    else:
+        first, second = np.triu_indices(points.size, 1)
+        tuples = np.column_stack([first, second] if design.order > 0 else [second, first])
+    index = np.empty((len(tuples), n_linear), dtype=int)
+    index[:, design.line_columns] = tuples
+    index[:, static] = points.size + np.arange(len(static))
+    pos = design.linear_idx.index(problem.signal_index())
+
+    def chi2(rows):
+        # Jacobi scaled with a tiny ridge, so a degenerate tuple stays
+        # solvable; the grid only picks the Newton start
+        if not rows.shape[1]:
+            return np.full(len(rows), total), np.zeros((len(rows), 0))
+        sub = gram[rows[:, :, None], rows[:, None, :]]
+        b = rhs[rows]
+        d = np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
+        d = np.where(d > 0, d, 1.0)
+        scaled = sub / (d[:, :, None] * d[:, None, :]) + 1e-12 * np.eye(rows.shape[1])
+        x = np.linalg.solve(scaled, (b / d)[:, :, None])[:, :, 0] / d
+        return total - np.sum(x * b, axis=1), x
+
+    best_stat, best_row = np.inf, 0
+    for lo in range(0, len(tuples), 4096):
+        rows = index[lo:lo + 4096]
+        stat, x = chi2(rows)
+        clipped = x[:, pos] < 0
+        # clipping only raises a tuple's chi2, so only a clipped tuple
+        # already below the best unclipped one needs its bounded solve
+        best_stat = min(best_stat, stat[~clipped].min(initial=np.inf))
+        recheck = clipped & (stat < best_stat)
+        stat[clipped] = np.inf
+        if recheck.any():
+            stat[recheck] = chi2(np.delete(rows[recheck], pos, axis=1))[0]
+        if stat.min() <= best_stat:
+            best_stat, best_row = stat.min(), lo + int(np.argmin(stat))
+    return points[tuples[best_row]], len(tuples)
+
+
+def _projection_fit(problem: FitProblem, design: _Design) -> FitResult:
+    centroids, n_grid = _grid_start(problem, design)
+    start = problem.initial_values()
+    start[design.centroid_idx] = centroids
+    theta, stat, solves, iterations = _reduced_newton(problem, design, start)
+    return FitResult(values=theta, statistic=stat, n_restarts=0,
+                     n_evaluations=n_grid + solves, converged=True,
+                     trace=((iterations, stat),))
 
 
 # ---------------------------------------------------------------------------
@@ -594,16 +894,22 @@ class _LinearGaussianCore:
         return delta / np.sqrt(hi - lo)
 
 
-def _core_from_fit_problem(problem: FitProblem, evaluator: _MuEvaluator):
+def _core_from_fit_problem(problem: FitProblem, design: _Design):
     idx = problem.signal_index()
-    nuisance_cols = np.delete(evaluator.columns, idx, axis=1)
+    nuisance_cols = np.delete(design.columns, idx, axis=1)
     return _LinearGaussianCore(
-        y=problem.observed - evaluator.base,
+        y=problem.observed - design.base,
         variance=_variance_floor(problem.observed),
-        signal_col=evaluator.columns[:, idx],
+        signal_col=design.columns[:, idx],
         nuisance_cols=nuisance_cols,
         label=problem.parameter_name(problem.signal),
     )
+
+
+def _signal_and_nuisances(core: _LinearGaussianCore, signal: float, idx: int) -> np.ndarray:
+    """The signal with the nuisances solved at it, the signal at idx."""
+    nuisances = [] if core.a is None else core.solver @ (core.y - signal * core.s_col)
+    return np.insert(nuisances, idx, signal)
 
 
 def _core_from_residual_problem(problem: GaussianResidualProblem):
@@ -619,14 +925,17 @@ def _core_from_residual_problem(problem: GaussianResidualProblem):
     )
 
 
-def _solver_for(problem: FitProblem, evaluator: _MuEvaluator) -> str:
-    """The exact solver for the fit and the profile, or "simplex" if none:
-    exact needs every free parameter linear and only default bounds."""
+def _solver_for(problem: FitProblem, design: _Design) -> str:
+    """The solver for the fit and the profile. With only default bounds,
+    linear problems are solved exactly ("exact-gaussian" for chi2,
+    "newton" for the Poisson NLL) and one or two free centroids by
+    "projection"; anything else falls back to "simplex"."""
     # FitProblem admits bounds only on free parameters
-    default_bounds = problem.bounds in ({}, {problem.signal: (0.0, np.inf)})
-    if not (evaluator.linear and default_bounds):
+    if problem.bounds not in ({}, {problem.signal: (0.0, np.inf)}):
         return "simplex"
-    return "exact-gaussian" if problem.statistic == "chi2" else "newton"
+    if design.linear:
+        return "exact-gaussian" if problem.statistic == "chi2" else "newton"
+    return "projection" if design.projectable else "simplex"
 
 
 def _gaussian_profiler(core: _LinearGaussianCore):
@@ -637,9 +946,9 @@ def _gaussian_profiler(core: _LinearGaussianCore):
     return core.profiled, shat, stat_min, core.curvature_sigma(), info
 
 
-def _lone_signal_profile(problem: FitProblem, evaluator: _MuEvaluator):
+def _lone_signal_profile(problem: FitProblem, design: _Design):
     """Profile of a problem whose only free parameter is the signal."""
-    stat = _statistic_fn(problem, evaluator)
+    stat = _statistic_fn(problem, design)
 
     def pstat(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
@@ -648,7 +957,7 @@ def _lone_signal_profile(problem: FitProblem, evaluator: _MuEvaluator):
     return pstat
 
 
-def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
+def _newton_profiler(problem: FitProblem, design: _Design):
     """Profiled Poisson NLL of a linear problem by exact Newton solves.
 
     The global fit leaves the signal free; the profile is convex in
@@ -660,8 +969,8 @@ def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
     """
     observed = problem.observed
     idx = problem.signal_index()
-    signal_col = evaluator.columns[:, idx]
-    nuisance_cols = np.delete(evaluator.columns, idx, axis=1)
+    signal_col = design.columns[:, idx]
+    nuisance_cols = np.delete(design.columns, idx, axis=1)
     info = {"profile_solver": "newton", "profile_failures": 0, "newton_iterations": 0}
 
     def solve(columns, offsets, starts, where):
@@ -669,17 +978,17 @@ def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
         info["newton_iterations"] += iterations
         return x, nll
 
-    starts = [x for x in (_least_squares_start(problem, evaluator), problem.initial_values())
-              if in_poisson_domain(observed, evaluator(x))]
+    starts = [x for x in (_least_squares_start(problem, design), problem.initial_values())
+              if in_poisson_domain(observed, design(x))]
     if not starts:
         raise FitError("no starting point gives positive expected counts in every "
                        "bin with counts")
-    theta, nll = solve(evaluator.columns, evaluator.base[None], starts[0][None],
+    theta, nll = solve(design.columns, design.base[None], starts[0][None],
                        lambda i: "the global fit")
     theta = theta[0]
 
     if not nuisance_cols.shape[1]:
-        pstat = _lone_signal_profile(problem, evaluator)
+        pstat = _lone_signal_profile(problem, design)
     else:
         # The domain is convex in (signal, nuisances), so nuisances
         # interpolated between solved points are feasible starts, and
@@ -691,7 +1000,7 @@ def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
         def pstat(s_values):
             nonlocal known_s, known_nu
             s = np.atleast_1d(np.asarray(s_values, dtype=float))
-            offsets = evaluator.base + s[:, None] * signal_col
+            offsets = design.base + s[:, None] * signal_col
             starts = np.column_stack([np.interp(s, known_s, nu) for nu in known_nu.T])
             outside = ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
             starts[outside] = template_nu
@@ -707,11 +1016,46 @@ def _newton_profiler(problem: FitProblem, evaluator: _MuEvaluator):
 
     if theta[idx] < 0.0:
         return pstat, 0.0, float(pstat(np.zeros(1))[0]), None, info
-    cov = np.linalg.inv(poisson_hessian(evaluator.columns, observed, evaluator(theta)))
+    cov = np.linalg.inv(poisson_hessian(design.columns, observed, design(theta)))
     return pstat, float(theta[idx]), float(nll[0]), float(np.sqrt(cov[idx, idx])), info
 
 
-def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int):
+def _projection_profiler(problem: FitProblem, design: _Design):
+    """Profiled statistic of a problem with free centroids.
+
+    Each signal value runs the reduced Newton iteration with the signal
+    held, started from the nearest signal value already solved. The
+    scan scale is the signal's sigma from the exact Hessian at the fit,
+    or the bracketing of the profile's rise when the fit sits at zero.
+    """
+    fit = _projection_fit(problem, design)
+    idx = problem.signal_index()
+    solved_s = [float(fit.values[idx])]
+    solved = [fit.values]
+    info = {"profile_solver": "projection", "profile_failures": 0,
+            "newton_iterations": fit.trace[-1][0]}  # the fit's own iterations
+
+    def pstat(s_values):
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        out = np.empty(s.size)
+        for k, value in enumerate(s):
+            start = solved[int(np.argmin(np.abs(np.asarray(solved_s) - value)))]
+            theta, out[k], _, iterations = _reduced_newton(problem, design, start, value)
+            info["newton_iterations"] += iterations
+            solved_s.append(float(value))
+            solved.append(theta)
+        return out
+
+    sigma = None
+    if solved_s[0] > 0.0:
+        try:
+            sigma = float(parameter_uncertainties(problem, fit.values)[idx])
+        except FitError:
+            pass  # a singular or indefinite curvature leaves the scale to the bracketing
+    return pstat, solved_s[0], fit.statistic, sigma, info
+
+
+def _nonlinear_profiler(problem: FitProblem, design: _Design, seed: int):
     """Profiled statistic via nested simplex minimizations, warm-started.
 
     Inner runs that stop without meeting their tolerances are counted
@@ -719,7 +1063,7 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
     """
     from scipy.optimize import minimize
 
-    stat = _statistic_fn(problem, evaluator)
+    stat = _statistic_fn(problem, design)
     idx = problem.signal_index()
     n = len(problem.free)
     nuis_idx = [i for i in range(n) if i != idx]
@@ -731,7 +1075,7 @@ def _nonlinear_profiler(problem: FitProblem, evaluator: _MuEvaluator, seed: int)
     shat = max(float(full_fit.values[idx]), bounds[idx][0])
 
     if not nuis_idx:
-        return _lone_signal_profile(problem, evaluator), shat, float(full_fit.statistic), None, info
+        return _lone_signal_profile(problem, design), shat, float(full_fit.statistic), None, info
 
     nuis_bounds = [bounds[i] for i in nuis_idx]
 
@@ -771,7 +1115,25 @@ def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str)
 
 def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
                       sigma_hint=None, label="signal"):
-    """Adaptive quantile of the truncated posterior exp(-delta_stat / k)."""
+    """Adaptive quantile of the truncated posterior exp(-delta_stat / k).
+
+    A profiled value below stat_min, beyond rounding, means the profile
+    found a lower minimum than the global fit did, so the posterior is
+    normalised to the wrong peak: that raises ScanRangeError.
+    """
+    profile = pstat
+    floor = stat_min - 1e-9 * (1.0 + abs(stat_min))
+
+    def pstat(s_values):
+        values = profile(s_values)
+        if np.any(values < floor):
+            k = int(np.argmin(values))
+            raise ScanRangeError(
+                f"profiled statistic for {label!r} at signal = "
+                f"{float(np.atleast_1d(s_values)[k])!r} is {float(values[k])!r}, below the "
+                f"fit's minimum {stat_min!r}: the profile missed the global fit")
+        return values
+
     if sigma_hint is not None and np.isfinite(sigma_hint) and sigma_hint > 0:
         sigma = sigma_hint
     else:
@@ -846,17 +1208,19 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         label = problem.name
         method = "bayesian-gaussian-residual"
     elif isinstance(problem, FitProblem):
-        evaluator = _MuEvaluator(problem)
+        design = problem._design
         statistic = problem.statistic
         label = problem.parameter_name(problem.signal)
         method = f"bayesian-{statistic}-profile"
-        solver = _solver_for(problem, evaluator)
+        solver = _solver_for(problem, design)
         if solver == "exact-gaussian":
-            profile = _gaussian_profiler(_core_from_fit_problem(problem, evaluator))
+            profile = _gaussian_profiler(_core_from_fit_problem(problem, design))
         elif solver == "newton":
-            profile = _newton_profiler(problem, evaluator)
+            profile = _newton_profiler(problem, design)
+        elif solver == "projection":
+            profile = _projection_profiler(problem, design)
         else:
-            profile = _nonlinear_profiler(problem, evaluator, seed)
+            profile = _nonlinear_profiler(problem, design, seed)
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 
@@ -877,6 +1241,7 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
             "statistic_min": stat_min,
             "scan_max": float(s[-1]),
             "scan_points": int(s.size),
+            "profile_min_excess": float(values.min() - stat_min),
             **info,
         },
     )

@@ -16,8 +16,9 @@ from scipy.special import gammaln
 from .errors import FitError
 
 # Newton iterations stop once half the Newton decrement, the predicted
-# decrease of the NLL, falls below this share of 1 + |NLL|; an absolute
-# tolerance stalls on rounding once the NLL reaches thousands
+# decrease of the NLL, falls below this share of 1 + |NLL|, the NLL with
+# its log n! constant as reported; an absolute tolerance stalls on
+# rounding once the NLL reaches thousands
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAX_ITER = 100
 # smallest eigenvalue of the unit-diagonal (Jacobi-scaled) Hessian below
@@ -84,6 +85,7 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     """
     occupied = observed > 0
     empty = ~occupied
+    constant = float(np.sum(gammaln(observed + 1.0)))
     abs_cols = np.abs(columns)
     x = np.array(starts, dtype=float)
     mu = offsets + x @ columns.T
@@ -112,7 +114,7 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
         for r in np.flatnonzero(np.any(at_zero, axis=1)):
             step[r] = _active_set_step(hess[r], grad[r], columns[at_zero[r]])
         decrement = -np.sum(grad * step, axis=1)
-        moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll[live]))
+        moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll[live] + constant))
         live, x_live, mu_live, step, decrement = (
             live[moving], x_live[moving], mu_live[moving], step[moving], decrement[moving])
         if not live.size:
@@ -147,4 +149,4 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
             raise FitError(f"Poisson Newton line search failed at {where(live[pending][0])}")
         x[live] = x_live + t[:, None] * step
         mu[live] = offsets[live] + x[live] @ columns.T
-    return x, nll + float(np.sum(gammaln(observed + 1.0))), iteration
+    return x, nll + constant, iteration

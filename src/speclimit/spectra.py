@@ -309,6 +309,31 @@ def _gaussian_bin_fractions(edges: np.ndarray, centroid: float, sigma: float) ->
     return np.diff(cdf)
 
 
+def _line_fractions_and_derivatives(edges: np.ndarray, centroid: float,
+                                    response: DetectorResponse):
+    """Bin fractions of a unit line and their first two derivatives in
+    its centroid c.
+
+    At an edge e with z = (e - c) / s the cumulative fraction is Phi(z),
+    whose derivative in c is -phi(z) (1 + z s') / s: minus the Gaussian
+    pdf at the edge, plus a width term when the sqrt resolution model
+    makes s depend on c (s' = s / 2c, s'' = -s / 4c^2). A bin's
+    derivative is the lower edge's term minus the upper edge's.
+    """
+    sigma = response.sigma_at(centroid)
+    if response.resolution_model == "sqrt":
+        ds, d2s = sigma / (2.0 * centroid), -sigma / (4.0 * centroid * centroid)
+    else:
+        ds = d2s = 0.0
+    z = (edges - centroid) / sigma
+    u = 1.0 + z * ds
+    pdf = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+    first = pdf * u
+    second = pdf * (z * u * u / sigma - 2.0 * ds * u / sigma + z * d2s)
+    return (_gaussian_bin_fractions(edges, centroid, sigma),
+            first[:-1] - first[1:], second[:-1] - second[1:])
+
+
 def _one_over_e_unit_integrals(grid: EnergyGrid) -> np.ndarray:
     """Bin integrals of 1/E: ln(hi/lo), taken as log1p(width/lo) so a
     bin narrow against its energy keeps its digits."""
@@ -457,14 +482,20 @@ def _response_from_description(entry: dict) -> DetectorResponse:
 def model_from_description(description: dict) -> SpectralModel:
     response = _response_from_description(description.get("response", {}))
     comps = []
-    for entry in description.get("components", []):
+    for index, entry in enumerate(description.get("components", [])):
         kind = entry.get("kind")
         if kind not in _COMPONENT_KINDS:
             raise ModelError(f"unknown component kind {kind!r}")
+
+        def value(key):
+            if key not in entry:
+                raise ModelError(f"component {index} ({kind}) lacks {key!r}")
+            return entry[key]
+
         if kind == "gaussian_line":
-            comps.append(GaussianLine(float(entry["centroid_kev"]), float(entry["amplitude"])))
+            comps.append(GaussianLine(float(value("centroid_kev")), float(value("amplitude"))))
         elif kind == "one_over_e_continuum":
-            comps.append(OneOverEContinuum(float(entry["alpha"])))
+            comps.append(OneOverEContinuum(float(value("alpha"))))
         else:
-            comps.append(PolynomialBackground(tuple(float(c) for c in entry["coefficients"])))
+            comps.append(PolynomialBackground(tuple(float(c) for c in value("coefficients"))))
     return SpectralModel(components=tuple(comps), response=response)

@@ -392,6 +392,22 @@ def test_cli_fit_rejects_a_signal_that_vanishes_on_the_grid(tmp_path, capsys):
     assert not (tmp_path / "fit/report.txt").exists()
 
 
+def test_cli_fit_names_a_missing_component_key(tmp_path, capsys):
+    _copy_sample_configs(tmp_path)
+    assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),
+                 "--out", str(tmp_path / "runs/on")]) == 0
+    config = json.loads((tmp_path / "fit_forbidden_line.json").read_text())
+    del config["model"]["components"][0]["amplitude"]
+    (tmp_path / "fit_forbidden_line.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main(["fit", "--config", str(tmp_path / "fit_forbidden_line.json"),
+                 "--out", str(tmp_path / "fit")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "speclimit: error [build]: component 0 (gaussian_line) lacks 'amplitude'\n"
+    assert not (tmp_path / "fit/report.txt").exists()
+
+
 def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     for name, out in [("simulate_forbidden_on.json", "runs/on"),

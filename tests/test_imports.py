@@ -72,6 +72,9 @@ def pipeline_dir(tmp_path_factory):
                  ["simulate", "--config", str(work / "simulate_continuum.json"),
                   "--out", str(work / "runs/continuum")]):
         assert main(argv) == 0
+    fit = json.loads((work / "fit_forbidden_line.json").read_text())
+    fit["free"].insert(0, [0, "centroid_kev"])
+    (work / "fit_free_centroid.json").write_text(json.dumps(fit))
     return work
 
 
@@ -82,7 +85,8 @@ def pipeline_dir(tmp_path_factory):
     ["limit", "--config", "limit_forbidden.json", "--out", "check/pep"],
     ["limit", "--config", "limit_continuum.json", "--out", "check/csl"],
     ["fit", "--config", "fit_forbidden_line.json", "--out", "check/fit"],
-], ids=["simulate", "subtract", "limit-pep", "limit-csl", "fit"])
+    ["fit", "--config", "fit_free_centroid.json", "--out", "check/fit-centroid"],
+], ids=["simulate", "subtract", "limit-pep", "limit-csl", "fit", "fit-free-centroid"])
 def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
     modules = _cli_modules(argv, pipeline_dir)
     assert "numpy" in modules

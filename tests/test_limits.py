@@ -7,6 +7,7 @@ exact up to minimizer tolerance, never up to luck.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from speclimit import (
     ModelError,
     OneOverEContinuum,
     PolynomialBackground,
+    ScanRangeError,
     ShapeError,
     SpectralModel,
     ToolkitError,
@@ -337,6 +339,150 @@ def test_linear_uncertainties_are_the_exact_inverse_curvature(statistic):
     np.testing.assert_allclose(sigma, exact, rtol=1e-9)
 
 
+def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_infeasible():
+    # two counts side by side at 0.05 counts per bin: the least-squares
+    # seed has a negative flat term, mu < 0 in the empty bins and an
+    # infinite NLL, so a simplex started there never moved
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = np.zeros(60)
+    observed[[21, 22]] = 1.0
+    truth = _line_model(3.0, 1.0)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_values(grid, observed, truth, free=free, signal=free[0],
+                                     statistic="poisson_nll")
+    seed = limits_module._least_squares_start(problem, problem._design)
+    assert seed[1] < 0
+    assert limits_module._statistic_fn(problem, problem._design)(seed) == np.inf
+
+    result = fit_minimize(problem, seed=0)
+    columns = np.column_stack([predict_counts(_line_model(1.0, 0.0), grid),
+                               predict_counts(_line_model(0.0, 1.0), grid)])
+    x, nll, _ = minimize_linear_poisson(observed, columns, np.zeros((1, 60)),
+                                        problem.initial_values()[None], lambda i: "the test")
+    assert result.converged
+    # Newton holds the flat term at mu = 0 in the empty bins exactly;
+    # the simplex stops 6.4e-4 above that minimum, on the constraint
+    assert nll[0] - 1e-9 * (1.0 + nll[0]) <= result.statistic <= nll[0] + 1e-3
+    assert result.values[0] == pytest.approx(x[0, 0], rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# free line centroids by variable projection
+
+
+def _no_simplex(*args, **kwargs):
+    raise AssertionError("a free-centroid problem ran the simplex")
+
+
+def _two_line_problem(statistic, resolution_model="constant"):
+    """Acceptance 7: the forbidden line 300 eV below K-alpha at 170 eV
+    FWHM, both centroids free."""
+    response = DetectorResponse(fwhm_kev_at_ref=0.170, reference_energy_kev=8.0,
+                                resolution_model=resolution_model)
+    truth = SpectralModel(components=(GaussianLine(7.7, 1.0e5), GaussianLine(8.0, 1.0e5),
+                                      PolynomialBackground((1.0e3,))), response=response)
+    template = SpectralModel(components=(GaussianLine(7.72, 8.0e4), GaussianLine(7.98, 8.0e4),
+                                         PolynomialBackground((800.0,))), response=response)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "centroid_kev"), (1, "amplitude"),
+            (2, "coefficients", 0))
+    spectrum = simulate_spectrum(truth, EnergyGrid.uniform(6.5, 9.5, 150), seed=42)
+    return FitProblem.from_spectrum(spectrum, template, free, free[1], statistic=statistic)
+
+
+def test_design_reproduces_the_model_with_free_centroids():
+    # a line with both parameters free, a line whose centroid moves with
+    # its amplitude fixed (a constant-coefficient column, so the simplex
+    # fits it) and one free coefficient of a two-term polynomial
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, resolution_model="sqrt")
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    model = SpectralModel(components=(GaussianLine(7.7, 300.0), GaussianLine(8.0, 900.0),
+                                      PolynomialBackground((10.0, 2.0))), response=response)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "centroid_kev"), (2, "coefficients", 1))
+    problem = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[1])
+    design = problem._design
+    assert limits_module._solver_for(problem, design) == "simplex"
+    for theta in ([7.6, 500.0, 8.1, 3.0], [7.75, 800.0, 7.95, 1.5]):
+        theta = np.array(theta)
+        np.testing.assert_allclose(design(theta), predict_counts(problem.with_values(theta), grid),
+                                   rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
+def test_free_centroid_fit_is_no_worse_than_the_simplex(statistic, monkeypatch):
+    problem = _two_line_problem(statistic)
+    # explicit bounds as wide as the default ones force the simplex
+    simplex = fit_minimize(replace(problem, bounds={(2, "coefficients", 0): (-np.inf, np.inf)}))
+    monkeypatch.setattr(scipy.optimize, "minimize", _no_simplex)
+    result = fit_minimize(problem)
+    assert result.converged
+    assert result.n_restarts == 0
+    assert result.statistic <= simplex.statistic + 1e-9 * (1.0 + abs(simplex.statistic))
+    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
+                              "simulated", 1.0)
+    recomputed = (binned_chi2 if statistic == "chi2" else binned_poisson_nll)(
+        spectrum, problem.with_values(result.values))
+    assert result.statistic == pytest.approx(recomputed, rel=1e-12)
+    # the Poisson simplex spends its 4800 evaluations on this spectrum
+    # without meeting its tolerances, so only its statistic is an oracle
+    assert simplex.converged == (statistic == "chi2")
+    if simplex.converged:
+        sigma = parameter_uncertainties(problem, result.values)
+        for i in (0, 2):
+            assert abs(result.values[i] - simplex.values[i]) <= 1e-3 * sigma[i]
+
+
+@pytest.mark.parametrize("resolution_model", ["constant", "sqrt"])
+@pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
+def test_free_centroid_uncertainties_match_a_central_difference_hessian(statistic,
+                                                                       resolution_model):
+    problem = _two_line_problem(statistic, resolution_model)
+    values = fit_minimize(problem).values
+    sigma = parameter_uncertainties(problem, values)
+    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
+                              "simulated", 1.0)
+
+    def stat(theta):  # chi2 / 2 or the NLL, both with covariance H^-1
+        model = problem.with_values(theta)
+        if statistic == "chi2":
+            return binned_chi2(spectrum, model) / 2.0
+        return binned_poisson_nll(spectrum, model)
+
+    n = values.size
+    steps = np.diag(1e-2 * sigma)
+    hess = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            a, b = steps[i], steps[j]
+            hess[i, j] = (stat(values + a + b) - stat(values + a - b) - stat(values - a + b)
+                          + stat(values - a - b)) / (4.0 * a[i] * b[j])
+    np.testing.assert_allclose(sigma, np.sqrt(np.diag(np.linalg.inv(hess))), rtol=1e-4)
+
+
+# nested-simplex bounds (the `simplex` profile, as run before variable
+# projection) with the centroid held to 7.4-8.0 keV by explicit bounds;
+# with the centroid free that profile kept the line where the signal-free
+# point left it and gave 355.5 (chi2) and 536.5 (Poisson)
+NESTED_CENTROID_BOUND_CHI2 = 197.5433196168731
+NESTED_CENTROID_BOUND_POISSON = 193.25795275359624
+
+
+@pytest.mark.parametrize("statistic, nested", [("chi2", NESTED_CENTROID_BOUND_CHI2),
+                                               ("poisson_nll", NESTED_CENTROID_BOUND_POISSON)])
+def test_free_centroid_limit_matches_the_nested_simplex(statistic, nested, monkeypatch):
+    monkeypatch.setattr(scipy.optimize, "minimize", _no_simplex)
+    grid_rtol = 1e-3
+    truth = SpectralModel(components=(GaussianLine(7.7, 150.0), PolynomialBackground((300.0,))),
+                          response=RESPONSE)
+    spectrum = simulate_spectrum(truth, EnergyGrid.uniform(7.0, 8.5, 30), seed=1)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_spectrum(spectrum, truth, free, free[1], statistic=statistic)
+    result = bayesian_upper_limit(problem, 0.95, grid_rtol=grid_rtol)
+    assert result.upper_bound == pytest.approx(nested, rel=grid_rtol)
+    assert result.metadata["profile_solver"] == "projection"
+    assert result.metadata["profile_failures"] == 0
+    assert result.metadata["newton_iterations"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-residual bounds against the analytic truncated normal
 
@@ -371,6 +517,49 @@ def test_residual_bound_matches_analytic_quantile(y, sigma, cl):
     result = bayesian_upper_limit(problem, cl, grid_rtol=1e-4)
     oracle = _truncated_normal_bound(y, sigma, cl)
     assert result.upper_bound == pytest.approx(oracle, rel=2e-3, abs=2e-4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(values=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4),
+       cl=st.floats(min_value=0.6, max_value=0.94),
+       k=st.floats(min_value=0.05, max_value=20.0))
+def test_residual_bound_is_monotone_in_cl_and_scales_inversely_with_the_shape(values, cl, k):
+    shape = np.array([0.2, 1.0, 0.7, 0.1])
+
+    def bound(scale, level):
+        problem = GaussianResidualProblem(values=values, sigmas=np.ones(4),
+                                          signal_shape=scale * shape,
+                                          nuisance_shapes=np.ones((1, 4)))
+        return bayesian_upper_limit(problem, level).upper_bound
+
+    base = bound(1.0, cl)
+    assert base < bound(1.0, cl + 0.05)
+    assert bound(k, cl) == pytest.approx(base / k, rel=1e-3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       cl=st.floats(min_value=0.6, max_value=0.94),
+       k=st.floats(min_value=0.05, max_value=1.0))
+def test_exact_gaussian_bound_is_monotone_in_cl_and_scales_inversely_with_the_shape(seed,
+                                                                                   cl, k):
+    # an efficiency k multiplies every column, the signal's included,
+    # so the amplitudes and with them the bound scale as 1 / k
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = simulate_spectrum(_line_model(20.0, 300.0), grid, seed=seed).counts
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+
+    def bound(efficiency, level):
+        response = DetectorResponse(fwhm_kev_at_ref=0.32, efficiency=efficiency)
+        template = replace(_line_model(20.0, 300.0), response=response)
+        problem = FitProblem.from_values(grid, observed, template, free=free, signal=free[0])
+        result = bayesian_upper_limit(problem, level)
+        assert result.metadata["profile_solver"] == "exact-gaussian"
+        return result.upper_bound
+
+    base = bound(1.0, cl)
+    assert base < bound(1.0, cl + 0.05)
+    assert bound(k, cl) == pytest.approx(base / k, rel=1e-3)
 
 
 def test_bound_grows_with_observed_excess():
@@ -570,11 +759,24 @@ def test_scan_refinement_profiles_only_the_new_midpoints():
     assert np.array_equal(values, parabola(s))
 
 
+def test_scan_rejects_a_profile_below_the_fit_minimum():
+    def dipping(s_values):
+        # a second, deeper minimum at s = 3 that the global fit missed
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        return np.minimum((s - 1.0) ** 2, (s - 3.0) ** 2 - 0.5)
+
+    with pytest.raises(ScanRangeError, match="at signal = .* below the fit's minimum"):
+        limits_module._scan_upper_bound(dipping, 1.0, 0.0, "chi2", 0.95, 1e-3, sigma_hint=1.0)
+
+
 def test_limit_metadata_and_scan_contents():
     result = bayesian_upper_limit(_limit_fixture(), 0.95)
     assert result.parameter == "c0.amplitude"
     assert set(result.metadata) >= {"prior", "statistic", "best_signal",
-                                    "statistic_min", "scan_max", "scan_points"}
+                                    "statistic_min", "scan_max", "scan_points",
+                                    "profile_min_excess"}
+    assert result.metadata["profile_min_excess"] == (
+        result.scan[:, 1].min() - result.metadata["statistic_min"])
     scan = result.scan
     assert scan.ndim == 2 and scan.shape[1] == 2
     assert scan[0, 0] == 0.0

@@ -342,3 +342,30 @@ def test_line_counts_agree_with_erf_expression():
     z = (grid.bin_edges - 7.7) / (sigma * math.sqrt(2.0))
     oracle = np.diff(0.5 * (1.0 + erf(z)))
     assert component_bin_counts(line, grid, RESPONSE) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["constant", "sqrt"])
+def test_line_centroid_derivatives_match_central_differences(model):
+    # the sqrt model widens the line with its centroid, which adds the
+    # width terms to both derivatives
+    from speclimit.spectra import _line_fractions_and_derivatives
+
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0,
+                                resolution_model=model)
+    grid = EnergyGrid.uniform(7.0, 8.5, 60)
+    centroid, h = 7.73, 1e-5
+    fractions, first, second = _line_fractions_and_derivatives(grid.bin_edges, centroid,
+                                                               response)
+
+    def counts(c):
+        return component_bin_counts(GaussianLine(c, 1.0), grid, response)
+
+    def derivative(c):
+        return _line_fractions_and_derivatives(grid.bin_edges, c, response)[1]
+
+    np.testing.assert_array_equal(fractions, counts(centroid))
+    np.testing.assert_allclose(first, (counts(centroid + h) - counts(centroid - h)) / (2 * h),
+                               rtol=0, atol=1e-7 * np.abs(first).max())
+    np.testing.assert_allclose(second,
+                               (derivative(centroid + h) - derivative(centroid - h)) / (2 * h),
+                               rtol=0, atol=1e-7 * np.abs(second).max())
