@@ -181,7 +181,9 @@ def _cmd_fit(args) -> int:
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "fit")))
     model = model_from_description(_require(config, "model", "fit"))
     free = tuple(_parse_ref(entry) for entry in _require(config, "free", "fit"))
-    signal = _parse_ref(config["signal"]) if "signal" in config else free[0]
+    # without a signal key, the first free parameter that enters linearly
+    signal = (_parse_ref(config["signal"]) if "signal" in config else
+              next((ref for ref in free if ref[1] != "centroid_kev"), free[0]))
     statistic = config.get("statistic", "chi2")
     seed = int(config.get("seed", 0))
     config["seed"] = seed

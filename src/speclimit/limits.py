@@ -6,19 +6,20 @@ minimizes either, flat prior Bayesian upper limits on a non-negative
 signal amplitude with background nuisances profiled out, and a seeded
 pseudo-experiment harness with coverage accounting.
 
-Problems are solved exactly wherever every free parameter enters the
-prediction linearly and only the default bounds apply: the chi-square
-is a weighted least-squares parabola, so its fit and its profile are
-closed form, and the Poisson NLL is convex, so a damped Newton
-iteration with the analytic Hessian A^T diag(n/mu^2) A finds its
-profile (Baker & Cousins, NIM 221 (1984) 437). One or two free line
-centroids are a variable projection (Golub & Pereyra, SIAM J. Numer.
-Anal. 10 (1973) 413): the linear parameters are solved exactly at each
-centroid value, and a grid-seeded Newton iteration with the exact
-gradient and Hessian refines the centroids, for the fit and for each
-profile point. Explicit bounds fall back to Nelder-Mead, with seeded
-restarts for the fit and nested runs for the profile; so do the linear
-Poisson fit and a Poisson centroid fit whose linear solve is singular.
+Every problem is solved exactly. Where every free parameter enters the
+prediction linearly, the chi-square is a weighted least-squares
+parabola, so its fit and its profile are closed form, and the Poisson
+NLL is convex, so a damped Newton iteration with the analytic Hessian
+A^T diag(n/mu^2) A finds its fit and profile (Baker & Cousins, NIM 221
+(1984) 437), holding empty bins at mu = 0 where that constraint binds.
+One or two free line centroids are a variable projection (Golub &
+Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): the linear parameters are
+solved exactly at each centroid value, and a grid-seeded Newton
+iteration with the exact gradient and Hessian refines the centroids
+inside the fit window, for the fit and for each profile point. A shape that no exact solver takes
+(a centroid as the signal, more than two free centroids, a free
+centroid whose amplitude is fixed) is refused when the FitProblem is
+built. The only bound is the signal's floor at zero.
 
 Posterior convention: for the chi-square statistic the posterior
 density on the signal s >= 0 is proportional to exp(-chi2_prof(s)/2);
@@ -47,6 +48,7 @@ from .newton import (
     _NEWTON_MAX_ITER,
     _NEWTON_RTOL,
     in_poisson_domain,
+    jacobi_scaled,
     minimize_linear_poisson,
     poisson_hessian,
 )
@@ -79,9 +81,6 @@ __all__ = [
 ]
 
 STATISTICS = ("chi2", "poisson_nll")
-
-_SIMPLEX_TOL = 1e-9  # convergence tolerance on the fit statistic
-_MAX_RESTARTS = 6    # seeded simplex restarts after the first run
 
 
 def _variance_floor(observed: np.ndarray) -> np.ndarray:
@@ -180,9 +179,10 @@ def _validate_ref(model: SpectralModel, ref):
 class FitProblem:
     """Binned data plus a model template with designated free parameters.
 
-    Exactly one free parameter is the signal; it is bounded below by
-    zero unless explicit bounds say otherwise. The remaining free
-    parameters are background nuisances.
+    Exactly one free parameter is the signal, a linear one bounded
+    below by zero; the remaining free parameters are background
+    nuisances. At most two line centroids may be free, each with its
+    line's amplitude.
     """
 
     grid: EnergyGrid
@@ -191,7 +191,6 @@ class FitProblem:
     free: tuple
     signal: tuple
     statistic: str = "chi2"
-    bounds: dict = field(default_factory=dict)
     names: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -211,44 +210,36 @@ class FitProblem:
             _validate_ref(self.model, ref)
         if self.signal not in self.free:
             raise DomainError("the signal parameter must be among the free parameters")
-        self.bounds = {tuple(k): (float(v[0]), float(v[1])) for k, v in self.bounds.items()}
-        for ref, (lo, hi) in self.bounds.items():
-            if ref not in self.free:
-                raise DomainError(f"bounds given for non-free parameter {ref!r}")
-            if not lo < hi:
-                raise DomainError(f"empty bounds for {ref!r}")
+        # the shapes that no exact solver takes
+        if self.signal[1] == "centroid_kev":
+            raise DomainError("the signal must be a parameter that enters linearly, "
+                              "not a line centroid")
+        centroids = [ref for ref in self.free if ref[1] == "centroid_kev"]
+        if len(centroids) > 2:
+            raise DomainError(f"at most two line centroids may be free, got {len(centroids)}")
+        for ref in centroids:
+            if (ref[0], "amplitude") not in self.free:
+                raise DomainError(f"the centroid of component {ref[0]} is free but its "
+                                  "amplitude is not; free both")
 
     @classmethod
     def from_spectrum(cls, spectrum: BinnedSpectrum, model: SpectralModel,
-                      free, signal, statistic: str = "chi2",
-                      bounds=None, names=None) -> "FitProblem":
+                      free, signal, statistic: str = "chi2", names=None) -> "FitProblem":
         return cls.from_values(spectrum.grid, spectrum.counts, model, free, signal,
-                               statistic, bounds, names)
+                               statistic, names)
 
     @classmethod
     def from_values(cls, grid: EnergyGrid, values, model: SpectralModel,
-                    free, signal, statistic: str = "chi2",
-                    bounds=None, names=None) -> "FitProblem":
+                    free, signal, statistic: str = "chi2", names=None) -> "FitProblem":
         """Problem over real-valued expectations, e.g. noiseless closure fits."""
         return cls(grid=grid, observed=values, model=model, free=free, signal=signal,
-                   statistic=statistic, bounds=bounds or {}, names=dict(names or {}))
+                   statistic=statistic, names=dict(names or {}))
 
     def parameter_name(self, ref) -> str:
         return self.names.get(tuple(ref), _ref_name(tuple(ref)))
 
     def initial_values(self) -> np.ndarray:
         return np.array([_ref_get(self.model, ref) for ref in self.free], dtype=float)
-
-    def bounds_list(self):
-        out = []
-        for ref in self.free:
-            if ref in self.bounds:
-                out.append(self.bounds[ref])
-            elif ref == self.signal:
-                out.append((0.0, np.inf))  # physical signal amplitudes only
-            else:
-                out.append((-np.inf, np.inf))
-        return out
 
     def signal_index(self) -> int:
         return self.free.index(self.signal)
@@ -264,14 +255,13 @@ class FitProblem:
 
 
 class _Design:
-    """Expected counts mu = base + columns @ coefficients for a problem.
+    """Expected counts mu = base + columns @ theta[linear_idx] for a problem.
 
     Every column is the unit integral of one linear parameter, built
     once. A line whose centroid is free has its column, and the
     column's first two centroid derivatives, rebuilt only when that
-    centroid moves; if the line's amplitude is fixed, the column gets
-    that amplitude as a constant coefficient. Without free centroids
-    the columns never change and mu is linear in the free parameters.
+    centroid moves. Without free centroids the columns never change
+    and mu is linear in the free parameters.
     """
 
     def __init__(self, problem: FitProblem):
@@ -283,25 +273,17 @@ class _Design:
         self.linear_idx = [i for i, ref in enumerate(free) if ref[1] != "centroid_kev"]
         self.linear = not self.centroid_idx
         lines = [free[i][0] for i in self.centroid_idx]
-        amplitudes = [(c, "amplitude") for c in lines]
+        # each free centroid's amplitude, as a free parameter and a column
+        self.amplitude_idx = [free.index((c, "amplitude")) for c in lines]
+        self.line_columns = [self.linear_idx.index(i) for i in self.amplitude_idx]
         # the base holds what no free parameter moves
-        zero = [free[i] for i in self.linear_idx] + [r for r in amplitudes if r not in free]
-        self.base = predict_counts(_apply_params(model, zero, np.zeros(len(zero))), grid)
-        cols = [np.zeros(grid.n_bins) if ref in amplitudes else
-                component_bin_counts(_unit_component(model.components[ref[0]], ref),
-                                     grid, self.response) * self.eff
-                for ref in (free[i] for i in self.linear_idx)]
-        self.line_columns, self.amplitude_idx, self.fixed_coefficients = [], [], []
-        for ref in amplitudes:
-            if ref in free:
-                self.line_columns.append(self.linear_idx.index(free.index(ref)))
-                self.amplitude_idx.append(free.index(ref))
-            else:
-                self.line_columns.append(len(cols))
-                self.amplitude_idx.append(None)
-                self.fixed_coefficients.append(model.components[ref[0]].amplitude)
-                cols.append(np.zeros(grid.n_bins))
-        self.columns = np.column_stack(cols)
+        linear = [free[i] for i in self.linear_idx]
+        self.base = predict_counts(_apply_params(model, linear, np.zeros(len(linear))), grid)
+        self.columns = np.column_stack([
+            np.zeros(grid.n_bins) if i in self.amplitude_idx else
+            component_bin_counts(_unit_component(model.components[free[i][0]], free[i]),
+                                 grid, self.response) * self.eff
+            for i in self.linear_idx])
         self.centroids = np.full(len(lines), np.nan)
         self.first = np.zeros((grid.n_bins, len(lines)))
         self.second = np.zeros((grid.n_bins, len(lines)))
@@ -309,10 +291,7 @@ class _Design:
         # centroid grid spacing and the largest Newton step: FWHM / 4
         self.spacing = min((self.response.fwhm_at(c) for c in template), default=0.0) / 4.0
         self.order = 1.0 if len(lines) < 2 or template[1] >= template[0] else -1.0
-        # variable projection needs the signal linear and every free
-        # line's amplitude free; it refines at most two centroids
-        self.projectable = (1 <= len(lines) <= 2 and None not in self.amplitude_idx
-                            and problem.signal_index() in self.linear_idx)
+        self.window = (grid.lo_kev, grid.hi_kev)
 
     def at(self, centroids) -> np.ndarray:
         """The columns with the free lines at the given centroids."""
@@ -325,15 +304,12 @@ class _Design:
             self.centroids[k] = centroids[k]
         return self.columns
 
-    def coefficients(self, theta: np.ndarray) -> np.ndarray:
-        return np.concatenate([theta[self.linear_idx], self.fixed_coefficients])
-
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if self.linear:
             return self.base + self.columns @ theta
         self.at(theta[self.centroid_idx])
-        return self.base + self.columns @ self.coefficients(theta)
+        return self.base + self.columns @ theta[self.linear_idx]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         """d mu / d theta, bins x free parameters."""
@@ -341,21 +317,19 @@ class _Design:
             return self.columns
         self.at(theta[self.centroid_idx])
         jac = np.empty((self.edges.size - 1, theta.size))
-        jac[:, self.linear_idx] = self.columns[:, :len(self.linear_idx)]
-        jac[:, self.centroid_idx] = self.first * self.coefficients(theta)[self.line_columns]
+        jac[:, self.linear_idx] = self.columns
+        jac[:, self.centroid_idx] = self.first * theta[self.amplitude_idx]
         return jac
 
     def second_derivatives(self, theta: np.ndarray):
         """The non-zero d2 mu / d theta_i d theta_j as (i, j, per-bin vector)."""
-        terms = []
         if self.linear:
-            return terms
+            return []
         self.at(theta[self.centroid_idx])
-        amplitudes = self.coefficients(theta)[self.line_columns]
+        terms = []
         for k, (i, a) in enumerate(zip(self.centroid_idx, self.amplitude_idx)):
-            terms.append((i, i, amplitudes[k] * self.second[:, k]))
-            if a is not None:
-                terms.append((i, a, self.first[:, k]))
+            terms.append((i, i, theta[a] * self.second[:, k]))
+            terms.append((i, a, self.first[:, k]))
         return terms
 
 
@@ -380,7 +354,7 @@ def _statistic_fn(problem: FitProblem, design: _Design):
 
 
 # ---------------------------------------------------------------------------
-# simplex fit with seeded restarts
+# fits
 
 
 @dataclass
@@ -398,14 +372,9 @@ class FitResult:
 
 
 def _least_squares_start(problem: FitProblem, design: _Design) -> np.ndarray:
-    """Weighted least-squares seed for linear problems, clipped to bounds.
-
-    Purely an initial guess; the simplex or the Newton iteration does
-    the actual minimization.
-    """
+    """Weighted least-squares start for the Newton profile of a linear
+    problem, the signal clipped at zero."""
     x0 = problem.initial_values()
-    if not design.linear:
-        return x0
     weights = 1.0 / _variance_floor(problem.observed)
     a = design.columns * np.sqrt(weights)[:, None]
     y = (problem.observed - design.base) * np.sqrt(weights)
@@ -415,125 +384,37 @@ def _least_squares_start(problem: FitProblem, design: _Design) -> np.ndarray:
         return x0
     if not np.all(np.isfinite(solution)):
         return x0
-    for i, (lo, hi) in enumerate(problem.bounds_list()):
-        solution[i] = min(max(solution[i], lo), hi)
+    idx = problem.signal_index()
+    solution[idx] = max(solution[idx], 0.0)
     return solution
 
 
 def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
-    """Minimize the fit statistic.
+    """Minimize the fit statistic exactly.
 
-    A linear chi-square problem with default bounds has an exact
-    optimum: the weighted least-squares signal clipped at zero, with
-    the nuisances solved at that signal (the parabola is convex with
-    one bound); a design the solve cannot invert raises. With one or
-    two free line centroids and default bounds the fit is a variable
+    A linear problem is solved in one call: weighted least squares for
+    chi-square, the signal clipped at zero with the nuisances solved at
+    that signal (the parabola is convex with one bound), and damped
+    Newton for the convex Poisson NLL, the signal held at zero when its
+    free optimum falls below. A design the solve cannot invert raises
+    FitError. With one or two free line centroids the fit is a variable
     projection: the linear parameters are solved exactly at each
-    centroid value (bounded weighted least squares, or Newton for the
-    Poisson NLL), the centroids start from the best point of a grid
+    centroid value, the centroids start from the best point of a grid
     about FWHM / 4 apart and a damped Newton iteration on the reduced
-    statistic refines them; its evaluations count the grid points.
-    Other problems (explicit bounds, a linear Poisson fit) run a
-    bounded Nelder-Mead simplex, restarted from seeded perturbations
-    of the best point until the statistic stops improving. `converged`
-    reports whether the accepted simplex run met its tolerances within
-    its evaluation budget; a run that hit the budget is still returned.
+    statistic refines them inside the fit window; its evaluations count
+    the grid points and the inner solves. Every fit reports 0 restarts
+    and converged = True, and raises FitError when it cannot converge.
+    seed selects nothing; it is kept for callers that pass it.
     """
     design = problem._design
-    stat = _statistic_fn(problem, design)
-    solver = _solver_for(problem, design)
-    if solver == "exact-gaussian":
-        try:
-            core = _core_from_fit_problem(problem, design)
-        except DegenerateMapError as err:  # a fit, not a limit, has failed
-            raise FitError(str(err)) from err
-        values = _signal_and_nuisances(core, max(core.best_signal(), 0.0), problem.signal_index())
-        chi2 = stat(values)
-        return FitResult(values=values, statistic=chi2, n_restarts=0, n_evaluations=1,
-                         converged=True, trace=((-1, chi2),))
-    if solver == "projection":
-        try:
-            return _projection_fit(problem, design)
-        except FitError:
-            # the Poisson Newton solve refuses spectra so sparse that a
-            # linear parameter gets no curvature from the bins with
-            # counts; the simplex still fits those
-            if problem.statistic == "chi2":
-                raise
-
-    # only the simplex paths need scipy.optimize, and its import costs
-    # more than a linear fit or limit
-    from scipy.optimize import minimize
-
-    bounds = problem.bounds_list()
-    x0 = _least_squares_start(problem, design)
-    if not np.isfinite(stat(x0)):
-        # a Poisson seed with mu <= 0 in a bin with counts scores inf at
-        # every simplex point; the template may still be feasible
-        x0 = problem.initial_values()
-
-    scales = np.maximum(np.abs(x0), 1.0)
-    n_evals = 0
-
-    def scaled_stat(z):
-        nonlocal n_evals
-        n_evals += 1
-        return stat(z * scales)
-
-    z_bounds = [(lo / s if np.isfinite(lo) else lo, hi / s if np.isfinite(hi) else hi)
-                for (lo, hi), s in zip(bounds, scales)]
-    z0 = np.clip(x0 / scales, [b[0] for b in z_bounds], [b[1] for b in z_bounds])
-
-    rng = np.random.default_rng(seed)
-    best_z = z0.copy()
-    best_f = float(scaled_stat(z0))
-    if not np.isfinite(best_f):
-        best_f = np.inf
-    trace = [(-1, best_f)]
-    n_restarts = 0
-    improved_recently = True
-    converged = False
-    for attempt in range(_MAX_RESTARTS + 1):
-        start = best_z if attempt == 0 else best_z + rng.normal(0.0, 1e-3, z0.size)
-        start = np.clip(start, [b[0] for b in z_bounds], [b[1] for b in z_bounds])
-        # infeasible Poisson points score inf, and the simplex's
-        # convergence test subtracts its vertices' scores
-        with np.errstate(invalid="ignore"):
-            result = minimize(
-                scaled_stat, start, method="Nelder-Mead", bounds=z_bounds,
-                options={"xatol": 1e-10, "fatol": _SIMPLEX_TOL * 1e-3,
-                         "maxiter": 400 * (z0.size + 1), "maxfev": 400 * (z0.size + 1)},
-            )
-        trace.append((attempt, float(result.fun)))
-        # strict improvement only: a tie must not drift the optimum along
-        # a numerically flat valley away from an already-optimal start
-        threshold = best_f - 1e-12 * (1.0 + abs(best_f)) if np.isfinite(best_f) else np.inf
-        if result.fun < threshold:
-            improvement = best_f - result.fun
-            best_f = float(result.fun)
-            best_z = np.asarray(result.x)
-            improved_recently = attempt == 0 or improvement > _SIMPLEX_TOL
-            converged = bool(result.success)
-        else:
-            improved_recently = False
-            if attempt == 0:
-                # the start is already the optimum the first run found
-                converged = bool(result.success)
-        n_restarts = attempt
-        if attempt >= 1 and not improved_recently:
-            break
-
-    if not np.isfinite(best_f):
-        raise FitError(f"simplex failed to produce a finite minimum; trace: {trace}")
-    if improved_recently:
-        # still improving when the restart budget ran out
-        raise FitError(
-            f"fit did not converge within {_MAX_RESTARTS} restarts "
-            f"(last improvements above {_SIMPLEX_TOL}); trace: {trace}"
-        )
-    return FitResult(values=best_z * scales, statistic=best_f,
-                     n_restarts=n_restarts, n_evaluations=n_evals,
-                     converged=converged, trace=tuple(trace))
+    if not design.linear:
+        return _projection_fit(problem, design)
+    try:
+        values, stat, _ = _linear_solution(problem, design, np.empty(0), None, None)
+    except DegenerateMapError as err:  # a fit, not a limit, has failed
+        raise FitError(str(err)) from err
+    return FitResult(values=values, statistic=stat, n_restarts=0, n_evaluations=1,
+                     converged=True, trace=((-1, stat),))
 
 
 def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
@@ -587,19 +468,22 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# variable projection over free line centroids (Golub & Pereyra, SIAM J.
-# Numer. Anal. 10 (1973) 413): every other free parameter is linear and
-# solved exactly at each centroid value, leaving a problem in 1-2 centroids
+# exact linear solves, and variable projection over free line centroids
+# (Golub & Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): every other free
+# parameter is linear and solved exactly at each centroid value, leaving
+# a problem in 1-2 centroids
 
 
 def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, start):
-    """The linear parameters solved exactly at the given centroids.
+    """The linear parameters solved exactly at the given centroids (none
+    for a linear problem).
 
     signal None leaves the signal free and clips it at zero, a value
     holds it there. The Poisson Newton iteration starts from the first
-    feasible of: the linear values of the full parameter vector start,
-    the weighted least-squares values, the template's. Returns the full
-    parameter vector, the statistic and whether the signal is held.
+    feasible of: the linear values of the full parameter vector start
+    (None for none), the weighted least-squares values, the template's.
+    Returns the full parameter vector, the statistic and whether the
+    signal is held.
     """
     observed = problem.observed
     columns = design.at(centroids)
@@ -616,7 +500,7 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
                                        problem.parameter_name(problem.signal))
         return core
 
-    theta = np.array(start, dtype=float)
+    theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
     theta[design.centroid_idx] = centroids
     if problem.statistic == "chi2":
         held = signal is not None
@@ -627,11 +511,12 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
         theta[linear] = _signal_and_nuisances(least_squares(), signal, pos)
         return theta, _chi2_from_mu(observed, design(theta)), held
 
-    where = f"centroids {list(map(float, centroids))!r}"
-    candidates = (lambda: theta[linear],
-                  lambda: _signal_and_nuisances(least_squares(),
+    where = f"centroids {list(map(float, centroids))!r}" if len(centroids) else "the fit"
+    candidates = [lambda: _signal_and_nuisances(least_squares(),
                                                 max(least_squares().best_signal(), 0.0), pos),
-                  lambda: problem.initial_values()[linear])
+                  lambda: problem.initial_values()[linear]]
+    if start is not None:
+        candidates.insert(0, lambda: theta[linear])
 
     def solve(keep, offset, where):
         cols = columns[:, keep]
@@ -658,39 +543,119 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     return theta, nll, True
 
 
+def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarray:
+    """The empty bins that hold the Poisson inner solve at mu = 0.
+
+    Bins at zero to the rounding of mu's largest terms, as in
+    minimize_linear_poisson, lowest mu first, kept while their rows of
+    d mu / d theta[linear] stay independent: a bin whose row adds no
+    constraint only looks held, its mu a tail value above the binding
+    bin's.
+    """
+    if problem.statistic != "poisson_nll" or not linear:
+        return np.empty(0, dtype=int)
+    mu = design(theta)
+    scale = np.abs(design.base) + np.abs(design.columns) @ np.abs(theta[design.linear_idx])
+    candidates = np.flatnonzero((problem.observed == 0) & (mu <= 1e-12 * scale.max()))
+    if not candidates.size:
+        return candidates
+    rows = design.jacobian(theta)[:, linear]
+    kept, basis = [], np.zeros((0, len(linear)))
+    for b in candidates[np.argsort(mu[candidates], kind="stable")]:
+        residual = rows[b] - basis.T @ (basis @ rows[b])
+        if np.linalg.norm(residual) > 1e-9 * np.linalg.norm(rows[b]):
+            kept.append(b)
+            basis = np.vstack([basis, residual / np.linalg.norm(residual)])
+            if len(kept) == len(linear):
+                break
+    return np.array(kept, dtype=int)
+
+
+def _reduced_curvature(problem: FitProblem, design: _Design, theta, held):
+    """Gradient and Hessian over the centroids of l = chi2 / 2, or of the
+    Poisson NLL, with the linear parameters re-solved at each centroid.
+
+    The linear parameters the inner solve leaves free are those other
+    than a held signal; the empty bins it holds at mu = 0 (_held_bins)
+    constrain them. The gradient is the centroid part of the
+    Lagrangian's gradient, its multipliers fitted to the linear part
+    (envelope theorem), and the Hessian the Schur complement of the
+    Lagrangian's Hessian over the linear directions the held bins leave
+    free, in least squares where no bin with counts curves one of them.
+    """
+    cidx = design.centroid_idx
+    linear = [i for i in design.linear_idx if not (held and i == problem.signal_index())]
+    score, hess = _curvature(problem, design, theta)
+    held_bins = _held_bins(problem, design, theta, linear)
+    if held_bins.size:
+        rows = design.jacobian(theta)[held_bins]
+        multipliers = np.linalg.solve(rows[:, linear] @ rows[:, linear].T,
+                                      rows[:, linear] @ score[linear])
+        score = score - multipliers @ rows
+        for i, j, d2mu in design.second_derivatives(theta):
+            term = multipliers @ d2mu[held_bins]
+            hess[i, j] -= term
+            if i != j:
+                hess[j, i] -= term
+    n = len(linear)
+    hess = hess[np.ix_(linear + cidx, linear + cidx)]
+    h_ll, h_lc, h_cc = hess[:n, :n], hess[:n, n:], hess[n:, n:]
+    gradient = score[cidx]
+    if held_bins.size:
+        # tangent coordinates: d theta[linear] = follow @ d centroids +
+        # inner @ w keeps the held bins at zero
+        inner = np.linalg.svd(rows[:, linear])[2][held_bins.size:].T
+        follow = -np.linalg.pinv(rows[:, linear]) @ rows[:, cidx]
+        h_lc = h_ll @ follow + h_lc
+        h_cc = h_cc + follow.T @ h_lc + hess[n:, :n] @ follow
+        gradient = gradient + follow.T @ score[linear]
+        h_ll, h_lc = inner.T @ h_ll @ inner, inner.T @ h_lc
+    if not h_ll.size:
+        return gradient, h_cc
+    # chi-square weights every bin, so only the Poisson curvature can vanish
+    if problem.statistic == "poisson_nll" and jacobi_scaled(h_ll)[2]:
+        return gradient, h_cc - h_lc.T @ np.linalg.lstsq(h_ll, h_lc, rcond=None)[0]
+    return gradient, h_cc - h_lc.T @ np.linalg.solve(h_ll, h_lc)
+
+
+def _descent_step(reduced, gradient):
+    """Newton step on the absolute eigenvalues of the reduced Hessian,
+    floored at 1e-8 of the largest, so that an indefinite one descends."""
+    eigenvalues, vectors = np.linalg.eigh(reduced)
+    magnitude = np.abs(eigenvalues)
+    magnitude = np.maximum(magnitude, max(1e-8 * magnitude.max(initial=0.0), 1e-12))
+    return -vectors @ ((vectors.T @ gradient) / magnitude)
+
+
 def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
     """Minimize the statistic over the centroids, the linear parameters
     solved exactly at each, from the centroids of start.
 
-    The reduced gradient is the statistic's partial derivative in the
-    centroids at the inner optimum (envelope theorem) and the reduced
-    Hessian the Schur complement of the exact Hessian over the linear
-    parameters left free. An indefinite reduced Hessian gives way to
-    its absolute eigenvalues; steps move a centroid by at most FWHM / 4,
-    are backtracked until the statistic falls, and may neither reorder
-    the lines nor reach a centroid <= 0. Stops once the predicted
+    Uses the reduced gradient and Hessian of _reduced_curvature and the
+    steps of _descent_step. Steps move a centroid by at most FWHM / 4,
+    stop at the edge of the fit window, are backtracked until the
+    statistic falls, and may not reorder the lines. A centroid on the
+    window's edge that the step pushes outwards is held there, out of
+    the step and out of the stop test. Stops once the predicted
     decrease falls below 1e-12 (1 + |stat|). Returns the parameters,
     the statistic, the number of inner solves and Newton iterations.
     """
     cidx = design.centroid_idx
+    lo, hi = design.window
+    edge = 1e-12 * (hi - lo)
     k = 2.0 if problem.statistic == "chi2" else 1.0  # statistic = k * l
     theta, stat, held = _linear_solution(problem, design, start[cidx], signal, start)
     solves = 1
     for iteration in range(_NEWTON_MAX_ITER + 1):
-        score, hess = _curvature(problem, design, theta)
-        free = [i for i in design.linear_idx if not (held and i == problem.signal_index())]
-        gradient = score[cidx]
-        reduced = hess[np.ix_(cidx, cidx)]
-        if free:
-            coupling = hess[np.ix_(free, cidx)]
-            try:
-                reduced = reduced - coupling.T @ np.linalg.solve(hess[np.ix_(free, free)], coupling)
-            except np.linalg.LinAlgError as err:
-                raise FitError(f"singular curvature of the linear parameters: {err}") from err
-        eigenvalues, vectors = np.linalg.eigh(reduced)
-        magnitude = np.abs(eigenvalues)
-        magnitude = np.maximum(magnitude, max(1e-8 * magnitude.max(), 1e-12))
-        step = -vectors @ ((vectors.T @ gradient) / magnitude)
+        gradient, reduced = _reduced_curvature(problem, design, theta, held)
+        centroids = theta[cidx]
+        at_lo, at_hi = centroids <= lo + edge, centroids >= hi - edge
+        move = np.ones(len(cidx), dtype=bool)
+        step = _descent_step(reduced, gradient)
+        while np.any(outwards := (at_lo & (step < 0)) | (at_hi & (step > 0))):
+            move &= ~outwards
+            step = np.zeros(len(cidx))
+            step[move] = _descent_step(reduced[np.ix_(move, move)], gradient[move])
         decrement = -gradient @ step
         if k * decrement <= 2.0 * _NEWTON_RTOL * (1.0 + abs(stat)):
             return theta, stat, solves, iteration
@@ -699,12 +664,15 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
         step = step * min(1.0, design.spacing / np.abs(step).max())
         slope = k * (gradient @ step)
         t = 1.0
+        outside = (centroids + step < lo) | (centroids + step > hi)
+        if outside.any():  # the step stops at the window's edge
+            room = np.where(step > 0, hi - centroids, lo - centroids)
+            t = float(np.min(room[outside] / step[outside]))
         for _ in range(60):
-            centroids = theta[cidx] + t * step
-            if np.all(centroids > 0) and (
-                    len(cidx) < 2 or design.order * (centroids[1] - centroids[0]) > 0):
+            trial_centroids = np.clip(centroids + t * step, lo, hi)
+            if len(cidx) < 2 or design.order * (trial_centroids[1] - trial_centroids[0]) > 0:
                 try:
-                    trial = _linear_solution(problem, design, centroids, signal, theta)
+                    trial = _linear_solution(problem, design, trial_centroids, signal, theta)
                 except (FitError, DegenerateMapError):
                     trial = None
                 solves += 1
@@ -713,7 +681,7 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
                     break
             t *= 0.5
         else:
-            raise FitError(f"centroid line search failed at {list(map(float, theta[cidx]))!r}")
+            raise FitError(f"centroid line search failed at {list(map(float, centroids))!r}")
     raise FitError(f"centroid Newton iteration did not converge in {_NEWTON_MAX_ITER} steps")
 
 
@@ -926,23 +894,19 @@ def _core_from_residual_problem(problem: GaussianResidualProblem):
 
 
 def _solver_for(problem: FitProblem, design: _Design) -> str:
-    """The solver for the fit and the profile. With only default bounds,
-    linear problems are solved exactly ("exact-gaussian" for chi2,
-    "newton" for the Poisson NLL) and one or two free centroids by
-    "projection"; anything else falls back to "simplex"."""
-    # FitProblem admits bounds only on free parameters
-    if problem.bounds not in ({}, {problem.signal: (0.0, np.inf)}):
-        return "simplex"
+    """The solver for the fit and the profile: linear problems are solved
+    exactly ("exact-gaussian" for chi2, "newton" for the Poisson NLL),
+    one or two free centroids by "projection"."""
     if design.linear:
         return "exact-gaussian" if problem.statistic == "chi2" else "newton"
-    return "projection" if design.projectable else "simplex"
+    return "projection"
 
 
 def _gaussian_profiler(core: _LinearGaussianCore):
     """Exact profiled chi-square of a linear Gaussian problem."""
     shat = max(core.best_signal(), 0.0)
     stat_min = float(core.profiled(shat)[0])
-    info = {"profile_solver": "exact-gaussian", "profile_failures": 0}
+    info = {"profile_solver": "exact-gaussian"}
     return core.profiled, shat, stat_min, core.curvature_sigma(), info
 
 
@@ -964,14 +928,15 @@ def _newton_profiler(problem: FitProblem, design: _Design):
     the signal, so when that fit lands below zero the bounded optimum
     is the profile at zero. The scan scale then comes from bracketing
     the profile's rise, since the curvature far below zero says nothing
-    about the posterior's width above it; otherwise it is the signal's
+    about the posterior's width above it, and so it does when the
+    Hessian at the global fit is singular; otherwise it is the signal's
     sigma from the inverse Hessian at the global fit.
     """
     observed = problem.observed
     idx = problem.signal_index()
     signal_col = design.columns[:, idx]
     nuisance_cols = np.delete(design.columns, idx, axis=1)
-    info = {"profile_solver": "newton", "profile_failures": 0, "newton_iterations": 0}
+    info = {"profile_solver": "newton", "newton_iterations": 0}
 
     def solve(columns, offsets, starts, where):
         x, nll, iterations = minimize_linear_poisson(observed, columns, offsets, starts, where)
@@ -1016,7 +981,11 @@ def _newton_profiler(problem: FitProblem, design: _Design):
 
     if theta[idx] < 0.0:
         return pstat, 0.0, float(pstat(np.zeros(1))[0]), None, info
-    cov = np.linalg.inv(poisson_hessian(design.columns, observed, design(theta)))
+    hess = poisson_hessian(design.columns, observed, design(theta))
+    if jacobi_scaled(hess)[2]:
+        # an empty bin pins a parameter that no bin with counts curves
+        return pstat, float(theta[idx]), float(nll[0]), None, info
+    cov = np.linalg.inv(hess)
     return pstat, float(theta[idx]), float(nll[0]), float(np.sqrt(cov[idx, idx])), info
 
 
@@ -1032,8 +1001,8 @@ def _projection_profiler(problem: FitProblem, design: _Design):
     idx = problem.signal_index()
     solved_s = [float(fit.values[idx])]
     solved = [fit.values]
-    info = {"profile_solver": "projection", "profile_failures": 0,
-            "newton_iterations": fit.trace[-1][0]}  # the fit's own iterations
+    # the fit's own iterations count
+    info = {"profile_solver": "projection", "newton_iterations": fit.trace[-1][0]}
 
     def pstat(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
@@ -1053,57 +1022,6 @@ def _projection_profiler(problem: FitProblem, design: _Design):
         except FitError:
             pass  # a singular or indefinite curvature leaves the scale to the bracketing
     return pstat, solved_s[0], fit.statistic, sigma, info
-
-
-def _nonlinear_profiler(problem: FitProblem, design: _Design, seed: int):
-    """Profiled statistic via nested simplex minimizations, warm-started.
-
-    Inner runs that stop without meeting their tolerances are counted
-    in the returned info as profile failures.
-    """
-    from scipy.optimize import minimize
-
-    stat = _statistic_fn(problem, design)
-    idx = problem.signal_index()
-    n = len(problem.free)
-    nuis_idx = [i for i in range(n) if i != idx]
-    bounds = problem.bounds_list()
-    state = {"last": None}
-    info = {"profile_solver": "simplex", "profile_failures": 0}
-
-    full_fit = fit_minimize(problem, seed=seed)
-    shat = max(float(full_fit.values[idx]), bounds[idx][0])
-
-    if not nuis_idx:
-        return _lone_signal_profile(problem, design), shat, float(full_fit.statistic), None, info
-
-    nuis_bounds = [bounds[i] for i in nuis_idx]
-
-    def profile_one(s_value, start):
-        def inner(nu):
-            theta = np.empty(n)
-            theta[idx] = s_value
-            theta[nuis_idx] = nu
-            return stat(theta)
-
-        result = minimize(inner, start, method="Nelder-Mead", bounds=nuis_bounds,
-                          options={"xatol": 1e-10, "fatol": _SIMPLEX_TOL * 1e-3,
-                                   "maxiter": 400 * len(nuis_idx) + 400,
-                                   "maxfev": 400 * len(nuis_idx) + 400})
-        if not result.success:
-            info["profile_failures"] += 1
-        state["last"] = np.asarray(result.x)
-        return float(result.fun)
-
-    def pstat(s_values):
-        s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        out = np.empty(s.size)
-        for k, sv in enumerate(s):
-            start = state["last"] if state["last"] is not None else full_fit.values[nuis_idx]
-            out[k] = profile_one(sv, start)
-        return out
-
-    return pstat, shat, float(full_fit.statistic), None, info
 
 
 def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str) -> np.ndarray:
@@ -1157,7 +1075,7 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
         s_max *= 1.7
     else:
         raise ScanRangeError(f"posterior for {label!r} does not decay on any "
-                             "attempted scan range; widen the model bounds")
+                             "attempted scan range")
 
     n = 257
     s = np.linspace(0.0, s_max, n)
@@ -1189,15 +1107,14 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
                          grid_rtol: float = 1e-3) -> LimitResult:
     """Upper bound at credibility cl with a flat prior on the signal >= 0.
 
-    Background nuisances are profiled exactly when every free
-    parameter is linear and only the default bounds apply: by weighted
-    least squares for chi-square and by damped Newton iterations for
-    the Poisson NLL. A free centroid or explicit bounds fall back to
-    nested simplex minimizations. The scan grid refines until the
-    bound moves by less than grid_rtol. The metadata names the profile
-    solver ("exact-gaussian", "newton" or "simplex"), counts the
-    profile points whose minimization stopped short, and for Newton
-    the iterations taken.
+    Background nuisances are profiled exactly: by weighted least
+    squares for a linear chi-square problem, by damped Newton
+    iterations for a linear Poisson NLL, and by variable projection
+    with the signal held for one or two free centroids. The scan grid
+    refines until the bound moves by less than grid_rtol. The metadata
+    names the profile solver ("exact-gaussian", "newton" or
+    "projection") and for the last two the Newton iterations taken.
+    seed selects nothing; it is kept for callers that pass it.
     """
     if not 0.0 < cl < 1.0:
         raise DomainError("confidence level must lie strictly between 0 and 1")
@@ -1217,10 +1134,8 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
             profile = _gaussian_profiler(_core_from_fit_problem(problem, design))
         elif solver == "newton":
             profile = _newton_profiler(problem, design)
-        elif solver == "projection":
-            profile = _projection_profiler(problem, design)
         else:
-            profile = _nonlinear_profiler(problem, design, seed)
+            profile = _projection_profiler(problem, design)
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 

@@ -5,7 +5,11 @@ sum(mu - n log mu) is convex in x, so damped Newton steps with the
 analytic gradient A^T (1 - n/mu) and Hessian A^T diag(n/mu^2) A reach
 its minimum (Baker & Cousins, NIM 221 (1984) 437). The domain is
 mu > 0 in bins with counts and mu >= 0 in empty bins; an empty bin held
-at mu = 0 is treated as an active constraint.
+at mu = 0 is treated as an active constraint. Along a direction that
+no bin with counts curves, the NLL changes only through the empty bins,
+linearly, so its minimum there lies where an empty bin reaches mu = 0:
+the iteration steps to that bin, which then joins the active
+constraints (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 16).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import FitError
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAX_ITER = 100
 # smallest eigenvalue of the unit-diagonal (Jacobi-scaled) Hessian below
-# which a parameter counts as unconstrained by the bins with counts
+# which a direction counts as uncurved by the bins with counts
 _SINGULAR_EIGENVALUE = 1e-12
 
 
@@ -44,30 +48,68 @@ def poisson_hessian(columns: np.ndarray, observed: np.ndarray, mu: np.ndarray) -
     return (weights @ outer).reshape(weights.shape[:-1] + (k, k))
 
 
-def _active_set_step(hess, grad, rows):
-    """Newton step with mu held at zero in the empty bins given by rows.
+def jacobi_scaled(hess: np.ndarray):
+    """The Hessians scaled to unit diagonal, the scale 1 / sqrt(diag), and
+    whether each is singular: a zero diagonal entry, or a smallest scaled
+    eigenvalue at or below _SINGULAR_EIGENVALUE. A zero diagonal entry
+    keeps the scale 1."""
+    diag = np.diagonal(hess, axis1=-2, axis2=-1)
+    inv_sqrt = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    scaled = hess * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    singular = np.any(diag <= 0, axis=-1)
+    singular |= np.linalg.eigvalsh(scaled)[..., 0] <= _SINGULAR_EIGENVALUE
+    return scaled, inv_sqrt, singular
 
-    Solves the step in the null space of the active rows and releases
-    the constraint with the most negative multiplier until every
-    multiplier is non-negative.
+
+def _null_space(rows: np.ndarray, k: int) -> np.ndarray:
+    if not rows.shape[0]:
+        return np.eye(k)
+    _, sv, vt = np.linalg.svd(rows)
+    return vt[int(np.sum(sv > 1e-12 * sv[0])):].T
+
+
+def _active_set_step(hess, grad, rows, magnitude):
+    """Step for one row whose Hessian is singular or whose empty bins
+    given by rows are held at mu = 0.
+
+    Works in the null space of the held rows, Jacobi-scaled. Along a
+    direction there that the bins with counts do not curve, the NLL
+    changes only through the empty bins, and linearly; if it falls
+    along one, returns (the steepest such direction, True), for the
+    caller to extend to the first empty bin that reaches mu = 0.
+    Otherwise returns (the Newton step over the curved directions,
+    False), releasing the held bin with the most negative multiplier
+    until every multiplier is non-negative. magnitude bounds the
+    gradient's terms, to tell a slope from rounding.
     """
-    k = grad.size
+    scaled, inv_sqrt, _ = jacobi_scaled(hess)
+    grad, rows, magnitude = inv_sqrt * grad, rows * inv_sqrt, inv_sqrt * magnitude
     while True:
-        if rows.shape[0]:
-            _, sv, vt = np.linalg.svd(rows)
-            rank = int(np.sum(sv > 1e-12 * sv[0]))
-            basis = vt[rank:].T
-        else:
-            basis = np.eye(k)
-        step = np.zeros(k)
-        if basis.shape[1]:
-            step = -basis @ np.linalg.solve(basis.T @ hess @ basis, basis.T @ grad)
+        basis = _null_space(rows, grad.size)
+        values, vectors = np.linalg.eigh(basis.T @ scaled @ basis)
+        uncurved = values <= _SINGULAR_EIGENVALUE
+        flat = basis @ vectors[:, uncurved]
+        slope = flat.T @ grad
+        if np.linalg.norm(slope) > 1e-9 * np.linalg.norm(np.abs(flat).T @ magnitude):
+            return -inv_sqrt * (flat @ slope), True
+        curved = basis @ vectors[:, ~uncurved]
+        step = -curved @ ((curved.T @ grad) / values[~uncurved])
         if not rows.shape[0]:
-            return step
-        multipliers = np.linalg.lstsq(rows.T, hess @ step + grad, rcond=None)[0]
+            return inv_sqrt * step, False
+        multipliers = np.linalg.lstsq(rows.T, scaled @ step + grad, rcond=None)[0]
         if multipliers.min() >= 0.0:
-            return step
+            return inv_sqrt * step, False
         rows = np.delete(rows, int(np.argmin(multipliers)), axis=0)
+
+
+def _supported(columns: np.ndarray) -> bool:
+    """Whether the columns are linearly independent: every parameter
+    direction moves some bin."""
+    norms = np.linalg.norm(columns, axis=0)
+    if np.any(norms == 0):
+        return False
+    sv = np.linalg.svd(columns / norms, compute_uv=False)
+    return bool(sv[-1] > 1e-12 * sv[0])
 
 
 def minimize_linear_poisson(observed, columns, offsets, starts, where):
@@ -79,7 +121,10 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     Hessian converge to its minimum. Each step is cut to the largest
     feasible fraction and then backtracked until the NLL falls. An
     empty bin whose mu reaches zero is an active constraint; mu > 0 in
-    the other bins is kept by the logarithm. where(i) names row i in
+    the other bins is kept by the logarithm. A direction that the bins
+    with counts do not curve is followed to the first empty bin it
+    takes to mu = 0 (a spectrum without counts included); a parameter
+    that moves no bin at all raises FitError. where(i) names row i in
     errors. Returns the minimizers, the NLL (with the log n! constant)
     and the number of Newton iterations.
     """
@@ -97,24 +142,34 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
         ratio = np.where(occupied, observed / np.where(occupied, mu_live, 1.0), 0.0)
         grad = (1.0 - ratio) @ columns
         hess = poisson_hessian(columns, observed, mu_live)
-        diag = np.diagonal(hess, axis1=1, axis2=2)
-        flat = np.any(diag <= 0, axis=1)
-        inv_sqrt = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
-        scaled = hess * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
-        flat |= np.linalg.eigvalsh(scaled)[:, 0] <= _SINGULAR_EIGENVALUE
-        if np.any(flat):
-            raise FitError(f"singular Poisson Hessian at {where(live[np.argmax(flat)])}: "
-                           "a free parameter gets no curvature from the bins with counts")
+        scaled, inv_sqrt, singular = jacobi_scaled(hess)
+        if singular.any():
+            if not _supported(columns):
+                raise FitError(f"a free parameter moves no bin at "
+                               f"{where(live[np.argmax(singular)])}, so no bin constrains it")
+            # _active_set_step below takes these rows
+            scaled = np.where(singular[:, None, None], np.eye(grad.shape[1]), scaled)
         step = -inv_sqrt * np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
         # mu >= 0 binds in empty bins already at zero, to the rounding
         # of the row's largest terms; a per-bin scale would shrink with
         # mu and let the steps creep towards zero without end
         mu_scale = (np.abs(offsets[live]) + np.abs(x_live) @ abs_cols.T).max(axis=1)
         at_zero = empty & (mu_live <= 1e-12 * mu_scale[:, None])
-        for r in np.flatnonzero(np.any(at_zero, axis=1)):
-            step[r] = _active_set_step(hess[r], grad[r], columns[at_zero[r]])
+        rays = []
+        for r in np.flatnonzero(singular | np.any(at_zero, axis=1)):
+            step[r], ray = _active_set_step(hess[r], grad[r], columns[at_zero[r]],
+                                            np.abs(1.0 - ratio[r]) @ abs_cols)
+            if ray:
+                rays.append(r)
+                # the NLL falls linearly along the ray: go to the first
+                # empty bin that it takes to mu = 0
+                dmu = step[r] @ columns.T
+                falling = empty & ~at_zero[r] & (dmu < -1e-12 * np.abs(dmu).max())
+                if falling.any():
+                    step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
         decrement = -np.sum(grad * step, axis=1)
         moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll[live] + constant))
+        moving[rays] = True  # a ray step, however short, adds a held bin
         live, x_live, mu_live, step, decrement = (
             live[moving], x_live[moving], mu_live[moving], step[moving], decrement[moving])
         if not live.size:

@@ -348,8 +348,7 @@ def _power_unit_integrals(grid: EnergyGrid, power: int) -> np.ndarray:
     for positive edges every term is positive, so a narrow bin loses
     nothing to cancellation."""
     if power == 0:
-        # s_0 = 1: the flat background, rebuilt in every simplex step of
-        # a fit with a free centroid, costs one subtraction
+        # s_0 = 1: the integral is the bin width
         return grid.widths
     lo, hi = grid.lower_edges, grid.upper_edges
     s = 1.0

@@ -392,6 +392,48 @@ def test_cli_fit_rejects_a_signal_that_vanishes_on_the_grid(tmp_path, capsys):
     assert not (tmp_path / "fit/report.txt").exists()
 
 
+def test_cli_fit_takes_the_first_linear_parameter_as_the_signal(tmp_path, capsys):
+    _copy_sample_configs(tmp_path)
+    assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),
+                 "--out", str(tmp_path / "runs/on")]) == 0
+    config = json.loads((tmp_path / "fit_forbidden_line.json").read_text())
+    del config["signal"]
+    config["free"].insert(0, [0, "centroid_kev"])
+    (tmp_path / "fit_forbidden_line.json").write_text(json.dumps(config))
+    assert main(["fit", "--config", str(tmp_path / "fit_forbidden_line.json"),
+                 "--out", str(tmp_path / "fit")]) == 0
+    report = _report_dict(tmp_path / "fit/report.txt")
+    assert float(report["fit.c0.centroid_kev"]) == pytest.approx(8.0, abs=0.05)
+    assert float(report["fit.c0.amplitude"]) == pytest.approx(600.0, abs=150.0)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"signal": [0, "centroid_kev"], "free": [[0, "centroid_kev"], [0, "amplitude"]]},
+     "not a line centroid"),
+    ({"free": [[0, "centroid_kev"], [1, "coefficients", 0]]}, "amplitude is not"),
+    ({"free": [[c, attr] for c in (0, 2, 3) for attr in ("centroid_kev", "amplitude")]},
+     "at most two line centroids"),
+], ids=["centroid-signal", "fixed-amplitude", "three-centroids"])
+def test_cli_fit_refuses_shapes_no_exact_solver_takes(tmp_path, capsys, change, message):
+    _copy_sample_configs(tmp_path)
+    assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),
+                 "--out", str(tmp_path / "runs/on")]) == 0
+    config = json.loads((tmp_path / "fit_forbidden_line.json").read_text())
+    config.pop("signal")
+    config["model"]["components"] += [{"kind": "gaussian_line", "centroid_kev": c,
+                                       "amplitude": 10.0} for c in (7.0, 9.0)]
+    config.update(change)
+    (tmp_path / "fit_forbidden_line.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main(["fit", "--config", str(tmp_path / "fit_forbidden_line.json"),
+                 "--out", str(tmp_path / "fit")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [build]:")
+    assert message in err
+    assert not (tmp_path / "fit/report.txt").exists()
+
+
 def test_cli_fit_names_a_missing_component_key(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),

@@ -8,6 +8,7 @@ itself has long since imported everything.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -75,6 +76,10 @@ def pipeline_dir(tmp_path_factory):
     fit = json.loads((work / "fit_forbidden_line.json").read_text())
     fit["free"].insert(0, [0, "centroid_kev"])
     (work / "fit_free_centroid.json").write_text(json.dumps(fit))
+    for name in ("fit_forbidden_line", "fit_free_centroid", "limit_continuum"):
+        config = json.loads((work / f"{name}.json").read_text())
+        config["statistic"] = "poisson_nll"
+        (work / f"{name}_poisson.json").write_text(json.dumps(config))
     return work
 
 
@@ -86,11 +91,24 @@ def pipeline_dir(tmp_path_factory):
     ["limit", "--config", "limit_continuum.json", "--out", "check/csl"],
     ["fit", "--config", "fit_forbidden_line.json", "--out", "check/fit"],
     ["fit", "--config", "fit_free_centroid.json", "--out", "check/fit-centroid"],
-], ids=["simulate", "subtract", "limit-pep", "limit-csl", "fit", "fit-free-centroid"])
+    ["fit", "--config", "fit_forbidden_line_poisson.json", "--out", "check/fit-poisson"],
+    ["fit", "--config", "fit_free_centroid_poisson.json",
+     "--out", "check/fit-centroid-poisson"],
+    ["limit", "--config", "limit_continuum_poisson.json", "--out", "check/csl-poisson"],
+], ids=["simulate", "subtract", "limit-pep", "limit-csl", "fit", "fit-free-centroid",
+        "fit-poisson", "fit-free-centroid-poisson", "limit-csl-poisson"])
 def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
     modules = _cli_modules(argv, pipeline_dir)
     assert "numpy" in modules
     assert _under(modules, "scipy.optimize", "scipy.integrate") == []
+
+
+def test_no_module_names_scipy_optimize():
+    # every fit and limit runs on an exact solver of its own
+    pattern = re.compile(r"scipy\.optimize|from scipy import[^\n]*\boptimize\b")
+    named = [path.name for path in sorted((SRC_DIR / "speclimit").glob("*.py"))
+             if pattern.search(path.read_text())]
+    assert named == []
 
 
 def test_lazy_namespace_resolves_every_public_name():

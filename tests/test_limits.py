@@ -1,4 +1,4 @@
-"""Fit statistics, the simplex minimizer and posterior upper bounds.
+"""Fit statistics, the exact fits and posterior upper bounds.
 
 The Gaussian-residual bound has a closed form (a truncated normal
 quantile); several frozen values from that formula anchor the scan
@@ -11,7 +11,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm, poisson
 
@@ -159,10 +158,22 @@ def test_fit_problem_validation():
     with pytest.raises(ShapeError):
         FitProblem(grid=grid, observed=np.ones(9), model=model,
                    free=((0, "amplitude"),), signal=(0, "amplitude"))
-    with pytest.raises(DomainError):
+    # the shapes no exact solver takes: a centroid as the signal, more
+    # than two free centroids, a free centroid with its amplitude fixed
+    with pytest.raises(DomainError, match="not a line centroid"):
         FitProblem(grid=grid, observed=counts, model=model,
-                   free=((0, "amplitude"),), signal=(0, "amplitude"),
-                   bounds={(2, "coefficients", 0): (0.0, 1.0)})
+                   free=((0, "centroid_kev"), (0, "amplitude")), signal=(0, "centroid_kev"))
+    three = SpectralModel(components=tuple(GaussianLine(c, 10.0) for c in (7.0, 8.0, 9.0)),
+                          response=RESPONSE)
+    with pytest.raises(DomainError, match="at most two line centroids"):
+        FitProblem(grid=grid, observed=counts, model=three,
+                   free=tuple((c, attr) for c in range(3) for attr in ("centroid_kev",
+                                                                       "amplitude")),
+                   signal=(0, "amplitude"))
+    with pytest.raises(DomainError, match="amplitude is not"):
+        FitProblem(grid=grid, observed=counts, model=model,
+                   free=((0, "centroid_kev"), (1, "coefficients", 0)),
+                   signal=(1, "coefficients", 0))
 
 
 TRUTH_AMPLITUDE = 37.0
@@ -224,17 +235,6 @@ def test_signal_amplitude_respects_zero_lower_bound():
     assert result.by_name(problem)["c0.amplitude"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_fit_uses_explicit_bounds():
-    problem = _closure_problem("chi2")
-    bounded = FitProblem(grid=problem.grid, observed=problem.observed,
-                         model=problem.model, free=problem.free,
-                         signal=problem.signal,
-                         bounds={(1, "alpha"): (20.0, 40.0)})
-    result = fit_minimize(bounded, seed=0)
-    alpha = result.by_name(bounded)["c1.alpha"]
-    assert 20.0 - 1e-9 <= alpha <= 40.0 + 1e-9
-
-
 def test_parameter_uncertainty_matches_linear_algebra():
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     truth = _line_model(40.0, 80.0)
@@ -254,25 +254,7 @@ def test_parameter_uncertainty_matches_linear_algebra():
     assert sigma == pytest.approx(analytic, rel=1e-4)
 
 
-def test_fit_reports_a_simplex_run_that_hit_its_budget(monkeypatch):
-    def budget_exhausted(*args, **kwargs):
-        result = minimize(*args, **kwargs)
-        result.success = False
-        return result
-
-    minimize = scipy.optimize.minimize
-    monkeypatch.setattr(scipy.optimize, "minimize", budget_exhausted)
-    result = fit_minimize(_closure_problem("poisson_nll"), seed=0)
-    assert not result.converged
-    assert result.by_name(_closure_problem("poisson_nll"))["c0.amplitude"] == pytest.approx(
-        TRUTH_AMPLITUDE, rel=1e-6)
-
-
-def test_linear_chi2_fit_is_the_bounded_weighted_least_squares_optimum(monkeypatch):
-    def no_simplex(*args, **kwargs):
-        raise AssertionError("a linear chi-square fit ran the simplex")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", no_simplex)
+def test_linear_chi2_fit_is_the_bounded_weighted_least_squares_optimum():
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     line = predict_counts(_line_model(1.0, 0.0), grid)
     flat = predict_counts(_line_model(0.0, 1.0), grid)
@@ -342,7 +324,7 @@ def test_linear_uncertainties_are_the_exact_inverse_curvature(statistic):
 def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_infeasible():
     # two counts side by side at 0.05 counts per bin: the least-squares
     # seed has a negative flat term, mu < 0 in the empty bins and an
-    # infinite NLL, so a simplex started there never moved
+    # infinite NLL, so the Newton fit starts from the template
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     observed = np.zeros(60)
     observed[[21, 22]] = 1.0
@@ -360,18 +342,13 @@ def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_in
     x, nll, _ = minimize_linear_poisson(observed, columns, np.zeros((1, 60)),
                                         problem.initial_values()[None], lambda i: "the test")
     assert result.converged
-    # Newton holds the flat term at mu = 0 in the empty bins exactly;
-    # the simplex stops 6.4e-4 above that minimum, on the constraint
-    assert nll[0] - 1e-9 * (1.0 + nll[0]) <= result.statistic <= nll[0] + 1e-3
+    # Newton holds the flat term at mu = 0 in the empty bins exactly
+    assert abs(result.statistic - nll[0]) <= 1e-9 * (1.0 + nll[0])
     assert result.values[0] == pytest.approx(x[0, 0], rel=0.05)
 
 
 # ---------------------------------------------------------------------------
 # free line centroids by variable projection
-
-
-def _no_simplex(*args, **kwargs):
-    raise AssertionError("a free-centroid problem ran the simplex")
 
 
 def _two_line_problem(statistic, resolution_model="constant"):
@@ -390,45 +367,73 @@ def _two_line_problem(statistic, resolution_model="constant"):
 
 
 def test_design_reproduces_the_model_with_free_centroids():
-    # a line with both parameters free, a line whose centroid moves with
-    # its amplitude fixed (a constant-coefficient column, so the simplex
-    # fits it) and one free coefficient of a two-term polynomial
+    # a line with both parameters free and one free coefficient of a
+    # two-term polynomial, the other held in the base
     response = DetectorResponse(fwhm_kev_at_ref=0.17, resolution_model="sqrt")
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
-    model = SpectralModel(components=(GaussianLine(7.7, 300.0), GaussianLine(8.0, 900.0),
+    model = SpectralModel(components=(GaussianLine(7.7, 300.0),
                                       PolynomialBackground((10.0, 2.0))), response=response)
-    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "centroid_kev"), (2, "coefficients", 1))
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 1))
     problem = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[1])
     design = problem._design
-    assert limits_module._solver_for(problem, design) == "simplex"
-    for theta in ([7.6, 500.0, 8.1, 3.0], [7.75, 800.0, 7.95, 1.5]):
+    assert limits_module._solver_for(problem, design) == "projection"
+    for theta in ([7.6, 500.0, 3.0], [7.75, 800.0, 1.5]):
         theta = np.array(theta)
         np.testing.assert_allclose(design(theta), predict_counts(problem.with_values(theta), grid),
                                    rtol=1e-13, atol=0)
 
 
+# Nelder-Mead fits of _two_line_problem with seeded restarts, frozen from
+# the release before the simplex left the package: statistic, parameter
+# values and whether the accepted run met its tolerances
+SIMPLEX_TWO_LINE_FITS = {
+    "chi2": (163.23563546417188, (7.700139440754889, 100236.55969846359, 8.000435023769231,
+                                  99868.32822984667, 935.6251924541173), True),
+    "poisson_nll": (537.4896056372247, (7.700131131518712, 100243.1752019719,
+                                        8.000436164901787, 99864.89390765801,
+                                        988.9771473276265), False),
+}
+
+
 @pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
-def test_free_centroid_fit_is_no_worse_than_the_simplex(statistic, monkeypatch):
+def test_free_centroid_fit_is_no_worse_than_the_simplex(statistic):
     problem = _two_line_problem(statistic)
-    # explicit bounds as wide as the default ones force the simplex
-    simplex = fit_minimize(replace(problem, bounds={(2, "coefficients", 0): (-np.inf, np.inf)}))
-    monkeypatch.setattr(scipy.optimize, "minimize", _no_simplex)
+    simplex_statistic, simplex_values, simplex_converged = SIMPLEX_TWO_LINE_FITS[statistic]
     result = fit_minimize(problem)
     assert result.converged
     assert result.n_restarts == 0
-    assert result.statistic <= simplex.statistic + 1e-9 * (1.0 + abs(simplex.statistic))
+    assert result.statistic <= simplex_statistic + 1e-9 * (1.0 + abs(simplex_statistic))
     spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
                               "simulated", 1.0)
     recomputed = (binned_chi2 if statistic == "chi2" else binned_poisson_nll)(
         spectrum, problem.with_values(result.values))
     assert result.statistic == pytest.approx(recomputed, rel=1e-12)
-    # the Poisson simplex spends its 4800 evaluations on this spectrum
+    # the Poisson simplex spent its 4800 evaluations on this spectrum
     # without meeting its tolerances, so only its statistic is an oracle
-    assert simplex.converged == (statistic == "chi2")
-    if simplex.converged:
+    if simplex_converged:
         sigma = parameter_uncertainties(problem, result.values)
         for i in (0, 2):
-            assert abs(result.values[i] - simplex.values[i]) <= 1e-3 * sigma[i]
+            assert abs(result.values[i] - simplex_values[i]) <= 1e-3 * sigma[i]
+
+
+@pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
+def test_free_centroid_stays_inside_the_fit_window(statistic):
+    # the line sits above the window, so the unconstrained optimum is
+    # outside it; the fit holds the centroid at the window's edge, the
+    # lowest statistic on a 10 meV scan of centroids inside
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = predict_counts(_line_model(400.0, 100.0, centroid=9.7), grid)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_values(grid, observed, _line_model(100.0, 100.0, centroid=9.0),
+                                     free, free[1], statistic=statistic)
+    result = fit_minimize(problem)
+    assert result.values[0] == 9.5
+    scan = [fit_minimize(FitProblem.from_values(grid, observed,
+                                                _line_model(100.0, 100.0, centroid=c),
+                                                free[1:], free[1], statistic=statistic))
+            for c in np.linspace(6.5, 9.5, 301)]
+    assert result.statistic <= min(fit.statistic for fit in scan) + 1e-9
+    assert bayesian_upper_limit(problem, 0.95).metadata["profile_solver"] == "projection"
 
 
 @pytest.mark.parametrize("resolution_model", ["constant", "sqrt"])
@@ -468,8 +473,7 @@ NESTED_CENTROID_BOUND_POISSON = 193.25795275359624
 
 @pytest.mark.parametrize("statistic, nested", [("chi2", NESTED_CENTROID_BOUND_CHI2),
                                                ("poisson_nll", NESTED_CENTROID_BOUND_POISSON)])
-def test_free_centroid_limit_matches_the_nested_simplex(statistic, nested, monkeypatch):
-    monkeypatch.setattr(scipy.optimize, "minimize", _no_simplex)
+def test_free_centroid_limit_matches_the_nested_simplex(statistic, nested):
     grid_rtol = 1e-3
     truth = SpectralModel(components=(GaussianLine(7.7, 150.0), PolynomialBackground((300.0,))),
                           response=RESPONSE)
@@ -479,7 +483,6 @@ def test_free_centroid_limit_matches_the_nested_simplex(statistic, nested, monke
     result = bayesian_upper_limit(problem, 0.95, grid_rtol=grid_rtol)
     assert result.upper_bound == pytest.approx(nested, rel=grid_rtol)
     assert result.metadata["profile_solver"] == "projection"
-    assert result.metadata["profile_failures"] == 0
     assert result.metadata["newton_iterations"] > 0
 
 
@@ -612,7 +615,7 @@ def test_confidence_level_must_be_interior():
 # FitProblem limits: fast linear path vs nested profiling vs Poisson
 
 
-def _limit_fixture(statistic="chi2", bounds=None):
+def _limit_fixture(statistic="chi2"):
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     truth = _line_model(0.0, 300.0)
     spectrum = simulate_spectrum(truth, grid, seed=11, tag="measured")
@@ -620,39 +623,33 @@ def _limit_fixture(statistic="chi2", bounds=None):
     return FitProblem.from_spectrum(
         spectrum, template,
         free=((0, "amplitude"), (1, "coefficients", 0)),
-        signal=(0, "amplitude"), statistic=statistic, bounds=bounds)
+        signal=(0, "amplitude"), statistic=statistic)
+
+
+# bounds of _limit_fixture profiled by nested Nelder-Mead runs, frozen
+# from the release before the simplex left the package: chi2 at
+# grid_rtol 1e-4, and Poisson at 1e-3 with its minimum NLL
+NESTED_SIMPLEX_BOUND_CHI2 = 19.866248320322054
+NESTED_SIMPLEX_BOUND_POISSON = 24.914313949019434
+NESTED_SIMPLEX_NLL_MIN_POISSON = 172.2439024255463
 
 
 def test_linear_fast_path_agrees_with_nested_profiler():
     fast = bayesian_upper_limit(_limit_fixture(), 0.95, grid_rtol=1e-4)
-    # explicit (huge) nuisance bounds force the generic nested-simplex
-    # route through the identical statistical problem
-    slow = bayesian_upper_limit(
-        _limit_fixture(bounds={(1, "coefficients", 0): (-1e9, 1e9)}),
-        0.95, grid_rtol=1e-4)
     assert fast.method == "bayesian-chi2-profile"
-    assert slow.method == "bayesian-chi2-profile"
-    assert slow.upper_bound == pytest.approx(fast.upper_bound, rel=2e-3)
+    assert NESTED_SIMPLEX_BOUND_CHI2 == pytest.approx(fast.upper_bound, rel=2e-3)
     assert fast.metadata["profile_solver"] == "exact-gaussian"
-    assert slow.metadata["profile_solver"] == "simplex"
-    assert slow.metadata["profile_failures"] == 0
 
 
 def test_newton_poisson_profile_agrees_with_nested_simplex():
     grid_rtol = 1e-3
     newton = bayesian_upper_limit(_limit_fixture("poisson_nll"), 0.95, grid_rtol=grid_rtol)
-    # the default nuisance bounds, given explicitly, force the simplex
-    simplex = bayesian_upper_limit(
-        _limit_fixture("poisson_nll", bounds={(1, "coefficients", 0): (-np.inf, np.inf)}),
-        0.95, grid_rtol=grid_rtol)
-    assert newton.method == simplex.method == "bayesian-poisson_nll-profile"
+    assert newton.method == "bayesian-poisson_nll-profile"
     assert newton.metadata["profile_solver"] == "newton"
     assert newton.metadata["newton_iterations"] > 0
-    assert newton.metadata["profile_failures"] == 0
-    assert simplex.metadata["profile_solver"] == "simplex"
-    assert newton.upper_bound == pytest.approx(simplex.upper_bound, rel=grid_rtol)
+    assert newton.upper_bound == pytest.approx(NESTED_SIMPLEX_BOUND_POISSON, rel=grid_rtol)
     assert newton.metadata["statistic_min"] == pytest.approx(
-        simplex.metadata["statistic_min"], rel=1e-9)
+        NESTED_SIMPLEX_NLL_MIN_POISSON, rel=1e-9)
 
 
 def _profile_flat_background(observed, line, flat, s, iterations=200):
@@ -706,9 +703,20 @@ def test_newton_profile_holds_empty_bins_at_zero_expectation():
     np.testing.assert_allclose(nll, expected[:, 0], rtol=1e-10)
 
 
-def test_newton_profile_rejects_a_nuisance_without_counts():
-    # the second line lies where every bin is empty, so nothing in the
-    # data constrains its amplitude
+def _golden_minimum(f, lo, hi, iterations=200):
+    """Minimum of a convex function on [lo, hi] by golden-section search."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    for _ in range(iterations):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        a, b = (a, d) if f(c) <= f(d) else (c, b)
+    return f(0.5 * (a + b))
+
+
+def test_newton_profile_holds_an_uncurved_nuisance_at_an_empty_bin():
+    # the second line lies where every bin is empty, so no bin with
+    # counts curves its amplitude; the NLL falls linearly as it drops,
+    # until an empty bin reaches mu = 0
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     observed = predict_counts(_line_model(30.0, 200.0), grid).round()
     observed[grid.upper_edges > 8.16] = 0.0
@@ -721,8 +729,63 @@ def test_newton_profile_rejects_a_nuisance_without_counts():
                                      free=((0, "amplitude"), (1, "amplitude"),
                                            (2, "coefficients", 0)),
                                      signal=(0, "amplitude"), statistic="poisson_nll")
-    with pytest.raises(FitError, match="singular Poisson Hessian"):
+    result = bayesian_upper_limit(problem, 0.95)
+    assert result.metadata["profile_solver"] == "newton"
+    line = predict_counts(_line_model(1.0, 0.0), grid)
+    flat = predict_counts(_line_model(0.0, 1.0), grid)
+    occupied, reaches = observed > 0, far_line > 0
+    constant = sum(math.lgamma(n + 1.0) for n in observed)
+
+    def oracle(s):
+        # the far amplitude drops until the first empty bin it reaches
+        # hits mu = 0; the flat term is then a convex 1-d problem
+        def nll(b):
+            near = s * line + b * flat
+            far = np.max(-near[reaches] / far_line[reaches])
+            mu = near + far * far_line
+            return np.sum(mu) - np.sum(observed[occupied] * np.log(mu[occupied])) + constant
+
+        floor = np.max(-s * line[occupied] / flat[occupied])
+        return _golden_minimum(nll, floor + 1e-9, 10.0 * observed.sum() / flat.sum())
+
+    for s, value in result.scan[::32]:
+        assert value == pytest.approx(oracle(s), rel=1e-10, abs=1e-10)
+
+
+def test_newton_profile_rejects_a_nuisance_without_counts():
+    # a line far above the window gives a column of zeros: no bin at all,
+    # empty or not, constrains its amplitude
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = predict_counts(_line_model(30.0, 200.0), grid).round()
+    template = SpectralModel(components=(GaussianLine(7.7, 30.0), GaussianLine(40.0, 1.0),
+                                         PolynomialBackground((200.0,))), response=RESPONSE)
+    assert np.all(predict_counts(replace(template, components=template.components[1:2]),
+                                 grid) == 0.0)
+    problem = FitProblem.from_values(grid, observed, template,
+                                     free=((0, "amplitude"), (1, "amplitude"),
+                                           (2, "coefficients", 0)),
+                                     signal=(0, "amplitude"), statistic="poisson_nll")
+    with pytest.raises(FitError, match="moves no bin"):
         bayesian_upper_limit(problem, 0.95)
+
+
+def test_poisson_fit_and_limit_of_a_spectrum_without_counts():
+    # every bin empty: the NLL is sum(mu), no bin curves it, and the
+    # flat term drops until the bin with the lowest line-to-flat ratio
+    # reaches mu = 0; the profile is then linear in the signal,
+    # s (L - F min(line / flat)), and the bound an exponential quantile
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    problem = FitProblem.from_values(grid, np.zeros(60), _line_model(3.0, 1.0 / 0.05),
+                                     free=((0, "amplitude"), (1, "coefficients", 0)),
+                                     signal=(0, "amplitude"), statistic="poisson_nll")
+    fit = fit_minimize(problem)
+    np.testing.assert_allclose(fit.values, 0.0, atol=1e-12)
+    assert fit.statistic == pytest.approx(0.0, abs=1e-12)
+    line = predict_counts(_line_model(1.0, 0.0), grid)
+    flat = predict_counts(_line_model(0.0, 1.0), grid)
+    slope = line.sum() - flat.sum() * np.min(line / flat)
+    limit = bayesian_upper_limit(problem, 0.95, grid_rtol=1e-4)
+    assert limit.upper_bound == pytest.approx(-math.log(0.05) / slope, rel=1e-3)
 
 
 def test_chi2_and_poisson_bounds_agree_at_high_counts():
