@@ -11,7 +11,7 @@ arithmetic.
 
 The namespace is lazy: `import speclimit` loads no submodule, and each
 public name imports its home module on first use, so a run pays only
-for the modules (and numpy/scipy parts) it touches.
+for the modules it touches. numpy is the only numeric dependency.
 """
 
 import importlib

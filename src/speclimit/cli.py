@@ -10,9 +10,9 @@ Every run is driven by a JSON config whose resolved form (after
 --seed/--cl overrides) is hashed into the report, so identical
 configs produce byte-identical output files.
 
-Each subcommand imports the modules it runs, and no others: numpy and
-scipy cost most of a short run's time, and `constants` or `--help`
-need neither.
+Each subcommand imports the modules it runs, and no others: importing
+numpy costs most of a short run's time, and `constants` or `--help`
+do not need it. numpy is the only numeric dependency.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateMapError,
@@ -49,6 +48,7 @@ from .newton import (
     _NEWTON_RTOL,
     in_poisson_domain,
     jacobi_scaled,
+    log_factorial,
     minimize_linear_poisson,
     poisson_hessian,
 )
@@ -59,10 +59,10 @@ from .spectra import (
     SpectralModel,
     _gaussian_bin_fractions,
     _line_fractions_and_derivatives,
+    _poisson_spectrum,
     component_bin_counts,
     model_description,
     predict_counts,
-    simulate_spectrum,
 )
 
 __all__ = [
@@ -100,7 +100,7 @@ def _poisson_nll_from_mu(observed: np.ndarray, mu: np.ndarray) -> float:
     if np.any(zero & (observed > 0)):
         raise ModelError("expected count of zero in a bin with observed counts gives infinite NLL")
     terms = np.where(zero, 0.0, mu - observed * np.log(np.where(zero, 1.0, mu)))
-    terms = terms + gammaln(observed + 1.0)
+    terms = terms + log_factorial(observed)
     return float(np.sum(terms))
 
 
@@ -685,13 +685,62 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
     raise FitError(f"centroid Newton iteration did not converge in {_NEWTON_MAX_ITER} steps")
 
 
+def _project_out(statics: np.ndarray, lines: np.ndarray, y: np.ndarray):
+    """lines and y less their least-squares fits by the static columns,
+    and the pseudo-inverse of the statics, which maps a residual to
+    their coefficients (a Schur complement over the statics, taken by
+    orthogonal projection)."""
+    if not statics.shape[1]:
+        return lines, y, np.zeros((0, y.size))
+    u, s, vt = np.linalg.svd(statics, full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    u = u[:, keep]
+    pinv = (vt[keep].T / s[keep]) @ u.T
+    return lines - u @ (u.T @ lines), y - u @ (u.T @ y), pinv
+
+
+def _tuple_scorer(lines: np.ndarray, y: np.ndarray):
+    """A function of tuples (rows) of one or two line columns that
+    gives the residual sum of squares of y and the amplitudes of its
+    least-squares fit by each tuple, in closed form over one Gram.
+    Jacobi scaled with a tiny ridge, so a degenerate tuple stays
+    solvable; the grid only picks the Newton start."""
+    total = float(y @ y)
+    gram = lines.T @ lines
+    d = np.sqrt(np.diagonal(gram))
+    d = np.where(d > 0, d, 1.0)
+    scaled = gram / (d[:, None] * d[None, :])
+    diagonal = np.diagonal(scaled) + 1e-12
+    b = (lines.T @ y) / d
+
+    def score(tuples):
+        if not tuples.shape[1]:
+            return np.full(len(tuples), total), np.zeros((len(tuples), 0))
+        i = tuples[:, 0]
+        if tuples.shape[1] == 1:
+            x = b[i] / diagonal[i]
+            return total - x * b[i], (x / d[i])[:, None]
+        j = tuples[:, 1]
+        g_ii, g_jj, g_ij = diagonal[i], diagonal[j], scaled[i, j]
+        det = g_ii * g_jj - g_ij * g_ij
+        x_i = (g_jj * b[i] - g_ij * b[j]) / det
+        x_j = (g_ii * b[j] - g_ij * b[i]) / det
+        return (total - (x_i * b[i] + x_j * b[j]),
+                np.column_stack([x_i / d[i], x_j / d[j]]))
+    return score
+
+
 def _grid_start(problem: FitProblem, design: _Design):
     """Centroids of the best weighted least-squares fit on a grid about
     FWHM / 4 apart across the window, in the template's centroid order.
 
-    Every grid column enters one Gram matrix; each grid tuple is then a
-    k x k solve, batched, with the signal clipped at zero as in the
-    exact fit. Returns the centroids and the number of tuples.
+    The columns no free centroid moves (the statics) are projected out
+    once; each grid tuple is then a closed-form 1 x 1 or 2 x 2 solve
+    over the reduced Gram of the grid's line columns. A tuple whose
+    signal comes out negative is scored with the signal held at zero,
+    as in the exact fit: without its line, or, for a static signal, over
+    a second projection that leaves the signal out. Returns the
+    centroids and the number of tuples.
     """
     grid, observed = problem.grid, problem.observed
     n_points = max(int(np.ceil((grid.hi_kev - grid.lo_kev) / design.spacing)),
@@ -699,54 +748,34 @@ def _grid_start(problem: FitProblem, design: _Design):
     points = grid.lo_kev + (np.arange(n_points) + 0.5) * (grid.hi_kev - grid.lo_kev) / n_points
     points = points[points > 0]
     sigmas = np.array([design.response.sigma_at(p) for p in points])
-    lines = _gaussian_bin_fractions(grid.bin_edges, points[:, None], sigmas[:, None]).T
-    n_linear = len(design.linear_idx)
-    static = [p for p in range(n_linear) if p not in design.line_columns]
-    matrix = np.column_stack([lines * design.eff[:, None], design.columns[:, static]])
-    weights = 1.0 / _variance_floor(observed)
-    y = observed - design.base
-    gram = matrix.T @ (matrix * weights[:, None])
-    rhs = matrix.T @ (weights * y)
-    total = float(y @ (weights * y))
+    root_weights = 1.0 / np.sqrt(_variance_floor(observed))
+    lines = (_gaussian_bin_fractions(grid.bin_edges, points[:, None], sigmas[:, None]).T
+             * (design.eff * root_weights)[:, None])
+    y = (observed - design.base) * root_weights
+    static = [p for p in range(len(design.linear_idx)) if p not in design.line_columns]
+    statics = design.columns[:, static] * root_weights[:, None]
 
     if len(design.line_columns) == 1:
         tuples = np.arange(points.size)[:, None]
     else:
         first, second = np.triu_indices(points.size, 1)
         tuples = np.column_stack([first, second] if design.order > 0 else [second, first])
-    index = np.empty((len(tuples), n_linear), dtype=int)
-    index[:, design.line_columns] = tuples
-    index[:, static] = points.size + np.arange(len(static))
+    reduced_lines, reduced_y, pinv = _project_out(statics, lines, y)
+    score = _tuple_scorer(reduced_lines, reduced_y)
+    stat, amplitudes = score(tuples)
     pos = design.linear_idx.index(problem.signal_index())
-
-    def chi2(rows):
-        # Jacobi scaled with a tiny ridge, so a degenerate tuple stays
-        # solvable; the grid only picks the Newton start
-        if not rows.shape[1]:
-            return np.full(len(rows), total), np.zeros((len(rows), 0))
-        sub = gram[rows[:, :, None], rows[:, None, :]]
-        b = rhs[rows]
-        d = np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
-        d = np.where(d > 0, d, 1.0)
-        scaled = sub / (d[:, :, None] * d[:, None, :]) + 1e-12 * np.eye(rows.shape[1])
-        x = np.linalg.solve(scaled, (b / d)[:, :, None])[:, :, 0] / d
-        return total - np.sum(x * b, axis=1), x
-
-    best_stat, best_row = np.inf, 0
-    for lo in range(0, len(tuples), 4096):
-        rows = index[lo:lo + 4096]
-        stat, x = chi2(rows)
-        clipped = x[:, pos] < 0
-        # clipping only raises a tuple's chi2, so only a clipped tuple
-        # already below the best unclipped one needs its bounded solve
-        best_stat = min(best_stat, stat[~clipped].min(initial=np.inf))
-        recheck = clipped & (stat < best_stat)
-        stat[clipped] = np.inf
-        if recheck.any():
-            stat[recheck] = chi2(np.delete(rows[recheck], pos, axis=1))[0]
-        if stat.min() <= best_stat:
-            best_stat, best_row = stat.min(), lo + int(np.argmin(stat))
-    return points[tuples[best_row]], len(tuples)
+    if pos in design.line_columns:
+        k = design.line_columns.index(pos)
+        clipped = amplitudes[:, k] < 0
+        stat[clipped] = score(np.delete(tuples[clipped], k, axis=1))[0]
+    else:
+        s = static.index(pos)
+        signal = pinv[s] @ y - np.sum((pinv[s] @ lines)[tuples] * amplitudes, axis=1)
+        clipped = signal < 0
+        if clipped.any():
+            held = _tuple_scorer(*_project_out(np.delete(statics, s, axis=1), lines, y)[:2])
+            stat[clipped] = held(tuples[clipped])[0]
+    return points[tuples[int(np.argmin(stat))]], len(tuples)
 
 
 def _projection_fit(problem: FitProblem, design: _Design) -> FitResult:
@@ -1223,12 +1252,13 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
     truth_value = float(_ref_get(truth, signal))
 
     children = np.random.SeedSequence(seed).spawn(n)
+    mu = predict_counts(truth, grid)  # every cycle draws from the same expectation
     bounds = []
     best = []
     failures = []
     for i, child in enumerate(children):
         cycle_seed = int(child.generate_state(1)[0])
-        spectrum = simulate_spectrum(truth, grid, cycle_seed)
+        spectrum = _poisson_spectrum(mu, grid, cycle_seed)
         problem = FitProblem.from_spectrum(spectrum, truth, free, signal,
                                            statistic=statistic)
         try:

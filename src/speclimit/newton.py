@@ -14,8 +14,9 @@ constraints (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 16).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import FitError
 
@@ -28,6 +29,13 @@ _NEWTON_MAX_ITER = 100
 # smallest eigenvalue of the unit-diagonal (Jacobi-scaled) Hessian below
 # which a direction counts as uncurved by the bins with counts
 _SINGULAR_EIGENVALUE = 1e-12
+
+
+def log_factorial(counts: np.ndarray) -> np.ndarray:
+    """ln n! of each count, as math.lgamma(n + 1)."""
+    counts = np.asarray(counts, dtype=float)
+    return np.fromiter(map(math.lgamma, (counts + 1.0).ravel().tolist()), dtype=float,
+                       count=counts.size).reshape(counts.shape)
 
 
 def in_poisson_domain(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -130,7 +138,7 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     """
     occupied = observed > 0
     empty = ~occupied
-    constant = float(np.sum(gammaln(observed + 1.0)))
+    constant = float(np.sum(log_factorial(observed)))
     abs_cols = np.abs(columns)
     x = np.array(starts, dtype=float)
     mu = offsets + x @ columns.T

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .constants import Exposure, fwhm_to_sigma
 from .errors import DomainError, ModelError, ShapeError
@@ -303,9 +302,21 @@ def gaussian_line_density(energy_kev, centroid_kev, fwhm_kev, amplitude):
     return out
 
 
+def _erf(z: np.ndarray) -> np.ndarray:
+    """math.erf elementwise. Beyond |z| = 6 it is exactly +-1, as erf
+    rounds to in double precision from about 5.92, so only the points
+    inside go through the scalar function."""
+    z = np.asarray(z, dtype=float)
+    out = np.sign(z)
+    inside = np.abs(z) < 6.0
+    values = z[inside].tolist()
+    out[inside] = np.fromiter(map(math.erf, values), dtype=float, count=len(values))
+    return out
+
+
 def _gaussian_bin_fractions(edges: np.ndarray, centroid: float, sigma: float) -> np.ndarray:
     z = (edges - centroid) / (sigma * _SQRT2)
-    cdf = 0.5 * (1.0 + erf(z))
+    cdf = 0.5 * (1.0 + _erf(z))
     return np.diff(cdf)
 
 
@@ -388,7 +399,15 @@ def simulate_spectrum(model: SpectralModel, grid: EnergyGrid, seed: int, *,
                       acquisition_days: float = 1.0,
                       tag: str = "simulated") -> BinnedSpectrum:
     """Poisson pseudo-spectrum of the model; deterministic per seed."""
-    mu = predict_counts(model, grid)
+    return _poisson_spectrum(predict_counts(model, grid), grid, seed, exposure=exposure,
+                             acquisition_days=acquisition_days, tag=tag)
+
+
+def _poisson_spectrum(mu: np.ndarray, grid: EnergyGrid, seed: int, *,
+                      exposure: Exposure | None = None,
+                      acquisition_days: float = 1.0,
+                      tag: str = "simulated") -> BinnedSpectrum:
+    """Poisson pseudo-spectrum of the expected counts mu; deterministic per seed."""
     if np.any(mu < 0) or not np.all(np.isfinite(mu)):
         raise ModelError("expected counts must be finite and non-negative to simulate")
     rng = np.random.default_rng(seed)

@@ -1,9 +1,10 @@
 """Import budget: each run loads only the modules it needs.
 
-numpy and scipy dominate the wall time of a short `speclimit` process,
+Importing numpy dominates the wall time of a short `speclimit` process,
 so the package namespace is lazy and each subcommand imports what it
-runs. Every check starts a fresh interpreter, because the test process
-itself has long since imported everything.
+runs, and the runtime needs numpy alone: no subcommand loads scipy.
+Every check starts a fresh interpreter, because the test process itself
+has long since imported everything.
 """
 
 import json
@@ -100,15 +101,45 @@ def pipeline_dir(tmp_path_factory):
 def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
     modules = _cli_modules(argv, pipeline_dir)
     assert "numpy" in modules
-    assert _under(modules, "scipy.optimize", "scipy.integrate") == []
+    assert _under(modules, "scipy") == []
 
 
-def test_no_module_names_scipy_optimize():
-    # every fit and limit runs on an exact solver of its own
-    pattern = re.compile(r"scipy\.optimize|from scipy import[^\n]*\boptimize\b")
+def test_no_module_names_scipy():
+    # every fit and limit runs on an exact solver of its own, and erf
+    # and log n! come from the standard library's math module
     named = [path.name for path in sorted((SRC_DIR / "speclimit").glob("*.py"))
-             if pattern.search(path.read_text())]
+             if re.search(r"\bscipy\b", path.read_text())]
     assert named == []
+
+
+# runs each command line in turn with scipy unimportable
+_PIPELINE_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from speclimit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_pipeline_runs_with_scipy_unimportable(pipeline_dir, tmp_path):
+    for config in pipeline_dir.glob("*.json"):
+        shutil.copy(config, tmp_path / config.name)
+    pipeline = [
+        ["simulate", "--config", "simulate_forbidden_on.json", "--out", "runs/on"],
+        ["simulate", "--config", "simulate_forbidden_off.json", "--out", "runs/off"],
+        ["simulate", "--config", "simulate_continuum.json", "--out", "runs/continuum"],
+        ["subtract", "--on", "runs/on/spectrum.txt", "--off", "runs/off/spectrum.txt",
+         "--out", "runs/residual"],
+        ["limit", "--config", "limit_forbidden.json", "--out", "limits/pep"],
+        ["limit", "--config", "limit_continuum.json", "--out", "limits/csl"],
+        ["fit", "--config", "fit_forbidden_line.json", "--out", "fits/line"],
+        ["fit", "--config", "fit_forbidden_line_poisson.json", "--out", "fits/poisson"],
+        ["fit", "--config", "fit_free_centroid.json", "--out", "fits/free-centroid"],
+    ]
+    result = _fresh_python(_PIPELINE_WITHOUT_SCIPY, json.dumps(pipeline), cwd=tmp_path)
+    assert result["codes"] == [0] * len(pipeline)
+    assert _under(result["modules"], "scipy") == ["scipy"]  # the blocked entry itself
 
 
 def test_lazy_namespace_resolves_every_public_name():

@@ -6,16 +6,18 @@ machinery. Fit closure uses noiseless expectations so recovery is
 exact up to minimizer tolerance, never up to luck.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 from scipy.stats import norm, poisson
 
 import speclimit.limits as limits_module
-from speclimit.newton import minimize_linear_poisson
+from speclimit.newton import log_factorial, minimize_linear_poisson
 from speclimit import (
     BinnedSpectrum,
     DegenerateMapError,
@@ -36,6 +38,7 @@ from speclimit import (
     ToolkitError,
     bayesian_upper_limit,
     binned_chi2,
+    component_bin_counts,
     binned_poisson_nll,
     fit_minimize,
     parameter_uncertainties,
@@ -108,6 +111,16 @@ def test_poisson_nll_matches_scipy_logpmf():
     mu = predict_counts(model, grid)
     assert binned_poisson_nll(spectrum, model) == pytest.approx(
         -poisson.logpmf(counts, mu).sum(), rel=1e-12)
+
+
+def test_log_factorial_matches_scipy_gammaln():
+    counts = np.arange(1_000_001, dtype=float)
+    expected = gammaln(counts + 1.0)
+    values = log_factorial(counts)
+    assert values[0] == values[1] == 0.0
+    np.testing.assert_allclose(values, expected, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(log_factorial(counts[:12].reshape(3, 4)),
+                               expected[:12].reshape(3, 4), rtol=1e-15, atol=0)
 
 
 def test_poisson_nll_zero_expectation_rules():
@@ -434,6 +447,91 @@ def test_free_centroid_stays_inside_the_fit_window(statistic):
             for c in np.linspace(6.5, 9.5, 301)]
     assert result.statistic <= min(fit.statistic for fit in scan) + 1e-9
     assert bayesian_upper_limit(problem, 0.95).metadata["profile_solver"] == "projection"
+
+
+def _grid_start_oracle(problem):
+    """The grid tuple of lowest weighted residual sum of squares, one
+    np.linalg.lstsq per tuple over its lines and the columns no centroid
+    moves, refitted without the signal where the signal comes out
+    negative. Returns the centroids with and without that clipping, and
+    the number of tuples."""
+    design = problem._design
+    grid, observed = problem.grid, problem.observed
+    n_lines = len(design.line_columns)
+    n_points = max(int(np.ceil((grid.hi_kev - grid.lo_kev) / design.spacing)), n_lines)
+    points = grid.lo_kev + (np.arange(n_points) + 0.5) * (grid.hi_kev - grid.lo_kev) / n_points
+    root_weights = 1.0 / np.sqrt(np.maximum(observed, 1.0))
+    lines = [component_bin_counts(GaussianLine(c, 1.0), grid, design.response) * root_weights
+             for c in points]
+    y = (observed - design.base) * root_weights
+    pos = design.linear_idx.index(problem.signal_index())
+    tuples = [t if design.order > 0 else t[::-1]
+              for t in itertools.combinations(range(n_points), n_lines)]
+    clipped_stats, free_stats = [], []
+    for t in tuples:
+        columns = design.columns * root_weights[:, None]
+        for k, point in enumerate(t):
+            columns[:, design.line_columns[k]] = lines[point]
+        x = np.linalg.lstsq(columns, y, rcond=None)[0]
+        free_stats.append(float(np.sum((y - columns @ x) ** 2)))
+        if x[pos] < 0:
+            columns = np.delete(columns, pos, axis=1)
+            x = np.linalg.lstsq(columns, y, rcond=None)[0]
+        clipped_stats.append(float(np.sum((y - columns @ x) ** 2)))
+    return (points[list(tuples[int(np.argmin(clipped_stats))])],
+            points[list(tuples[int(np.argmin(free_stats))])], len(tuples))
+
+
+def _grid_start_case(case):
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+    grid = EnergyGrid.uniform(6.5, 9.5, 150)
+    two = case.startswith("two")
+    free = [(0, "centroid_kev"), (0, "amplitude")]
+    free += [(1, "centroid_kev"), (1, "amplitude")] * two + [(1 + two, "coefficients", 0)]
+    if case == "one line":
+        truth = (GaussianLine(7.7, 2000.0), PolynomialBackground((1000.0,)))
+    elif case.endswith("signal clipped") and "flat" not in case:
+        # a dip at 7.3 keV: the best unclipped tuple puts the signal
+        # line there with a negative amplitude; a weak line at 8.6 keV
+        # is where the clipped start goes
+        truth = ((GaussianLine(7.3, -1500.0), GaussianLine(8.6, 300.0))
+                 + (GaussianLine(8.0, 5000.0),) * two + (PolynomialBackground((10000.0,)),))
+    elif "flat" in case:
+        # a background falling to zero at 6.5 keV drives the flat term
+        # negative; held at zero, the slope leaves a deficit at low
+        # energies that moves the start
+        truth = (GaussianLine(7.0, 3000.0), GaussianLine(8.5, 300.0), PolynomialBackground(
+            (1000.0,) if case.endswith("term") else (-1950.0, 300.0)))
+    else:
+        truth = (GaussianLine(7.7, 3000.0), GaussianLine(8.0, 5000.0),
+                 PolynomialBackground((1000.0,)))
+    observed = predict_counts(SpectralModel(truth, response), grid)
+    if case == "one line":
+        observed = simulate_spectrum(SpectralModel(truth, response), grid, seed=5).counts
+    template = (GaussianLine(7.6, 1000.0),) + (GaussianLine(8.1, 1000.0),) * two
+    if "flat" in case:
+        # the flat term is the signal beside a free slope
+        template += (PolynomialBackground((500.0, 1.0)),)
+        free.append((1 + two, "coefficients", 1))
+        signal = (1 + two, "coefficients", 0)
+    else:
+        template += (PolynomialBackground((500.0,)),)
+        signal = (0, "amplitude")
+    return FitProblem.from_values(grid, observed, SpectralModel(template, response),
+                                  free, signal)
+
+
+@pytest.mark.parametrize("case", ["one line", "one line, signal clipped", "two lines",
+                                  "two lines, signal clipped", "two lines, flat term",
+                                  "two lines, flat signal clipped"])
+def test_grid_start_picks_the_least_squares_tuple(case):
+    problem = _grid_start_case(case)
+    clipped, free, n_tuples = _grid_start_oracle(problem)
+    centroids, n_grid = limits_module._grid_start(problem, problem._design)
+    np.testing.assert_allclose(centroids, clipped, rtol=0, atol=1e-12)
+    assert n_grid == n_tuples
+    # the clipping decides the start only where the case says so
+    assert (not np.allclose(clipped, free)) == case.endswith("clipped")
 
 
 @pytest.mark.parametrize("resolution_model", ["constant", "sqrt"])

@@ -344,6 +344,22 @@ def test_line_counts_agree_with_erf_expression():
     assert component_bin_counts(line, grid, RESPONSE) == pytest.approx(oracle, rel=1e-12)
 
 
+def test_erf_helper_is_math_erf_bit_for_bit():
+    # exactly +-1 beyond |z| = 6, which math.erf also rounds to there
+    from speclimit.spectra import _erf
+
+    six = np.array([-6.0, 6.0])
+    z = np.concatenate([np.linspace(-7.0, 7.0, 140_001), six,
+                        np.nextafter(six, 0.0), np.nextafter(six, np.array([-7.0, 7.0]))])
+    expected = np.array([math.erf(v) for v in z])
+    for shaped, oracle in ((z, expected), (z[:-1].reshape(2, -1), expected[:-1].reshape(2, -1))):
+        values = _erf(shaped)
+        assert values.shape == shaped.shape
+        assert np.array_equal(values.view(np.int64), oracle.view(np.int64))
+    # and within 3 ulp of scipy's erf
+    assert np.all(np.abs(_erf(z) - erf(z)) <= 3.0 * np.spacing(np.abs(erf(z))))
+
+
 @pytest.mark.parametrize("model", ["constant", "sqrt"])
 def test_line_centroid_derivatives_match_central_differences(model):
     # the sqrt model widens the line with its centroid, which adds the
