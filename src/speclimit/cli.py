@@ -266,6 +266,13 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     efficiency = float(config.get("detection_efficiency", 1.0))
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("detection_efficiency must lie in (0, 1]")
+    # the response efficiency is folded into the fitted columns, so the
+    # two knobs would compound: only one may differ from 1
+    folded = response.efficiency if isinstance(response.efficiency, tuple) else (
+        response.efficiency,)
+    if efficiency != 1.0 and any(float(v) != 1.0 for v in folded):
+        raise ConfigError("detection_efficiency and response efficiency both differ from 1; "
+                          "the fit already applies the response efficiency, so set only one")
 
     model = SpectralModel(
         components=(OneOverEContinuum(alpha=1.0), PolynomialBackground(coefficients)),

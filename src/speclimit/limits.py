@@ -23,12 +23,20 @@ built. The only bound is the signal's floor at zero.
 
 Posterior convention: for the chi-square statistic the posterior
 density on the signal s >= 0 is proportional to exp(-chi2_prof(s)/2);
-for the Poisson likelihood it is exp(-(nll_prof(s) - min)). Scans are
-refined adaptively until the quantile is grid-stable.
+for the Poisson likelihood it is exp(-(nll_prof(s) - min)). A linear
+chi-square problem profiles to the parabola (s - shat)^2 / sigma^2 +
+const, so its posterior is a Gaussian truncated at zero and its bound
+the closed-form quantile; a chi-square ensemble solves the normal
+equations of its toys in stacked batches. Only the Newton and
+projection limits scan, refined adaptively until the quantile is
+grid-stable.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -55,11 +63,13 @@ from .newton import (
 from .spectra import (
     BinnedSpectrum,
     EnergyGrid,
+    GaussianLine,
+    OneOverEContinuum,
     PolynomialBackground,
     SpectralModel,
     _gaussian_bin_fractions,
     _line_fractions_and_derivatives,
-    _poisson_spectrum,
+    _poisson_counts,
     component_bin_counts,
     model_description,
     predict_counts,
@@ -154,6 +164,18 @@ def _unit_component(component, ref):
         coefficients[ref[2]] = 1.0
         return replace(component, coefficients=tuple(coefficients))
     return replace(component, **{ref[1]: 1.0})
+
+
+def _linear_refs(index: int, component) -> tuple:
+    """References to the parameters that a component's counts are linear
+    in: with all of them at zero the component adds nothing."""
+    if isinstance(component, PolynomialBackground):
+        return tuple((index, "coefficients", k) for k in range(len(component.coefficients)))
+    if isinstance(component, GaussianLine):
+        return ((index, "amplitude"),)
+    if isinstance(component, OneOverEContinuum):
+        return ((index, "alpha"),)
+    raise ModelError(f"unknown spectral component {type(component).__name__}")
 
 
 def _validate_ref(model: SpectralModel, ref):
@@ -276,9 +298,14 @@ class _Design:
         # each free centroid's amplitude, as a free parameter and a column
         self.amplitude_idx = [free.index((c, "amplitude")) for c in lines]
         self.line_columns = [self.linear_idx.index(i) for i in self.amplitude_idx]
-        # the base holds what no free parameter moves
+        # the base holds what no free parameter moves; a component whose
+        # every linear parameter is free adds exactly zero to it, so it is
+        # left out rather than evaluated and multiplied by zero
         linear = [free[i] for i in self.linear_idx]
-        self.base = predict_counts(_apply_params(model, linear, np.zeros(len(linear))), grid)
+        zeroed = _apply_params(model, linear, np.zeros(len(linear)))
+        kept = tuple(comp for c, comp in enumerate(zeroed.components)
+                     if not set(_linear_refs(c, comp)) <= set(linear))
+        self.base = predict_counts(replace(zeroed, components=kept), grid)
         self.columns = np.column_stack([
             np.zeros(grid.n_bins) if i in self.amplitude_idx else
             component_bin_counts(_unit_component(model.components[free[i][0]], free[i]),
@@ -495,9 +522,7 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     def least_squares():
         nonlocal core
         if core is None:
-            core = _LinearGaussianCore(observed - design.base, _variance_floor(observed),
-                                       columns[:, pos], np.delete(columns, pos, axis=1),
-                                       problem.parameter_name(problem.signal))
+            core = _core_from_fit_problem(problem, design, observed)
         return core
 
     theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
@@ -836,88 +861,90 @@ class GaussianResidualProblem:
 
 
 class _LinearGaussianCore:
-    """Profiled chi-square, quadratic in the signal, nuisances solved exactly."""
+    """Weighted least squares of one or more rows of data on one design,
+    shared by every row: bins x k columns, the signal's first.
 
-    def __init__(self, y, variance, signal_col, nuisance_cols, label):
-        self.y = np.asarray(y, dtype=float)
-        self.w = 1.0 / np.asarray(variance, dtype=float)
-        self.s_col = np.asarray(signal_col, dtype=float)
+    y and variance hold one row per data set (a 1-D array is one row).
+    The inverses of all rows' k x k normal matrices come from one
+    stacked call, so a batch of chi-square toys costs one. A row's
+    profiled chi-square is exactly the parabola chi2_min + (s - shat)^2
+    / sigma^2 with sigma^2 the signal's entry of the inverse, and its
+    nuisances at s are their conditional mean. A signal column that
+    vanishes raises DegenerateMapError and a singular system FitError,
+    naming the basis that fails: both belong to the design, so they
+    fail every row alike.
+    """
+
+    def __init__(self, y, variance, columns, label):
+        self.y = np.atleast_2d(np.asarray(y, dtype=float))
+        self.w = 1.0 / np.atleast_2d(np.asarray(variance, dtype=float))
+        self.columns = np.asarray(columns, dtype=float)
         self.label = label
-        if not np.any(self.s_col != 0):
+        if not np.any(self.columns[:, 0] != 0):
             raise DegenerateMapError(
                 f"signal shape for {label!r} vanishes on the fit window"
             )
-        if nuisance_cols is None or nuisance_cols.size == 0:
-            self.a = None
-        else:
-            self.a = np.asarray(nuisance_cols, dtype=float)
-            if self.a.ndim == 1:
-                self.a = self.a[:, None]
-            aw = self.a * self.w[:, None]
-            gram = self.a.T @ aw
-            try:
-                self.solver = np.linalg.inv(gram) @ aw.T
-            except np.linalg.LinAlgError as err:
-                raise FitError(f"degenerate nuisance basis: {err}") from err
-
-    def _residual(self, s_values: np.ndarray) -> np.ndarray:
-        r = self.y[:, None] - np.outer(self.s_col, s_values)
-        if self.a is not None:
-            r = r - self.a @ (self.solver @ r)
-        return r
-
-    def profiled(self, s_values) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        r = self._residual(s)
-        return np.einsum("ij,ij,i->j", r, r, self.w)
-
-    def best_signal(self) -> float:
-        cols = self.s_col[:, None] if self.a is None else np.column_stack([self.s_col, self.a])
-        aw = cols * self.w[:, None]
-        gram = cols.T @ aw
+        weighted = self.columns.T * self.w[:, None, :]  # rows x k x bins
+        gram = weighted @ self.columns
         try:
-            theta = np.linalg.solve(gram, aw.T @ self.y)
+            self.cov = np.linalg.inv(gram)
         except np.linalg.LinAlgError as err:
+            try:
+                np.linalg.inv(gram[:, 1:, 1:])
+            except np.linalg.LinAlgError:
+                raise FitError(f"degenerate nuisance basis: {err}") from err
             raise FitError(f"degenerate signal/nuisance basis: {err}") from err
-        return float(theta[0])
+        self.theta = (self.cov @ (weighted @ self.y[:, :, None]))[:, :, 0]
 
-    def curvature_sigma(self) -> float:
-        """Exact 1-sigma width of the profiled parabola."""
-        shat = self.best_signal()
-        delta = max(abs(shat), 1.0)
-        lo, hi = self.profiled([shat, shat + delta])
-        if hi <= lo:
+    def best_signal(self, row: int = 0) -> float:
+        """The unclipped least-squares signal."""
+        return float(self.theta[row, 0])
+
+    def signal_and_sigma(self, row: int = 0):
+        """The unclipped signal and the parabola's exact 1-sigma width."""
+        shat, variance = self.best_signal(row), float(self.cov[row, 0, 0])
+        if not (math.isfinite(shat) and math.isfinite(variance) and variance > 0):
             raise DegenerateMapError(f"flat profiled statistic for {self.label!r}")
-        return delta / np.sqrt(hi - lo)
+        return shat, math.sqrt(variance)
+
+    def nuisances_at(self, signal: float, row: int = 0) -> np.ndarray:
+        """The nuisances solved with the signal held at the given value."""
+        cov = self.cov[row]
+        return self.theta[row, 1:] + cov[1:, 0] / cov[0, 0] * (signal - self.theta[row, 0])
+
+    def chi2_min(self, row: int = 0) -> float:
+        """The chi-square at the unclipped least-squares point."""
+        resid = self.y[row] - self.columns @ self.theta[row]
+        return float(np.sum(self.w[row] * resid * resid))
 
 
-def _core_from_fit_problem(problem: FitProblem, design: _Design):
-    idx = problem.signal_index()
-    nuisance_cols = np.delete(design.columns, idx, axis=1)
+def _core_from_fit_problem(problem: FitProblem, design: _Design, observed: np.ndarray):
+    """The Gaussian core of the problem's linear parameters at the
+    design's current centroids, for the given observed counts, one row
+    per spectrum."""
+    pos = design.linear_idx.index(problem.signal_index())
+    order = [pos] + [p for p in range(design.columns.shape[1]) if p != pos]
     return _LinearGaussianCore(
-        y=problem.observed - design.base,
-        variance=_variance_floor(problem.observed),
-        signal_col=design.columns[:, idx],
-        nuisance_cols=nuisance_cols,
+        y=observed - design.base,
+        variance=_variance_floor(observed),
+        columns=design.columns[:, order],
         label=problem.parameter_name(problem.signal),
     )
 
 
 def _signal_and_nuisances(core: _LinearGaussianCore, signal: float, idx: int) -> np.ndarray:
     """The signal with the nuisances solved at it, the signal at idx."""
-    nuisances = [] if core.a is None else core.solver @ (core.y - signal * core.s_col)
-    return np.insert(nuisances, idx, signal)
+    return np.insert(core.nuisances_at(signal), idx, signal)
 
 
 def _core_from_residual_problem(problem: GaussianResidualProblem):
-    nuis = None
+    shapes = [problem.signal_shape]
     if problem.nuisance_shapes is not None:
-        nuis = problem.nuisance_shapes.T
+        shapes.extend(problem.nuisance_shapes)
     return _LinearGaussianCore(
         y=problem.values,
         variance=problem.sigmas ** 2,
-        signal_col=problem.signal_shape,
-        nuisance_cols=nuis,
+        columns=np.column_stack(shapes),
         label=problem.name,
     )
 
@@ -931,12 +958,73 @@ def _solver_for(problem: FitProblem, design: _Design) -> str:
     return "projection"
 
 
-def _gaussian_profiler(core: _LinearGaussianCore):
-    """Exact profiled chi-square of a linear Gaussian problem."""
-    shat = max(core.best_signal(), 0.0)
-    stat_min = float(core.profiled(shat)[0])
-    info = {"profile_solver": "exact-gaussian"}
-    return core.profiled, shat, stat_min, core.curvature_sigma(), info
+def _log_mills_ratio(x: float) -> float:
+    """log R(x), R(x) = Q(x) / phi(x) the normal tail over the density,
+    from its continued fraction 1 / (x + 1 / (x + 2 / (x + ...))): for
+    x >= 30 forty terms leave it exact to rounding."""
+    r = x
+    for k in range(40, 0, -1):
+        r = x + k / r
+    return -math.log(r)
+
+
+def _deep_deficit_quantile(x: float, cl: float) -> float:
+    """t with Q(x + t) = (1 - cl) Q(x), for x = -shat / sigma >= 30.
+
+    In logs: g(t) = log R(x + t) - log R(x) - x t - t^2 / 2 - log(1 - cl)
+    = 0. g falls with slope -1 / R(x + t) and is concave, so Newton's
+    method from the first-order root -log(1 - cl) / x, where g < 0,
+    descends monotonically onto the root.
+    """
+    target = math.log1p(-cl)
+    log_r0 = _log_mills_ratio(x)
+    t = -target / x
+    for _ in range(50):
+        log_r = _log_mills_ratio(x + t)
+        step = (log_r - log_r0 - x * t - 0.5 * t * t - target) * math.exp(log_r)
+        t += step
+        if abs(step) <= 1e-15 * t:
+            break
+    return t
+
+
+def _truncated_gaussian_upper(shat: float, sigma: float, cl: float) -> float:
+    """Quantile cl of N(shat, sigma^2) truncated to s >= 0: the flat-prior
+    bound of a linear Gaussian problem.
+
+    Upper-tail form u = shat - sigma Phi^-1((1 - cl) Phi(shat / sigma)),
+    which keeps its digits for shat << 0. Where (1 - cl) Phi(shat / sigma)
+    is no longer a normal float (shat / sigma below about -37), the bound
+    is sigma t from the log-space root of _deep_deficit_quantile.
+    """
+    from statistics import NormalDist  # only processes that set limits pay its import
+
+    z = shat / sigma
+    tail = (1.0 - cl) * 0.5 * math.erfc(-z / math.sqrt(2.0))
+    if tail >= sys.float_info.min:
+        return shat - sigma * NormalDist().inv_cdf(tail)
+    return sigma * _deep_deficit_quantile(-z, cl)
+
+
+def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
+    """The closed-form bound of a one-row core, its exact profiled
+    parabola sampled at 513 points from zero to 10 sigma above the
+    clipped signal, the clipped signal and the chi-square there.
+
+    This is where the range rule of _scan_upper_bound ends: it widens
+    the range by 1.7 until the posterior tail at its end is below
+    1e-10, and on the exact parabola the tail 10 sigma above the
+    clipped signal is at most exp(-50).
+    """
+    shat, sigma = core.signal_and_sigma()
+    chi2_min = core.chi2_min()
+
+    def profiled(s):
+        return chi2_min + ((s - shat) / sigma) ** 2
+
+    clipped = max(shat, 0.0)
+    s = np.linspace(0.0, clipped + 10.0 * sigma, 513)
+    return _truncated_gaussian_upper(shat, sigma, cl), s, profiled(s), clipped, profiled(clipped)
 
 
 def _lone_signal_profile(problem: FitProblem, design: _Design):
@@ -1062,7 +1150,8 @@ def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str)
 
 def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
                       sigma_hint=None, label="signal"):
-    """Adaptive quantile of the truncated posterior exp(-delta_stat / k).
+    """Adaptive quantile of the truncated posterior exp(-delta_stat / k),
+    for the Newton and projection profiles, which have no closed form.
 
     A profiled value below stat_min, beyond rounding, means the profile
     found a lower minimum than the global fit did, so the posterior is
@@ -1139,17 +1228,22 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     Background nuisances are profiled exactly: by weighted least
     squares for a linear chi-square problem, by damped Newton
     iterations for a linear Poisson NLL, and by variable projection
-    with the signal held for one or two free centroids. The scan grid
-    refines until the bound moves by less than grid_rtol. The metadata
-    names the profile solver ("exact-gaussian", "newton" or
-    "projection") and for the last two the Newton iterations taken.
+    with the signal held for one or two free centroids. A linear
+    chi-square problem, residual or FitProblem, profiles to an exact
+    parabola, so its bound is the closed-form truncated-Gaussian
+    quantile and its scan that parabola at 513 points; there grid_rtol
+    selects nothing. The Newton and projection profiles are scanned on
+    a grid that refines until the bound moves by less than grid_rtol.
+    The metadata names the profile solver ("exact-gaussian", "newton"
+    or "projection") and for the last two the Newton iterations taken.
     seed selects nothing; it is kept for callers that pass it.
     """
     if not 0.0 < cl < 1.0:
         raise DomainError("confidence level must lie strictly between 0 and 1")
 
+    core = None
     if isinstance(problem, GaussianResidualProblem):
-        profile = _gaussian_profiler(_core_from_residual_problem(problem))
+        core = _core_from_residual_problem(problem)
         statistic = "chi2"
         label = problem.name
         method = "bayesian-gaussian-residual"
@@ -1160,7 +1254,7 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         method = f"bayesian-{statistic}-profile"
         solver = _solver_for(problem, design)
         if solver == "exact-gaussian":
-            profile = _gaussian_profiler(_core_from_fit_problem(problem, design))
+            core = _core_from_fit_problem(problem, design, problem.observed)
         elif solver == "newton":
             profile = _newton_profiler(problem, design)
         else:
@@ -1168,9 +1262,13 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 
-    pstat, shat, stat_min, sigma_hint, info = profile
-    bound, s, values = _scan_upper_bound(pstat, shat, stat_min, statistic, cl,
-                                         grid_rtol, sigma_hint, label)
+    if core is not None:
+        bound, s, values, shat, stat_min = _exact_gaussian_limit(core, cl)
+        info = {"profile_solver": "exact-gaussian"}
+    else:
+        pstat, shat, stat_min, sigma_hint, info = profile
+        bound, s, values = _scan_upper_bound(pstat, shat, stat_min, statistic, cl,
+                                             grid_rtol, sigma_hint, label)
     scan = _thin_scan(s, values)
     return LimitResult(
         parameter=label,
@@ -1219,6 +1317,11 @@ class EnsembleResult:
     def n_completed(self) -> int:
         return self.n_requested - self.n_failed
 
+    @property
+    def failure_counts(self) -> dict:
+        """The number of failed toys per exception class."""
+        return dict(Counter(message.split(":", 1)[0] for _, message in self.failures))
+
 
 def _ensemble_config_hash(truth: SpectralModel, grid: EnergyGrid, free, signal,
                           cl, statistic, n) -> str:
@@ -1234,6 +1337,43 @@ def _ensemble_config_hash(truth: SpectralModel, grid: EnergyGrid, free, signal,
     return canonical_config_hash(payload)
 
 
+# toys drawn and solved together, so that an ensemble's memory stays
+# bounded however many toys it has
+_TOYS_PER_BATCH = 1024
+
+
+def _chi2_toys(problem: FitProblem, counts: np.ndarray, cl: float) -> list:
+    """Each linear chi-square toy's bound and clipped best signal, or the
+    error that failed it, from one stacked solve on the problem's design
+    (one row of counts per toy).
+
+    The same closed form as bayesian_upper_limit of each toy; a design
+    that cannot be solved fails every toy with the error it raises.
+    """
+    try:
+        core = _core_from_fit_problem(problem, problem._design, counts.astype(float))
+    except (FitError, DegenerateMapError) as err:
+        return [err] * len(counts)
+    outcomes = []
+    for row in range(len(counts)):
+        try:
+            shat, sigma = core.signal_and_sigma(row)
+        except DegenerateMapError as err:
+            outcomes.append(err)
+            continue
+        outcomes.append((_truncated_gaussian_upper(shat, sigma, cl), max(shat, 0.0)))
+    return outcomes
+
+
+def _toy_limit(problem: FitProblem, cl: float, grid_rtol: float):
+    """A toy's bound and best signal, or the error that failed it."""
+    try:
+        limit = bayesian_upper_limit(problem, cl, grid_rtol=grid_rtol)
+    except (FitError, ScanRangeError, DegenerateMapError) as err:
+        return err
+    return limit.upper_bound, limit.metadata["best_signal"]
+
+
 def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
                            *, n: int, cl: float, seed: int,
                            statistic: str = "chi2",
@@ -1242,8 +1382,13 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
 
     Each cycle draws its RNG stream from a child of the top-level seed,
     so cycles are independent and the whole ensemble is reproducible.
-    Cycles whose fit or scan fails are excluded from coverage and
-    recorded with their error message.
+    The toys share the truth's design, so a linear chi-square ensemble
+    solves its toys together, 1024 at a time, with the closed-form
+    bound of bayesian_upper_limit; Newton and projection ensembles set
+    each toy's limit in turn. Cycles whose fit or scan fails are
+    excluded from coverage and recorded with their error message
+    (failure_counts tallies them by class); when every cycle fails,
+    bounds are empty and coverage is NaN.
     """
     if n < 1:
         raise DomainError("ensemble needs at least one pseudo-experiment")
@@ -1251,29 +1396,30 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
     signal = tuple(signal)
     truth_value = float(_ref_get(truth, signal))
 
-    children = np.random.SeedSequence(seed).spawn(n)
+    seeds = [int(child.generate_state(1)[0])
+             for child in np.random.SeedSequence(seed).spawn(n)]
     mu = predict_counts(truth, grid)  # every cycle draws from the same expectation
-    bounds = []
-    best = []
-    failures = []
-    for i, child in enumerate(children):
-        cycle_seed = int(child.generate_state(1)[0])
-        spectrum = _poisson_spectrum(mu, grid, cycle_seed)
-        problem = FitProblem.from_spectrum(spectrum, truth, free, signal,
-                                           statistic=statistic)
-        try:
-            limit = bayesian_upper_limit(problem, cl, seed=cycle_seed,
-                                         grid_rtol=grid_rtol)
-        except (FitError, ScanRangeError, DegenerateMapError) as err:
-            failures.append((i, f"{type(err).__name__}: {err}"))
-            continue
-        bounds.append(limit.upper_bound)
-        best.append(limit.metadata["best_signal"])
+    bounds, best, failures = [], [], []
+    for first in range(0, n, _TOYS_PER_BATCH):
+        counts = _poisson_counts(mu, seeds[first:first + _TOYS_PER_BATCH])
+        if first == 0:
+            problem = FitProblem.from_values(grid, counts[0], truth, free, signal,
+                                             statistic=statistic)
+            batched = _solver_for(problem, problem._design) == "exact-gaussian"
+        if batched:
+            outcomes = _chi2_toys(problem, counts, cl)
+        else:
+            outcomes = [_toy_limit(replace(problem, observed=observed), cl, grid_rtol)
+                        for observed in counts]
+        for i, outcome in enumerate(outcomes, start=first):
+            if isinstance(outcome, Exception):
+                failures.append((i, f"{type(outcome).__name__}: {outcome}"))
+            else:
+                bounds.append(outcome[0])
+                best.append(outcome[1])
 
     bounds_arr = np.asarray(bounds, dtype=float)
-    if bounds_arr.size == 0:
-        raise FitError("every pseudo-experiment failed; nothing to report")
-    coverage = float(np.mean(bounds_arr >= truth_value))
+    coverage = float(np.mean(bounds_arr >= truth_value)) if bounds_arr.size else math.nan
     return EnsembleResult(
         bounds=bounds_arr,
         true_signal=truth_value,

@@ -399,23 +399,20 @@ def simulate_spectrum(model: SpectralModel, grid: EnergyGrid, seed: int, *,
                       acquisition_days: float = 1.0,
                       tag: str = "simulated") -> BinnedSpectrum:
     """Poisson pseudo-spectrum of the model; deterministic per seed."""
-    return _poisson_spectrum(predict_counts(model, grid), grid, seed, exposure=exposure,
-                             acquisition_days=acquisition_days, tag=tag)
-
-
-def _poisson_spectrum(mu: np.ndarray, grid: EnergyGrid, seed: int, *,
-                      exposure: Exposure | None = None,
-                      acquisition_days: float = 1.0,
-                      tag: str = "simulated") -> BinnedSpectrum:
-    """Poisson pseudo-spectrum of the expected counts mu; deterministic per seed."""
-    if np.any(mu < 0) or not np.all(np.isfinite(mu)):
-        raise ModelError("expected counts must be finite and non-negative to simulate")
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(mu)
+    counts = _poisson_counts(predict_counts(model, grid), [seed])[0]
     if exposure is None:
         exposure = Exposure(mass_kg=1.0, live_time_days=acquisition_days)
     return BinnedSpectrum(grid=grid, counts=counts, exposure=exposure,
                           tag=tag, acquisition_days=acquisition_days)
+
+
+def _poisson_counts(mu: np.ndarray, seeds) -> np.ndarray:
+    """Poisson draws of the expected counts mu, one row per seed, each
+    from its own np.random.default_rng(seed): a pseudo-experiment
+    ensemble draws the same spectra as simulate_spectrum would."""
+    if np.any(mu < 0) or not np.all(np.isfinite(mu)):
+        raise ModelError("expected counts must be finite and non-negative to simulate")
+    return np.array([np.random.default_rng(seed).poisson(mu) for seed in seeds])
 
 
 def subtract_spectra(on: BinnedSpectrum, off: BinnedSpectrum, *,

@@ -357,6 +357,34 @@ def test_cli_continuum_limit_rejects_a_relativistic_window(tmp_path, capsys):
     assert not (tmp_path / "limit/report.txt").exists()
 
 
+@pytest.mark.parametrize("response_efficiency", [0.8, [0.9] * 88])
+def test_cli_continuum_limit_refuses_two_efficiencies(tmp_path, capsys, response_efficiency):
+    # the response efficiency already scales the fitted columns; dividing
+    # the bound by detection_efficiency as well would apply it twice
+    _copy_sample_configs(tmp_path)
+    assert main(["simulate", "--config", str(tmp_path / "simulate_continuum.json"),
+                 "--out", str(tmp_path / "runs/continuum")]) == 0
+    limit = json.loads((tmp_path / "limit_continuum.json").read_text())
+    limit["response"]["efficiency"] = response_efficiency
+    limit["detection_efficiency"] = 0.5
+    (tmp_path / "limit_continuum.json").write_text(json.dumps(limit))
+    capsys.readouterr()
+    code = main(["limit", "--config", str(tmp_path / "limit_continuum.json"),
+                 "--out", str(tmp_path / "limit")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [config]:")
+    assert "detection_efficiency and response efficiency" in err
+    assert not (tmp_path / "limit/report.txt").exists()
+    # either knob alone is accepted
+    for response_eff, detection_eff in ((response_efficiency, 1.0), (1.0, 0.5)):
+        limit["response"]["efficiency"] = response_eff
+        limit["detection_efficiency"] = detection_eff
+        (tmp_path / "limit_continuum.json").write_text(json.dumps(limit))
+        assert main(["limit", "--config", str(tmp_path / "limit_continuum.json"),
+                     "--out", str(tmp_path / "limit")]) == 0
+
+
 def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),

@@ -396,6 +396,33 @@ def test_design_reproduces_the_model_with_free_centroids():
                                    rtol=1e-13, atol=0)
 
 
+def test_design_base_leaves_out_components_whose_linear_parameters_are_all_free(monkeypatch):
+    # the line's amplitude and the 1/E amplitude are free, the polynomial
+    # keeps one fixed term: only the polynomial enters the base, which is
+    # bit for bit the prediction of the template with the free linear
+    # parameters at zero
+    import speclimit.spectra as spectra_module
+
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    model = SpectralModel(components=(GaussianLine(7.7, 300.0), OneOverEContinuum(40.0),
+                                      PolynomialBackground((10.0, 2.0))), response=RESPONSE)
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 1))
+    problem = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[0])
+    zeroed = problem.with_values(np.zeros(3))
+    calls = []
+    fractions = spectra_module._gaussian_bin_fractions
+    monkeypatch.setattr(spectra_module, "_gaussian_bin_fractions",
+                        lambda *args: calls.append(args) or fractions(*args))
+    design = problem._design
+    assert len(calls) == 1  # the line's unit column only, not its zeroed counts
+    assert np.array_equal(design.base, predict_counts(zeroed, grid))
+    # every linear parameter free: the base is exactly +0
+    free += ((2, "coefficients", 0),)
+    everything = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[0])
+    assert np.array_equal(everything._design.base, np.zeros(60))
+    assert not np.signbit(everything._design.base).any()
+
+
 # Nelder-Mead fits of _two_line_problem with seeded restarts, frozen from
 # the release before the simplex left the package: statistic, parameter
 # values and whether the accepted run met its tolerances
@@ -592,8 +619,8 @@ def test_half_gaussian_oracle_bounds():
     problem = GaussianResidualProblem(values=[0.0], sigmas=[1.0], signal_shape=[1.0])
     r90 = bayesian_upper_limit(problem, 0.90, grid_rtol=1e-5)
     r95 = bayesian_upper_limit(problem, 0.95, grid_rtol=1e-5)
-    assert r90.upper_bound == pytest.approx(HALF_GAUSS_BOUND_90, abs=1e-4)
-    assert r95.upper_bound == pytest.approx(HALF_GAUSS_BOUND_95, abs=1e-4)
+    assert r90.upper_bound == pytest.approx(HALF_GAUSS_BOUND_90, rel=1e-14)
+    assert r95.upper_bound == pytest.approx(HALF_GAUSS_BOUND_95, rel=1e-14)
     assert r90.method == "bayesian-gaussian-residual"
     assert r90.metadata["statistic"] == "chi2"
 
@@ -605,8 +632,88 @@ def test_truncated_normal_oracle_off_zero():
     down = bayesian_upper_limit(
         GaussianResidualProblem(values=[-1.0], sigmas=[1.0], signal_shape=[1.0]),
         0.95, grid_rtol=1e-5)
-    assert up.upper_bound == pytest.approx(TRUNC_BOUND_Y1_S2_95, abs=3e-4)
-    assert down.upper_bound == pytest.approx(TRUNC_BOUND_YM1_S1_95, abs=1e-4)
+    assert up.upper_bound == pytest.approx(TRUNC_BOUND_Y1_S2_95, rel=1e-14)
+    assert down.upper_bound == pytest.approx(TRUNC_BOUND_YM1_S1_95, rel=1e-14)
+
+
+def _weighted_least_squares_signal(columns, observed):
+    """The signal (column 0) and its sigma from numpy's least squares on
+    the Neyman-weighted design, independently of speclimit's solver."""
+    root = 1.0 / np.sqrt(np.maximum(observed, 1.0))
+    a = columns * root[:, None]
+    theta = np.linalg.lstsq(a, observed * root, rcond=None)[0]
+    return theta[0], math.sqrt(np.linalg.inv(a.T @ a)[0, 0])
+
+
+@pytest.mark.parametrize("seed, line", [(4, 40.0), (5, 0.0), (6, 0.0)])
+def test_exact_gaussian_bound_is_the_truncated_normal_quantile(seed, line):
+    # 60 bins, a line on a 1/E continuum and a flat background, both
+    # profiled: the bound is y + sigma isf((1 - cl) sf(-y / sigma)) of
+    # the weighted least-squares signal y and its sigma
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(line, 200.0, alpha=300.0)
+    observed = simulate_spectrum(truth, grid, seed=seed).counts.astype(float)
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    problem = FitProblem.from_values(grid, observed, truth, free, free[0])
+    columns = np.column_stack([
+        component_bin_counts(component, grid, RESPONSE)
+        for component in (GaussianLine(7.7, 1.0), OneOverEContinuum(1.0),
+                          PolynomialBackground((1.0,)))])
+    shat, sigma = _weighted_least_squares_signal(columns, observed)
+    for cl in (0.9, 0.95):
+        result = bayesian_upper_limit(problem, cl)
+        assert result.metadata["profile_solver"] == "exact-gaussian"
+        assert result.upper_bound == pytest.approx(_truncated_normal_bound(shat, sigma, cl),
+                                                   rel=1e-10)
+        assert result.metadata["best_signal"] == pytest.approx(max(shat, 0.0), rel=1e-10,
+                                                               abs=1e-10 * sigma)
+        # the scan samples the exact parabola at 513 points up to 10 sigma
+        # above the clipped signal
+        s, chi2 = result.scan.T
+        assert s.size == result.metadata["scan_points"] == 513
+        assert result.metadata["scan_max"] == pytest.approx(max(shat, 0.0) + 10.0 * sigma,
+                                                            rel=1e-10)
+        np.testing.assert_allclose(chi2 - result.metadata["statistic_min"],
+                                   ((s - shat) ** 2 - (max(shat, 0.0) - shat) ** 2) / sigma**2,
+                                   rtol=1e-9, atol=1e-9)
+
+
+def _log_space_bound(shat, sigma, cl):
+    """sigma t with log Q(x + t) - log Q(x) = log(1 - cl), x = -shat / sigma,
+    from scipy's log_ndtr and a bracketing root finder."""
+    from scipy.optimize import brentq
+    from scipy.special import log_ndtr
+
+    x = -shat / sigma
+
+    def excess(t):
+        return log_ndtr(-(x + t)) - log_ndtr(-x) - math.log1p(-cl)
+
+    hi = 1.0
+    while excess(hi) > 0:
+        hi *= 2.0
+    return sigma * brentq(excess, 0.0, hi, xtol=1e-300, rtol=1e-15)
+
+
+@pytest.mark.parametrize("z", [-5.0, -40.0, -1000.0])
+@pytest.mark.parametrize("cl", [0.9, 0.95])
+def test_deep_deficit_bounds_match_a_log_space_oracle(z, cl):
+    # at shat / sigma below about -37, Phi(shat / sigma) underflows; the
+    # bound stays finite, positive and on the log-space quantile
+    sigma = 2.0
+    result = bayesian_upper_limit(
+        GaussianResidualProblem(values=[z * sigma], sigmas=[sigma], signal_shape=[1.0]), cl)
+    assert math.isfinite(result.upper_bound) and result.upper_bound > 0.0
+    assert result.upper_bound == pytest.approx(_log_space_bound(z * sigma, sigma, cl),
+                                               rel=1e-6)
+    assert result.metadata["best_signal"] == 0.0
+
+
+def test_closed_form_is_continuous_where_the_deficit_goes_to_log_space():
+    # on both sides of the switch (near shat / sigma = -37 at 95% CL)
+    for z in np.linspace(-36.0, -38.0, 41):
+        bound = limits_module._truncated_gaussian_upper(z, 1.0, 0.95)
+        assert bound == pytest.approx(_log_space_bound(z, 1.0, 0.95), rel=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -617,7 +724,7 @@ def test_residual_bound_matches_analytic_quantile(y, sigma, cl):
     problem = GaussianResidualProblem(values=[y], sigmas=[sigma], signal_shape=[1.0])
     result = bayesian_upper_limit(problem, cl, grid_rtol=1e-4)
     oracle = _truncated_normal_bound(y, sigma, cl)
-    assert result.upper_bound == pytest.approx(oracle, rel=2e-3, abs=2e-4)
+    assert result.upper_bound == pytest.approx(oracle, rel=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -635,7 +742,7 @@ def test_residual_bound_is_monotone_in_cl_and_scales_inversely_with_the_shape(va
 
     base = bound(1.0, cl)
     assert base < bound(1.0, cl + 0.05)
-    assert bound(k, cl) == pytest.approx(base / k, rel=1e-3)
+    assert bound(k, cl) == pytest.approx(base / k, rel=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
@@ -660,7 +767,7 @@ def test_exact_gaussian_bound_is_monotone_in_cl_and_scales_inversely_with_the_sh
 
     base = bound(1.0, cl)
     assert base < bound(1.0, cl + 0.05)
-    assert bound(k, cl) == pytest.approx(base / k, rel=1e-3)
+    assert bound(k, cl) == pytest.approx(base / k, rel=1e-12)
 
 
 def test_bound_grows_with_observed_excess():
@@ -677,7 +784,7 @@ def test_multi_bin_shape_combines_information():
                                       signal_shape=[1.0, 1.0])
     result = bayesian_upper_limit(problem, 0.90, grid_rtol=1e-5)
     assert result.upper_bound == pytest.approx(HALF_GAUSS_BOUND_90 / math.sqrt(2.0),
-                                               abs=1e-4)
+                                               rel=1e-14)
 
 
 def test_linear_nuisance_is_profiled_out():
@@ -735,7 +842,7 @@ NESTED_SIMPLEX_NLL_MIN_POISSON = 172.2439024255463
 def test_linear_fast_path_agrees_with_nested_profiler():
     fast = bayesian_upper_limit(_limit_fixture(), 0.95, grid_rtol=1e-4)
     assert fast.method == "bayesian-chi2-profile"
-    assert NESTED_SIMPLEX_BOUND_CHI2 == pytest.approx(fast.upper_bound, rel=2e-3)
+    assert NESTED_SIMPLEX_BOUND_CHI2 == pytest.approx(fast.upper_bound, rel=1e-4)
     assert fast.metadata["profile_solver"] == "exact-gaussian"
 
 
@@ -1014,6 +1121,109 @@ def test_chi2_ensemble_covers_an_injected_line():
     result = run_pseudo_experiments(truth, grid, free, (0, "amplitude"), n=n, cl=cl, seed=7)
     assert result.n_failed == 0
     assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
+
+
+def _toy_problems(truth, grid, free, n, seed, statistic="chi2"):
+    """The ensemble's spectra by its documented seeding: toy i draws from
+    child i of the ensemble seed."""
+    children = np.random.SeedSequence(seed).spawn(n)
+    return [FitProblem.from_spectrum(
+        simulate_spectrum(truth, grid, int(child.generate_state(1)[0])), truth, free, free[0],
+        statistic=statistic) for child in children]
+
+
+def test_batched_chi2_ensemble_equals_per_toy_limits():
+    # a zero truth, so about half the toys fit a negative signal
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(0.0, 300.0, alpha=100.0)
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    n, cl, seed = 60, 0.95, 12
+    result = run_pseudo_experiments(truth, grid, free, free[0], n=n, cl=cl, seed=seed)
+    assert result.n_failed == 0 and result.failure_counts == {}
+    limits = [bayesian_upper_limit(p, cl) for p in _toy_problems(truth, grid, free, n, seed)]
+    np.testing.assert_allclose(result.bounds, [r.upper_bound for r in limits],
+                               rtol=1e-12, atol=0)
+    best = np.array([r.metadata["best_signal"] for r in limits])
+    assert 10 < np.count_nonzero(best == 0.0) < n - 10
+    np.testing.assert_allclose(result.best_signals, best,
+                               rtol=1e-12, atol=1e-12 * np.max(result.bounds))
+
+
+def test_chi2_ensemble_batches_keep_each_toys_seed_and_index():
+    # 1100 toys are solved in two batches (1024 + 76); the toys on both
+    # sides of the seam are the ones each toy's own limit gives
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    truth = _line_model(0.0, 200.0)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    n, seed = 1100, 5
+    result = run_pseudo_experiments(truth, grid, free, free[0], n=n, cl=0.95, seed=seed)
+    assert result.n_failed == 0 and result.bounds.size == n
+    children = np.random.SeedSequence(seed).spawn(n)
+    for i in (0, 1022, 1023, 1024, 1025, n - 1):
+        spectrum = simulate_spectrum(truth, grid, int(children[i].generate_state(1)[0]))
+        limit = bayesian_upper_limit(FitProblem.from_spectrum(spectrum, truth, free, free[0]),
+                                     0.95)
+        assert result.bounds[i] == pytest.approx(limit.upper_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("components, free, message", [
+    ((GaussianLine(40.0, 0.0), PolynomialBackground((200.0,))),
+     ((0, "amplitude"), (1, "coefficients", 0)),
+     "DegenerateMapError: signal shape for 'c0.amplitude' vanishes on the fit window"),
+    ((GaussianLine(7.7, 0.0), PolynomialBackground((100.0,)), PolynomialBackground((100.0,))),
+     ((0, "amplitude"), (1, "coefficients", 0), (2, "coefficients", 0)),
+     "FitError: degenerate nuisance basis: Singular matrix"),
+    ((GaussianLine(7.7, 0.0), GaussianLine(7.7, 0.0), PolynomialBackground((100.0,))),
+     ((0, "amplitude"), (1, "amplitude"), (2, "coefficients", 0)),
+     "FitError: degenerate signal/nuisance basis: Singular matrix"),
+])
+def test_degenerate_chi2_design_fails_every_toy_with_its_message(components, free, message):
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    truth = SpectralModel(components=components, response=RESPONSE)
+    result = run_pseudo_experiments(truth, grid, free, free[0], n=5, cl=0.95, seed=1)
+    assert result.n_failed == result.n_requested == 5
+    assert result.failures == tuple((i, message) for i in range(5))
+    assert result.failure_counts == {message.split(":")[0]: 5}
+    assert result.bounds.size == result.best_signals.size == 0
+    assert math.isnan(result.coverage)
+    # the message each toy's own limit raises
+    toy = _toy_problems(truth, grid, free, 1, 1)[0]
+    with pytest.raises((FitError, DegenerateMapError)) as err:
+        bayesian_upper_limit(toy, 0.95)
+    assert f"{type(err.value).__name__}: {err.value}" == message
+
+
+def test_poisson_ensemble_counts_failures_by_class(monkeypatch):
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    # a nuisance line at 40 keV moves no bin: every toy's Newton solve fails
+    truth = SpectralModel(components=(GaussianLine(7.7, 10.0), GaussianLine(40.0, 0.0),
+                                      PolynomialBackground((20.0,))), response=RESPONSE)
+    result = run_pseudo_experiments(truth, grid, ((0, "amplitude"), (1, "amplitude")),
+                                    (0, "amplitude"), n=4, cl=0.95, seed=2,
+                                    statistic="poisson_nll")
+    assert result.n_failed == 4
+    assert result.failure_counts == {"FitError": 4}
+    assert all("moves no bin" in message for _, message in result.failures)
+
+    # mixed classes: the per-toy limit raises on chosen toys
+    real = limits_module.bayesian_upper_limit
+    calls = []
+
+    def failing(problem, cl, **kwargs):
+        calls.append(None)
+        if len(calls) % 3 == 1:
+            raise ScanRangeError("forced")
+        if len(calls) % 3 == 2 and len(calls) < 6:
+            raise DegenerateMapError("forced")
+        return real(problem, cl, **kwargs)
+
+    monkeypatch.setattr(limits_module, "bayesian_upper_limit", failing)
+    result = run_pseudo_experiments(_line_model(10.0, 20.0 / 0.05), grid, free, free[0],
+                                    n=9, cl=0.95, seed=3, statistic="poisson_nll")
+    assert result.failure_counts == {"ScanRangeError": 3, "DegenerateMapError": 2}
+    assert result.n_failed == 5 and result.bounds.size == 4
+    assert [i for i, _ in result.failures] == [0, 1, 3, 4, 6]
 
 
 def test_ensemble_requires_at_least_one_cycle():
