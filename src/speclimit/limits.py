@@ -28,7 +28,8 @@ chi-square problem profiles to the parabola (s - shat)^2 / sigma^2 +
 const, so its posterior is a Gaussian truncated at zero and its bound
 the closed-form quantile; a chi-square ensemble solves the normal
 equations of its toys in stacked batches. Only the Newton and
-projection limits scan, refined adaptively until the quantile is
+projection limits scan, solving the profile at every 8th scan point
+and filling the rest by cubics, refined until the quantile is
 grid-stable.
 """
 
@@ -988,6 +989,54 @@ def _deep_deficit_quantile(x: float, cl: float) -> float:
     return t
 
 
+# Wichura's AS241 (PPND16) rational approximations of Phi^-1, numerator
+# and denominator coefficients highest power first: for |p - 0.5| <= 0.425,
+# then in r = sqrt(-log(min(p, 1 - p))) - 1.6 for r <= 5, and r - 5 beyond
+_AS241 = (
+    ((2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+      4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+      1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+     (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+      2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+      4.23133_30701_60091_1252e+1, 1.0)),
+    ((7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+      1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+      4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+     (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+      1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+      2.05319_16266_37758_82187e+0, 1.0)),
+    ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+      2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+      5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+     (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+      7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+      5.99832_20655_58879_37690e-1, 1.0)),
+)
+
+
+def _horner(coefficients, r: float) -> float:
+    value = 0.0
+    for c in coefficients:
+        value = value * r + c
+    return value
+
+
+def _normal_quantile(p: float) -> float:
+    """Phi^-1(p) for 0 < p < 1 by AS241 (Wichura, Appl. Statist. 37 (1988)
+    477), in the operation order of CPython 3.11's NormalDist.inv_cdf,
+    whose results it repeats bit for bit without importing statistics."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241[0]
+        return _horner(num, r) * q / _horner(den, r)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    num, den = _AS241[1] if r <= 5.0 else _AS241[2]
+    r = r - 1.6 if r <= 5.0 else r - 5.0
+    x = _horner(num, r) / _horner(den, r)
+    return -x if q < 0.0 else x
+
+
 def _truncated_gaussian_upper(shat: float, sigma: float, cl: float) -> float:
     """Quantile cl of N(shat, sigma^2) truncated to s >= 0: the flat-prior
     bound of a linear Gaussian problem.
@@ -997,12 +1046,10 @@ def _truncated_gaussian_upper(shat: float, sigma: float, cl: float) -> float:
     is no longer a normal float (shat / sigma below about -37), the bound
     is sigma t from the log-space root of _deep_deficit_quantile.
     """
-    from statistics import NormalDist  # only processes that set limits pay its import
-
     z = shat / sigma
     tail = (1.0 - cl) * 0.5 * math.erfc(-z / math.sqrt(2.0))
     if tail >= sys.float_info.min:
-        return shat - sigma * NormalDist().inv_cdf(tail)
+        return shat - sigma * _normal_quantile(tail)
     return sigma * _deep_deficit_quantile(-z, cl)
 
 
@@ -1027,12 +1074,13 @@ def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
     return _truncated_gaussian_upper(shat, sigma, cl), s, profiled(s), clipped, profiled(clipped)
 
 
-def _lone_signal_profile(problem: FitProblem, design: _Design):
+def _lone_signal_profile(problem: FitProblem, design: _Design, info: dict):
     """Profile of a problem whose only free parameter is the signal."""
     stat = _statistic_fn(problem, design)
 
     def pstat(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        info["profile_points"] += s.size
         return np.array([stat(np.array([v])) for v in s])
 
     return pstat
@@ -1053,11 +1101,12 @@ def _newton_profiler(problem: FitProblem, design: _Design):
     idx = problem.signal_index()
     signal_col = design.columns[:, idx]
     nuisance_cols = np.delete(design.columns, idx, axis=1)
-    info = {"profile_solver": "newton", "newton_iterations": 0}
+    info = {"profile_solver": "newton", "newton_iterations": 0, "profile_points": 0}
 
     def solve(columns, offsets, starts, where):
         x, nll, iterations = minimize_linear_poisson(observed, columns, offsets, starts, where)
         info["newton_iterations"] += iterations
+        info["profile_points"] += len(starts)
         return x, nll
 
     starts = [x for x in (_least_squares_start(problem, design), problem.initial_values())
@@ -1070,7 +1119,7 @@ def _newton_profiler(problem: FitProblem, design: _Design):
     theta = theta[0]
 
     if not nuisance_cols.shape[1]:
-        pstat = _lone_signal_profile(problem, design)
+        pstat = _lone_signal_profile(problem, design, info)
     else:
         # The domain is convex in (signal, nuisances), so nuisances
         # interpolated between solved points are feasible starts, and
@@ -1118,8 +1167,9 @@ def _projection_profiler(problem: FitProblem, design: _Design):
     idx = problem.signal_index()
     solved_s = [float(fit.values[idx])]
     solved = [fit.values]
-    # the fit's own iterations count
-    info = {"profile_solver": "projection", "newton_iterations": fit.trace[-1][0]}
+    # the fit's own iterations and point count
+    info = {"profile_solver": "projection", "newton_iterations": fit.trace[-1][0],
+            "profile_points": 1}
 
     def pstat(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
@@ -1128,6 +1178,7 @@ def _projection_profiler(problem: FitProblem, design: _Design):
             start = solved[int(np.argmin(np.abs(np.asarray(solved_s) - value)))]
             theta, out[k], _, iterations = _reduced_newton(problem, design, start, value)
             info["newton_iterations"] += iterations
+            info["profile_points"] += 1
             solved_s.append(float(value))
             solved.append(theta)
         return out
@@ -1148,12 +1199,43 @@ def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str)
     return np.exp(-delta)
 
 
+def _cubic_fill(nodes: np.ndarray) -> np.ndarray:
+    """The profile at 8 scan points per node interval, each point from the
+    cubic through the four nearest nodes (the first and last four at the
+    ends), so exact for a cubic profile. A point whose four nodes are not
+    all finite takes +inf, zero posterior weight."""
+    position = np.arange(8 * (nodes.size - 1) + 1) / 8.0
+    first = np.clip(position.astype(int) - 1, 0, nodes.size - 4)
+    u = position - first
+    lagrange = np.array([-(u - 1) * (u - 2) * (u - 3) / 6, u * (u - 2) * (u - 3) / 2,
+                         -u * (u - 1) * (u - 3) / 2, u * (u - 1) * (u - 2) / 6])
+    stencil = nodes[first + np.arange(4)[:, None]]
+    with np.errstate(invalid="ignore"):
+        values = np.sum(lagrange * stencil, axis=0)
+    values[~np.all(np.isfinite(stencil), axis=0)] = np.inf
+    values[::8] = nodes
+    return values
+
+
 def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
                       sigma_hint=None, label="signal"):
     """Adaptive quantile of the truncated posterior exp(-delta_stat / k),
     for the Newton and projection profiles, which have no closed form.
 
-    A profiled value below stat_min, beyond rounding, means the profile
+    The scan grid runs from zero to s_max in 257, 513, 1025, ... points.
+    The profile is solved at every 8th point, the nodes (33, 65, 129,
+    ...), each refinement solving only the new midpoints; every other
+    point takes the cubic through its four nearest nodes (_cubic_fill).
+    s_max starts 10 sigma above the clipped signal and grows by 1.7, with
+    a fresh node set, until the posterior weight at the last node is
+    below 1e-10. The scan stops at the first refinement where both the
+    bound moved by less than grid_rtol and the fill misplaced at most a
+    share grid_rtol of the posterior at the new nodes: sum |w(solved) -
+    w(previous fill)| times the old node spacing, over the integral of w.
+    The second test catches a kink that the bound alone can pass over,
+    such as where an empty bin reaches mu = 0 on a sparse spectrum.
+
+    A solved value below stat_min, beyond rounding, means the profile
     found a lower minimum than the global fit did, so the posterior is
     normalised to the wrong peak: that raises ScanRangeError.
     """
@@ -1187,38 +1269,38 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
 
     s_max = max(shat, 0.0) + 10.0 * sigma
     for _ in range(60):
-        tail = _posterior_weight(pstat(np.array([s_max])), stat_min, statistic)[0]
-        if tail < 1e-10:
+        nodes = pstat(np.linspace(0.0, s_max, 33))
+        if _posterior_weight(nodes[-1:], stat_min, statistic)[0] < 1e-10:
             break
         s_max *= 1.7
     else:
         raise ScanRangeError(f"posterior for {label!r} does not decay on any "
                              "attempted scan range")
 
-    n = 257
-    s = np.linspace(0.0, s_max, n)
-    values = pstat(s)
     previous = None
     while True:
+        values = _cubic_fill(nodes)
+        s = np.linspace(0.0, s_max, values.size)
         weights = _posterior_weight(values, stat_min, statistic)
         cdf = np.concatenate([[0.0], np.cumsum(np.diff(s) * 0.5 * (weights[1:] + weights[:-1]))])
         norm = cdf[-1]
         if norm <= 0 or not np.isfinite(norm):
             raise ScanRangeError(f"posterior for {label!r} has no integrable mass on the scan")
         bound = float(np.interp(cl * norm, cdf, s))
-        if previous is not None and abs(bound - previous) <= grid_rtol * max(bound, 1e-300):
-            return bound, s, values
-        previous = bound
-        if n > 200_000:
+        if previous is not None:
+            # the new nodes are every 16th point from the 8th; the previous
+            # fill had them every 8th from the 4th, 16 points apart
+            misplaced = np.sum(np.abs(weights[8::16] - previous[1][4::8])) * 16 * s[1] / norm
+            if abs(bound - previous[0]) <= grid_rtol * max(bound, 1e-300) \
+                    and misplaced <= grid_rtol:
+                return bound, s, values
+        previous = bound, weights
+        if values.size > 200_000:
             raise ScanRangeError(f"scan for {label!r} failed to stabilize the quantile")
-        n = 2 * n - 1
-        s = np.linspace(0.0, s_max, n)
-        # the spacing halves exactly, so the even points are the
-        # previous grid and only the midpoints need the profile
-        refined = np.empty(n)
-        refined[::2] = values
-        refined[1::2] = pstat(s[1::2])
-        values = refined
+        refined = np.empty(2 * nodes.size - 1)
+        refined[::2] = nodes
+        refined[1::2] = pstat(np.linspace(0.0, s_max, refined.size)[1::2])
+        nodes = refined
 
 
 def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
@@ -1232,10 +1314,15 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     chi-square problem, residual or FitProblem, profiles to an exact
     parabola, so its bound is the closed-form truncated-Gaussian
     quantile and its scan that parabola at 513 points; there grid_rtol
-    selects nothing. The Newton and projection profiles are scanned on
-    a grid that refines until the bound moves by less than grid_rtol.
-    The metadata names the profile solver ("exact-gaussian", "newton"
-    or "projection") and for the last two the Newton iterations taken.
+    selects nothing. The Newton and projection profiles are scanned by
+    _scan_upper_bound: solved at every 8th point of a 257, 513, ...
+    point grid, the cubic through the nearest four solved points
+    between them, refined until the bound moves by less than grid_rtol
+    and the fill misplaced at most that share of the posterior. The
+    metadata names the profile solver ("exact-gaussian", "newton" or
+    "projection"), and for the last two the Newton iterations taken and
+    profile_points, the points at which the profile was solved: the
+    global fit, any bracketing and range probes and the scan's nodes.
     seed selects nothing; it is kept for callers that pass it.
     """
     if not 0.0 < cl < 1.0:
@@ -1264,11 +1351,13 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
 
     if core is not None:
         bound, s, values, shat, stat_min = _exact_gaussian_limit(core, cl)
+        solved = values
         info = {"profile_solver": "exact-gaussian"}
     else:
         pstat, shat, stat_min, sigma_hint, info = profile
         bound, s, values = _scan_upper_bound(pstat, shat, stat_min, statistic, cl,
                                              grid_rtol, sigma_hint, label)
+        solved = values[::8]  # the nodes; the cubic fill between may dip below them
     scan = _thin_scan(s, values)
     return LimitResult(
         parameter=label,
@@ -1283,7 +1372,7 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
             "statistic_min": stat_min,
             "scan_max": float(s[-1]),
             "scan_points": int(s.size),
-            "profile_min_excess": float(values.min() - stat_min),
+            "profile_min_excess": float(solved.min() - stat_min),
             **info,
         },
     )
@@ -1365,10 +1454,13 @@ def _chi2_toys(problem: FitProblem, counts: np.ndarray, cl: float) -> list:
     return outcomes
 
 
-def _toy_limit(problem: FitProblem, cl: float, grid_rtol: float):
-    """A toy's bound and best signal, or the error that failed it."""
+def _toy_limit(problem: FitProblem, observed: np.ndarray, cl: float, grid_rtol: float):
+    """A toy's bound and best signal, or the error that failed it. The toy
+    takes the problem's design, which never reads the observed counts."""
+    toy = replace(problem, observed=observed)
+    toy._design = problem._design
     try:
-        limit = bayesian_upper_limit(problem, cl, grid_rtol=grid_rtol)
+        limit = bayesian_upper_limit(toy, cl, grid_rtol=grid_rtol)
     except (FitError, ScanRangeError, DegenerateMapError) as err:
         return err
     return limit.upper_bound, limit.metadata["best_signal"]
@@ -1382,13 +1474,13 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
 
     Each cycle draws its RNG stream from a child of the top-level seed,
     so cycles are independent and the whole ensemble is reproducible.
-    The toys share the truth's design, so a linear chi-square ensemble
-    solves its toys together, 1024 at a time, with the closed-form
-    bound of bayesian_upper_limit; Newton and projection ensembles set
-    each toy's limit in turn. Cycles whose fit or scan fails are
-    excluded from coverage and recorded with their error message
-    (failure_counts tallies them by class); when every cycle fails,
-    bounds are empty and coverage is NaN.
+    The toys share the truth's design, built once: a linear chi-square
+    ensemble solves its toys together, 1024 at a time, with the
+    closed-form bound of bayesian_upper_limit, and Newton and projection
+    ensembles set each toy's limit in turn on that design. Cycles whose
+    fit or scan fails are excluded from coverage and recorded with their
+    error message (failure_counts tallies them by class); when every
+    cycle fails, bounds are empty and coverage is NaN.
     """
     if n < 1:
         raise DomainError("ensemble needs at least one pseudo-experiment")
@@ -1409,8 +1501,7 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
         if batched:
             outcomes = _chi2_toys(problem, counts, cl)
         else:
-            outcomes = [_toy_limit(replace(problem, observed=observed), cl, grid_rtol)
-                        for observed in counts]
+            outcomes = [_toy_limit(problem, observed, cl, grid_rtol) for observed in counts]
         for i, outcome in enumerate(outcomes, start=first):
             if isinstance(outcome, Exception):
                 failures.append((i, f"{type(outcome).__name__}: {outcome}"))

@@ -104,6 +104,16 @@ def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
     assert _under(modules, "scipy") == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--config", "limit_forbidden.json", "--out", "check/pep-stdlib"],
+    ["limit", "--config", "limit_continuum.json", "--out", "check/csl-stdlib"],
+], ids=["limit-pep", "limit-csl"])
+def test_closed_form_limits_load_no_statistics_module(pipeline_dir, argv):
+    # the normal quantile of a linear chi-square bound is speclimit's own,
+    # so no limit loads statistics, and with it fractions and decimal
+    assert _under(_cli_modules(argv, pipeline_dir), "statistics", "fractions", "decimal") == []
+
+
 def test_no_module_names_scipy():
     # every fit and limit runs on an exact solver of its own, and erf
     # and log n! come from the standard library's math module

@@ -716,6 +716,20 @@ def test_closed_form_is_continuous_where_the_deficit_goes_to_log_space():
         assert bound == pytest.approx(_log_space_bound(z, 1.0, 0.95), rel=1e-10)
 
 
+def test_normal_quantile_repeats_normal_dist_bit_for_bit():
+    # AS241 as the standard library runs it, on random p, on each branch
+    # of the approximation and on both tails down to 1e-299
+    from statistics import NormalDist
+
+    p = np.concatenate([np.random.default_rng(3).random(20_000),
+                        [0.075, 0.5, 0.925, 0.0749999999, 0.9250000001],
+                        10.0 ** -np.arange(1, 300), 1.0 - 10.0 ** -np.arange(1, 16)])
+    inv_cdf = NormalDist().inv_cdf
+    mismatched = [float(x) for x in p
+                  if limits_module._normal_quantile(float(x)) != inv_cdf(float(x))]
+    assert mismatched == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(y=st.floats(min_value=-3.0, max_value=3.0),
        sigma=st.floats(min_value=0.3, max_value=3.0),
@@ -1011,20 +1025,109 @@ def test_chi2_and_poisson_bounds_agree_at_high_counts():
 
 
 def test_scan_refinement_profiles_only_the_new_midpoints():
+    # the scan solves the profile at every 8th grid point, each once, and
+    # fills the points between by cubics, which a cubic profile passes
+    # unchanged
     calls = []
 
-    def parabola(s_values):
+    def cubic(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
         calls.append(s)
-        return (s - 1.0) ** 2
+        return (s - 1.0) ** 2 * (1.0 + s / 10.0)
 
     bound, s, values = limits_module._scan_upper_bound(
-        parabola, 1.0, 0.0, "chi2", 0.95, 1e-9, sigma_hint=1.0)
-    evaluated = np.concatenate(calls[1:])  # calls[0] probes the scan range
-    assert s.size > 257
-    assert evaluated.size == s.size
-    assert np.array_equal(np.sort(evaluated), s)
-    assert np.array_equal(values, parabola(s))
+        cubic, 1.0, 0.0, "chi2", 0.95, 1e-9, sigma_hint=1.0)
+    solved = np.concatenate(calls)
+    assert s.size > 513
+    assert np.array_equal(np.sort(solved), s[::8])
+    np.testing.assert_allclose(values, cubic(s), rtol=1e-12, atol=1e-12)
+
+
+def _trapezoid_quantile(s, values, stat_min, k, cl=0.95):
+    weights = np.exp(-(values - stat_min) / k)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(s) * (weights[1:] + weights[:-1]) / 2.0)])
+    return float(np.interp(cl * cdf[-1], cdf, s))
+
+
+def test_scan_refines_past_a_kink_that_the_bound_alone_misses():
+    # the NLL steepens by 20 per unit signal at s = 2.5, as where an empty
+    # bin reaches mu = 0; filled from 33 and 65 nodes the bound moves by
+    # less than grid_rtol yet sits 0.6% off, so only the fill's misplaced
+    # mass sends the scan on
+    def kinked(s_values):
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        return 0.5 * (s - 1.0) ** 2 + 20.0 * np.maximum(s - 2.5, 0.0)
+
+    grid_rtol, s_max = 1e-3, 11.0
+    fine = np.linspace(0.0, s_max, 2**20 + 1)
+    converged = _trapezoid_quantile(fine, kinked(fine), 0.0, 1.0)
+    coarse, finer = (_trapezoid_quantile(np.linspace(0.0, s_max, 8 * m + 1),
+                                         limits_module._cubic_fill(kinked(
+                                             np.linspace(0.0, s_max, m + 1))), 0.0, 1.0)
+                     for m in (32, 64))
+    assert abs(finer - coarse) <= grid_rtol * finer
+    assert abs(finer - converged) > 5.0 * grid_rtol * converged
+    bound, s, _ = limits_module._scan_upper_bound(kinked, 1.0, 0.0, "poisson_nll", 0.95,
+                                                  grid_rtol, sigma_hint=1.0)
+    assert s[-1] == s_max and s.size > 513
+    assert bound == pytest.approx(converged, rel=grid_rtol / 3.0)
+
+
+def _every_point_bound(problem, scan_max, cl, grid_rtol):
+    """The bound from the problem's own profiler solved at every point of
+    a 257, 513, ... point grid over [0, scan_max], refined until it moves
+    by less than grid_rtol."""
+    design = problem._design
+    profiler = {"newton": limits_module._newton_profiler,
+                "projection": limits_module._projection_profiler}[
+        limits_module._solver_for(problem, design)]
+    pstat, _, stat_min, _, _ = profiler(problem, design)
+    k = 2.0 if problem.statistic == "chi2" else 1.0
+    s, previous = np.linspace(0.0, scan_max, 257), None
+    values = pstat(s)
+    while True:
+        bound = _trapezoid_quantile(s, values, stat_min, k, cl)
+        if previous is not None and abs(bound - previous) <= grid_rtol * bound:
+            return bound
+        previous, s = bound, np.linspace(0.0, scan_max, 2 * s.size - 1)
+        values = np.insert(values, np.arange(1, values.size), pstat(s[1::2]))
+
+
+# the sparse Poisson sets: counts per bin of the flat background, counts
+# in the 7.7 keV line and the seed whose children draw the spectra
+SPARSE_SETS = {"0.02 per bin": (0.02, 2.0, 8), "0.05 per bin": (0.05, 3.0, 7),
+               "0.3 per bin": (0.3, 5.0, 9)}
+
+
+def _oracle_case_problems(case):
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    if case in SPARSE_SETS:
+        per_bin, line, seed = SPARSE_SETS[case]
+        truth = _line_model(line, per_bin / 0.05)
+        free = ((0, "amplitude"), (1, "coefficients", 0))
+        return _toy_problems(truth, grid, free, 10, seed, "poisson_nll")
+    if case == "lone signal":
+        # no background: the profile is infinite at zero signal
+        truth = SpectralModel(components=(GaussianLine(7.7, 20.0),), response=RESPONSE)
+        return _toy_problems(truth, grid, ((0, "amplitude"),), 2, 1, "poisson_nll")
+    statistic = case.split()[-1]
+    truth = _line_model(150.0, 300.0)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    return [FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=1), truth, free,
+                                     free[1], statistic=statistic)]
+
+
+@pytest.mark.parametrize("case", [*SPARSE_SETS, "lone signal", "free centroid, chi2",
+                                  "free centroid, poisson_nll"])
+def test_scan_bound_matches_an_every_point_scan(case):
+    grid_rtol = 1e-3
+    for problem in _oracle_case_problems(case):
+        result = bayesian_upper_limit(problem, 0.95, grid_rtol=grid_rtol)
+        oracle = _every_point_bound(problem, result.metadata["scan_max"], 0.95, 1e-5)
+        assert result.upper_bound == pytest.approx(oracle, rel=grid_rtol / 3.0)
+        # taken over the solved points, which lie on or above the fit
+        stat_min = result.metadata["statistic_min"]
+        assert result.metadata["profile_min_excess"] >= -1e-9 * (1.0 + abs(stat_min))
 
 
 def test_scan_rejects_a_profile_below_the_fit_minimum():
@@ -1035,6 +1138,31 @@ def test_scan_rejects_a_profile_below_the_fit_minimum():
 
     with pytest.raises(ScanRangeError, match="at signal = .* below the fit's minimum"):
         limits_module._scan_upper_bound(dipping, 1.0, 0.0, "chi2", 0.95, 1e-3, sigma_hint=1.0)
+
+
+@pytest.mark.parametrize("free, solver", [
+    (((0, "amplitude"), (1, "coefficients", 0)), "minimize_linear_poisson"),
+    (((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0)), "_reduced_newton"),
+], ids=["newton", "projection"])
+def test_profile_points_count_the_solved_profile_values(monkeypatch, free, solver):
+    # a Newton profile solves one point per row of its batched solves, a
+    # projection profile one per reduced Newton run, the fit's included
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(60.0, 300.0)
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=4), truth, free,
+                                       (0, "amplitude"), statistic="poisson_nll")
+    solved = []
+    real = getattr(limits_module, solver)
+
+    def counted(*args):
+        solved.append(len(args[3]) if solver == "minimize_linear_poisson" else 1)
+        return real(*args)
+
+    monkeypatch.setattr(limits_module, solver, counted)
+    result = bayesian_upper_limit(problem, 0.95)
+    assert result.metadata["profile_points"] == sum(solved)
+    assert result.metadata["profile_points"] * 4 < result.metadata["scan_points"]
+    assert "profile_points" not in bayesian_upper_limit(_limit_fixture(), 0.95).metadata
 
 
 def test_limit_metadata_and_scan_contents():
@@ -1123,13 +1251,13 @@ def test_chi2_ensemble_covers_an_injected_line():
     assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
 
 
-def _toy_problems(truth, grid, free, n, seed, statistic="chi2"):
+def _toy_problems(truth, grid, free, n, seed, statistic="chi2", signal=None):
     """The ensemble's spectra by its documented seeding: toy i draws from
     child i of the ensemble seed."""
     children = np.random.SeedSequence(seed).spawn(n)
     return [FitProblem.from_spectrum(
-        simulate_spectrum(truth, grid, int(child.generate_state(1)[0])), truth, free, free[0],
-        statistic=statistic) for child in children]
+        simulate_spectrum(truth, grid, int(child.generate_state(1)[0])), truth, free,
+        signal or free[0], statistic=statistic) for child in children]
 
 
 def test_batched_chi2_ensemble_equals_per_toy_limits():
@@ -1147,6 +1275,33 @@ def test_batched_chi2_ensemble_equals_per_toy_limits():
     assert 10 < np.count_nonzero(best == 0.0) < n - 10
     np.testing.assert_allclose(result.best_signals, best,
                                rtol=1e-12, atol=1e-12 * np.max(result.bounds))
+
+
+@pytest.mark.parametrize("free, n", [
+    (((0, "amplitude"), (1, "coefficients", 0)), 30),
+    (((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0)), 10),
+], ids=["newton", "projection"])
+def test_poisson_ensemble_builds_one_design_and_keeps_each_toys_limit(monkeypatch, free, n):
+    # the toys share one design; a free centroid moves its line columns
+    # from toy to toy, yet each bound is the one a fresh limit gives
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(20.0, 3.0 / 0.05)
+    builds = []
+
+    class CountedDesign(limits_module._Design):
+        def __init__(self, problem):
+            builds.append(problem)
+            super().__init__(problem)
+
+    monkeypatch.setattr(limits_module, "_Design", CountedDesign)
+    result = run_pseudo_experiments(truth, grid, free, (0, "amplitude"), n=n, cl=0.95, seed=7,
+                                    statistic="poisson_nll")
+    assert len(builds) == 1 and result.n_failed == 0
+    limits = [bayesian_upper_limit(p, 0.95)
+              for p in _toy_problems(truth, grid, free, n, 7, "poisson_nll", (0, "amplitude"))]
+    assert len(builds) == 1 + n
+    assert np.array_equal(result.bounds, [r.upper_bound for r in limits])
+    assert np.array_equal(result.best_signals, [r.metadata["best_signal"] for r in limits])
 
 
 def test_chi2_ensemble_batches_keep_each_toys_seed_and_index():
