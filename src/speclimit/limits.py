@@ -53,6 +53,7 @@ from .errors import (
 )
 from .fileio import canonical_config_hash
 from .newton import (
+    _AT_ZERO,
     _NEWTON_MAX_ITER,
     _NEWTON_RTOL,
     in_poisson_domain,
@@ -361,26 +362,6 @@ class _Design:
         return terms
 
 
-def _statistic_fn(problem: FitProblem, design: _Design):
-    observed = problem.observed
-    if problem.statistic == "chi2":
-        variance = _variance_floor(observed)
-
-        def stat(theta):
-            resid = observed - design(theta)
-            return float(np.sum(resid * resid / variance))
-
-        return stat
-
-    def stat(theta):
-        try:
-            return _poisson_nll_from_mu(observed, design(theta))
-        except ModelError:
-            return np.inf
-
-    return stat
-
-
 # ---------------------------------------------------------------------------
 # fits
 
@@ -397,24 +378,6 @@ class FitResult:
     def by_name(self, problem: FitProblem) -> dict:
         return {problem.parameter_name(ref): float(v)
                 for ref, v in zip(problem.free, self.values)}
-
-
-def _least_squares_start(problem: FitProblem, design: _Design) -> np.ndarray:
-    """Weighted least-squares start for the Newton profile of a linear
-    problem, the signal clipped at zero."""
-    x0 = problem.initial_values()
-    weights = 1.0 / _variance_floor(problem.observed)
-    a = design.columns * np.sqrt(weights)[:, None]
-    y = (problem.observed - design.base) * np.sqrt(weights)
-    try:
-        solution, *_ = np.linalg.lstsq(a, y, rcond=None)
-    except np.linalg.LinAlgError:
-        return x0
-    if not np.all(np.isfinite(solution)):
-        return x0
-    idx = problem.signal_index()
-    solution[idx] = max(solution[idx], 0.0)
-    return solution
 
 
 def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
@@ -502,7 +465,8 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
 # a problem in 1-2 centroids
 
 
-def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, start):
+def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, start,
+                     info=None):
     """The linear parameters solved exactly at the given centroids (none
     for a linear problem).
 
@@ -510,8 +474,11 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     holds it there. The Poisson Newton iteration starts from the first
     feasible of: the linear values of the full parameter vector start
     (None for none), the weighted least-squares values, the template's.
-    Returns the full parameter vector, the statistic and whether the
-    signal is held.
+    A least-squares core that the design cannot give is passed over, so
+    that Newton names the cause. Each Poisson solve adds one to
+    info["profile_points"] and its Newton iterations to
+    info["newton_iterations"], where info is given. Returns the full
+    parameter vector, the statistic and whether the signal is held.
     """
     observed = problem.observed
     columns = design.at(centroids)
@@ -544,15 +511,22 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     if start is not None:
         candidates.insert(0, lambda: theta[linear])
 
+    counts = Counter() if info is None else info
+
     def solve(keep, offset, where):
         cols = columns[:, keep]
         for candidate in candidates:
-            x0 = candidate()[keep]
+            try:
+                x0 = candidate()[keep]
+            except (FitError, DegenerateMapError):
+                continue  # a singular least-squares core
             if in_poisson_domain(observed, offset + cols @ x0):
+                counts["profile_points"] += 1
                 if not keep:
                     return x0, _poisson_nll_from_mu(observed, offset)
-                x, nll, _ = minimize_linear_poisson(observed, cols, offset[None], x0[None],
-                                                    lambda i: where)
+                x, nll, iterations = minimize_linear_poisson(observed, cols, offset[None],
+                                                             x0[None], lambda i: where)
+                counts["newton_iterations"] += iterations
                 return x[0], float(nll[0])
         raise FitError(f"no feasible start for the linear parameters at {where}")
 
@@ -572,8 +546,8 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
 def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarray:
     """The empty bins that hold the Poisson inner solve at mu = 0.
 
-    Bins at zero to the rounding of mu's largest terms, as in
-    minimize_linear_poisson, lowest mu first, kept while their rows of
+    Bins at zero to the rounding of mu's largest terms (_AT_ZERO, as in
+    minimize_linear_poisson), lowest mu first, kept while their rows of
     d mu / d theta[linear] stay independent: a bin whose row adds no
     constraint only looks held, its mu a tail value above the binding
     bin's.
@@ -582,7 +556,7 @@ def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarra
         return np.empty(0, dtype=int)
     mu = design(theta)
     scale = np.abs(design.base) + np.abs(design.columns) @ np.abs(theta[design.linear_idx])
-    candidates = np.flatnonzero((problem.observed == 0) & (mu <= 1e-12 * scale.max()))
+    candidates = np.flatnonzero((problem.observed == 0) & (mu <= _AT_ZERO * scale.max()))
     if not candidates.size:
         return candidates
     rows = design.jacobian(theta)[:, linear]
@@ -1074,85 +1048,63 @@ def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
     return _truncated_gaussian_upper(shat, sigma, cl), s, profiled(s), clipped, profiled(clipped)
 
 
-def _lone_signal_profile(problem: FitProblem, design: _Design, info: dict):
-    """Profile of a problem whose only free parameter is the signal."""
-    stat = _statistic_fn(problem, design)
-
-    def pstat(s_values):
-        s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        info["profile_points"] += s.size
-        return np.array([stat(np.array([v])) for v in s])
-
-    return pstat
-
-
 def _newton_profiler(problem: FitProblem, design: _Design):
     """Profiled Poisson NLL of a linear problem by exact Newton solves.
 
-    The global fit leaves the signal free; the profile is convex in
-    the signal, so when that fit lands below zero the bounded optimum
-    is the profile at zero. The scan scale then comes from bracketing
-    the profile's rise, since the curvature far below zero says nothing
-    about the posterior's width above it, and so it does when the
-    Hessian at the global fit is singular; otherwise it is the signal's
-    sigma from the inverse Hessian at the global fit.
+    The global fit is fit_minimize's: when the signal's free optimum
+    falls below zero, the profile is convex in the signal, so the
+    bounded optimum is the profile at zero, where the fit holds it. The
+    scan scale then comes from bracketing the profile's rise, since the
+    curvature far below zero says nothing about the posterior's width
+    above it, and so it does when the Hessian at the global fit is
+    singular; otherwise it is the signal's sigma from the inverse
+    Hessian at the global fit. A signal without nuisances is profiled
+    by the NLL itself, +inf outside the Poisson domain.
     """
     observed = problem.observed
     idx = problem.signal_index()
     signal_col = design.columns[:, idx]
     nuisance_cols = np.delete(design.columns, idx, axis=1)
     info = {"profile_solver": "newton", "newton_iterations": 0, "profile_points": 0}
+    theta, stat_min, held = _linear_solution(problem, design, [], None, None, info)
 
-    def solve(columns, offsets, starts, where):
-        x, nll, iterations = minimize_linear_poisson(observed, columns, offsets, starts, where)
+    # The domain is convex in (signal, nuisances), so nuisances
+    # interpolated between solved points are feasible starts, and close
+    # ones; np.interp holds the end values beyond them
+    known_s = theta[idx:idx + 1]
+    known_nu = np.delete(theta, idx)[None]
+    template_nu = np.delete(problem.initial_values(), idx)
+
+    def pstat(s_values):
+        nonlocal known_s, known_nu
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        offsets = design.base + s[:, None] * signal_col
+        info["profile_points"] += s.size
+        if not nuisance_cols.shape[1]:
+            return np.array([_poisson_nll_from_mu(observed, mu) if inside else np.inf
+                             for mu, inside in zip(offsets, in_poisson_domain(observed, offsets))])
+        starts = np.column_stack([np.interp(s, known_s, nu) for nu in known_nu.T])
+        outside = ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
+        starts[outside] = template_nu
+        outside &= ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
+        if np.any(outside):
+            raise FitError(f"no feasible start for the Poisson profile at signal = "
+                           f"{s[np.argmax(outside)]!r}")
+        nu, nll, iterations = minimize_linear_poisson(observed, nuisance_cols, offsets, starts,
+                                                      lambda i: f"signal = {s[i]!r}")
         info["newton_iterations"] += iterations
-        info["profile_points"] += len(starts)
-        return x, nll
+        order = np.argsort(np.concatenate([known_s, s]), kind="stable")
+        known_s = np.concatenate([known_s, s])[order]
+        known_nu = np.concatenate([known_nu, nu])[order]
+        return nll
 
-    starts = [x for x in (_least_squares_start(problem, design), problem.initial_values())
-              if in_poisson_domain(observed, design(x))]
-    if not starts:
-        raise FitError("no starting point gives positive expected counts in every "
-                       "bin with counts")
-    theta, nll = solve(design.columns, design.base[None], starts[0][None],
-                       lambda i: "the global fit")
-    theta = theta[0]
-
-    if not nuisance_cols.shape[1]:
-        pstat = _lone_signal_profile(problem, design, info)
-    else:
-        # The domain is convex in (signal, nuisances), so nuisances
-        # interpolated between solved points are feasible starts, and
-        # close ones; np.interp holds the end values beyond them
-        known_s = theta[idx:idx + 1]
-        known_nu = np.delete(theta, idx)[None]
-        template_nu = np.delete(problem.initial_values(), idx)
-
-        def pstat(s_values):
-            nonlocal known_s, known_nu
-            s = np.atleast_1d(np.asarray(s_values, dtype=float))
-            offsets = design.base + s[:, None] * signal_col
-            starts = np.column_stack([np.interp(s, known_s, nu) for nu in known_nu.T])
-            outside = ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
-            starts[outside] = template_nu
-            outside &= ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
-            if np.any(outside):
-                raise FitError(f"no feasible start for the Poisson profile at signal = "
-                               f"{s[np.argmax(outside)]!r}")
-            nu, nll = solve(nuisance_cols, offsets, starts, lambda i: f"signal = {s[i]!r}")
-            order = np.argsort(np.concatenate([known_s, s]), kind="stable")
-            known_s = np.concatenate([known_s, s])[order]
-            known_nu = np.concatenate([known_nu, nu])[order]
-            return nll
-
-    if theta[idx] < 0.0:
-        return pstat, 0.0, float(pstat(np.zeros(1))[0]), None, info
-    hess = poisson_hessian(design.columns, observed, design(theta))
-    if jacobi_scaled(hess)[2]:
-        # an empty bin pins a parameter that no bin with counts curves
-        return pstat, float(theta[idx]), float(nll[0]), None, info
-    cov = np.linalg.inv(hess)
-    return pstat, float(theta[idx]), float(nll[0]), float(np.sqrt(cov[idx, idx])), info
+    sigma = None
+    if not held:
+        hess = poisson_hessian(design.columns, observed, design(theta))
+        # singular where an empty bin pins a parameter no bin with counts curves
+        if not jacobi_scaled(hess)[2]:
+            sigma = float(np.sqrt(np.linalg.inv(hess)[idx, idx]))
+    return pstat, float(theta[idx]), stat_min, sigma, info
 
 
 def _projection_profiler(problem: FitProblem, design: _Design):
@@ -1310,7 +1262,10 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     Background nuisances are profiled exactly: by weighted least
     squares for a linear chi-square problem, by damped Newton
     iterations for a linear Poisson NLL, and by variable projection
-    with the signal held for one or two free centroids. A linear
+    with the signal held for one or two free centroids. The Newton and
+    projection profiles start from fit_minimize's own global fit, whose
+    statistic and clipped signal are the metadata's statistic_min and
+    best_signal. A linear
     chi-square problem, residual or FitProblem, profiles to an exact
     parabola, so its bound is the closed-form truncated-Gaussian
     quantile and its scan that parabola at 513 points; there grid_rtol

@@ -29,6 +29,11 @@ _NEWTON_MAX_ITER = 100
 # smallest eigenvalue of the unit-diagonal (Jacobi-scaled) Hessian below
 # which a direction counts as uncurved by the bins with counts
 _SINGULAR_EIGENVALUE = 1e-12
+# an empty bin whose mu is at most this share of the row's largest
+# terms, |offset| + |x| @ |A|, is at zero to rounding and held there; a
+# per-bin scale would shrink with mu and let the steps creep towards
+# zero without end
+_AT_ZERO = 1e-12
 
 
 def log_factorial(counts: np.ndarray) -> np.ndarray:
@@ -158,11 +163,9 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
             # _active_set_step below takes these rows
             scaled = np.where(singular[:, None, None], np.eye(grad.shape[1]), scaled)
         step = -inv_sqrt * np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
-        # mu >= 0 binds in empty bins already at zero, to the rounding
-        # of the row's largest terms; a per-bin scale would shrink with
-        # mu and let the steps creep towards zero without end
+        # mu >= 0 binds in empty bins already at zero
         mu_scale = (np.abs(offsets[live]) + np.abs(x_live) @ abs_cols.T).max(axis=1)
-        at_zero = empty & (mu_live <= 1e-12 * mu_scale[:, None])
+        at_zero = empty & (mu_live <= _AT_ZERO * mu_scale[:, None])
         rays = []
         for r in np.flatnonzero(singular | np.any(at_zero, axis=1)):
             step[r], ray = _active_set_step(hess[r], grad[r], columns[at_zero[r]],

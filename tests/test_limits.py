@@ -17,7 +17,7 @@ from scipy.special import gammaln
 from scipy.stats import norm, poisson
 
 import speclimit.limits as limits_module
-from speclimit.newton import log_factorial, minimize_linear_poisson
+from speclimit.newton import in_poisson_domain, log_factorial, minimize_linear_poisson
 from speclimit import (
     BinnedSpectrum,
     DegenerateMapError,
@@ -336,8 +336,9 @@ def test_linear_uncertainties_are_the_exact_inverse_curvature(statistic):
 
 def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_infeasible():
     # two counts side by side at 0.05 counts per bin: the least-squares
-    # seed has a negative flat term, mu < 0 in the empty bins and an
-    # infinite NLL, so the Newton fit starts from the template
+    # start, the core's nuisances at the clipped signal, has a negative
+    # flat term and mu < 0 in the empty bins, so the Newton fit starts
+    # from the template
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     observed = np.zeros(60)
     observed[[21, 22]] = 1.0
@@ -345,9 +346,11 @@ def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_in
     free = ((0, "amplitude"), (1, "coefficients", 0))
     problem = FitProblem.from_values(grid, observed, truth, free=free, signal=free[0],
                                      statistic="poisson_nll")
-    seed = limits_module._least_squares_start(problem, problem._design)
-    assert seed[1] < 0
-    assert limits_module._statistic_fn(problem, problem._design)(seed) == np.inf
+    design = problem._design
+    core = limits_module._core_from_fit_problem(problem, design, observed)
+    start = limits_module._signal_and_nuisances(core, max(core.best_signal(), 0.0), 0)
+    assert start == pytest.approx([2.176, -0.0585], abs=1e-3)
+    assert not in_poisson_domain(observed, design(start))
 
     result = fit_minimize(problem, seed=0)
     columns = np.column_stack([predict_counts(_line_model(1.0, 0.0), grid),
@@ -973,7 +976,8 @@ def test_newton_profile_holds_an_uncurved_nuisance_at_an_empty_bin():
 
 def test_newton_profile_rejects_a_nuisance_without_counts():
     # a line far above the window gives a column of zeros: no bin at all,
-    # empty or not, constrains its amplitude
+    # empty or not, constrains its amplitude, and the fit and the limit
+    # fail alike
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     observed = predict_counts(_line_model(30.0, 200.0), grid).round()
     template = SpectralModel(components=(GaussianLine(7.7, 30.0), GaussianLine(40.0, 1.0),
@@ -984,8 +988,36 @@ def test_newton_profile_rejects_a_nuisance_without_counts():
                                      free=((0, "amplitude"), (1, "amplitude"),
                                            (2, "coefficients", 0)),
                                      signal=(0, "amplitude"), statistic="poisson_nll")
-    with pytest.raises(FitError, match="moves no bin"):
+    with pytest.raises(FitError, match="moves no bin") as fit_error:
+        fit_minimize(problem)
+    with pytest.raises(FitError, match="moves no bin") as limit_error:
         bayesian_upper_limit(problem, 0.95)
+    assert str(limit_error.value) == str(fit_error.value)
+
+
+def test_linear_poisson_limit_takes_the_global_fit_of_fit_minimize():
+    # the limit's minimum and best signal are the fit's, bit for bit: a
+    # sparse spectrum, a deficit whose free signal falls below zero, and
+    # a signal on a fixed background as the only free parameter
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    flat = predict_counts(_line_model(0.0, 100.0), grid)
+    deficit = np.round(flat * np.where(np.abs(grid.centers - 7.7) < 0.3, 0.5, 1.0))
+    both = ((0, "amplitude"), (1, "coefficients", 0))
+    cases = [
+        (simulate_spectrum(_line_model(3.0, 1.0), grid, seed=7).counts, both),
+        (deficit, both),
+        (simulate_spectrum(_line_model(20.0, 100.0), grid, seed=3).counts, both[:1]),
+    ]
+    held = []
+    for observed, free in cases:
+        problem = FitProblem.from_values(grid, observed.astype(float), _line_model(10.0, 100.0),
+                                         free=free, signal=free[0], statistic="poisson_nll")
+        fit = fit_minimize(problem)
+        limit = bayesian_upper_limit(problem, 0.95)
+        assert limit.metadata["statistic_min"] == fit.statistic
+        assert limit.metadata["best_signal"] == max(fit.values[0], 0.0)
+        held.append(fit.values[0] == 0.0)
+    assert held == [False, True, False]
 
 
 def test_poisson_fit_and_limit_of_a_spectrum_without_counts():
