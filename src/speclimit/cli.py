@@ -249,6 +249,7 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     statistic = config.get("statistic", "chi2")
     seed = int(config.get("seed", 0))
     config["seed"] = seed
+    # the Poisson scan's tolerance; the closed-form chi-square bound ignores it
     grid_rtol = float(config.get("grid_rtol", 1e-3))
     config_hash = canonical_config_hash(config)
 
@@ -361,6 +362,7 @@ def _limit_pep(args, config: dict, base: Path) -> int:
     )
     cl = float(config.get("confidence_level", 0.95))
     window_multiple = float(config.get("window_fwhm_multiple", 1.5))
+    # passed on, but it selects nothing: the residual bound is closed form
     grid_rtol = float(config.get("grid_rtol", 1e-3))
     config["seed"] = int(config.get("seed", 0))
     config_hash = canonical_config_hash(config)

@@ -471,76 +471,103 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     for a linear problem).
 
     signal None leaves the signal free and clips it at zero, a value
-    holds it there. The Poisson Newton iteration starts from the first
-    feasible of: the linear values of the full parameter vector start
-    (None for none), the weighted least-squares values, the template's.
-    A least-squares core that the design cannot give is passed over, so
-    that Newton names the cause. Each Poisson solve adds one to
-    info["profile_points"] and its Newton iterations to
-    info["newton_iterations"], where info is given. Returns the full
-    parameter vector, the statistic and whether the signal is held.
+    holds it there. The chi-square is solved by weighted least squares,
+    the Poisson NLL by _poisson_solve from the linear values of the full
+    parameter vector start (None for none), a free signal that falls
+    below zero solved again held there. Each Poisson solve is counted
+    into info, where given. Returns the full parameter vector, the
+    statistic and whether the signal is held.
     """
     observed = problem.observed
-    columns = design.at(centroids)
+    design.at(centroids)
     linear = design.linear_idx
-    idx = problem.signal_index()
-    pos = linear.index(idx)
-    core = None
-
-    def least_squares():
-        nonlocal core
-        if core is None:
-            core = _core_from_fit_problem(problem, design, observed)
-        return core
-
+    pos = linear.index(problem.signal_index())
     theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
     theta[design.centroid_idx] = centroids
     if problem.statistic == "chi2":
+        core = _core_from_fit_problem(problem, design, observed)
         held = signal is not None
         if signal is None:
-            signal = least_squares().best_signal()
+            signal = core.best_signal()
             held = signal < 0.0
             signal = max(signal, 0.0)
-        theta[linear] = _signal_and_nuisances(least_squares(), signal, pos)
+        theta[linear] = _signal_and_nuisances(core, signal, pos)
         return theta, _chi2_from_mu(observed, design(theta)), held
 
     where = f"centroids {list(map(float, centroids))!r}" if len(centroids) else "the fit"
-    candidates = [lambda: _signal_and_nuisances(least_squares(),
-                                                max(least_squares().best_signal(), 0.0), pos),
-                  lambda: problem.initial_values()[linear]]
-    if start is not None:
-        candidates.insert(0, lambda: theta[linear])
-
     counts = Counter() if info is None else info
-
-    def solve(keep, offset, where):
-        cols = columns[:, keep]
-        for candidate in candidates:
-            try:
-                x0 = candidate()[keep]
-            except (FitError, DegenerateMapError):
-                continue  # a singular least-squares core
-            if in_poisson_domain(observed, offset + cols @ x0):
-                counts["profile_points"] += 1
-                if not keep:
-                    return x0, _poisson_nll_from_mu(observed, offset)
-                x, nll, iterations = minimize_linear_poisson(observed, cols, offset[None],
-                                                             x0[None], lambda i: where)
-                counts["newton_iterations"] += iterations
-                return x[0], float(nll[0])
-        raise FitError(f"no feasible start for the linear parameters at {where}")
-
+    starts = None if start is None else theta[linear][None]
     if signal is None:
-        x, nll = solve(list(range(len(linear))), design.base, where)
-        theta[linear] = x
-        if x[pos] >= 0.0:
-            return theta, nll, False
-        signal = 0.0  # the NLL is convex: the bounded optimum has the signal at zero
-    keep = [p for p in range(len(linear)) if p != pos]
-    theta[idx] = signal
-    theta[[linear[p] for p in keep]], nll = solve(
-        keep, design.base + signal * columns[:, pos], f"signal = {signal!r}, {where}")
-    return theta, nll, True
+        x, nll = _poisson_solve(problem, design, None, starts, where, counts)
+        if x[0, pos] >= 0.0:
+            theta[linear] = x[0]
+            return theta, float(nll[0]), False
+        # the NLL is convex: the bounded optimum has the signal at zero
+        signal = 0.0
+    x, nll = _poisson_solve(problem, design, np.array([float(signal)]), starts, where, counts)
+    theta[linear] = x[0]
+    return theta, float(nll[0]), True
+
+
+def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
+    """The candidate starts of _poisson_solve, rows of linear parameters,
+    in order: starts (None for none), the weighted least-squares values
+    at each row's signal (the free signal clipped at zero), unless the
+    design cannot give them, and the template's."""
+    if starts is not None:
+        yield starts
+    try:
+        core = _core_from_fit_problem(problem, design, problem.observed)
+    except (FitError, DegenerateMapError):
+        pass  # a singular least-squares core: Newton names the cause
+    else:
+        if signals is None:
+            signals = np.array([max(core.best_signal(), 0.0)])
+        yield _signal_and_nuisances(core, signals, design.linear_idx.index(problem.signal_index()))
+    yield problem.initial_values()[design.linear_idx][None]
+
+
+def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where, counts):
+    """The linear parameters minimizing the Poisson NLL at the design's
+    current centroids, and the NLL: a row per held value of the array
+    signals, or one row with the signal free for signals None.
+
+    Each row starts from the first of _poisson_starts inside the Poisson
+    domain; a row that none puts inside raises FitError, naming where,
+    but a held signal with no other linear parameter takes the NLL
+    itself, +inf outside. Counts the rows into counts["profile_points"]
+    and the Newton iterations into counts["newton_iterations"].
+    """
+    observed, columns = problem.observed, design.columns
+    pos = design.linear_idx.index(problem.signal_index())
+    held = signals is not None
+    keep = [p for p in range(columns.shape[1]) if not held or p != pos]
+    offsets = design.base + signals[:, None] * columns[:, pos] if held else design.base[None]
+    counts["profile_points"] += len(offsets)
+
+    def where_row(i):
+        return f"signal = {float(signals[i])!r}, {where}" if held else where
+
+    if not keep:
+        inside = in_poisson_domain(observed, offsets)
+        return signals[:, None], np.array([_poisson_nll_from_mu(observed, mu) if ok else np.inf
+                                           for mu, ok in zip(offsets, inside)])
+    cols = columns[:, keep]
+    x = np.full((len(offsets), columns.shape[1]), np.nan)  # nan: no start inside yet
+    for candidate in _poisson_starts(problem, design, signals, starts):
+        inside = in_poisson_domain(observed, offsets + candidate[:, keep] @ cols.T)
+        x = np.where((inside & np.isnan(x[:, 0]))[:, None], candidate, x)
+        if not np.isnan(x[:, 0]).any():
+            break
+    else:
+        raise FitError(f"no feasible start for the linear parameters at "
+                       f"{where_row(int(np.argmax(np.isnan(x[:, 0]))))}")
+    x[:, keep], nll, iterations = minimize_linear_poisson(observed, cols, offsets, x[:, keep],
+                                                          where_row)
+    if held:
+        x[:, pos] = signals
+    counts["newton_iterations"] += iterations
+    return x, nll
 
 
 def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarray:
@@ -882,10 +909,12 @@ class _LinearGaussianCore:
             raise DegenerateMapError(f"flat profiled statistic for {self.label!r}")
         return shat, math.sqrt(variance)
 
-    def nuisances_at(self, signal: float, row: int = 0) -> np.ndarray:
-        """The nuisances solved with the signal held at the given value."""
+    def nuisances_at(self, signal, row: int = 0) -> np.ndarray:
+        """The nuisances solved with the signal held at the given value,
+        one row per value for an array of signals."""
         cov = self.cov[row]
-        return self.theta[row, 1:] + cov[1:, 0] / cov[0, 0] * (signal - self.theta[row, 0])
+        shift = np.asarray(signal, dtype=float)[..., None] - self.theta[row, 0]
+        return self.theta[row, 1:] + cov[1:, 0] / cov[0, 0] * shift
 
     def chi2_min(self, row: int = 0) -> float:
         """The chi-square at the unclipped least-squares point."""
@@ -907,9 +936,10 @@ def _core_from_fit_problem(problem: FitProblem, design: _Design, observed: np.nd
     )
 
 
-def _signal_and_nuisances(core: _LinearGaussianCore, signal: float, idx: int) -> np.ndarray:
-    """The signal with the nuisances solved at it, the signal at idx."""
-    return np.insert(core.nuisances_at(signal), idx, signal)
+def _signal_and_nuisances(core: _LinearGaussianCore, signal, idx: int) -> np.ndarray:
+    """The signal with the nuisances solved at it, the signal at idx; a
+    row each for an array of signals."""
+    return np.insert(core.nuisances_at(signal), idx, signal, axis=-1)
 
 
 def _core_from_residual_problem(problem: GaussianResidualProblem):
@@ -1048,100 +1078,59 @@ def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
     return _truncated_gaussian_upper(shat, sigma, cl), s, profiled(s), clipped, profiled(clipped)
 
 
-def _newton_profiler(problem: FitProblem, design: _Design):
-    """Profiled Poisson NLL of a linear problem by exact Newton solves.
+def _profiler(problem: FitProblem, design: _Design):
+    """Profiled statistic of a linear Poisson problem, or of a problem
+    with free centroids, from fit_minimize's own global fit.
 
-    The global fit is fit_minimize's: when the signal's free optimum
-    falls below zero, the profile is convex in the signal, so the
-    bounded optimum is the profile at zero, where the fit holds it. The
-    scan scale then comes from bracketing the profile's rise, since the
-    curvature far below zero says nothing about the posterior's width
-    above it, and so it does when the Hessian at the global fit is
-    singular; otherwise it is the signal's sigma from the inverse
-    Hessian at the global fit. A signal without nuisances is profiled
-    by the NLL itself, +inf outside the Poisson domain.
+    The solved points, the fit's included, are kept in signal order. A
+    linear problem solves a batch of signal values in one _poisson_solve
+    from the parameters interpolated between them (np.interp holds the
+    end values beyond); free centroids run _reduced_newton per value
+    from the nearest. The scan scale is the signal's sigma from the
+    inverse exact Hessian at the fit, None when the fit holds the signal
+    at zero (the curvature below zero says nothing of the posterior
+    above it) or the Hessian is singular (an empty bin pins a parameter
+    no bin with counts curves): the scan then brackets the profile's rise.
     """
-    observed = problem.observed
     idx = problem.signal_index()
-    signal_col = design.columns[:, idx]
-    nuisance_cols = np.delete(design.columns, idx, axis=1)
-    info = {"profile_solver": "newton", "newton_iterations": 0, "profile_points": 0}
-    theta, stat_min, held = _linear_solution(problem, design, [], None, None, info)
+    info = {"profile_solver": _solver_for(problem, design), "newton_iterations": 0,
+            "profile_points": 0}
+    if design.linear:
+        theta, stat_min, _ = _linear_solution(problem, design, np.empty(0), None, None, info)
+    else:
+        fit = _projection_fit(problem, design)
+        theta, stat_min = fit.values, fit.statistic
+        info["newton_iterations"], info["profile_points"] = fit.trace[-1][0], 1
+    known_s, known = theta[idx:idx + 1], theta[None]
 
-    # The domain is convex in (signal, nuisances), so nuisances
-    # interpolated between solved points are feasible starts, and close
-    # ones; np.interp holds the end values beyond them
-    known_s = theta[idx:idx + 1]
-    known_nu = np.delete(theta, idx)[None]
-    template_nu = np.delete(problem.initial_values(), idx)
-
-    def pstat(s_values):
-        nonlocal known_s, known_nu
-        s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        offsets = design.base + s[:, None] * signal_col
-        info["profile_points"] += s.size
-        if not nuisance_cols.shape[1]:
-            return np.array([_poisson_nll_from_mu(observed, mu) if inside else np.inf
-                             for mu, inside in zip(offsets, in_poisson_domain(observed, offsets))])
-        starts = np.column_stack([np.interp(s, known_s, nu) for nu in known_nu.T])
-        outside = ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
-        starts[outside] = template_nu
-        outside &= ~in_poisson_domain(observed, offsets + starts @ nuisance_cols.T)
-        if np.any(outside):
-            raise FitError(f"no feasible start for the Poisson profile at signal = "
-                           f"{s[np.argmax(outside)]!r}")
-        nu, nll, iterations = minimize_linear_poisson(observed, nuisance_cols, offsets, starts,
-                                                      lambda i: f"signal = {s[i]!r}")
-        info["newton_iterations"] += iterations
+    def remember(s, solved):
+        nonlocal known_s, known
         order = np.argsort(np.concatenate([known_s, s]), kind="stable")
         known_s = np.concatenate([known_s, s])[order]
-        known_nu = np.concatenate([known_nu, nu])[order]
+        known = np.concatenate([known, solved])[order]
+
+    def pstat(s_values):
+        s = np.atleast_1d(np.asarray(s_values, dtype=float))
+        if design.linear:
+            starts = np.column_stack([np.interp(s, known_s, column) for column in known.T])
+            solved, nll = _poisson_solve(problem, design, s, starts, "the profile", info)
+            remember(s, solved)
+            return nll
+        nll = np.empty(s.size)
+        for k in range(s.size):
+            start = known[np.argmin(np.abs(known_s - s[k]))]
+            solved, nll[k], _, iterations = _reduced_newton(problem, design, start, s[k])
+            info["newton_iterations"] += iterations
+            info["profile_points"] += 1
+            remember(s[k:k + 1], solved[None])
         return nll
 
     sigma = None
-    if not held:
-        hess = poisson_hessian(design.columns, observed, design(theta))
-        # singular where an empty bin pins a parameter no bin with counts curves
+    if theta[idx] > 0.0:
+        hess = _curvature(problem, design, theta)[1]
         if not jacobi_scaled(hess)[2]:
             sigma = float(np.sqrt(np.linalg.inv(hess)[idx, idx]))
     return pstat, float(theta[idx]), stat_min, sigma, info
-
-
-def _projection_profiler(problem: FitProblem, design: _Design):
-    """Profiled statistic of a problem with free centroids.
-
-    Each signal value runs the reduced Newton iteration with the signal
-    held, started from the nearest signal value already solved. The
-    scan scale is the signal's sigma from the exact Hessian at the fit,
-    or the bracketing of the profile's rise when the fit sits at zero.
-    """
-    fit = _projection_fit(problem, design)
-    idx = problem.signal_index()
-    solved_s = [float(fit.values[idx])]
-    solved = [fit.values]
-    # the fit's own iterations and point count
-    info = {"profile_solver": "projection", "newton_iterations": fit.trace[-1][0],
-            "profile_points": 1}
-
-    def pstat(s_values):
-        s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        out = np.empty(s.size)
-        for k, value in enumerate(s):
-            start = solved[int(np.argmin(np.abs(np.asarray(solved_s) - value)))]
-            theta, out[k], _, iterations = _reduced_newton(problem, design, start, value)
-            info["newton_iterations"] += iterations
-            info["profile_points"] += 1
-            solved_s.append(float(value))
-            solved.append(theta)
-        return out
-
-    sigma = None
-    if solved_s[0] > 0.0:
-        try:
-            sigma = float(parameter_uncertainties(problem, fit.values)[idx])
-        except FitError:
-            pass  # a singular or indefinite curvature leaves the scale to the bracketing
-    return pstat, solved_s[0], fit.statistic, sigma, info
 
 
 def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str) -> np.ndarray:
@@ -1259,20 +1248,17 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
                          grid_rtol: float = 1e-3) -> LimitResult:
     """Upper bound at credibility cl with a flat prior on the signal >= 0.
 
-    Background nuisances are profiled exactly: by weighted least
-    squares for a linear chi-square problem, by damped Newton
-    iterations for a linear Poisson NLL, and by variable projection
-    with the signal held for one or two free centroids. The Newton and
-    projection profiles start from fit_minimize's own global fit, whose
-    statistic and clipped signal are the metadata's statistic_min and
-    best_signal. A linear
-    chi-square problem, residual or FitProblem, profiles to an exact
-    parabola, so its bound is the closed-form truncated-Gaussian
-    quantile and its scan that parabola at 513 points; there grid_rtol
-    selects nothing. The Newton and projection profiles are scanned by
-    _scan_upper_bound: solved at every 8th point of a 257, 513, ...
-    point grid, the cubic through the nearest four solved points
-    between them, refined until the bound moves by less than grid_rtol
+    Background nuisances are profiled exactly. A linear chi-square
+    problem, residual or FitProblem, profiles to an exact parabola, so
+    its bound is the closed-form truncated-Gaussian quantile and its
+    scan that parabola at 513 points. Every other problem goes through
+    _profiler, from fit_minimize's own global fit, whose statistic and
+    clipped signal are the metadata's statistic_min and best_signal:
+    damped Newton for a linear Poisson NLL, each solve started by the
+    one rule of _poisson_solve, and variable projection with the signal
+    held for free centroids. _scan_upper_bound solves that profile at
+    every 8th point of a 257, 513, ... point grid, fills the rest by
+    cubics, and refines until the bound moves by less than grid_rtol
     and the fill misplaced at most that share of the posterior. The
     metadata names the profile solver ("exact-gaussian", "newton" or
     "projection"), and for the last two the Newton iterations taken and
@@ -1294,13 +1280,10 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         statistic = problem.statistic
         label = problem.parameter_name(problem.signal)
         method = f"bayesian-{statistic}-profile"
-        solver = _solver_for(problem, design)
-        if solver == "exact-gaussian":
+        if _solver_for(problem, design) == "exact-gaussian":
             core = _core_from_fit_problem(problem, design, problem.observed)
-        elif solver == "newton":
-            profile = _newton_profiler(problem, design)
         else:
-            profile = _projection_profiler(problem, design)
+            profile = _profiler(problem, design)
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 

@@ -915,6 +915,11 @@ def test_newton_profile_holds_empty_bins_at_zero_expectation():
         binding += bound_active
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
     assert binding > 10
+    # a template background of zero puts no start inside the domain at
+    # zero signal, so the starts come from the solved points or least squares
+    zero = replace(problem, model=_line_model(20.0, 0.0))
+    assert bayesian_upper_limit(zero, 0.95).upper_bound == pytest.approx(result.upper_bound,
+                                                                         rel=1e-9)
     # from a start far above the optimum the first Newton steps overshoot
     # onto the floor, which must be released where the optimum is interior
     s = np.linspace(0.5, 60.0, 120)
@@ -1039,6 +1044,74 @@ def test_poisson_fit_and_limit_of_a_spectrum_without_counts():
     assert limit.upper_bound == pytest.approx(-math.log(0.05) / slope, rel=1e-3)
 
 
+def test_sparse_continuum_poisson_limits_start_the_profile_from_least_squares():
+    # the CSL limit's defaults: a 1/E signal over a flat background whose
+    # template value is 0, so the template puts mu = 0 under counts at
+    # zero signal; where the fit's nuisances interpolated to zero signal
+    # leave the domain too, only the least-squares start is inside
+    grid = EnergyGrid.uniform(4.5, 48.5, 88)
+    response = DetectorResponse(fwhm_kev_at_ref=0.3)
+    truth = SpectralModel(components=(PolynomialBackground((0.02 / 0.5,)),), response=response)
+    template = SpectralModel(components=(OneOverEContinuum(1.0), PolynomialBackground((0.0,))),
+                             response=response)
+    free = ((0, "alpha"), (1, "coefficients", 0))
+    for seed in range(60):
+        problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed), template,
+                                           free, free[0], statistic="poisson_nll")
+        assert math.isfinite(bayesian_upper_limit(problem, 0.95).upper_bound)
+
+
+@pytest.mark.parametrize("statistic, free", [
+    ("poisson_nll", ((0, "amplitude"), (1, "coefficients", 0))),
+    ("chi2", ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))),
+    ("poisson_nll", ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))),
+], ids=["linear poisson", "free centroid chi2", "free centroid poisson"])
+def test_profile_scale_is_the_signal_uncertainty_at_the_fit(statistic, free):
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(150.0, 300.0)
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=1), truth, free,
+                                       (0, "amplitude"), statistic=statistic)
+    idx = problem.signal_index()
+    fit = fit_minimize(problem)
+    assert fit.values[idx] > 0.0
+    sigma = limits_module._profiler(problem, problem._design)[3]
+    assert sigma == pytest.approx(parameter_uncertainties(problem, fit.values)[idx], rel=1e-12)
+
+
+def test_profile_scale_is_none_when_the_fit_holds_the_signal_at_zero():
+    # a deficit under the line: the free optimum is negative
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = predict_counts(_line_model(0.0, 300.0), grid).round()
+    observed[22:27] -= 6.0
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_values(grid, observed, _line_model(20.0, 300.0), free=free,
+                                     signal=free[0], statistic="poisson_nll")
+    assert fit_minimize(problem).values[0] == 0.0
+    _, shat, _, sigma, _ = limits_module._profiler(problem, problem._design)
+    assert shat == 0.0 and sigma is None
+
+
+def test_profile_errors_name_the_signal_as_a_float(monkeypatch):
+    # numpy 2 prints a numpy scalar as np.float64(0.0)
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(60.0, 300.0)
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=4), truth,
+                                       ((0, "amplitude"), (1, "coefficients", 0)),
+                                       (0, "amplitude"), statistic="poisson_nll")
+    real = limits_module.minimize_linear_poisson
+
+    def failing(observed, columns, offsets, starts, where):
+        if "signal" in where(0):  # a profile row, not the fit
+            raise FitError(f"stalled at {where(0)}")
+        return real(observed, columns, offsets, starts, where)
+
+    monkeypatch.setattr(limits_module, "minimize_linear_poisson", failing)
+    with pytest.raises(FitError) as raised:
+        bayesian_upper_limit(problem, 0.95)
+    assert "signal = 0.0, " in str(raised.value)
+    assert "np.float64" not in str(raised.value)
+
+
 def test_chi2_and_poisson_bounds_agree_at_high_counts():
     grid = EnergyGrid.uniform(6.5, 9.5, 30)
     truth = _line_model(0.0, 10_000.0)   # about 1000 counts per bin
@@ -1109,11 +1182,7 @@ def _every_point_bound(problem, scan_max, cl, grid_rtol):
     """The bound from the problem's own profiler solved at every point of
     a 257, 513, ... point grid over [0, scan_max], refined until it moves
     by less than grid_rtol."""
-    design = problem._design
-    profiler = {"newton": limits_module._newton_profiler,
-                "projection": limits_module._projection_profiler}[
-        limits_module._solver_for(problem, design)]
-    pstat, _, stat_min, _, _ = profiler(problem, design)
+    pstat, _, stat_min, _, _ = limits_module._profiler(problem, problem._design)
     k = 2.0 if problem.statistic == "chi2" else 1.0
     s, previous = np.linspace(0.0, scan_max, 257), None
     values = pstat(s)
