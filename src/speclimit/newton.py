@@ -10,6 +10,14 @@ no bin with counts curves, the NLL changes only through the empty bins,
 linearly, so its minimum there lies where an empty bin reaches mu = 0:
 the iteration steps to that bin, which then joins the active
 constraints (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 16).
+
+A Newton pass works on the rows still moving and on the bins with
+counts: the NLL is sum(mu) - n.log(mu), the gradient the column sums
+minus (n/mu) A and the Hessian (n/mu^2) times the columns' outer
+products, which a call forms once with the column sums and log n!. A
+one-column Hessian needs no eigenvalue for the singularity test; the
+held empty bins are looked for only on a spectrum with empty bins, or
+where a Hessian is singular.
 """
 
 from __future__ import annotations
@@ -70,7 +78,8 @@ def jacobi_scaled(hess: np.ndarray):
     inv_sqrt = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
     scaled = hess * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     singular = np.any(diag <= 0, axis=-1)
-    singular |= np.linalg.eigvalsh(scaled)[..., 0] <= _SINGULAR_EIGENVALUE
+    if hess.shape[-1] > 1:  # a 1x1 unit-diagonal matrix is exactly 1
+        singular |= np.linalg.eigvalsh(scaled)[..., 0] <= _SINGULAR_EIGENVALUE
     return scaled, inv_sqrt, singular
 
 
@@ -138,81 +147,103 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     with counts do not curve is followed to the first empty bin it
     takes to mu = 0 (a spectrum without counts included); a parameter
     that moves no bin at all raises FitError. where(i) names row i in
-    errors. Returns the minimizers, the NLL (with the log n! constant)
-    and the number of Newton iterations.
+    errors, also after the rows that stopped have left the batch.
+    Returns the minimizers, the NLL (with the log n! constant) and the
+    number of Newton iterations.
     """
     occupied = observed > 0
     empty = ~occupied
+    any_empty = bool(empty.any())
+    occ = np.flatnonzero(occupied) if any_empty else slice(None)
+    n_occ, cols_occ = observed[occ], columns[occ]
+    k = columns.shape[1]
+    outer_occ = (cols_occ[:, :, None] * cols_occ[:, None, :]).reshape(-1, k * k)
+    colsum = columns.sum(axis=0)
     constant = float(np.sum(log_factorial(observed)))
     abs_cols = np.abs(columns)
     x = np.array(starts, dtype=float)
-    mu = offsets + x @ columns.T
     nll = np.empty(x.shape[0])
-    live = np.arange(x.shape[0])
+    live, x_live, off_live = np.arange(x.shape[0]), x, offsets
+    mu_live = offsets + x @ columns.T
     for iteration in range(_NEWTON_MAX_ITER + 1):
-        x_live, mu_live = x[live], mu[live]
-        nll[live] = np.sum(mu_live - observed * np.log(np.where(occupied, mu_live, 1.0)), axis=1)
-        ratio = np.where(occupied, observed / np.where(occupied, mu_live, 1.0), 0.0)
-        grad = (1.0 - ratio) @ columns
-        hess = poisson_hessian(columns, observed, mu_live)
-        scaled, inv_sqrt, singular = jacobi_scaled(hess)
-        if singular.any():
-            if not _supported(columns):
-                raise FitError(f"a free parameter moves no bin at "
-                               f"{where(live[np.argmax(singular)])}, so no bin constrains it")
-            # _active_set_step below takes these rows
-            scaled = np.where(singular[:, None, None], np.eye(grad.shape[1]), scaled)
-        step = -inv_sqrt * np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
-        # mu >= 0 binds in empty bins already at zero
-        mu_scale = (np.abs(offsets[live]) + np.abs(x_live) @ abs_cols.T).max(axis=1)
-        at_zero = empty & (mu_live <= _AT_ZERO * mu_scale[:, None])
+        mu_occ = mu_live[:, occ]
+        nll_live = mu_live.sum(axis=1) - np.log(mu_occ) @ n_occ
+        ratio = n_occ / mu_occ
+        grad = colsum - ratio @ cols_occ
+        curvature = (ratio / mu_occ) @ outer_occ
+        if k == 1:
+            # a 1x1 unit-diagonal Hessian is 1: singular only at zero
+            singular = curvature[:, 0] <= 0.0
+            step = -grad / np.where(singular[:, None], 1.0, curvature)
+        else:
+            scaled, inv_sqrt, singular = jacobi_scaled(curvature.reshape(-1, k, k))
+            if singular.any():
+                # _active_set_step below takes these rows
+                scaled = np.where(singular[:, None, None], np.eye(k), scaled)
+            step = -inv_sqrt * np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
+        any_singular = bool(singular.any())
+        if any_singular and not _supported(columns):
+            raise FitError(f"a free parameter moves no bin at "
+                           f"{where(live[np.argmax(singular)])}, so no bin constrains it")
         rays = []
-        for r in np.flatnonzero(singular | np.any(at_zero, axis=1)):
-            step[r], ray = _active_set_step(hess[r], grad[r], columns[at_zero[r]],
-                                            np.abs(1.0 - ratio[r]) @ abs_cols)
-            if ray:
-                rays.append(r)
-                # the NLL falls linearly along the ray: go to the first
-                # empty bin that it takes to mu = 0
-                dmu = step[r] @ columns.T
-                falling = empty & ~at_zero[r] & (dmu < -1e-12 * np.abs(dmu).max())
-                if falling.any():
-                    step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
+        if any_empty or any_singular:
+            # mu >= 0 binds in empty bins already at zero
+            mu_scale = (np.abs(off_live) + np.abs(x_live) @ abs_cols.T).max(axis=1)
+            at_zero = empty & (mu_live <= _AT_ZERO * mu_scale[:, None])
+            for r in np.flatnonzero(singular | np.any(at_zero, axis=1)):
+                ratio_r = np.zeros(observed.size)
+                ratio_r[occ] = ratio[r]
+                step[r], ray = _active_set_step(curvature[r].reshape(k, k), grad[r],
+                                                columns[at_zero[r]],
+                                                np.abs(1.0 - ratio_r) @ abs_cols)
+                if ray:
+                    rays.append(r)
+                    # the NLL falls linearly along the ray: go to the first
+                    # empty bin that it takes to mu = 0
+                    dmu = step[r] @ columns.T
+                    falling = empty & ~at_zero[r] & (dmu < -1e-12 * np.abs(dmu).max())
+                    if falling.any():
+                        step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
         decrement = -np.sum(grad * step, axis=1)
-        moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll[live] + constant))
+        moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
         moving[rays] = True  # a ray step, however short, adds a held bin
-        live, x_live, mu_live, step, decrement = (
-            live[moving], x_live[moving], mu_live[moving], step[moving], decrement[moving])
-        if not live.size:
-            break
+        if not moving.all():
+            stopped = ~moving
+            x[live[stopped]] = x_live[stopped]
+            nll[live[stopped]] = nll_live[stopped]
+            live, x_live, off_live, mu_live, mu_occ, step, decrement = (
+                live[moving], x_live[moving], off_live[moving], mu_live[moving],
+                mu_occ[moving], step[moving], decrement[moving])
+            if not live.size:
+                break
         if iteration == _NEWTON_MAX_ITER:
             raise FitError(f"Poisson Newton iteration did not converge in "
                            f"{_NEWTON_MAX_ITER} steps at {where(live[0])}")
         dmu = step @ columns.T
         # largest feasible fraction of the step: mu must not cross zero
         # in any bin; rounding noise on held bins does not count
-        noise = 1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
-        shrinking = dmu < -noise
-        reach = np.where(shrinking, np.maximum(mu_live, 0.0) / np.where(shrinking, -dmu, 1.0),
-                         np.inf)
-        t = np.minimum(1.0, reach.min(axis=1))
+        shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
+        t = np.ones(live.size)
+        if shrinking.any():
+            reach = np.where(shrinking, np.maximum(mu_live, 0.0)
+                             / np.where(shrinking, -dmu, 1.0), np.inf)
+            t = np.minimum(1.0, reach.min(axis=1))
         # backtrack on the NLL change, summed in log1p form so it stays
         # accurate when it is far below the NLL itself
-        pending = np.ones(live.size, dtype=bool)
+        dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
+        pending = slice(None)  # every row, then those whose last trial failed
         for _ in range(60):
-            frac = t[pending, None] * dmu[pending]
-            ratio = frac / np.where(occupied, mu_live[pending], 1.0)
+            tp = t[pending]
             with np.errstate(invalid="ignore", divide="ignore"):
-                change = np.sum(frac - np.where(occupied, observed * np.log1p(ratio), 0.0),
-                                axis=1)
-            ok = np.isfinite(change) & (change <= -1e-4 * t[pending] * decrement[pending])
-            idx = np.flatnonzero(pending)
-            pending[idx[ok]] = False
-            t[idx[~ok]] *= 0.5
-            if not pending.any():
+                change = tp * dmu_sum[pending] - np.log1p(
+                    tp[:, None] * dmu_occ[pending] / mu_occ[pending]) @ n_occ
+            ok = np.isfinite(change) & (change <= -1e-4 * tp * decrement[pending])
+            if ok.all():
                 break
+            pending = np.arange(live.size)[pending][~ok]
+            t[pending] *= 0.5
         else:
             raise FitError(f"Poisson Newton line search failed at {where(live[pending][0])}")
-        x[live] = x_live + t[:, None] * step
-        mu[live] = offsets[live] + x[live] @ columns.T
+        x_live = x_live + t[:, None] * step
+        mu_live = off_live + x_live @ columns.T
     return x, nll + constant, iteration

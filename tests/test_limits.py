@@ -17,7 +17,12 @@ from scipy.special import gammaln
 from scipy.stats import norm, poisson
 
 import speclimit.limits as limits_module
-from speclimit.newton import in_poisson_domain, log_factorial, minimize_linear_poisson
+from speclimit.newton import (
+    in_poisson_domain,
+    jacobi_scaled,
+    log_factorial,
+    minimize_linear_poisson,
+)
 from speclimit import (
     BinnedSpectrum,
     DegenerateMapError,
@@ -897,6 +902,24 @@ def _profile_flat_background(observed, line, flat, s, iterations=200):
     return nll + np.sum([math.lgamma(n + 1.0) for n in observed]), binding
 
 
+def test_poisson_uncertainties_refuse_a_curvature_the_newton_calls_singular():
+    # two counts at 0.02 counts per bin put the flat term at zero, and
+    # the bins with counts then curve the line and the flat term alike;
+    # np.linalg.inv still inverts the Hessian, to sigmas of about 1e8
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(2.0, 0.4)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=8088), truth, free,
+                                       free[0], statistic="poisson_nll")
+    assert np.count_nonzero(problem.observed) == 2
+    fit = fit_minimize(problem)
+    hess = limits_module._curvature(problem, problem._design, fit.values)[1]
+    assert jacobi_scaled(hess)[2]
+    assert np.sqrt(np.diag(np.linalg.inv(hess))).min() > 1e6
+    with pytest.raises(FitError, match="singular curvature"):
+        parameter_uncertainties(problem, fit.values)
+
+
 def test_newton_profile_holds_empty_bins_at_zero_expectation():
     # counts only under the line: at large signal the background wants
     # to go negative and mu >= 0 in the empty bins stops it
@@ -928,6 +951,77 @@ def test_newton_profile_holds_empty_bins_at_zero_expectation():
     expected = np.array([_profile_flat_background(observed, line, flat, v) for v in s])
     assert 0 < expected[:, 1].sum() < s.size
     np.testing.assert_allclose(nll, expected[:, 0], rtol=1e-10)
+
+
+# a spectrum with empty bins at both ends, and the columns of the batch
+# tests: a flat, a slope and a line, and a column that moves only the two
+# empty bins at the low end, which no bin with counts curves
+_BATCH_BINS = np.arange(24)
+_BATCH_OBSERVED = np.array([0, 0, 3, 1, 2, 4, 2, 5, 7, 9, 12, 10, 8, 6, 3, 2, 1, 2, 0, 1,
+                            0, 0, 0, 0], dtype=float)
+_BATCH_COLUMNS = {
+    "curved": [np.ones(24), _BATCH_BINS / 23.0,
+               np.exp(-0.5 * ((_BATCH_BINS - 10.5) / 2.0) ** 2)],
+    "ray": [np.where(_BATCH_BINS >= 2, 1.0, 0.0),
+            np.where(_BATCH_BINS >= 2, _BATCH_BINS / 23.0, 0.0),
+            np.where(_BATCH_BINS < 2, 1.0, 0.0)],
+}
+
+
+def _batch(kind, k):
+    """Columns, offsets (a held signal from 0.5 to 60) and starts of a
+    five-row batch: the first k columns, the uncurved one last for "ray"."""
+    columns = _BATCH_COLUMNS[kind]
+    columns = np.column_stack(columns[:k] if kind == "curved" else columns[:k - 1] + columns[2:])
+    signal = np.exp(-0.5 * ((_BATCH_BINS - 9.0) / 3.0) ** 2)
+    offsets = np.array([0.5, 1.0, 2.0, 30.0, 60.0])[:, None] * signal
+    starts = np.full((5, k), 2.0)
+    starts[1], starts[2] = 20.0, 0.3
+    if kind == "ray":
+        # the third row starts with its lowest bin at mu = 0
+        starts[:, -1] = [1.0, 3.0, -offsets[2, 0], 1e-3, 0.5]
+    return columns, offsets, starts
+
+
+@pytest.mark.parametrize("kind", ["curved", "ray"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_newton_rows_solved_in_a_batch_match_each_row_solved_alone(kind, k):
+    # the rows stop on different passes and drop out of the batch as they
+    # do, and some end with empty bins held at mu = 0; with the uncurved
+    # column each row but the third starts above the floor, steps along a
+    # ray to the first of the two low bins that reaches mu = 0 and ends there
+    columns, offsets, starts = _batch(kind, k)
+    x, nll, iterations = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, starts, str)
+    passes, held = [], []
+    for r in range(offsets.shape[0]):
+        x_r, nll_r, passes_r = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets[r:r + 1],
+                                                       starts[r:r + 1], str)
+        assert abs(nll[r] - nll_r[0]) <= 1e-12 * (1.0 + abs(nll_r[0]))
+        np.testing.assert_allclose(x[r], x_r[0], rtol=1e-9, atol=1e-12)
+        mu = offsets[r] + columns @ x_r[0]
+        passes.append(passes_r)
+        at_zero = (_BATCH_OBSERVED == 0) & (mu <= 1e-9 * mu.max())
+        held.append(int(at_zero.sum()))
+        if kind == "ray":
+            assert at_zero[:2].any()
+    assert iterations == max(passes) and len(set(passes)) > 1
+    assert max(held) > 0
+
+
+def test_newton_errors_name_the_original_row_after_the_batch_shrinks(monkeypatch):
+    import speclimit.newton as newton_module
+
+    columns, offsets, starts = _batch("curved", 1)
+    passes = [minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets[r:r + 1],
+                                      starts[r:r + 1], str)[2] for r in range(5)]
+    # every row but the slowest stops within the pass limit
+    slowest = int(np.argmax(passes))
+    limit = sorted(passes)[-2]
+    assert slowest != 0 and passes[slowest] > limit
+    monkeypatch.setattr(newton_module, "_NEWTON_MAX_ITER", limit)
+    with pytest.raises(FitError, match=f"did not converge in {limit} steps at row {slowest}$"):
+        minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, starts,
+                                lambda i: f"row {i}")
 
 
 def _golden_minimum(f, lo, hi, iterations=200):
@@ -1264,6 +1358,46 @@ def test_profile_points_count_the_solved_profile_values(monkeypatch, free, solve
     assert result.metadata["profile_points"] == sum(solved)
     assert result.metadata["profile_points"] * 4 < result.metadata["scan_points"]
     assert "profile_points" not in bayesian_upper_limit(_limit_fixture(), 0.95).metadata
+
+
+def _poisson_bench_problem(level, seed):
+    """A Poisson limit on the benchmark's geometry: 30 bins over 7.0-8.5
+    keV, 0.32 keV FWHM, a line of 2 * level counts at 7.7 keV on a flat
+    level counts per bin, both amplitudes free."""
+    grid = EnergyGrid.uniform(7.0, 8.5, 30)
+    truth = _line_model(2.0 * level, level / 0.05)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    return FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=seed), truth, free,
+                                    free[0], statistic="poisson_nll")
+
+
+@pytest.mark.parametrize("level, seed, iterations", [(4.0, 0, 9), (24.0, 0, 8)])
+def test_poisson_limit_work_counters_stay_pinned(level, seed, iterations):
+    # the deterministic counters a regression gate keys on: the global
+    # fit, a 33-node set from the signal's sigma and one refinement
+    result = bayesian_upper_limit(_poisson_bench_problem(level, seed), 0.95, grid_rtol=3e-3)
+    assert result.metadata["best_signal"] > 0.0
+    assert result.metadata["profile_points"] == 66
+    assert result.metadata["newton_iterations"] == iterations
+
+
+def test_a_fit_held_at_zero_brackets_the_scan_scale_in_three_profile_calls(monkeypatch):
+    # the bracketing needs 14 rungs of its ladder here, six per call
+    problem = _poisson_bench_problem(4.0, 4)
+    rows = []
+    real = limits_module._poisson_solve
+
+    def counted(problem, design, signals, *args):
+        rows.append(None if signals is None else len(signals))
+        return real(problem, design, signals, *args)
+
+    monkeypatch.setattr(limits_module, "_poisson_solve", counted)
+    result = bayesian_upper_limit(problem, 0.95, grid_rtol=3e-3)
+    assert result.metadata["best_signal"] == 0.0
+    # the free fit, the fit held at zero, the bracketing, the first node set
+    assert rows[:rows.index(33) + 1] == [None, 1, 6, 6, 6, 33]
+    assert result.metadata["profile_points"] == 85
+    assert result.metadata["newton_iterations"] == 18
 
 
 def test_limit_metadata_and_scan_contents():
