@@ -53,20 +53,18 @@ from .errors import (
 )
 from .fileio import canonical_config_hash
 from .newton import (
-    _AT_ZERO,
     _NEWTON_MAX_ITER,
     _NEWTON_RTOL,
+    at_zero,
     in_poisson_domain,
     jacobi_scaled,
-    log_factorial,
     minimize_linear_poisson,
-    poisson_hessian,
+    poisson_curvature,
+    poisson_nll,
 )
 from .spectra import (
     BinnedSpectrum,
     EnergyGrid,
-    GaussianLine,
-    OneOverEContinuum,
     PolynomialBackground,
     SpectralModel,
     _gaussian_bin_fractions,
@@ -105,17 +103,6 @@ def _chi2_from_mu(observed: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(resid * resid / _variance_floor(observed)))
 
 
-def _poisson_nll_from_mu(observed: np.ndarray, mu: np.ndarray) -> float:
-    if np.any(~np.isfinite(mu)) or np.any(mu < 0):
-        raise ModelError("expected counts must be finite and non-negative")
-    zero = mu == 0
-    if np.any(zero & (observed > 0)):
-        raise ModelError("expected count of zero in a bin with observed counts gives infinite NLL")
-    terms = np.where(zero, 0.0, mu - observed * np.log(np.where(zero, 1.0, mu)))
-    terms = terms + log_factorial(observed)
-    return float(np.sum(terms))
-
-
 def binned_chi2(spectrum: BinnedSpectrum, model: SpectralModel) -> float:
     """Neyman chi-square of the model against the spectrum."""
     mu = predict_counts(model, spectrum.grid)
@@ -125,7 +112,12 @@ def binned_chi2(spectrum: BinnedSpectrum, model: SpectralModel) -> float:
 def binned_poisson_nll(spectrum: BinnedSpectrum, model: SpectralModel) -> float:
     """Poisson negative log likelihood, -sum(n ln mu - mu - ln n!)."""
     mu = predict_counts(model, spectrum.grid)
-    return _poisson_nll_from_mu(spectrum.counts.astype(float), mu)
+    observed = spectrum.counts.astype(float)
+    if np.any(~np.isfinite(mu)) or np.any(mu < 0):
+        raise ModelError("expected counts must be finite and non-negative")
+    if np.any((mu == 0) & (observed > 0)):
+        raise ModelError("expected count of zero in a bin with observed counts gives infinite NLL")
+    return float(poisson_nll(observed, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +158,6 @@ def _unit_component(component, ref):
         coefficients[ref[2]] = 1.0
         return replace(component, coefficients=tuple(coefficients))
     return replace(component, **{ref[1]: 1.0})
-
-
-def _linear_refs(index: int, component) -> tuple:
-    """References to the parameters that a component's counts are linear
-    in: with all of them at zero the component adds nothing."""
-    if isinstance(component, PolynomialBackground):
-        return tuple((index, "coefficients", k) for k in range(len(component.coefficients)))
-    if isinstance(component, GaussianLine):
-        return ((index, "amplitude"),)
-    if isinstance(component, OneOverEContinuum):
-        return ((index, "alpha"),)
-    raise ModelError(f"unknown spectral component {type(component).__name__}")
 
 
 def _validate_ref(model: SpectralModel, ref):
@@ -300,14 +280,10 @@ class _Design:
         # each free centroid's amplitude, as a free parameter and a column
         self.amplitude_idx = [free.index((c, "amplitude")) for c in lines]
         self.line_columns = [self.linear_idx.index(i) for i in self.amplitude_idx]
-        # the base holds what no free parameter moves; a component whose
-        # every linear parameter is free adds exactly zero to it, so it is
-        # left out rather than evaluated and multiplied by zero
+        # the base holds what no free parameter moves: the template's
+        # counts with the free linear parameters at zero
         linear = [free[i] for i in self.linear_idx]
-        zeroed = _apply_params(model, linear, np.zeros(len(linear)))
-        kept = tuple(comp for c, comp in enumerate(zeroed.components)
-                     if not set(_linear_refs(c, comp)) <= set(linear))
-        self.base = predict_counts(replace(zeroed, components=kept), grid)
+        self.base = predict_counts(_apply_params(model, linear, np.zeros(len(linear))), grid)
         self.columns = np.column_stack([
             np.zeros(grid.n_bins) if i in self.amplitude_idx else
             component_bin_counts(_unit_component(model.components[free[i][0]], free[i]),
@@ -423,14 +399,7 @@ def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
         dl_dmu = (mu - observed) / variance
         hess = jac.T @ (jac / variance[:, None])
     else:
-        occupied = observed > 0
-        # empty bins add terms linear in mu, so only bins with counts
-        # need mu > 0; a bin held at mu = 0 may round below it
-        if not np.all(mu[occupied] > 0):
-            raise FitError("expected counts leave the Poisson domain; "
-                           "the curvature is undefined there")
-        dl_dmu = np.where(occupied, 1.0 - observed / np.where(occupied, mu, 1.0), 1.0)
-        hess = poisson_hessian(jac, observed, mu)
+        dl_dmu, hess = poisson_curvature(observed, jac, mu)
     for i, j, d2mu in design.second_derivatives(theta):
         term = dl_dmu @ d2mu
         hess[i, j] += term
@@ -554,9 +523,7 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
         return f"signal = {float(signals[i])!r}, {where}" if held else where
 
     if not keep:
-        inside = in_poisson_domain(observed, offsets)
-        return signals[:, None], np.array([_poisson_nll_from_mu(observed, mu) if ok else np.inf
-                                           for mu, ok in zip(offsets, inside)])
+        return signals[:, None], poisson_nll(observed, offsets)
     cols = columns[:, keep]
     x = np.full((len(offsets), columns.shape[1]), np.nan)  # nan: no start inside yet
     for candidate in _poisson_starts(problem, design, signals, starts):
@@ -578,7 +545,7 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
 def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarray:
     """The empty bins that hold the Poisson inner solve at mu = 0.
 
-    Bins at zero to the rounding of mu's largest terms (_AT_ZERO, as in
+    Bins at zero to the rounding of mu's largest terms (at_zero, as in
     minimize_linear_poisson), lowest mu first, kept while their rows of
     d mu / d theta[linear] stay independent: a bin whose row adds no
     constraint only looks held, its mu a tail value above the binding
@@ -587,8 +554,8 @@ def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarra
     if problem.statistic != "poisson_nll" or not linear:
         return np.empty(0, dtype=int)
     mu = design(theta)
-    scale = np.abs(design.base) + np.abs(design.columns) @ np.abs(theta[design.linear_idx])
-    candidates = np.flatnonzero((problem.observed == 0) & (mu <= _AT_ZERO * scale.max()))
+    candidates = np.flatnonzero(at_zero(problem.observed == 0, mu, design.base,
+                                        theta[design.linear_idx], np.abs(design.columns)))
     if not candidates.size:
         return candidates
     rows = design.jacobian(theta)[:, linear]

@@ -1,4 +1,6 @@
-"""Exact minimization of a Poisson NLL whose expectation is linear.
+"""The Poisson statistic: the NLL of given expectations (poisson_nll),
+its curvature (poisson_curvature), the empty bins at mu = 0 (at_zero),
+and its exact minimization where the expectation is linear.
 
 With mu = offset + A x the negative log likelihood
 sum(mu - n log mu) is convex in x, so damped Newton steps with the
@@ -57,16 +59,38 @@ def in_poisson_domain(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.all(np.where(observed > 0, mu > 0, mu >= 0), axis=-1)
 
 
-def poisson_hessian(columns: np.ndarray, observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """A^T diag(n / mu^2) A for mu of shape (bins,) or (rows, bins).
+def poisson_nll(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sum(mu - n ln mu + ln n!) over the bins of each row of mu, term by
+    term; +inf for a row outside the Poisson domain."""
+    inside = in_poisson_domain(observed, mu)
+    zero = mu == 0
+    log_mu = np.log(np.where(zero | ~inside[..., None], 1.0, mu))
+    terms = np.where(zero, 0.0, mu - observed * log_mu) + log_factorial(observed)
+    return np.where(inside, np.sum(terms, axis=-1), np.inf)
 
-    Empty bins add no curvature: their NLL term, mu, is linear.
-    """
+
+def poisson_curvature(observed: np.ndarray, columns: np.ndarray, mu: np.ndarray):
+    """dNLL/dmu and the Hessian A^T diag(n / mu^2) A at each row of mu.
+    Empty bins add no curvature and need no mu > 0: a bin held at mu = 0
+    may round below it."""
     occupied = observed > 0
-    weights = np.where(occupied, observed / np.where(occupied, mu, 1.0) ** 2, 0.0)
+    if not np.all(mu[..., occupied] > 0):
+        raise FitError("expected counts leave the Poisson domain; "
+                       "the curvature is undefined there")
+    safe = np.where(occupied, mu, 1.0)
+    dl_dmu = np.where(occupied, 1.0 - observed / safe, 1.0)
+    weights = np.where(occupied, observed / safe ** 2, 0.0)
     bins, k = columns.shape
     outer = (columns[:, :, None] * columns[:, None, :]).reshape(bins, k * k)
-    return (weights @ outer).reshape(weights.shape[:-1] + (k, k))
+    return dl_dmu, (weights @ outer).reshape(weights.shape[:-1] + (k, k))
+
+
+def at_zero(empty: np.ndarray, mu: np.ndarray, offsets: np.ndarray, x: np.ndarray,
+            abs_columns: np.ndarray) -> np.ndarray:
+    """The bins of the mask empty at zero to rounding (_AT_ZERO) in each
+    row of mu = offsets + x @ A.T, for abs_columns = |A|."""
+    scale = (np.abs(offsets) + np.abs(x) @ abs_columns.T).max(axis=-1)
+    return empty & (mu <= _AT_ZERO * scale[..., None])
 
 
 def jacobi_scaled(hess: np.ndarray):
@@ -188,20 +212,19 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
         rays = []
         if any_empty or any_singular:
             # mu >= 0 binds in empty bins already at zero
-            mu_scale = (np.abs(off_live) + np.abs(x_live) @ abs_cols.T).max(axis=1)
-            at_zero = empty & (mu_live <= _AT_ZERO * mu_scale[:, None])
-            for r in np.flatnonzero(singular | np.any(at_zero, axis=1)):
+            held = at_zero(empty, mu_live, off_live, x_live, abs_cols)
+            for r in np.flatnonzero(singular | np.any(held, axis=1)):
                 ratio_r = np.zeros(observed.size)
                 ratio_r[occ] = ratio[r]
                 step[r], ray = _active_set_step(curvature[r].reshape(k, k), grad[r],
-                                                columns[at_zero[r]],
+                                                columns[held[r]],
                                                 np.abs(1.0 - ratio_r) @ abs_cols)
                 if ray:
                     rays.append(r)
                     # the NLL falls linearly along the ray: go to the first
                     # empty bin that it takes to mu = 0
                     dmu = step[r] @ columns.T
-                    falling = empty & ~at_zero[r] & (dmu < -1e-12 * np.abs(dmu).max())
+                    falling = empty & ~held[r] & (dmu < -1e-12 * np.abs(dmu).max())
                     if falling.any():
                         step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
         decrement = -np.sum(grad * step, axis=1)

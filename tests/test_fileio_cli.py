@@ -497,6 +497,33 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     assert not (tmp_path / "limit/report.txt").exists()
 
 
+@pytest.mark.parametrize("name, change, key", [
+    ("fit_forbidden_line.json", {"free": []}, "'free'"),
+    ("fit_forbidden_line.json", {"free": [["a", "amplitude"]]}, "'free'"),
+    ("limit_continuum.json", {"confidence_level": "high"}, "'confidence_level'"),
+    ("simulate_continuum.json", {"grid": {"lo_kev": 4.5, "hi_kev": 48.5, "n_bins": "many"}},
+     "'grid.n_bins'"),
+], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count"])
+def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
+                                                                 change, key):
+    _copy_sample_configs(tmp_path)
+    for simulate, out in [("simulate_forbidden_on.json", "runs/on"),
+                          ("simulate_continuum.json", "runs/continuum")]:
+        assert main(["simulate", "--config", str(tmp_path / simulate),
+                     "--out", str(tmp_path / out)]) == 0
+    config = json.loads((tmp_path / name).read_text())
+    config.pop("signal", None)
+    config.update(change)
+    (tmp_path / name).write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main([config["kind"], "--config", str(tmp_path / name), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [config]:")
+    assert key in err
+    assert not (tmp_path / "x/report.txt").exists()
+
+
 def test_cli_project_prints_headline_rows(tmp_path, capsys):
     assert main(["project"]) == 0
     assert capsys.readouterr().out == (

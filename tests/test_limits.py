@@ -8,6 +8,7 @@ exact up to minimizer tolerance, never up to luck.
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,12 @@ from scipy.stats import norm, poisson
 
 import speclimit.limits as limits_module
 from speclimit.newton import (
+    at_zero,
     in_poisson_domain,
     jacobi_scaled,
     log_factorial,
     minimize_linear_poisson,
+    poisson_nll,
 )
 from speclimit import (
     BinnedSpectrum,
@@ -141,6 +144,44 @@ def test_poisson_nll_zero_expectation_rules():
                               acquisition_days=1.0)
     with pytest.raises(ModelError):
         binned_poisson_nll(occupied, model)
+
+
+def test_poisson_nll_of_a_batch_of_rows_equals_each_rows_binned_nll():
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    counts = simulate_spectrum(_line_model(20.0, 30.0), grid, seed=11).counts
+    spectrum = BinnedSpectrum(grid=grid, counts=counts, exposure=Exposure(1.0, 1.0),
+                              tag="measured", acquisition_days=1.0)
+    models = [_line_model(a, b) for a, b in [(20.0, 30.0), (0.0, 12.5), (75.0, 3.0)]]
+    rows = np.array([predict_counts(model, grid) for model in models])
+    nll = poisson_nll(counts.astype(float), rows)
+    assert nll.tolist() == [binned_poisson_nll(spectrum, model) for model in models]
+
+
+def test_poisson_nll_is_infinite_outside_the_domain_without_a_warning():
+    observed = np.array([0.0, 2.0, 1.0])
+    rows = np.array([[0.0, 1.5, 0.5],     # an empty bin at mu = 0: inside
+                     [1.0, 0.0, 0.5],     # mu = 0 in a bin with counts
+                     [-0.5, -1.0, -2.0],  # negative throughout
+                     [-1e-300, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nll = poisson_nll(observed, rows)
+    assert nll[0] == pytest.approx(-poisson.logpmf(observed, rows[0]).sum(), rel=1e-14)
+    assert np.isposinf(nll[1:]).all()
+
+
+def test_at_zero_holds_an_empty_bin_at_rounding_of_the_rows_largest_term():
+    observed = np.array([0.0, 3.0, 0.0])
+    # the largest term is 2 in both rows, the first bin's mu 1e-13 and
+    # 1e-11 of it
+    columns = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    x = np.array([[2e-13, 2.0], [2e-11, 2.0]])
+    offsets = np.zeros((2, 3))
+    mu = offsets + x @ columns.T
+    held = at_zero(observed == 0, mu, offsets, x, np.abs(columns))
+    assert held.tolist() == [[True, False, False], [False, False, False]]
+    assert at_zero(observed == 0, mu[0], offsets[0], x[0], np.abs(columns)).tolist() == [
+        True, False, False]
 
 
 def test_single_empty_bin_nll_equals_expectation():
@@ -404,26 +445,17 @@ def test_design_reproduces_the_model_with_free_centroids():
                                    rtol=1e-13, atol=0)
 
 
-def test_design_base_leaves_out_components_whose_linear_parameters_are_all_free(monkeypatch):
+def test_design_base_is_the_zeroed_templates_prediction_and_plus_zero_when_all_free():
     # the line's amplitude and the 1/E amplitude are free, the polynomial
-    # keeps one fixed term: only the polynomial enters the base, which is
-    # bit for bit the prediction of the template with the free linear
-    # parameters at zero
-    import speclimit.spectra as spectra_module
-
+    # keeps one fixed term: the base is bit for bit the prediction of the
+    # template with the free linear parameters at zero
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     model = SpectralModel(components=(GaussianLine(7.7, 300.0), OneOverEContinuum(40.0),
                                       PolynomialBackground((10.0, 2.0))), response=RESPONSE)
     free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 1))
     problem = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[0])
     zeroed = problem.with_values(np.zeros(3))
-    calls = []
-    fractions = spectra_module._gaussian_bin_fractions
-    monkeypatch.setattr(spectra_module, "_gaussian_bin_fractions",
-                        lambda *args: calls.append(args) or fractions(*args))
-    design = problem._design
-    assert len(calls) == 1  # the line's unit column only, not its zeroed counts
-    assert np.array_equal(design.base, predict_counts(zeroed, grid))
+    assert np.array_equal(problem._design.base, predict_counts(zeroed, grid))
     # every linear parameter free: the base is exactly +0
     free += ((2, "coefficients", 0),)
     everything = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[0])
@@ -594,6 +626,38 @@ def test_free_centroid_uncertainties_match_a_central_difference_hessian(statisti
             hess[i, j] = (stat(values + a + b) - stat(values + a - b) - stat(values - a + b)
                           + stat(values - a - b)) / (4.0 * a[i] * b[j])
     np.testing.assert_allclose(sigma, np.sqrt(np.diag(np.linalg.inv(hess))), rtol=1e-4)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.04, -0.06])
+def test_reduced_curvature_with_held_bins_matches_central_differences(offset):
+    # a 2-count line on a 0.4 counts/keV flat: the fit puts the flat term
+    # at zero, where an empty bin holds the inner solve at mu = 0, and the
+    # reduced gradient and Hessian come from the held block
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(2.0, 0.4)
+    spectrum = simulate_spectrum(truth, grid, 7002)
+    assert np.flatnonzero(spectrum.counts).tolist() == [29, 31]
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_spectrum(spectrum, truth, free, free[1], statistic="poisson_nll")
+    design = problem._design
+    fit = fit_minimize(problem)
+    assert fit.values[0] == pytest.approx(8.025, abs=1e-6)
+    centroid = fit.values[0] + offset
+    theta, _, held = limits_module._linear_solution(problem, design, [centroid], None,
+                                                    fit.values)
+    assert not held
+    assert limits_module._held_bins(problem, design, theta, design.linear_idx).tolist() == (
+        [56] if offset == 0.04 else [53])
+    gradient, hess = limits_module._reduced_curvature(problem, design, theta, held)
+
+    def stat(c):
+        return limits_module._linear_solution(problem, design, [c], None, theta)[1]
+
+    h = 1e-4
+    up, mid, down = stat(centroid + h), stat(centroid), stat(centroid - h)
+    # at the fit the gradient is about 9e-7
+    assert gradient[0] == pytest.approx((up - down) / (2.0 * h), rel=1e-6, abs=1e-6)
+    assert hess[0, 0] == pytest.approx((up - 2.0 * mid + down) / h ** 2, rel=1e-6)
 
 
 # nested-simplex bounds (the `simplex` profile, as run before variable
