@@ -30,6 +30,8 @@ from .errors import (
     ScanRangeError,
     SpectrumFormatError,
     ToolkitError,
+    config_number,
+    config_numbers,
 )
 
 if TYPE_CHECKING:
@@ -46,13 +48,13 @@ def _require(config: dict, key: str, kind: str):
     return config[key]
 
 
-def _number(value, key: str, kind=float):
-    """A config value as float (or int), or a ConfigError naming its key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        wanted = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}") from None
+def _section(config: dict, key: str, kind: str, default=None) -> dict:
+    """The config section under key, which must be a JSON object; default
+    where it is absent, or required when default is None."""
+    value = _require(config, key, kind) if default is None else config.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
+    return value
 
 
 def _resolve_path(base: Path, value: str) -> Path:
@@ -64,13 +66,13 @@ def _build_grid(entry: dict) -> EnergyGrid:
     from .spectra import EnergyGrid
 
     if "edges" in entry:
-        return EnergyGrid(entry["edges"])
+        return EnergyGrid(config_numbers(entry["edges"], "grid.edges"))
     for key in ("lo_kev", "hi_kev", "n_bins"):
         if key not in entry:
             raise ConfigError(f"grid needs 'edges' or lo_kev/hi_kev/n_bins, missing {key!r}")
-    return EnergyGrid.uniform(_number(entry["lo_kev"], "grid.lo_kev"),
-                              _number(entry["hi_kev"], "grid.hi_kev"),
-                              _number(entry["n_bins"], "grid.n_bins", int))
+    return EnergyGrid.uniform(config_number(entry["lo_kev"], "grid.lo_kev"),
+                              config_number(entry["hi_kev"], "grid.hi_kev"),
+                              config_number(entry["n_bins"], "grid.n_bins", int))
 
 
 def _parse_ref(entry, key: str) -> tuple:
@@ -81,10 +83,10 @@ def _parse_ref(entry, key: str) -> tuple:
             f"parameter reference must be [component, attr] or "
             f"[component, 'coefficients', index], got {entry!r}"
         )
-    component = _number(entry[0], key, int)
+    component = config_number(entry[0], key, int)
     if len(entry) == 2:
         return component, str(entry[1])
-    return component, str(entry[1]), _number(entry[2], key, int)
+    return component, str(entry[1]), config_number(entry[2], key, int)
 
 
 def _out_dir(args) -> Path:
@@ -121,17 +123,18 @@ def _cmd_simulate(args) -> int:
 
     config, _ = _load_cli_config(args, "simulate")
     out = _out_dir(args)
-    grid = _build_grid(_require(config, "grid", "simulate"))
-    model = model_from_description(_require(config, "model", "simulate"))
-    exposure_cfg = config.get("exposure", {"mass_kg": 1.0, "live_time_days": 1.0})
+    grid = _build_grid(_section(config, "grid", "simulate"))
+    model = model_from_description(_section(config, "model", "simulate"))
+    exposure_cfg = _section(config, "exposure", "simulate",
+                            {"mass_kg": 1.0, "live_time_days": 1.0})
     exposure = Exposure(
-        mass_kg=_number(_require(exposure_cfg, "mass_kg", "exposure"), "exposure.mass_kg"),
-        live_time_days=_number(_require(exposure_cfg, "live_time_days", "exposure"),
-                               "exposure.live_time_days"))
-    seed = _number(config.get("seed", 0), "seed", int)
+        mass_kg=config_number(_require(exposure_cfg, "mass_kg", "exposure"), "exposure.mass_kg"),
+        live_time_days=config_number(_require(exposure_cfg, "live_time_days", "exposure"),
+                                     "exposure.live_time_days"))
+    seed = config_number(config.get("seed", 0), "seed", int)
     config["seed"] = seed
-    acquisition_days = _number(config.get("acquisition_days", exposure.live_time_days),
-                               "acquisition_days")
+    acquisition_days = config_number(config.get("acquisition_days", exposure.live_time_days),
+                                     "acquisition_days")
     tag = config.get("tag", "simulated")
     config_hash = canonical_config_hash(config)
 
@@ -193,7 +196,7 @@ def _cmd_fit(args) -> int:
     config, base = _load_cli_config(args, "fit")
     out = _out_dir(args)
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "fit")))
-    model = model_from_description(_require(config, "model", "fit"))
+    model = model_from_description(_section(config, "model", "fit"))
     entries = _require(config, "free", "fit")
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"fit config 'free' must list at least one parameter, got {entries!r}")
@@ -202,7 +205,7 @@ def _cmd_fit(args) -> int:
     signal = (_parse_ref(config["signal"], "signal") if "signal" in config else
               next((ref for ref in free if ref[1] != "centroid_kev"), free[0]))
     statistic = config.get("statistic", "chi2")
-    seed = _number(config.get("seed", 0), "seed", int)
+    seed = config_number(config.get("seed", 0), "seed", int)
     config["seed"] = seed
     config_hash = canonical_config_hash(config)
 
@@ -262,27 +265,28 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "limit")))
     # the collapse-rate map holds only in the non-relativistic window
     _check_energy_validity(spectrum.grid.bin_edges)
-    cl = _number(config.get("confidence_level", 0.95), "confidence_level")
+    cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
     statistic = config.get("statistic", "chi2")
-    seed = _number(config.get("seed", 0), "seed", int)
+    seed = config_number(config.get("seed", 0), "seed", int)
     config["seed"] = seed
     # the Poisson scan's tolerance; the closed-form chi-square bound ignores it
-    grid_rtol = _number(config.get("grid_rtol", 1e-3), "grid_rtol")
+    grid_rtol = config_number(config.get("grid_rtol", 1e-3), "grid_rtol")
     config_hash = canonical_config_hash(config)
 
-    background_cfg = config.get("background", {})
-    coefficients = tuple(_number(c, "background.coefficients")
-                         for c in background_cfg.get("coefficients", [0.0]))
-    response = _response_from_description(config.get("response", {"fwhm_kev_at_ref": 0.3}))
-    target_cfg = config.get("target", {})
+    background_cfg = _section(config, "background", "limit", {})
+    coefficients = tuple(config_numbers(background_cfg.get("coefficients", [0.0]),
+                                        "background.coefficients"))
+    response = _response_from_description(
+        _section(config, "response", "limit", {"fwhm_kev_at_ref": 0.3}))
+    target_cfg = _section(config, "target", "limit", {})
     target = TargetMaterial.from_table(
         target_cfg.get("element", "Ge"),
         quasi_free_electrons=target_cfg.get("quasi_free_electrons"),
     )
-    correlation_length_m = _number(
+    correlation_length_m = config_number(
         config.get("correlation_length_m", CODATA2018.correlation_length_default_m),
         "correlation_length_m")
-    efficiency = _number(config.get("detection_efficiency", 1.0), "detection_efficiency")
+    efficiency = config_number(config.get("detection_efficiency", 1.0), "detection_efficiency")
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("detection_efficiency must lie in (0, 1]")
     # the response efficiency is folded into the fitted columns, so the
@@ -358,34 +362,38 @@ def _limit_pep(args, config: dict, base: Path) -> int:
     on = load_spectrum(_resolve_path(base, _require(config, "on", "limit")))
     off = load_spectrum(_resolve_path(base, _require(config, "off", "limit")))
     ratio = config.get("ratio")
-    residual = subtract_spectra(on, off, ratio=None if ratio is None else _number(ratio, "ratio"))
+    residual = subtract_spectra(on, off,
+                                ratio=None if ratio is None else config_number(ratio, "ratio"))
 
-    transition_cfg = config.get("transition", {})
+    transition_cfg = _section(config, "transition", "limit", {})
     transition = PepTransition(
-        normal_energy_kev=_number(transition_cfg.get("normal_energy_kev", 8.0),
-                                  "transition.normal_energy_kev"),
-        shift_kev=_number(transition_cfg.get("shift_kev", 0.30), "transition.shift_kev"),
+        normal_energy_kev=config_number(transition_cfg.get("normal_energy_kev", 8.0),
+                                        "transition.normal_energy_kev"),
+        shift_kev=config_number(transition_cfg.get("shift_kev", 0.30), "transition.shift_kev"),
     )
-    response = _response_from_description(_require(config, "response", "limit"))
-    run_cfg = _require(config, "run", "limit")
+    response = _response_from_description(_section(config, "response", "limit"))
+    run_cfg = _section(config, "run", "limit")
     for key in ("current_a", "duration_s", "geometric_acceptance", "detection_efficiency"):
         if key not in run_cfg:
             raise ConfigError(f"limit config run section requires '{key}'")
     run = PepRunConfig(
-        current_a=_number(run_cfg["current_a"], "run.current_a"),
-        duration_s=_number(run_cfg["duration_s"], "run.duration_s"),
-        geometric_acceptance=_number(run_cfg["geometric_acceptance"], "run.geometric_acceptance"),
-        detection_efficiency=_number(run_cfg["detection_efficiency"], "run.detection_efficiency"),
-        capture_cascade_factor=_number(run_cfg.get("capture_cascade_factor", 0.1),
-                                       "run.capture_cascade_factor"),
-        capture_opportunities=_number(run_cfg.get("capture_opportunities", 1.0),
-                                      "run.capture_opportunities"),
+        current_a=config_number(run_cfg["current_a"], "run.current_a"),
+        duration_s=config_number(run_cfg["duration_s"], "run.duration_s"),
+        geometric_acceptance=config_number(run_cfg["geometric_acceptance"],
+                                           "run.geometric_acceptance"),
+        detection_efficiency=config_number(run_cfg["detection_efficiency"],
+                                           "run.detection_efficiency"),
+        capture_cascade_factor=config_number(run_cfg.get("capture_cascade_factor", 0.1),
+                                             "run.capture_cascade_factor"),
+        capture_opportunities=config_number(run_cfg.get("capture_opportunities", 1.0),
+                                            "run.capture_opportunities"),
     )
-    cl = _number(config.get("confidence_level", 0.95), "confidence_level")
-    window_multiple = _number(config.get("window_fwhm_multiple", 1.5), "window_fwhm_multiple")
+    cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
+    window_multiple = config_number(config.get("window_fwhm_multiple", 1.5),
+                                    "window_fwhm_multiple")
     # passed on, but it selects nothing: the residual bound is closed form
-    grid_rtol = _number(config.get("grid_rtol", 1e-3), "grid_rtol")
-    config["seed"] = _number(config.get("seed", 0), "seed", int)
+    grid_rtol = config_number(config.get("grid_rtol", 1e-3), "grid_rtol")
+    config["seed"] = config_number(config.get("seed", 0), "seed", int)
     config_hash = canonical_config_hash(config)
 
     limit = pep_upper_limit(residual, transition, response, run, cl,

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the checked conversion
+of config numbers."""
 
 
 class ToolkitError(Exception):
@@ -40,3 +41,19 @@ class SpectrumFormatError(ToolkitError, ValueError):
 
 class ConfigError(ToolkitError, ValueError):
     """A run configuration file is malformed or inconsistent."""
+
+
+def config_number(value, key: str, kind=float):
+    """A config value as float (or int), or a ConfigError naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        wanted = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}") from None
+
+
+def config_numbers(values, key: str) -> list:
+    """A config list of numbers as floats, or a ConfigError naming its key."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"config value {key!r} must be a list of numbers, got {values!r}")
+    return [config_number(value, key) for value in values]

@@ -39,7 +39,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -1112,17 +1112,28 @@ def _posterior_weight(pstat_values: np.ndarray, stat_min: float, statistic: str)
     return np.exp(-delta)
 
 
+@cache
+def _cubic_stencil(n_nodes: int):
+    """The Lagrange weights of _cubic_fill's scan points for n_nodes
+    nodes, and the indices of each point's four nodes, both (4, points).
+    The node counts of a scan are 2**j + 1, so few are ever built."""
+    position = np.arange(8 * (n_nodes - 1) + 1) / 8.0
+    first = np.clip(position.astype(int) - 1, 0, n_nodes - 4)
+    u = position - first
+    lagrange = np.array([-(u - 1) * (u - 2) * (u - 3) / 6, u * (u - 2) * (u - 3) / 2,
+                         -u * (u - 1) * (u - 3) / 2, u * (u - 1) * (u - 2) / 6])
+    index = first + np.arange(4)[:, None]
+    lagrange.flags.writeable = index.flags.writeable = False
+    return lagrange, index
+
+
 def _cubic_fill(nodes: np.ndarray) -> np.ndarray:
     """The profile at 8 scan points per node interval, each point from the
     cubic through the four nearest nodes (the first and last four at the
     ends), so exact for a cubic profile. A point whose four nodes are not
     all finite takes +inf, zero posterior weight."""
-    position = np.arange(8 * (nodes.size - 1) + 1) / 8.0
-    first = np.clip(position.astype(int) - 1, 0, nodes.size - 4)
-    u = position - first
-    lagrange = np.array([-(u - 1) * (u - 2) * (u - 3) / 6, u * (u - 2) * (u - 3) / 2,
-                         -u * (u - 1) * (u - 3) / 2, u * (u - 1) * (u - 2) / 6])
-    stencil = nodes[first + np.arange(4)[:, None]]
+    lagrange, index = _cubic_stencil(nodes.size)
+    stencil = nodes[index]
     with np.errstate(invalid="ignore"):
         values = np.sum(lagrange * stencil, axis=0)
     values[~np.all(np.isfinite(stencil), axis=0)] = np.inf
@@ -1141,16 +1152,19 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
     for the Newton and projection profiles, which have no closed form.
 
     The scan grid runs from zero to s_max in 257, 513, 1025, ... points.
-    The profile is solved at every 8th point, the nodes (33, 65, 129,
-    ...), each refinement solving only the new midpoints; every other
+    The profile is solved at every 8th point, the nodes; every other
     point takes the cubic through its four nearest nodes (_cubic_fill).
     The scale sigma is sigma_hint where given, else it brackets the
     profile's rise: the first delta = 1e-3 max(|shat|, 1) 2**j, j < 60,
     at which the profile has risen by at least 1 above stat_min, the
     ladder solved _BRACKET_RUNGS rungs per pstat call. s_max starts 10
-    sigma above the clipped signal and grows by 1.7, with a fresh node
-    set, until the posterior weight at the last node is below 1e-10.
-    The scan stops at the first refinement where both the bound moved
+    sigma above the clipped signal. The first level's 65 nodes are
+    solved in one pstat call, and they are also the range probe: until
+    the posterior weight at the last of them is below 1e-10, s_max grows
+    by 1.7 and a fresh set is solved. The scan then compares the
+    257-point fill from the 33 even nodes with the 513-point fill from
+    all 65, and each refinement after that solves only the new
+    midpoints. It stops at the first level where both the bound moved
     by less than grid_rtol and the fill misplaced at most a share
     grid_rtol of the posterior at the new nodes: sum |w(solved) -
     w(previous fill)| times the old node spacing, over the integral of w.
@@ -1192,7 +1206,8 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
 
     s_max = max(shat, 0.0) + 10.0 * sigma
     for _ in range(60):
-        nodes = pstat(np.linspace(0.0, s_max, 33))
+        # the first level's nodes; the last one is the range probe
+        nodes = pstat(np.linspace(0.0, s_max, 65))
         if _posterior_weight(nodes[-1:], stat_min, statistic)[0] < 1e-10:
             break
         s_max *= 1.7
@@ -1200,8 +1215,9 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
         raise ScanRangeError(f"posterior for {label!r} does not decay on any "
                              "attempted scan range")
 
-    previous = None
-    while True:
+    def quantile(nodes):
+        """The bound from the cubic fill of nodes on [0, s_max], the fill's
+        points and values, their posterior weights and its integral."""
         values = _cubic_fill(nodes)
         s = np.linspace(0.0, s_max, values.size)
         weights = _posterior_weight(values, stat_min, statistic)
@@ -1209,17 +1225,20 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
         norm = cdf[-1]
         if norm <= 0 or not np.isfinite(norm):
             raise ScanRangeError(f"posterior for {label!r} has no integrable mass on the scan")
-        bound = float(np.interp(cl * norm, cdf, s))
-        if previous is not None:
-            # the new nodes are every 16th point from the 8th; the previous
-            # fill had them every 8th from the 4th, 16 points apart
-            misplaced = np.sum(np.abs(weights[8::16] - previous[1][4::8])) * 16 * s[1] / norm
-            if abs(bound - previous[0]) <= grid_rtol * max(bound, 1e-300) \
-                    and misplaced <= grid_rtol:
-                return bound, s, values
-        previous = bound, weights
+        return float(np.interp(cl * norm, cdf, s)), s, values, weights, norm
+
+    previous_bound, _, _, previous_weights, _ = quantile(nodes[::2])
+    while True:
+        bound, s, values, weights, norm = quantile(nodes)
+        # the new nodes are every 16th point from the 8th; the previous
+        # fill had them every 8th from the 4th, 16 points apart
+        misplaced = np.sum(np.abs(weights[8::16] - previous_weights[4::8])) * 16 * s[1] / norm
+        if abs(bound - previous_bound) <= grid_rtol * max(bound, 1e-300) \
+                and misplaced <= grid_rtol:
+            return bound, s, values
         if values.size > 200_000:
             raise ScanRangeError(f"scan for {label!r} failed to stabilize the quantile")
+        previous_bound, previous_weights = bound, weights
         refined = np.empty(2 * nodes.size - 1)
         refined[::2] = nodes
         refined[1::2] = pstat(np.linspace(0.0, s_max, refined.size)[1::2])
@@ -1239,13 +1258,14 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     damped Newton for a linear Poisson NLL, each solve started by the
     one rule of _poisson_solve, and variable projection with the signal
     held for free centroids. _scan_upper_bound solves that profile at
-    every 8th point of a 257, 513, ... point grid, fills the rest by
-    cubics, and refines until the bound moves by less than grid_rtol
-    and the fill misplaced at most that share of the posterior. The
-    metadata names the profile solver ("exact-gaussian", "newton" or
-    "projection"), and for the last two the Newton iterations taken and
-    profile_points, the points at which the profile was solved: the
-    global fit, any bracketing and range probes and the scan's nodes.
+    every 8th point of a 513, 1025, ... point grid, the first 65 nodes in
+    one call, fills the rest by cubics, and refines until the bound
+    moves by less than grid_rtol and the fill misplaced at most that
+    share of the posterior. The metadata names the profile solver
+    ("exact-gaussian", "newton" or "projection"), and for the last two
+    the Newton iterations taken and profile_points, the points at which
+    the profile was solved: the global fit, any bracketing, any node
+    sets discarded by the range probe, and the scan's nodes.
     seed selects nothing; it is kept for callers that pass it.
     """
     if not 0.0 < cl < 1.0:

@@ -17,9 +17,11 @@ A Newton pass works on the rows still moving and on the bins with
 counts: the NLL is sum(mu) - n.log(mu), the gradient the column sums
 minus (n/mu) A and the Hessian (n/mu^2) times the columns' outer
 products, which a call forms once with the column sums and log n!. A
-one-column Hessian needs no eigenvalue for the singularity test; the
-held empty bins are looked for only on a spectrum with empty bins, or
-where a Hessian is singular.
+one- or two-column Hessian needs no LAPACK call: Jacobi-scaled, the
+2x2 one is [[1, r], [r, 1]], whose smallest eigenvalue, for the
+singularity test, is 1 - |r| and whose inverse is
+[[1, -r], [-r, 1]] / (1 - r^2). The held empty bins are looked for
+only on a spectrum with empty bins, or where a Hessian is singular.
 """
 
 from __future__ import annotations
@@ -102,9 +104,38 @@ def jacobi_scaled(hess: np.ndarray):
     inv_sqrt = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
     scaled = hess * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     singular = np.any(diag <= 0, axis=-1)
-    if hess.shape[-1] > 1:  # a 1x1 unit-diagonal matrix is exactly 1
+    # a 1x1 unit-diagonal matrix is exactly 1, and [[1, r], [r, 1]] has
+    # the eigenvalues 1 - r and 1 + r
+    k = hess.shape[-1]
+    if k == 2:
+        singular |= 1.0 - np.abs(scaled[..., 1, 0]) <= _SINGULAR_EIGENVALUE
+    elif k > 2:
         singular |= np.linalg.eigvalsh(scaled)[..., 0] <= _SINGULAR_EIGENVALUE
     return scaled, inv_sqrt, singular
+
+
+def newton_steps(curvature: np.ndarray, grad: np.ndarray):
+    """The Newton steps -H^-1 g of each row's Hessian, curvature of shape
+    (rows, k * k), and gradient, and whether each Hessian is singular
+    (jacobi_scaled). The system is solved Jacobi-scaled, a 2x2 one by
+    its closed-form inverse [[1, -r], [-r, 1]] / (1 - r^2); a singular
+    row takes the identity for its scaled Hessian, a step that
+    _active_set_step replaces."""
+    k = grad.shape[1]
+    if k == 1:
+        # a 1x1 unit-diagonal Hessian is 1: singular only at zero
+        singular = curvature[:, 0] <= 0.0
+        return -grad / np.where(singular[:, None], 1.0, curvature), singular
+    scaled, inv_sqrt, singular = jacobi_scaled(curvature.reshape(-1, k, k))
+    scaled_grad = inv_sqrt * grad
+    if k == 2:
+        r = np.where(singular, 0.0, scaled[:, 1, 0])[:, None]
+        solved = (scaled_grad - r * scaled_grad[:, ::-1]) / (1.0 - r * r)
+    else:
+        if singular.any():
+            scaled = np.where(singular[:, None, None], np.eye(k), scaled)
+        solved = np.linalg.solve(scaled, scaled_grad[:, :, None])[:, :, 0]
+    return -inv_sqrt * solved, singular
 
 
 def _null_space(rows: np.ndarray, k: int) -> np.ndarray:
@@ -189,84 +220,77 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     nll = np.empty(x.shape[0])
     live, x_live, off_live = np.arange(x.shape[0]), x, offsets
     mu_live = offsets + x @ columns.T
-    for iteration in range(_NEWTON_MAX_ITER + 1):
-        mu_occ = mu_live[:, occ]
-        nll_live = mu_live.sum(axis=1) - np.log(mu_occ) @ n_occ
-        ratio = n_occ / mu_occ
-        grad = colsum - ratio @ cols_occ
-        curvature = (ratio / mu_occ) @ outer_occ
-        if k == 1:
-            # a 1x1 unit-diagonal Hessian is 1: singular only at zero
-            singular = curvature[:, 0] <= 0.0
-            step = -grad / np.where(singular[:, None], 1.0, curvature)
-        else:
-            scaled, inv_sqrt, singular = jacobi_scaled(curvature.reshape(-1, k, k))
-            if singular.any():
-                # _active_set_step below takes these rows
-                scaled = np.where(singular[:, None, None], np.eye(k), scaled)
-            step = -inv_sqrt * np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
-        any_singular = bool(singular.any())
-        if any_singular and not _supported(columns):
-            raise FitError(f"a free parameter moves no bin at "
-                           f"{where(live[np.argmax(singular)])}, so no bin constrains it")
-        rays = []
-        if any_empty or any_singular:
-            # mu >= 0 binds in empty bins already at zero
-            held = at_zero(empty, mu_live, off_live, x_live, abs_cols)
-            for r in np.flatnonzero(singular | np.any(held, axis=1)):
-                ratio_r = np.zeros(observed.size)
-                ratio_r[occ] = ratio[r]
-                step[r], ray = _active_set_step(curvature[r].reshape(k, k), grad[r],
-                                                columns[held[r]],
-                                                np.abs(1.0 - ratio_r) @ abs_cols)
-                if ray:
-                    rays.append(r)
-                    # the NLL falls linearly along the ray: go to the first
-                    # empty bin that it takes to mu = 0
-                    dmu = step[r] @ columns.T
-                    falling = empty & ~held[r] & (dmu < -1e-12 * np.abs(dmu).max())
-                    if falling.any():
-                        step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
-        decrement = -np.sum(grad * step, axis=1)
-        moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
-        moving[rays] = True  # a ray step, however short, adds a held bin
-        if not moving.all():
-            stopped = ~moving
-            x[live[stopped]] = x_live[stopped]
-            nll[live[stopped]] = nll_live[stopped]
-            live, x_live, off_live, mu_live, mu_occ, step, decrement = (
-                live[moving], x_live[moving], off_live[moving], mu_live[moving],
-                mu_occ[moving], step[moving], decrement[moving])
-            if not live.size:
-                break
-        if iteration == _NEWTON_MAX_ITER:
-            raise FitError(f"Poisson Newton iteration did not converge in "
-                           f"{_NEWTON_MAX_ITER} steps at {where(live[0])}")
-        dmu = step @ columns.T
-        # largest feasible fraction of the step: mu must not cross zero
-        # in any bin; rounding noise on held bins does not count
-        shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
-        t = np.ones(live.size)
-        if shrinking.any():
-            reach = np.where(shrinking, np.maximum(mu_live, 0.0)
-                             / np.where(shrinking, -dmu, 1.0), np.inf)
-            t = np.minimum(1.0, reach.min(axis=1))
-        # backtrack on the NLL change, summed in log1p form so it stays
-        # accurate when it is far below the NLL itself
-        dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
-        pending = slice(None)  # every row, then those whose last trial failed
-        for _ in range(60):
-            tp = t[pending]
-            with np.errstate(invalid="ignore", divide="ignore"):
+    # the line search may try steps that leave the domain: their NLL
+    # change is nan or inf, and the trial fails
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for iteration in range(_NEWTON_MAX_ITER + 1):
+            mu_occ = mu_live[:, occ]
+            nll_live = mu_live.sum(axis=1) - np.log(mu_occ) @ n_occ
+            ratio = n_occ / mu_occ
+            grad = colsum - ratio @ cols_occ
+            curvature = (ratio / mu_occ) @ outer_occ
+            step, singular = newton_steps(curvature, grad)
+            any_singular = bool(singular.any())
+            if any_singular and not _supported(columns):
+                raise FitError(f"a free parameter moves no bin at "
+                               f"{where(live[np.argmax(singular)])}, so no bin constrains it")
+            rays = []
+            if any_empty or any_singular:
+                # mu >= 0 binds in empty bins already at zero
+                held = at_zero(empty, mu_live, off_live, x_live, abs_cols)
+                for r in np.flatnonzero(singular | np.any(held, axis=1)):
+                    ratio_r = np.zeros(observed.size)
+                    ratio_r[occ] = ratio[r]
+                    step[r], ray = _active_set_step(curvature[r].reshape(k, k), grad[r],
+                                                    columns[held[r]],
+                                                    np.abs(1.0 - ratio_r) @ abs_cols)
+                    if ray:
+                        rays.append(r)
+                        # the NLL falls linearly along the ray: go to the first
+                        # empty bin that it takes to mu = 0
+                        dmu = step[r] @ columns.T
+                        falling = empty & ~held[r] & (dmu < -1e-12 * np.abs(dmu).max())
+                        if falling.any():
+                            step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
+            decrement = -np.sum(grad * step, axis=1)
+            moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
+            moving[rays] = True  # a ray step, however short, adds a held bin
+            if not moving.all():
+                stopped = ~moving
+                x[live[stopped]] = x_live[stopped]
+                nll[live[stopped]] = nll_live[stopped]
+                live, x_live, off_live, mu_live, mu_occ, step, decrement = (
+                    live[moving], x_live[moving], off_live[moving], mu_live[moving],
+                    mu_occ[moving], step[moving], decrement[moving])
+                if not live.size:
+                    break
+            if iteration == _NEWTON_MAX_ITER:
+                raise FitError(f"Poisson Newton iteration did not converge in "
+                               f"{_NEWTON_MAX_ITER} steps at {where(live[0])}")
+            dmu = step @ columns.T
+            # largest feasible fraction of the step: mu must not cross zero
+            # in any bin; rounding noise on held bins does not count
+            shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
+            t = np.ones(live.size)
+            if shrinking.any():
+                reach = np.where(shrinking, np.maximum(mu_live, 0.0)
+                                 / np.where(shrinking, -dmu, 1.0), np.inf)
+                t = np.minimum(1.0, reach.min(axis=1))
+            # backtrack on the NLL change, summed in log1p form so it stays
+            # accurate when it is far below the NLL itself
+            dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
+            pending = slice(None)  # every row, then those whose last trial failed
+            for _ in range(60):
+                tp = t[pending]
                 change = tp * dmu_sum[pending] - np.log1p(
                     tp[:, None] * dmu_occ[pending] / mu_occ[pending]) @ n_occ
-            ok = np.isfinite(change) & (change <= -1e-4 * tp * decrement[pending])
-            if ok.all():
-                break
-            pending = np.arange(live.size)[pending][~ok]
-            t[pending] *= 0.5
-        else:
-            raise FitError(f"Poisson Newton line search failed at {where(live[pending][0])}")
-        x_live = x_live + t[:, None] * step
-        mu_live = off_live + x_live @ columns.T
+                ok = np.isfinite(change) & (change <= -1e-4 * tp * decrement[pending])
+                if ok.all():
+                    break
+                pending = np.arange(live.size)[pending][~ok]
+                t[pending] *= 0.5
+            else:
+                raise FitError(f"Poisson Newton line search failed at {where(live[pending][0])}")
+            x_live = x_live + t[:, None] * step
+            mu_live = off_live + x_live @ columns.T
     return x, nll + constant, iteration

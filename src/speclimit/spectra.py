@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Exposure, fwhm_to_sigma
-from .errors import DomainError, ModelError, ShapeError
+from .errors import DomainError, ModelError, ShapeError, config_number, config_numbers
 
 __all__ = [
     "EnergyGrid",
@@ -487,8 +487,9 @@ def _response_from_description(entry: dict) -> DetectorResponse:
     if "fwhm_kev_at_ref" not in entry:
         raise ModelError("response lacks 'fwhm_kev_at_ref'")
     return DetectorResponse(
-        fwhm_kev_at_ref=float(entry["fwhm_kev_at_ref"]),
-        reference_energy_kev=float(entry.get("reference_energy_kev", 8.0)),
+        fwhm_kev_at_ref=config_number(entry["fwhm_kev_at_ref"], "response.fwhm_kev_at_ref"),
+        reference_energy_kev=config_number(entry.get("reference_energy_kev", 8.0),
+                                           "response.reference_energy_kev"),
         resolution_model=entry.get("resolution_model", "constant"),
         efficiency=entry.get("efficiency", 1.0),
     )
@@ -507,10 +508,14 @@ def model_from_description(description: dict) -> SpectralModel:
                 raise ModelError(f"component {index} ({kind}) lacks {key!r}")
             return entry[key]
 
+        def number(key):
+            return config_number(value(key), f"components[{index}].{key}")
+
         if kind == "gaussian_line":
-            comps.append(GaussianLine(float(value("centroid_kev")), float(value("amplitude"))))
+            comps.append(GaussianLine(number("centroid_kev"), number("amplitude")))
         elif kind == "one_over_e_continuum":
-            comps.append(OneOverEContinuum(float(value("alpha"))))
+            comps.append(OneOverEContinuum(number("alpha")))
         else:
-            comps.append(PolynomialBackground(tuple(float(c) for c in value("coefficients"))))
+            comps.append(PolynomialBackground(tuple(
+                config_numbers(value("coefficients"), f"components[{index}].coefficients"))))
     return SpectralModel(components=tuple(comps), response=response)

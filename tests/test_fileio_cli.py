@@ -503,7 +503,15 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     ("limit_continuum.json", {"confidence_level": "high"}, "'confidence_level'"),
     ("simulate_continuum.json", {"grid": {"lo_kev": 4.5, "hi_kev": 48.5, "n_bins": "many"}},
      "'grid.n_bins'"),
-], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count"])
+    ("fit_forbidden_line.json", {("model", "components", 0, "amplitude"): "big"},
+     "'components[0].amplitude'"),
+    ("limit_continuum.json", {("response", "fwhm_kev_at_ref"): "wide"},
+     "'response.fwhm_kev_at_ref'"),
+    ("simulate_continuum.json", {"grid": {"edges": "abc"}}, "'grid.edges'"),
+    ("simulate_continuum.json", {"exposure": 5}, "'exposure'"),
+    ("limit_continuum.json", {("background", "coefficients"): 5}, "'background.coefficients'"),
+], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count",
+        "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients"])
 def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
                                                                  change, key):
     _copy_sample_configs(tmp_path)
@@ -513,7 +521,13 @@ def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys
                      "--out", str(tmp_path / out)]) == 0
     config = json.loads((tmp_path / name).read_text())
     config.pop("signal", None)
-    config.update(change)
+    # a tuple key is the path to a nested value
+    for path, value in change.items():
+        *parents, last = path if isinstance(path, tuple) else (path,)
+        section = config
+        for step in parents:
+            section = section[step]
+        section[last] = value
     (tmp_path / name).write_text(json.dumps(config))
     capsys.readouterr()
     code = main([config["kind"], "--config", str(tmp_path / name), "--out", str(tmp_path / "x")])

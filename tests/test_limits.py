@@ -18,12 +18,14 @@ from scipy.special import gammaln
 from scipy.stats import norm, poisson
 
 import speclimit.limits as limits_module
+import speclimit.newton as newton_module
 from speclimit.newton import (
     at_zero,
     in_poisson_domain,
     jacobi_scaled,
     log_factorial,
     minimize_linear_poisson,
+    newton_steps,
     poisson_nll,
 )
 from speclimit import (
@@ -984,6 +986,45 @@ def test_poisson_uncertainties_refuse_a_curvature_the_newton_calls_singular():
         parameter_uncertainties(problem, fit.values)
 
 
+def _stacked_2x2_hessians():
+    """Hessians of two parameters: random SPD ones, ones with a scaled
+    off-diagonal of +-(1 - 1e-13), exactly singular ones and ones with a
+    zero diagonal entry."""
+    rng = np.random.default_rng(11)
+    r = np.concatenate([rng.uniform(-0.95, 0.95, 24), [1.0 - 1e-13, -(1.0 - 1e-13)] * 4])
+    a, b = rng.uniform(0.1, 10.0, (2, r.size))
+    off = r * np.sqrt(a * b)
+    correlated = np.stack([np.stack([a, off], -1), np.stack([off, b], -1)], -2)
+    # exactly singular: the outer product of one column with itself
+    column = rng.normal(size=(8, 2))
+    singular = column[:, :, None] * column[:, None, :]
+    zero_diagonal = np.array([[[0.0, 0.0], [0.0, 2.5]], [[3.0, 0.0], [0.0, 0.0]]])
+    return np.concatenate([correlated, singular, zero_diagonal])
+
+
+def test_a_2x2_singularity_test_flags_what_eigvalsh_flags():
+    hess = _stacked_2x2_hessians()
+    scaled, _, singular = jacobi_scaled(hess)
+    diag = np.diagonal(hess, axis1=-2, axis2=-1)
+    by_eigenvalue = np.any(diag <= 0, axis=-1) | (
+        np.linalg.eigvalsh(scaled)[:, 0] <= newton_module._SINGULAR_EIGENVALUE)
+    assert np.array_equal(singular, by_eigenvalue)
+    assert not singular[:24].any() and singular[24:].all()
+
+
+def test_a_2x2_newton_step_matches_a_linear_solve():
+    hess = _stacked_2x2_hessians()
+    grad = np.random.default_rng(12).normal(size=(hess.shape[0], 2))
+    step, singular = newton_steps(hess.reshape(-1, 4), grad)
+    scaled, inv_sqrt, flagged = jacobi_scaled(hess)
+    assert np.array_equal(singular, flagged)
+    # a singular row solves with the identity, for the active-set step to replace
+    scaled[flagged] = np.eye(2)
+    solved = -inv_sqrt * np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
+    error = np.abs(step - solved).max(axis=1)
+    assert np.all(error <= 1e-13 * np.abs(solved).max(axis=1))
+
+
 def test_newton_profile_holds_empty_bins_at_zero_expectation():
     # counts only under the line: at large signal the background wants
     # to go negative and mu >= 0 in the empty bins stops it
@@ -1435,10 +1476,10 @@ def _poisson_bench_problem(level, seed):
                                     free[0], statistic="poisson_nll")
 
 
-@pytest.mark.parametrize("level, seed, iterations", [(4.0, 0, 9), (24.0, 0, 8)])
+@pytest.mark.parametrize("level, seed, iterations", [(4.0, 0, 8), (24.0, 0, 7)])
 def test_poisson_limit_work_counters_stay_pinned(level, seed, iterations):
     # the deterministic counters a regression gate keys on: the global
-    # fit, a 33-node set from the signal's sigma and one refinement
+    # fit and the first level's 65 nodes from the signal's sigma
     result = bayesian_upper_limit(_poisson_bench_problem(level, seed), 0.95, grid_rtol=3e-3)
     assert result.metadata["best_signal"] > 0.0
     assert result.metadata["profile_points"] == 66
@@ -1458,10 +1499,26 @@ def test_a_fit_held_at_zero_brackets_the_scan_scale_in_three_profile_calls(monke
     monkeypatch.setattr(limits_module, "_poisson_solve", counted)
     result = bayesian_upper_limit(problem, 0.95, grid_rtol=3e-3)
     assert result.metadata["best_signal"] == 0.0
-    # the free fit, the fit held at zero, the bracketing, the first node set
-    assert rows[:rows.index(33) + 1] == [None, 1, 6, 6, 6, 33]
+    # the free fit, the fit held at zero, the bracketing, the first level
+    assert rows == [None, 1, 6, 6, 6, 65]
     assert result.metadata["profile_points"] == 85
-    assert result.metadata["newton_iterations"] == 18
+    assert result.metadata["newton_iterations"] == 17
+
+
+def test_a_linear_poisson_limit_takes_two_newton_calls(monkeypatch):
+    # the global fit, then the first level's 65 nodes, whose fills from
+    # 33 and 65 nodes agree within grid_rtol
+    rows = []
+    real = limits_module.minimize_linear_poisson
+
+    def counted(observed, columns, offsets, *args):
+        rows.append(len(offsets))
+        return real(observed, columns, offsets, *args)
+
+    monkeypatch.setattr(limits_module, "minimize_linear_poisson", counted)
+    result = bayesian_upper_limit(_poisson_bench_problem(24.0, 0), 0.95, grid_rtol=3e-3)
+    assert rows == [1, 65]
+    assert result.metadata["scan_points"] == 513
 
 
 def test_limit_metadata_and_scan_contents():
