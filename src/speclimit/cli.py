@@ -32,6 +32,7 @@ from .errors import (
     ToolkitError,
     config_number,
     config_numbers,
+    config_object,
 )
 
 if TYPE_CHECKING:
@@ -52,9 +53,7 @@ def _section(config: dict, key: str, kind: str, default=None) -> dict:
     """The config section under key, which must be a JSON object; default
     where it is absent, or required when default is None."""
     value = _require(config, key, kind) if default is None else config.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {key!r} must be an object, got {value!r}")
-    return value
+    return config_object(value, key)
 
 
 def _resolve_path(base: Path, value: str) -> Path:

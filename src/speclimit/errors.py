@@ -54,6 +54,18 @@ def config_number(value, key: str, kind=float):
 
 def config_numbers(values, key: str) -> list:
     """A config list of numbers as floats, or a ConfigError naming its key."""
+    return [config_number(value, key) for value in config_list(values, key)]
+
+
+def config_list(values, key: str):
+    """A config value that must be a JSON list, or a ConfigError naming its key."""
     if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"config value {key!r} must be a list of numbers, got {values!r}")
-    return [config_number(value, key) for value in values]
+        raise ConfigError(f"config value {key!r} must be a list, got {values!r}")
+    return values
+
+
+def config_object(value, key: str) -> dict:
+    """A config value that must be a JSON object, or a ConfigError naming its key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config value {key!r} must be an object, got {value!r}")
+    return value

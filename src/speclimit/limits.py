@@ -55,7 +55,6 @@ from .fileio import canonical_config_hash
 from .newton import (
     _NEWTON_MAX_ITER,
     _NEWTON_RTOL,
-    at_zero,
     in_poisson_domain,
     jacobi_scaled,
     minimize_linear_poisson,
@@ -377,7 +376,7 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     if not design.linear:
         return _projection_fit(problem, design)
     try:
-        values, stat, _ = _linear_solution(problem, design, np.empty(0), None, None)
+        values, stat = _linear_solution(problem, design, np.empty(0), None, None)[:2]
     except DegenerateMapError as err:  # a fit, not a limit, has failed
         raise FitError(str(err)) from err
     return FitResult(values=values, statistic=stat, n_restarts=0, n_evaluations=1,
@@ -450,7 +449,8 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     parameter vector start (None for none), a free signal that falls
     below zero solved again held there. Each Poisson solve is counted
     into info, where given. Returns the full parameter vector, the
-    statistic and whether the signal is held.
+    statistic, whether the signal is held, and the empty bins that the
+    Poisson solve holds at mu = 0 (its working set; none for chi-square).
     """
     observed = problem.observed
     design.at(centroids)
@@ -466,21 +466,22 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
             held = signal < 0.0
             signal = max(signal, 0.0)
         theta[linear] = _signal_and_nuisances(core, signal, pos)
-        return theta, _chi2_from_mu(observed, design(theta)), held
+        return theta, _chi2_from_mu(observed, design(theta)), held, np.empty(0, dtype=int)
 
     where = f"centroids {list(map(float, centroids))!r}" if len(centroids) else "the fit"
     counts = Counter() if info is None else info
     starts = None if start is None else theta[linear][None]
     if signal is None:
-        x, nll = _poisson_solve(problem, design, None, starts, where, counts)
+        x, nll, bins = _poisson_solve(problem, design, None, starts, where, counts)
         if x[0, pos] >= 0.0:
             theta[linear] = x[0]
-            return theta, float(nll[0]), False
+            return theta, float(nll[0]), False, np.flatnonzero(bins[0])
         # the NLL is convex: the bounded optimum has the signal at zero
         signal = 0.0
-    x, nll = _poisson_solve(problem, design, np.array([float(signal)]), starts, where, counts)
+    x, nll, bins = _poisson_solve(problem, design, np.array([float(signal)]), starts, where,
+                                  counts)
     theta[linear] = x[0]
-    return theta, float(nll[0]), True
+    return theta, float(nll[0]), True, np.flatnonzero(bins[0])
 
 
 def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
@@ -503,14 +504,17 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
 
 def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where, counts):
     """The linear parameters minimizing the Poisson NLL at the design's
-    current centroids, and the NLL: a row per held value of the array
-    signals, or one row with the signal free for signals None.
+    current centroids, the NLL and the empty bins held at mu = 0 (the
+    working set of minimize_linear_poisson, a mask of bins): a row per
+    held value of the array signals, or one row with the signal free
+    for signals None.
 
     Each row starts from the first of _poisson_starts inside the Poisson
     domain; a row that none puts inside raises FitError, naming where,
     but a held signal with no other linear parameter takes the NLL
-    itself, +inf outside. Counts the rows into counts["profile_points"]
-    and the Newton iterations into counts["newton_iterations"].
+    itself, +inf outside, and holds no bin. Counts the rows into
+    counts["profile_points"] and the Newton iterations into
+    counts["newton_iterations"].
     """
     observed, columns = problem.observed, design.columns
     pos = design.linear_idx.index(problem.signal_index())
@@ -523,7 +527,8 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
         return f"signal = {float(signals[i])!r}, {where}" if held else where
 
     if not keep:
-        return signals[:, None], poisson_nll(observed, offsets)
+        return (signals[:, None], poisson_nll(observed, offsets),
+                np.zeros(offsets.shape, dtype=bool))
     cols = columns[:, keep]
     x = np.full((len(offsets), columns.shape[1]), np.nan)  # nan: no start inside yet
     for candidate in _poisson_starts(problem, design, signals, starts):
@@ -534,58 +539,30 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     else:
         raise FitError(f"no feasible start for the linear parameters at "
                        f"{where_row(int(np.argmax(np.isnan(x[:, 0]))))}")
-    x[:, keep], nll, iterations = minimize_linear_poisson(observed, cols, offsets, x[:, keep],
-                                                          where_row)
+    x[:, keep], nll, iterations, bins = minimize_linear_poisson(observed, cols, offsets,
+                                                                x[:, keep], where_row)
     if held:
         x[:, pos] = signals
     counts["newton_iterations"] += iterations
-    return x, nll
+    return x, nll, bins
 
 
-def _held_bins(problem: FitProblem, design: _Design, theta, linear) -> np.ndarray:
-    """The empty bins that hold the Poisson inner solve at mu = 0.
-
-    Bins at zero to the rounding of mu's largest terms (at_zero, as in
-    minimize_linear_poisson), lowest mu first, kept while their rows of
-    d mu / d theta[linear] stay independent: a bin whose row adds no
-    constraint only looks held, its mu a tail value above the binding
-    bin's.
-    """
-    if problem.statistic != "poisson_nll" or not linear:
-        return np.empty(0, dtype=int)
-    mu = design(theta)
-    candidates = np.flatnonzero(at_zero(problem.observed == 0, mu, design.base,
-                                        theta[design.linear_idx], np.abs(design.columns)))
-    if not candidates.size:
-        return candidates
-    rows = design.jacobian(theta)[:, linear]
-    kept, basis = [], np.zeros((0, len(linear)))
-    for b in candidates[np.argsort(mu[candidates], kind="stable")]:
-        residual = rows[b] - basis.T @ (basis @ rows[b])
-        if np.linalg.norm(residual) > 1e-9 * np.linalg.norm(rows[b]):
-            kept.append(b)
-            basis = np.vstack([basis, residual / np.linalg.norm(residual)])
-            if len(kept) == len(linear):
-                break
-    return np.array(kept, dtype=int)
-
-
-def _reduced_curvature(problem: FitProblem, design: _Design, theta, held):
+def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_bins):
     """Gradient and Hessian over the centroids of l = chi2 / 2, or of the
     Poisson NLL, with the linear parameters re-solved at each centroid.
 
     The linear parameters the inner solve leaves free are those other
-    than a held signal; the empty bins it holds at mu = 0 (_held_bins)
-    constrain them. The gradient is the centroid part of the
-    Lagrangian's gradient, its multipliers fitted to the linear part
-    (envelope theorem), and the Hessian the Schur complement of the
-    Lagrangian's Hessian over the linear directions the held bins leave
-    free, in least squares where no bin with counts curves one of them.
+    than a held signal; the empty bins held_bins, its working set at
+    mu = 0 (linearly independent rows), constrain them. The gradient is
+    the centroid part of the Lagrangian's gradient, its multipliers
+    fitted to the linear part (envelope theorem), and the Hessian the
+    Schur complement of the Lagrangian's Hessian over the linear
+    directions the held bins leave free, in least squares where no bin
+    with counts curves one of them.
     """
     cidx = design.centroid_idx
     linear = [i for i in design.linear_idx if not (held and i == problem.signal_index())]
     score, hess = _curvature(problem, design, theta)
-    held_bins = _held_bins(problem, design, theta, linear)
     if held_bins.size:
         rows = design.jacobian(theta)[held_bins]
         multipliers = np.linalg.solve(rows[:, linear] @ rows[:, linear].T,
@@ -643,10 +620,10 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
     lo, hi = design.window
     edge = 1e-12 * (hi - lo)
     k = 2.0 if problem.statistic == "chi2" else 1.0  # statistic = k * l
-    theta, stat, held = _linear_solution(problem, design, start[cidx], signal, start)
+    theta, stat, held, held_bins = _linear_solution(problem, design, start[cidx], signal, start)
     solves = 1
     for iteration in range(_NEWTON_MAX_ITER + 1):
-        gradient, reduced = _reduced_curvature(problem, design, theta, held)
+        gradient, reduced = _reduced_curvature(problem, design, theta, held, held_bins)
         centroids = theta[cidx]
         at_lo, at_hi = centroids <= lo + edge, centroids >= hi - edge
         move = np.ones(len(cidx), dtype=bool)
@@ -676,7 +653,7 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
                     trial = None
                 solves += 1
                 if trial is not None and trial[1] <= stat + 1e-4 * t * slope:
-                    theta, stat, held = trial
+                    theta, stat, held, held_bins = trial
                     break
             t *= 0.5
         else:
@@ -1068,7 +1045,7 @@ def _profiler(problem: FitProblem, design: _Design):
     info = {"profile_solver": _solver_for(problem, design), "newton_iterations": 0,
             "profile_points": 0}
     if design.linear:
-        theta, stat_min, _ = _linear_solution(problem, design, np.empty(0), None, None, info)
+        theta, stat_min = _linear_solution(problem, design, np.empty(0), None, None, info)[:2]
     else:
         fit = _projection_fit(problem, design)
         theta, stat_min = fit.values, fit.statistic
@@ -1085,7 +1062,7 @@ def _profiler(problem: FitProblem, design: _Design):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
         if design.linear:
             starts = np.column_stack([np.interp(s, known_s, column) for column in known.T])
-            solved, nll = _poisson_solve(problem, design, s, starts, "the profile", info)
+            solved, nll, _ = _poisson_solve(problem, design, s, starts, "the profile", info)
             remember(s, solved)
             return nll
         nll = np.empty(s.size)

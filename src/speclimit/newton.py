@@ -1,17 +1,21 @@
 """The Poisson statistic: the NLL of given expectations (poisson_nll),
-its curvature (poisson_curvature), the empty bins at mu = 0 (at_zero),
-and its exact minimization where the expectation is linear.
+its curvature (poisson_curvature), and its exact minimization where the
+expectation is linear.
 
 With mu = offset + A x the negative log likelihood
 sum(mu - n log mu) is convex in x, so damped Newton steps with the
 analytic gradient A^T (1 - n/mu) and Hessian A^T diag(n/mu^2) A reach
 its minimum (Baker & Cousins, NIM 221 (1984) 437). The domain is
-mu > 0 in bins with counts and mu >= 0 in empty bins; an empty bin held
-at mu = 0 is treated as an active constraint. Along a direction that
-no bin with counts curves, the NLL changes only through the empty bins,
-linearly, so its minimum there lies where an empty bin reaches mu = 0:
-the iteration steps to that bin, which then joins the active
-constraints (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 16).
+mu > 0 in bins with counts and mu >= 0 in empty bins. Each row keeps a
+working set, the empty bins it holds at mu = 0 as active constraints
+(the primal active-set method of Nocedal & Wright, Numerical
+Optimization, 2nd ed., section 16.5; Lawson & Hanson, Solving Least
+Squares Problems, 1974, ch. 23). It starts empty; an empty bin joins
+when it blocks a step that the line search takes whole, and leaves when
+its multiplier turns negative. Along a direction that no bin with
+counts curves, the NLL changes only through the empty bins, linearly,
+so such a step (a ray) has no limit of 1: it goes on until an empty bin
+blocks it.
 
 A Newton pass works on the rows still moving and on the bins with
 counts: the NLL is sum(mu) - n.log(mu), the gradient the column sums
@@ -20,8 +24,8 @@ products, which a call forms once with the column sums and log n!. A
 one- or two-column Hessian needs no LAPACK call: Jacobi-scaled, the
 2x2 one is [[1, r], [r, 1]], whose smallest eigenvalue, for the
 singularity test, is 1 - |r| and whose inverse is
-[[1, -r], [-r, 1]] / (1 - r^2). The held empty bins are looked for
-only on a spectrum with empty bins, or where a Hessian is singular.
+[[1, -r], [-r, 1]] / (1 - r^2). Only a row with a singular Hessian or
+a non-empty working set takes the active-set step, row by row.
 """
 
 from __future__ import annotations
@@ -41,11 +45,6 @@ _NEWTON_MAX_ITER = 100
 # smallest eigenvalue of the unit-diagonal (Jacobi-scaled) Hessian below
 # which a direction counts as uncurved by the bins with counts
 _SINGULAR_EIGENVALUE = 1e-12
-# an empty bin whose mu is at most this share of the row's largest
-# terms, |offset| + |x| @ |A|, is at zero to rounding and held there; a
-# per-bin scale would shrink with mu and let the steps creep towards
-# zero without end
-_AT_ZERO = 1e-12
 
 
 def log_factorial(counts: np.ndarray) -> np.ndarray:
@@ -85,14 +84,6 @@ def poisson_curvature(observed: np.ndarray, columns: np.ndarray, mu: np.ndarray)
     bins, k = columns.shape
     outer = (columns[:, :, None] * columns[:, None, :]).reshape(bins, k * k)
     return dl_dmu, (weights @ outer).reshape(weights.shape[:-1] + (k, k))
-
-
-def at_zero(empty: np.ndarray, mu: np.ndarray, offsets: np.ndarray, x: np.ndarray,
-            abs_columns: np.ndarray) -> np.ndarray:
-    """The bins of the mask empty at zero to rounding (_AT_ZERO) in each
-    row of mu = offsets + x @ A.T, for abs_columns = |A|."""
-    scale = (np.abs(offsets) + np.abs(x) @ abs_columns.T).max(axis=-1)
-    return empty & (mu <= _AT_ZERO * scale[..., None])
 
 
 def jacobi_scaled(hess: np.ndarray):
@@ -146,37 +137,39 @@ def _null_space(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def _active_set_step(hess, grad, rows, magnitude):
-    """Step for one row whose Hessian is singular or whose empty bins
-    given by rows are held at mu = 0.
+    """Step for one row whose Hessian is singular or whose working set,
+    the empty bins given by rows, is not empty.
 
     Works in the null space of the held rows, Jacobi-scaled. Along a
     direction there that the bins with counts do not curve, the NLL
     changes only through the empty bins, and linearly; if it falls
-    along one, returns (the steepest such direction, True), for the
-    caller to extend to the first empty bin that reaches mu = 0.
-    Otherwise returns (the Newton step over the curved directions,
-    False), releasing the held bin with the most negative multiplier
-    until every multiplier is non-negative. magnitude bounds the
-    gradient's terms, to tell a slope from rounding.
+    along one, the step is the steepest such direction, a ray for the
+    caller to follow until an empty bin blocks it. Otherwise the step
+    is Newton's over the curved directions, releasing the held bin with
+    the most negative multiplier until every multiplier is
+    non-negative. magnitude bounds the gradient's terms, to tell a
+    slope from rounding. Returns the step, whether it is a ray, and
+    which of rows stay held.
     """
     scaled, inv_sqrt, _ = jacobi_scaled(hess)
     grad, rows, magnitude = inv_sqrt * grad, rows * inv_sqrt, inv_sqrt * magnitude
+    kept = np.ones(rows.shape[0], dtype=bool)
     while True:
-        basis = _null_space(rows, grad.size)
+        basis = _null_space(rows[kept], grad.size)
         values, vectors = np.linalg.eigh(basis.T @ scaled @ basis)
         uncurved = values <= _SINGULAR_EIGENVALUE
         flat = basis @ vectors[:, uncurved]
         slope = flat.T @ grad
         if np.linalg.norm(slope) > 1e-9 * np.linalg.norm(np.abs(flat).T @ magnitude):
-            return -inv_sqrt * (flat @ slope), True
+            return -inv_sqrt * (flat @ slope), True, kept
         curved = basis @ vectors[:, ~uncurved]
         step = -curved @ ((curved.T @ grad) / values[~uncurved])
-        if not rows.shape[0]:
-            return inv_sqrt * step, False
-        multipliers = np.linalg.lstsq(rows.T, scaled @ step + grad, rcond=None)[0]
+        if not kept.any():
+            return inv_sqrt * step, False, kept
+        multipliers = np.linalg.lstsq(rows[kept].T, scaled @ step + grad, rcond=None)[0]
         if multipliers.min() >= 0.0:
-            return inv_sqrt * step, False
-        rows = np.delete(rows, int(np.argmin(multipliers)), axis=0)
+            return inv_sqrt * step, False, kept
+        kept[np.flatnonzero(kept)[np.argmin(multipliers)]] = False
 
 
 def _supported(columns: np.ndarray) -> bool:
@@ -194,21 +187,21 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
 
     offsets has shape (rows, bins) and starts (rows, k); every start
     must give mu > 0 in bins with counts and mu >= 0 in empty bins.
-    The NLL is convex, so damped Newton steps with the analytic
-    Hessian converge to its minimum. Each step is cut to the largest
-    feasible fraction and then backtracked until the NLL falls. An
-    empty bin whose mu reaches zero is an active constraint; mu > 0 in
-    the other bins is kept by the logarithm. A direction that the bins
-    with counts do not curve is followed to the first empty bin it
-    takes to mu = 0 (a spectrum without counts included); a parameter
-    that moves no bin at all raises FitError. where(i) names row i in
-    errors, also after the rows that stopped have left the batch.
-    Returns the minimizers, the NLL (with the log n! constant) and the
-    number of Newton iterations.
+    Each step is cut to the largest feasible fraction, with no limit
+    of 1 on a ray, and then backtracked until the NLL falls. Each row's
+    working set of empty bins held at mu = 0 starts empty. The first bin
+    to reach zero joins it if it is empty and the cut is taken whole,
+    and the row's parameters are then corrected in least squares to put
+    its held bins at mu = 0; a bin leaves when its multiplier turns
+    negative (_active_set_step). A parameter that moves no bin raises
+    FitError. where(i) names row i in errors, also after the rows that
+    stopped have left the batch. Returns the minimizers, the NLL (with
+    the log n! constant), the number of Newton iterations and each
+    row's working set, a mask of bins.
     """
     occupied = observed > 0
     empty = ~occupied
-    any_empty = bool(empty.any())
+    any_empty = bool(empty.any())  # without one no bin is ever held
     occ = np.flatnonzero(occupied) if any_empty else slice(None)
     n_occ, cols_occ = observed[occ], columns[occ]
     k = columns.shape[1]
@@ -218,7 +211,8 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     abs_cols = np.abs(columns)
     x = np.array(starts, dtype=float)
     nll = np.empty(x.shape[0])
-    live, x_live, off_live = np.arange(x.shape[0]), x, offsets
+    held = np.zeros((x.shape[0], observed.size), dtype=bool)
+    live, x_live, off_live, held_live = np.arange(x.shape[0]), x, offsets, held.copy()
     mu_live = offsets + x @ columns.T
     # the line search may try steps that leave the domain: their NLL
     # change is nan or inf, and the trial fails
@@ -234,34 +228,29 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
             if any_singular and not _supported(columns):
                 raise FitError(f"a free parameter moves no bin at "
                                f"{where(live[np.argmax(singular)])}, so no bin constrains it")
-            rays = []
+            limit = np.ones(live.size)  # the cut's upper limit: none on a ray
             if any_empty or any_singular:
-                # mu >= 0 binds in empty bins already at zero
-                held = at_zero(empty, mu_live, off_live, x_live, abs_cols)
-                for r in np.flatnonzero(singular | np.any(held, axis=1)):
+                for r in np.flatnonzero(singular | held_live.any(axis=1)):
                     ratio_r = np.zeros(observed.size)
                     ratio_r[occ] = ratio[r]
-                    step[r], ray = _active_set_step(curvature[r].reshape(k, k), grad[r],
-                                                    columns[held[r]],
-                                                    np.abs(1.0 - ratio_r) @ abs_cols)
+                    bins = np.flatnonzero(held_live[r])
+                    step[r], ray, held_live[r, bins] = _active_set_step(
+                        curvature[r].reshape(k, k), grad[r], columns[bins],
+                        np.abs(1.0 - ratio_r) @ abs_cols)
                     if ray:
-                        rays.append(r)
-                        # the NLL falls linearly along the ray: go to the first
-                        # empty bin that it takes to mu = 0
-                        dmu = step[r] @ columns.T
-                        falling = empty & ~held[r] & (dmu < -1e-12 * np.abs(dmu).max())
-                        if falling.any():
-                            step[r] *= np.min(mu_live[r, falling] / -dmu[falling])
+                        limit[r] = np.inf
             decrement = -np.sum(grad * step, axis=1)
             moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
-            moving[rays] = True  # a ray step, however short, adds a held bin
+            moving |= limit > 1.0  # a ray step, however short, adds a held bin
             if not moving.all():
                 stopped = ~moving
                 x[live[stopped]] = x_live[stopped]
                 nll[live[stopped]] = nll_live[stopped]
-                live, x_live, off_live, mu_live, mu_occ, step, decrement = (
-                    live[moving], x_live[moving], off_live[moving], mu_live[moving],
-                    mu_occ[moving], step[moving], decrement[moving])
+                held[live[stopped]] = held_live[stopped]
+                live, x_live, off_live, held_live, mu_live, mu_occ, step, decrement, limit = (
+                    live[moving], x_live[moving], off_live[moving], held_live[moving],
+                    mu_live[moving], mu_occ[moving], step[moving], decrement[moving],
+                    limit[moving])
                 if not live.size:
                     break
             if iteration == _NEWTON_MAX_ITER:
@@ -269,13 +258,17 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                                f"{_NEWTON_MAX_ITER} steps at {where(live[0])}")
             dmu = step @ columns.T
             # largest feasible fraction of the step: mu must not cross zero
-            # in any bin; rounding noise on held bins does not count
+            # in a bin outside the working set; rounding noise does not count
             shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
-            t = np.ones(live.size)
-            if shrinking.any():
+            t = limit
+            blocked = shrinking.any()
+            if blocked:
+                if any_empty:
+                    shrinking &= ~held_live
                 reach = np.where(shrinking, np.maximum(mu_live, 0.0)
                                  / np.where(shrinking, -dmu, 1.0), np.inf)
-                t = np.minimum(1.0, reach.min(axis=1))
+                first = reach.min(axis=1)
+                t = np.minimum(limit, first)
             # backtrack on the NLL change, summed in log1p form so it stays
             # accurate when it is far below the NLL itself
             dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
@@ -293,4 +286,14 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                 raise FitError(f"Poisson Newton line search failed at {where(live[pending][0])}")
             x_live = x_live + t[:, None] * step
             mu_live = off_live + x_live @ columns.T
-    return x, nll + constant, iteration
+            if blocked and any_empty:
+                # the correction removes the held bins' rounding residue, which
+                # a later warm start would take for a tiny positive mu
+                blocking = reach.argmin(axis=1)
+                for r in np.flatnonzero((t == first) & empty[blocking]):
+                    held_live[r, blocking[r]] = True
+                    bins = held_live[r]
+                    x_live[r] -= np.linalg.lstsq(columns[bins], mu_live[r, bins],
+                                                 rcond=None)[0]
+                    mu_live[r] = off_live[r] + columns @ x_live[r]
+    return x, nll + constant, iteration, held

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Exposure, fwhm_to_sigma
-from .errors import DomainError, ModelError, ShapeError, config_number, config_numbers
+from .errors import DomainError, ModelError, ShapeError
+from .errors import config_list, config_number, config_numbers, config_object
 
 __all__ = [
     "EnergyGrid",
@@ -484,22 +485,24 @@ def model_description(model: SpectralModel) -> dict:
 
 def _response_from_description(entry: dict) -> DetectorResponse:
     """The detector response of a model description or a run config."""
-    if "fwhm_kev_at_ref" not in entry:
+    if "fwhm_kev_at_ref" not in config_object(entry, "response"):
         raise ModelError("response lacks 'fwhm_kev_at_ref'")
+    efficiency = entry.get("efficiency", 1.0)
+    convert = config_numbers if isinstance(efficiency, (list, tuple)) else config_number
     return DetectorResponse(
         fwhm_kev_at_ref=config_number(entry["fwhm_kev_at_ref"], "response.fwhm_kev_at_ref"),
         reference_energy_kev=config_number(entry.get("reference_energy_kev", 8.0),
                                            "response.reference_energy_kev"),
         resolution_model=entry.get("resolution_model", "constant"),
-        efficiency=entry.get("efficiency", 1.0),
+        efficiency=convert(efficiency, "response.efficiency"),
     )
 
 
 def model_from_description(description: dict) -> SpectralModel:
     response = _response_from_description(description.get("response", {}))
     comps = []
-    for index, entry in enumerate(description.get("components", [])):
-        kind = entry.get("kind")
+    for index, entry in enumerate(config_list(description.get("components", []), "components")):
+        kind = config_object(entry, f"components[{index}]").get("kind")
         if kind not in _COMPONENT_KINDS:
             raise ModelError(f"unknown component kind {kind!r}")
 

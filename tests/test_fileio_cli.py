@@ -510,8 +510,19 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     ("simulate_continuum.json", {"grid": {"edges": "abc"}}, "'grid.edges'"),
     ("simulate_continuum.json", {"exposure": 5}, "'exposure'"),
     ("limit_continuum.json", {("background", "coefficients"): 5}, "'background.coefficients'"),
+    ("simulate_continuum.json", {("model", "components"): 5}, "'components'"),
+    ("simulate_continuum.json", {("model", "components"): [5]}, "'components[0]'"),
+    ("simulate_continuum.json", {("model", "response"): 5}, "'response'"),
+    ("simulate_continuum.json", {("model", "response", "efficiency"): "high"},
+     "'response.efficiency'"),
+    ("simulate_continuum.json", {("model", "response", "efficiency"): ["x"]},
+     "'response.efficiency'"),
+    ("simulate_continuum.json", {("model", "response", "efficiency"): [[0.5]]},
+     "'response.efficiency'"),
 ], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count",
-        "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients"])
+        "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients",
+        "number-components", "number-component", "number-response", "word-efficiency",
+        "word-in-efficiency", "nested-efficiency"])
 def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
                                                                  change, key):
     _copy_sample_configs(tmp_path)
