@@ -244,7 +244,7 @@ def _cmd_fit(args) -> int:
 
 def _limit_csl(args, config: dict, base: Path) -> int:
     from .constants import CODATA2018
-    from .csl import TargetMaterial, _check_energy_validity, lambda_from_alpha
+    from .csl import TargetMaterial, lambda_from_alpha
     from .fileio import (
         canonical_config_hash,
         format_number,
@@ -262,8 +262,6 @@ def _limit_csl(args, config: dict, base: Path) -> int:
 
     out = _out_dir(args)
     spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "limit")))
-    # the collapse-rate map holds only in the non-relativistic window
-    _check_energy_validity(spectrum.grid.bin_edges)
     cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
     statistic = config.get("statistic", "chi2")
     seed = config_number(config.get("seed", 0), "seed", int)
@@ -310,10 +308,13 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     # the fitted amplitude counts only detected photons; undo the
     # detection efficiency before mapping back to a collapse rate
     alpha_bound = limit.upper_bound / efficiency
+    # the collapse-rate map holds only in the non-relativistic window
     lam = lambda_from_alpha(alpha_bound, target, spectrum.exposure,
+                            window_edges_kev=spectrum.grid.bin_edges,
                             correlation_length_m=correlation_length_m,
                             mass_proportional=False)
     lam_mass = lambda_from_alpha(alpha_bound, target, spectrum.exposure,
+                                 window_edges_kev=spectrum.grid.bin_edges,
                                  correlation_length_m=correlation_length_m,
                                  mass_proportional=True)
     write_report(out / "report.txt", [

@@ -180,6 +180,7 @@ def alpha_from_lambda(params: CslParams, target: TargetMaterial,
 
 
 def lambda_from_alpha(alpha: float, target: TargetMaterial, exposure: Exposure, *,
+                      window_edges_kev: np.ndarray,
                       correlation_length_m: float = CODATA2018.correlation_length_default_m,
                       mass_proportional: bool = False,
                       constants: PhysicalConstants = CODATA2018) -> float:
@@ -187,7 +188,12 @@ def lambda_from_alpha(alpha: float, target: TargetMaterial, exposure: Exposure, 
 
     Inverse of alpha_from_lambda at fixed target, exposure and
     correlation length; linear, so upper bounds map to upper bounds.
+    window_edges_kev are the bin edges of the fit window that alpha
+    was fitted on: the map holds only for the non-relativistic
+    emission formula, so an edge at or above NONRELATIVISTIC_LIMIT_KEV
+    raises ValidityError.
     """
+    _check_energy_validity(window_edges_kev)
     if alpha < 0:
         raise DomainError("continuum amplitude must be non-negative")
     unit = CslParams(lambda_per_s=1.0,

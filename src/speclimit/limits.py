@@ -16,10 +16,11 @@ One or two free line centroids are a variable projection (Golub &
 Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): the linear parameters are
 solved exactly at each centroid value, and a grid-seeded Newton
 iteration with the exact gradient and Hessian refines the centroids
-inside the fit window, for the fit and for each profile point. A shape that no exact solver takes
-(a centroid as the signal, more than two free centroids, a free
-centroid whose amplitude is fixed) is refused when the FitProblem is
-built. The only bound is the signal's floor at zero.
+inside the fit window, for the fit and for each profile point; the
+columns no centroid moves are projected out once per fit or limit. A
+shape that no exact solver takes (a centroid as the signal, more than
+two free centroids, a free centroid whose amplitude is fixed) is
+refused when the FitProblem is built. The only bound is the signal's floor at zero.
 
 Posterior convention: for the chi-square statistic the posterior
 density on the signal s >= 0 is proportional to exp(-chi2_prof(s)/2);
@@ -298,14 +299,18 @@ class _Design:
         self.window = (grid.lo_kev, grid.hi_kev)
 
     def at(self, centroids) -> np.ndarray:
-        """The columns with the free lines at the given centroids."""
-        for k in np.flatnonzero(np.asarray(centroids) != self.centroids):
+        """The columns with the free lines at the given centroids, the
+        lines that moved rebuilt in one call."""
+        centroids = np.asarray(centroids, dtype=float)
+        moved = np.flatnonzero(centroids != self.centroids)
+        if moved.size:
             fractions, first, second = _line_fractions_and_derivatives(
-                self.edges, float(centroids[k]), self.response)
-            self.columns[:, self.line_columns[k]] = fractions * self.eff
-            self.first[:, k] = first * self.eff
-            self.second[:, k] = second * self.eff
-            self.centroids[k] = centroids[k]
+                self.edges, centroids[moved], self.response)
+            eff = self.eff[:, None]
+            self.columns[:, [self.line_columns[k] for k in moved]] = fractions * eff
+            self.first[:, moved] = first * eff
+            self.second[:, moved] = second * eff
+            self.centroids[moved] = centroids[moved]
         return self.columns
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
@@ -368,15 +373,23 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     centroid value, the centroids start from the best point of a grid
     about FWHM / 4 apart and a damped Newton iteration on the reduced
     statistic refines them inside the fit window; its evaluations count
-    the grid points and the inner solves. Every fit reports 0 restarts
+    the grid points and the inner solves. The grid and every chi-square
+    solve share one _Projection of the fit's counts, whose statics are
+    projected out once per fit. Every fit reports 0 restarts
     and converged = True, and raises FitError when it cannot converge.
     seed selects nothing; it is kept for callers that pass it.
     """
     design = problem._design
     if not design.linear:
-        return _projection_fit(problem, design)
+        return _projection_fit(_Projection(problem, design))
     try:
-        values, stat = _linear_solution(problem, design, np.empty(0), None, None)[:2]
+        if problem.statistic == "chi2":
+            core = _core_from_fit_problem(problem, design, problem.observed)
+            values = _signal_and_nuisances(core, max(core.best_signal(), 0.0),
+                                           problem.signal_index())
+            stat = _chi2_from_mu(problem.observed, design(values))
+        else:
+            values, stat = _linear_solution(problem, design, np.empty(0), None, None)[:2]
     except DegenerateMapError as err:  # a fit, not a limit, has failed
         raise FitError(str(err)) from err
     return FitResult(values=values, statistic=stat, n_restarts=0, n_evaluations=1,
@@ -440,34 +453,21 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
 
 def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, start,
                      info=None):
-    """The linear parameters solved exactly at the given centroids (none
-    for a linear problem).
+    """The linear parameters minimizing the Poisson NLL at the given
+    centroids (none for a linear problem), by _poisson_solve from the
+    linear values of the full parameter vector start (None for none).
 
-    signal None leaves the signal free and clips it at zero, a value
-    holds it there. The chi-square is solved by weighted least squares,
-    the Poisson NLL by _poisson_solve from the linear values of the full
-    parameter vector start (None for none), a free signal that falls
-    below zero solved again held there. Each Poisson solve is counted
-    into info, where given. Returns the full parameter vector, the
-    statistic, whether the signal is held, and the empty bins that the
-    Poisson solve holds at mu = 0 (its working set; none for chi-square).
+    signal None leaves the signal free, and a free signal that falls
+    below zero is solved again held there; a value holds it there. Each
+    Poisson solve is counted into info, where given. Returns the full
+    parameter vector, the NLL, whether the signal is held, and the empty
+    bins that the solve holds at mu = 0 (its working set).
     """
-    observed = problem.observed
     design.at(centroids)
     linear = design.linear_idx
     pos = linear.index(problem.signal_index())
     theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
     theta[design.centroid_idx] = centroids
-    if problem.statistic == "chi2":
-        core = _core_from_fit_problem(problem, design, observed)
-        held = signal is not None
-        if signal is None:
-            signal = core.best_signal()
-            held = signal < 0.0
-            signal = max(signal, 0.0)
-        theta[linear] = _signal_and_nuisances(core, signal, pos)
-        return theta, _chi2_from_mu(observed, design(theta)), held, np.empty(0, dtype=int)
-
     where = f"centroids {list(map(float, centroids))!r}" if len(centroids) else "the fit"
     counts = Counter() if info is None else info
     starts = None if start is None else theta[linear][None]
@@ -548,8 +548,9 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
 
 
 def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_bins):
-    """Gradient and Hessian over the centroids of l = chi2 / 2, or of the
-    Poisson NLL, with the linear parameters re-solved at each centroid.
+    """Gradient and Hessian over the centroids of the Poisson NLL, with
+    the linear parameters re-solved at each centroid (the chi-square's
+    are _Projection.curvature's).
 
     The linear parameters the inner solve leaves free are those other
     than a held signal; the empty bins held_bins, its working set at
@@ -588,8 +589,7 @@ def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_b
         h_ll, h_lc = inner.T @ h_ll @ inner, inner.T @ h_lc
     if not h_ll.size:
         return gradient, h_cc
-    # chi-square weights every bin, so only the Poisson curvature can vanish
-    if problem.statistic == "poisson_nll" and jacobi_scaled(h_ll)[2]:
+    if jacobi_scaled(h_ll)[2]:
         return gradient, h_cc - h_lc.T @ np.linalg.lstsq(h_ll, h_lc, rcond=None)[0]
     return gradient, h_cc - h_lc.T @ np.linalg.solve(h_ll, h_lc)
 
@@ -603,27 +603,47 @@ def _descent_step(reduced, gradient):
     return -vectors @ ((vectors.T @ gradient) / magnitude)
 
 
-def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
+def _reduced_newton(space: "_Projection", start, signal=None):
     """Minimize the statistic over the centroids, the linear parameters
     solved exactly at each, from the centroids of start.
 
-    Uses the reduced gradient and Hessian of _reduced_curvature and the
-    steps of _descent_step. Steps move a centroid by at most FWHM / 4,
-    stop at the edge of the fit window, are backtracked until the
-    statistic falls, and may not reorder the lines. A centroid on the
-    window's edge that the step pushes outwards is held there, out of
-    the step and out of the stop test. Stops once the predicted
-    decrease falls below 1e-12 (1 + |stat|). Returns the parameters,
-    the statistic, the number of inner solves and Newton iterations.
+    One solve and curvature pair per statistic: the chi-square's are
+    _Projection.solve and _Projection.curvature on the given workspace,
+    the Poisson NLL's _linear_solution, warm-started from the last
+    accepted parameters, and _reduced_curvature. Steps are
+    _descent_step's, move a centroid by at most FWHM / 4, stop at the
+    edge of the fit window, are backtracked until the statistic falls,
+    and may not reorder the lines; a trial whose solve raises counts as
+    failed. A centroid on the window's edge that the step pushes
+    outwards is held there, out of the step and out of the stop test.
+    Stops once the predicted decrease falls below 1e-12 (1 + |stat|).
+    Returns the parameters, the statistic, the number of inner solves
+    and Newton iterations.
     """
+    problem, design = space.problem, space.design
+    if problem.statistic == "chi2":
+        k = 2.0  # statistic = k * l, l = chi2 / 2
+
+        def solve(centroids, theta):
+            return space.solve(centroids, signal)
+        curvature = space.curvature
+    else:
+        k = 1.0
+
+        def solve(centroids, theta):
+            theta, stat, held, held_bins = _linear_solution(problem, design, centroids,
+                                                            signal, theta)
+            return theta, stat, (theta, held, held_bins)
+
+        def curvature(point):
+            return _reduced_curvature(problem, design, *point)
     cidx = design.centroid_idx
     lo, hi = design.window
     edge = 1e-12 * (hi - lo)
-    k = 2.0 if problem.statistic == "chi2" else 1.0  # statistic = k * l
-    theta, stat, held, held_bins = _linear_solution(problem, design, start[cidx], signal, start)
+    theta, stat, point = solve(start[cidx], start)
     solves = 1
     for iteration in range(_NEWTON_MAX_ITER + 1):
-        gradient, reduced = _reduced_curvature(problem, design, theta, held, held_bins)
+        gradient, reduced = curvature(point)
         centroids = theta[cidx]
         at_lo, at_hi = centroids <= lo + edge, centroids >= hi - edge
         move = np.ones(len(cidx), dtype=bool)
@@ -648,12 +668,12 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
             trial_centroids = np.clip(centroids + t * step, lo, hi)
             if len(cidx) < 2 or design.order * (trial_centroids[1] - trial_centroids[0]) > 0:
                 try:
-                    trial = _linear_solution(problem, design, trial_centroids, signal, theta)
+                    trial = solve(trial_centroids, theta)
                 except (FitError, DegenerateMapError):
                     trial = None
                 solves += 1
                 if trial is not None and trial[1] <= stat + 1e-4 * t * slope:
-                    theta, stat, held, held_bins = trial
+                    theta, stat, point = trial
                     break
             t *= 0.5
         else:
@@ -661,18 +681,169 @@ def _reduced_newton(problem: FitProblem, design: _Design, start, signal=None):
     raise FitError(f"centroid Newton iteration did not converge in {_NEWTON_MAX_ITER} steps")
 
 
-def _project_out(statics: np.ndarray, lines: np.ndarray, y: np.ndarray):
-    """lines and y less their least-squares fits by the static columns,
-    and the pseudo-inverse of the statics, which maps a residual to
-    their coefficients (a Schur complement over the statics, taken by
-    orthogonal projection)."""
+def _static_basis(statics: np.ndarray):
+    """An orthonormal basis of the span of the static columns, their
+    pseudo-inverse, which maps a residual to their coefficients, and
+    whether they are linearly independent (singular values above 1e-12
+    of the largest)."""
     if not statics.shape[1]:
-        return lines, y, np.zeros((0, y.size))
+        return np.zeros((statics.shape[0], 0)), np.zeros((0, statics.shape[0])), True
     u, s, vt = np.linalg.svd(statics, full_matrices=False)
     keep = s > 1e-12 * s[0]
     u = u[:, keep]
-    pinv = (vt[keep].T / s[keep]) @ u.T
-    return lines - u @ (u.T @ lines), y - u @ (u.T @ y), pinv
+    return u, (vt[keep].T / s[keep]) @ u.T, bool(keep.all())
+
+
+def _small_inverse(gram: np.ndarray, centroids) -> np.ndarray:
+    """The inverse of a 0 x 0, 1 x 1 or 2 x 2 Gram of line columns in
+    closed form; FitError where it is singular."""
+    k = gram.shape[0]
+    det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0] if k == 2 else (
+        gram[0, 0] if k else 1.0)
+    if not det > 0.0:
+        raise FitError(f"degenerate signal/nuisance basis: singular line columns at centroids "
+                       f"{list(map(float, centroids))!r}")
+    if k == 2:
+        return np.array([[gram[1, 1], -gram[0, 1]], [-gram[1, 0], gram[0, 0]]]) / det
+    return 1.0 / gram
+
+
+@dataclass
+class _ProjectedPoint:
+    """The pieces of one _Projection.solve that its curvature reuses."""
+
+    amplitudes: np.ndarray  # every free line's, a held signal line's included
+    free: list              # the lines whose amplitudes the solve fitted
+    columns: np.ndarray     # their weighted columns, the statics projected out
+    inverse: np.ndarray     # the inverse of those columns' Gram
+    residual: np.ndarray    # the weighted residual
+    basis: np.ndarray       # the statics' basis that was projected out
+    first: np.ndarray       # the weighted first centroid derivatives of the lines
+    second: np.ndarray      # and their second
+
+
+class _Projection:
+    """One problem's observed counts in weighted least-squares form, with
+    the columns that no free centroid moves (the statics) projected out
+    once: variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10
+    (1973) 413; O'Leary & Rust, Comput. Optim. Appl. 54 (2013) 579).
+
+    Holds the Neyman root weights 1 / sqrt(max(n, 1)), the weighted data
+    y less the base, the weighted statics, an orthonormal basis of their
+    span and their pseudo-inverse, and, for a static signal, a second
+    basis and pseudo-inverse without it, for the signal held. Built once
+    per fit or limit and never kept on the problem: _grid_start scores
+    its grid on it for either statistic, and a chi-square
+    _reduced_newton solves each centroid trial and takes its reduced
+    curvature from it.
+    """
+
+    def __init__(self, problem: FitProblem, design: _Design):
+        self.problem, self.design = problem, design
+        self.root_weights = 1.0 / np.sqrt(_variance_floor(problem.observed))
+        self.y = (problem.observed - design.base) * self.root_weights
+        static = [p for p in range(len(design.linear_idx)) if p not in design.line_columns]
+        self.static_idx = [design.linear_idx[p] for p in static]
+        self.statics = design.columns[:, static] * self.root_weights[:, None]
+        self.basis, self.pinv, self.independent = _static_basis(self.statics)
+        self.y_out = self.project(self.y)
+        pos = design.linear_idx.index(problem.signal_index())
+        self.line_signal = pos in design.line_columns
+        # the signal's index among the lines or among the statics
+        self.signal = design.line_columns.index(pos) if self.line_signal else static.index(pos)
+        if not self.line_signal:
+            self.held_basis, self.held_pinv, _ = _static_basis(
+                np.delete(self.statics, self.signal, axis=1))
+            self.held_y_out = self.project(self.y, held=True)
+            self.held_signal_out = self.project(self.statics[:, self.signal], held=True)
+        self.label = problem.parameter_name(problem.signal)
+
+    def project(self, v: np.ndarray, held: bool = False) -> np.ndarray:
+        """v less its least-squares fit by the statics, or by the statics
+        other than a static signal held."""
+        basis = self.held_basis if held else self.basis
+        return v - basis @ (basis.T @ v)
+
+    def solve(self, centroids, signal=None):
+        """The linear parameters at the given centroids that minimize the
+        chi-square, with the signal clipped at zero (signal None) or held
+        at a value: the line columns projected, their amplitudes solved in
+        closed form, the statics recovered by the pseudo-inverse. Returns
+        the full parameter vector, the chi-square and the point that
+        curvature takes. A signal column that vanishes raises
+        DegenerateMapError, statics that are linearly dependent or a
+        singular line Gram FitError.
+        """
+        design = self.design
+        weights = self.root_weights[:, None]
+        lines = design.at(centroids)[:, design.line_columns] * weights
+        column = lines[:, self.signal] if self.line_signal else self.statics[:, self.signal]
+        if not column.any():
+            raise DegenerateMapError(f"signal shape for {self.label!r} vanishes on the fit window")
+        if not self.independent:
+            raise FitError("degenerate nuisance basis: the columns that no free centroid "
+                           "moves are linearly dependent")
+        derivatives = design.first * weights, design.second * weights
+        if signal is None:
+            solved = self._solve(centroids, lines, derivatives, None)
+            if solved[0][self.problem.signal_index()] >= 0.0:
+                return solved
+            signal = 0.0
+        return self._solve(centroids, lines, derivatives, float(signal))
+
+    def _solve(self, centroids, lines, derivatives, signal):
+        static_held = signal is not None and not self.line_signal
+        if static_held:
+            basis, pinv = self.held_basis, self.held_pinv
+            target = self.held_y_out - signal * self.held_signal_out
+        else:
+            basis, pinv, target = self.basis, self.pinv, self.y_out
+        projected = lines - basis @ (basis.T @ lines)
+        amplitudes = np.zeros(lines.shape[1])
+        free = list(range(lines.shape[1]))
+        if signal is not None and self.line_signal:
+            free.remove(self.signal)
+            amplitudes[self.signal] = signal
+            target = target - signal * projected[:, self.signal]
+        columns = projected[:, free]
+        inverse = _small_inverse(columns.T @ columns, centroids)
+        amplitudes[free] = inverse @ (columns.T @ target)
+        residual = target - columns @ amplitudes[free]
+        rest = self.y - lines @ amplitudes
+        if static_held:
+            statics = np.insert(pinv @ (rest - signal * self.statics[:, self.signal]),
+                                self.signal, signal)
+        else:
+            statics = pinv @ rest
+        design = self.design
+        theta = np.empty(len(self.problem.free))
+        theta[design.centroid_idx] = centroids
+        theta[design.amplitude_idx] = amplitudes
+        theta[self.static_idx] = statics
+        point = _ProjectedPoint(amplitudes, free, columns, inverse, residual, basis,
+                                *derivatives)
+        return theta, float(residual @ residual), point
+
+    def curvature(self, point: _ProjectedPoint):
+        """Gradient and Hessian over the centroids of l = chi2 / 2 at a
+        solved point, the linear parameters re-solved at each centroid.
+
+        With r the weighted residual, a_k the amplitudes and d1_k, d2_k
+        the weighted centroid derivatives of the line columns, the
+        gradient is the envelope -a_k d1_k . r, and the Hessian is the
+        Schur complement over the fitted amplitudes of the Hessian with
+        the statics projected out: J^T J - diag(a_k d2_k . r) in the
+        centroids, with J = a_k (d1_k less its statics fit), and
+        L^T J - diag(d1_k . r) between the fitted lines' projected
+        columns L and the centroids.
+        """
+        first, a, basis = point.first, point.amplitudes, point.basis
+        first_r, second_r = first.T @ point.residual, point.second.T @ point.residual
+        moved = (first - basis @ (basis.T @ first)) * a
+        h_cc = moved.T @ moved - np.diag(a * second_r)
+        h_lc = point.columns.T @ moved
+        h_lc[range(len(point.free)), point.free] -= first_r[point.free]
+        return -a * first_r, h_cc - h_lc.T @ point.inverse @ h_lc
 
 
 def _tuple_scorer(lines: np.ndarray, y: np.ndarray):
@@ -706,59 +877,54 @@ def _tuple_scorer(lines: np.ndarray, y: np.ndarray):
     return score
 
 
-def _grid_start(problem: FitProblem, design: _Design):
+def _grid_start(space: _Projection):
     """Centroids of the best weighted least-squares fit on a grid about
     FWHM / 4 apart across the window, in the template's centroid order.
 
-    The columns no free centroid moves (the statics) are projected out
-    once; each grid tuple is then a closed-form 1 x 1 or 2 x 2 solve
-    over the reduced Gram of the grid's line columns. A tuple whose
-    signal comes out negative is scored with the signal held at zero,
-    as in the exact fit: without its line, or, for a static signal, over
-    a second projection that leaves the signal out. Returns the
+    The workspace has the columns no free centroid moves (the statics)
+    projected out; each grid tuple is then a closed-form 1 x 1 or 2 x 2
+    solve over the reduced Gram of the grid's line columns. A tuple
+    whose signal comes out negative is scored with the signal held at
+    zero, as in the exact fit: without its line, or, for a static
+    signal, over the projection that leaves the signal out. Returns the
     centroids and the number of tuples.
     """
-    grid, observed = problem.grid, problem.observed
+    problem, design = space.problem, space.design
+    grid = problem.grid
     n_points = max(int(np.ceil((grid.hi_kev - grid.lo_kev) / design.spacing)),
                    len(design.line_columns))
     points = grid.lo_kev + (np.arange(n_points) + 0.5) * (grid.hi_kev - grid.lo_kev) / n_points
     points = points[points > 0]
     sigmas = np.array([design.response.sigma_at(p) for p in points])
-    root_weights = 1.0 / np.sqrt(_variance_floor(observed))
     lines = (_gaussian_bin_fractions(grid.bin_edges, points[:, None], sigmas[:, None]).T
-             * (design.eff * root_weights)[:, None])
-    y = (observed - design.base) * root_weights
-    static = [p for p in range(len(design.linear_idx)) if p not in design.line_columns]
-    statics = design.columns[:, static] * root_weights[:, None]
+             * (design.eff * space.root_weights)[:, None])
 
     if len(design.line_columns) == 1:
         tuples = np.arange(points.size)[:, None]
     else:
         first, second = np.triu_indices(points.size, 1)
         tuples = np.column_stack([first, second] if design.order > 0 else [second, first])
-    reduced_lines, reduced_y, pinv = _project_out(statics, lines, y)
-    score = _tuple_scorer(reduced_lines, reduced_y)
+    score = _tuple_scorer(space.project(lines), space.y_out)
     stat, amplitudes = score(tuples)
-    pos = design.linear_idx.index(problem.signal_index())
-    if pos in design.line_columns:
-        k = design.line_columns.index(pos)
+    k = space.signal
+    if space.line_signal:
         clipped = amplitudes[:, k] < 0
         stat[clipped] = score(np.delete(tuples[clipped], k, axis=1))[0]
     else:
-        s = static.index(pos)
-        signal = pinv[s] @ y - np.sum((pinv[s] @ lines)[tuples] * amplitudes, axis=1)
+        signal = (space.pinv[k] @ space.y
+                  - np.sum((space.pinv[k] @ lines)[tuples] * amplitudes, axis=1))
         clipped = signal < 0
         if clipped.any():
-            held = _tuple_scorer(*_project_out(np.delete(statics, s, axis=1), lines, y)[:2])
+            held = _tuple_scorer(space.project(lines, held=True), space.held_y_out)
             stat[clipped] = held(tuples[clipped])[0]
     return points[tuples[int(np.argmin(stat))]], len(tuples)
 
 
-def _projection_fit(problem: FitProblem, design: _Design) -> FitResult:
-    centroids, n_grid = _grid_start(problem, design)
-    start = problem.initial_values()
-    start[design.centroid_idx] = centroids
-    theta, stat, solves, iterations = _reduced_newton(problem, design, start)
+def _projection_fit(space: _Projection) -> FitResult:
+    centroids, n_grid = _grid_start(space)
+    start = space.problem.initial_values()
+    start[space.design.centroid_idx] = centroids
+    theta, stat, solves, iterations = _reduced_newton(space, start)
     return FitResult(values=theta, statistic=stat, n_restarts=0,
                      n_evaluations=n_grid + solves, converged=True,
                      trace=((iterations, stat),))
@@ -1047,7 +1213,8 @@ def _profiler(problem: FitProblem, design: _Design):
     if design.linear:
         theta, stat_min = _linear_solution(problem, design, np.empty(0), None, None, info)[:2]
     else:
-        fit = _projection_fit(problem, design)
+        space = _Projection(problem, design)
+        fit = _projection_fit(space)
         theta, stat_min = fit.values, fit.statistic
         info["newton_iterations"], info["profile_points"] = fit.trace[-1][0], 1
     known_s, known = theta[idx:idx + 1], theta[None]
@@ -1068,7 +1235,7 @@ def _profiler(problem: FitProblem, design: _Design):
         nll = np.empty(s.size)
         for k in range(s.size):
             start = known[np.argmin(np.abs(known_s - s[k]))]
-            solved, nll[k], _, iterations = _reduced_newton(problem, design, start, s[k])
+            solved, nll[k], _, iterations = _reduced_newton(space, start, s[k])
             info["newton_iterations"] += iterations
             info["profile_points"] += 1
             remember(s[k:k + 1], solved[None])

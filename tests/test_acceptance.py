@@ -97,8 +97,10 @@ def test_acceptance_2_mass_mode_ratio_structure(capfd):
                  Exposure(0.5, 300.0)),
             ]:
                 plain = lambda_from_alpha(alpha, target, exposure,
+                                          window_edges_kev=CSL_GRID.bin_edges,
                                           mass_proportional=False)
                 mass = lambda_from_alpha(alpha, target, exposure,
+                                         window_edges_kev=CSL_GRID.bin_edges,
                                          mass_proportional=True)
                 assert mass / plain == pytest.approx(ratio, rel=1e-6)
         stored = LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S / LAMBDA_BOUND_80KGDAY_PER_S
@@ -265,8 +267,10 @@ def _csl_bounds(seed: int) -> tuple[float, float]:
     limit = bayesian_upper_limit(problem, 0.95, seed=seed)
     target = TargetMaterial.from_table("Ge")
     plain = lambda_from_alpha(limit.upper_bound, target, CSL_EXPOSURE,
+                              window_edges_kev=spectrum.grid.bin_edges,
                               mass_proportional=False)
     mass = lambda_from_alpha(limit.upper_bound, target, CSL_EXPOSURE,
+                             window_edges_kev=spectrum.grid.bin_edges,
                              mass_proportional=True)
     return plain, mass
 

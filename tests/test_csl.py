@@ -38,6 +38,7 @@ TOTAL_COUNTS_REFERENCE = 3.755736776670261     # lambda=2.5e-18, Ge, 80 kg day
 GE = TargetMaterial.from_table("Ge")
 EXPOSURE_80 = Exposure(mass_kg=2.0, live_time_days=40.0)
 GRID_88 = EnergyGrid.uniform(4.5, 48.5, 88)
+WINDOW = GRID_88.bin_edges  # the fit window of a lambda bound
 
 
 def test_rate_coefficient_matches_frozen_value():
@@ -134,7 +135,7 @@ def test_expected_counts_require_positive_exposure():
 def test_alpha_lambda_round_trip():
     params = CslParams(2.5e-18)
     alpha = alpha_from_lambda(params, GE, EXPOSURE_80)
-    back = lambda_from_alpha(alpha, GE, EXPOSURE_80)
+    back = lambda_from_alpha(alpha, GE, EXPOSURE_80, window_edges_kev=WINDOW)
     assert back == pytest.approx(2.5e-18, rel=1e-12)
 
 
@@ -145,31 +146,50 @@ def test_alpha_lambda_round_trip_property(log_lambda, mass_mode):
     lam = 10.0 ** log_lambda
     params = CslParams(lam, mass_proportional=mass_mode)
     alpha = alpha_from_lambda(params, GE, EXPOSURE_80)
-    back = lambda_from_alpha(alpha, GE, EXPOSURE_80, mass_proportional=mass_mode)
+    back = lambda_from_alpha(alpha, GE, EXPOSURE_80, window_edges_kev=WINDOW,
+                             mass_proportional=mass_mode)
     assert back == pytest.approx(lam, rel=1e-12)
 
 
 def test_lambda_from_alpha_is_linear():
-    one = lambda_from_alpha(1.0, GE, EXPOSURE_80)
-    three = lambda_from_alpha(3.0, GE, EXPOSURE_80)
+    one = lambda_from_alpha(1.0, GE, EXPOSURE_80, window_edges_kev=WINDOW)
+    three = lambda_from_alpha(3.0, GE, EXPOSURE_80, window_edges_kev=WINDOW)
     assert three == pytest.approx(3.0 * one, rel=1e-12)
 
 
 def test_mass_mode_bounds_differ_by_exact_mass_ratio():
     alpha = 30.0
-    plain = lambda_from_alpha(alpha, GE, EXPOSURE_80, mass_proportional=False)
-    mass = lambda_from_alpha(alpha, GE, EXPOSURE_80, mass_proportional=True)
+    plain = lambda_from_alpha(alpha, GE, EXPOSURE_80, window_edges_kev=WINDOW,
+                              mass_proportional=False)
+    mass = lambda_from_alpha(alpha, GE, EXPOSURE_80, window_edges_kev=WINDOW,
+                             mass_proportional=True)
     assert mass / plain == pytest.approx(1.0 / mass_ratio_squared(), rel=1e-12)
 
 
 def test_lambda_from_alpha_degenerate_configurations():
     with pytest.raises(DegenerateMapError):
-        lambda_from_alpha(1.0, GE, Exposure(0.0, 40.0))
+        lambda_from_alpha(1.0, GE, Exposure(0.0, 40.0), window_edges_kev=WINDOW)
     no_electrons = TargetMaterial.from_table("Ge", quasi_free_electrons=0.0)
     with pytest.raises(DegenerateMapError):
-        lambda_from_alpha(1.0, no_electrons, EXPOSURE_80)
+        lambda_from_alpha(1.0, no_electrons, EXPOSURE_80, window_edges_kev=WINDOW)
     with pytest.raises(DomainError):
-        lambda_from_alpha(-1.0, GE, EXPOSURE_80)
+        lambda_from_alpha(-1.0, GE, EXPOSURE_80, window_edges_kev=WINDOW)
+
+
+def test_lambda_from_alpha_refuses_a_window_beyond_the_nonrelativistic_formula():
+    # the guard holds on the library path: a fit window reaching the
+    # 511 keV electron rest energy maps no amplitude to a collapse rate
+    reaching = EnergyGrid.uniform(4.5, 511.0, 100).bin_edges
+    for mass_mode in (False, True):
+        with pytest.raises(ValidityError, match="non-relativistic"):
+            lambda_from_alpha(1.0, GE, EXPOSURE_80, window_edges_kev=reaching,
+                              mass_proportional=mass_mode)
+    with pytest.raises(DomainError, match="positive"):
+        lambda_from_alpha(1.0, GE, EXPOSURE_80, window_edges_kev=np.array([0.0, 10.0]))
+    # the keyword is required
+    with pytest.raises(TypeError):
+        lambda_from_alpha(1.0, GE, EXPOSURE_80)
+    assert lambda_from_alpha(1.0, GE, EXPOSURE_80, window_edges_kev=WINDOW) > 0.0
 
 
 def test_params_validation():

@@ -581,7 +581,8 @@ def _grid_start_case(case):
 def test_grid_start_picks_the_least_squares_tuple(case):
     problem = _grid_start_case(case)
     clipped, free, n_tuples = _grid_start_oracle(problem)
-    centroids, n_grid = limits_module._grid_start(problem, problem._design)
+    centroids, n_grid = limits_module._grid_start(
+        limits_module._Projection(problem, problem._design))
     np.testing.assert_allclose(centroids, clipped, rtol=0, atol=1e-12)
     assert n_grid == n_tuples
     # the clipping decides the start only where the case says so
@@ -648,6 +649,179 @@ def test_reduced_curvature_with_held_bins_matches_central_differences(offset):
     # at the fit the gradient is about 9e-7
     assert gradient[0] == pytest.approx((up - down) / (2.0 * h), rel=1e-6, abs=1e-6)
     assert hess[0, 0] == pytest.approx((up - 2.0 * mid + down) / h ** 2, rel=1e-6)
+
+
+def _chi2_projection_case(case, resolution_model):
+    """A chi-square problem with one or two free lines on 60 bins of
+    Poisson counts, the centroids to evaluate it at and the value to
+    hold its signal at (None: free, clipped at zero)."""
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0,
+                                resolution_model=resolution_model)
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    two = case.startswith("two")
+    flat = "flat" in case
+    if "line clipped" in case:
+        # a dip at 7.3 keV: the signal line's free amplitude is negative
+        truth = [GaussianLine(7.3, -1500.0), GaussianLine(8.0, 5000.0),
+                 PolynomialBackground((10000.0,))]
+        centroids = [7.31, 8.02]
+    elif flat:
+        # a background falling to zero at 6.5 keV drives the flat term,
+        # the signal beside a free slope, negative
+        truth = ([GaussianLine(7.0, 3000.0)] + [GaussianLine(8.5, 300.0)] * two
+                 + [PolynomialBackground((-1950.0, 300.0))])
+        centroids = [7.02, 8.47][:1 + two]
+    else:
+        truth = ([GaussianLine(7.7, 2000.0)] + [GaussianLine(8.0, 5000.0)] * two
+                 + [PolynomialBackground((1000.0,))])
+        centroids = [7.72, 7.97][:1 + two]
+    mu = predict_counts(SpectralModel(tuple(truth), response), grid)
+    observed = np.random.default_rng(3).poisson(mu).astype(float)
+    last = len(truth) - 1
+    free = [(0, "centroid_kev"), (0, "amplitude")]
+    free += [(1, "centroid_kev"), (1, "amplitude")] * two + [(last, "coefficients", 0)]
+    template = truth[:last] + [PolynomialBackground((500.0, 1.0) if flat else (500.0,))]
+    if flat:
+        free.append((last, "coefficients", 1))
+    signal = (last, "coefficients", 0) if flat else (0, "amplitude")
+    problem = FitProblem.from_values(grid, observed, SpectralModel(tuple(template), response),
+                                     free, signal)
+    return problem, np.array(centroids), 1500.0 if "held" in case else None
+
+
+@pytest.mark.parametrize("resolution_model", ["constant", "sqrt"])
+@pytest.mark.parametrize("case", ["one line", "one line, held", "one line, flat clipped",
+                                  "two lines", "two lines, held", "two lines, line clipped",
+                                  "two lines, flat clipped"])
+def test_chi2_reduced_curvature_matches_central_differences(case, resolution_model):
+    # the chi-square over the centroids with the linear parameters
+    # re-solved at each, away from its minimum so that the residual
+    # terms of the Hessian count
+    problem, centroids, held = _chi2_projection_case(case, resolution_model)
+    space = limits_module._Projection(problem, problem._design)
+    theta, stat, point = space.solve(centroids, held)
+    gradient, hess = space.curvature(point)
+    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
+                              "simulated", 1.0)
+    assert stat == pytest.approx(binned_chi2(spectrum, problem.with_values(theta)), rel=1e-13)
+    np.testing.assert_array_equal(theta[problem.free.index((0, "centroid_kev"))], centroids[0])
+
+    def stat_at(c):  # chi2 / 2, with the signal in the same state at every point
+        values, value, _ = space.solve(c, held)
+        signal = values[problem.signal_index()]
+        if held is not None:
+            assert signal == held
+        else:
+            assert (signal == 0.0) == case.endswith("clipped")
+        return value / 2.0
+
+    h, n = 1e-4, centroids.size
+    steps = h * np.eye(n)
+    numeric_gradient = [(stat_at(centroids + e) - stat_at(centroids - e)) / (2.0 * h)
+                        for e in steps]
+    numeric_hess = [[(stat_at(centroids + a + b) - stat_at(centroids + a - b)
+                      - stat_at(centroids - a + b) + stat_at(centroids - a - b)) / (4.0 * h * h)
+                     for b in steps] for a in steps]
+    # the truncation error of the differences is about 2e-6 of the largest entry
+    np.testing.assert_allclose(gradient, numeric_gradient, rtol=0,
+                               atol=2e-5 * np.abs(gradient).max())
+    np.testing.assert_allclose(hess, numeric_hess, rtol=0, atol=2e-5 * np.abs(hess).max())
+    if case == "two lines, line clipped":
+        # the signal line has no amplitude, so its centroid moves nothing
+        assert gradient[0] == 0.0 and not hess[0].any() and not hess[:, 0].any()
+
+
+def test_chi2_projection_raises_for_a_vanishing_signal_and_a_singular_basis(monkeypatch):
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    # no efficiency below 8 keV, where a 50 eV line leaves no count
+    response = DetectorResponse(fwhm_kev_at_ref=0.05, efficiency=(0.0,) * 30 + (1.0,) * 30)
+    two = SpectralModel((GaussianLine(7.0, 100.0), GaussianLine(8.5, 100.0),
+                         PolynomialBackground((100.0,))), response)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "centroid_kev"), (1, "amplitude"),
+            (2, "coefficients", 0))
+    problem = FitProblem.from_values(grid, predict_counts(two, grid), two, free, free[1])
+    space = limits_module._Projection(problem, problem._design)
+    with pytest.raises(DegenerateMapError, match="vanishes on the fit window"):
+        space.solve(np.array([7.0, 8.5]))
+    # two lines on one centroid have a singular Gram
+    with pytest.raises(FitError, match="singular line columns"):
+        space.solve(np.array([8.5, 8.5]))
+    assert space.solve(np.array([8.2, 8.5]))[1] >= 0.0
+    # two flat terms: statics that are linearly dependent
+    doubled = SpectralModel(two.components + (PolynomialBackground((100.0,)),), response)
+    dependent = FitProblem.from_values(grid, predict_counts(doubled, grid), doubled,
+                                       free + ((3, "coefficients", 0),), free[1])
+    with pytest.raises(FitError, match="degenerate nuisance basis"):
+        limits_module._Projection(dependent, dependent._design).solve(np.array([8.2, 8.5]))
+
+    # the line search takes a trial whose solve raises as failed, and halves the step
+    problem = _two_line_problem("chi2")
+    space = limits_module._Projection(problem, problem._design)
+    start = problem.initial_values()
+    start[[0, 2]] = limits_module._grid_start(space)[0]
+    clean = limits_module._reduced_newton(space, start)
+    real, calls = space.solve, []
+
+    def failing(centroids, signal=None):
+        calls.append(np.array(centroids))
+        if len(calls) in (2, 3):  # the first line-search trial, then its half step
+            raise (DegenerateMapError if len(calls) == 2 else FitError)("forced")
+        return real(centroids, signal)
+
+    monkeypatch.setattr(space, "solve", failing)
+    theta, stat, solves, _ = limits_module._reduced_newton(space, start)
+    # the third trial is the second one's half step from the same point
+    np.testing.assert_allclose(calls[2] - calls[0], (calls[1] - calls[0]) / 2.0, rtol=1e-12)
+    assert solves > clean[2]
+    assert stat == pytest.approx(clean[1], rel=1e-12)
+    np.testing.assert_allclose(theta[[0, 2]], clean[0][[0, 2]], rtol=0, atol=1e-6)
+
+
+def test_projection_fit_and_limit_carry_no_state_between_calls(monkeypatch):
+    # a fresh problem, and one whose shared design was last moved to
+    # other centroids by another problem's fit: fit and limit agree bit
+    # for bit, and each problem builds its design once
+    built = []
+    real_init = limits_module._Design.__init__
+
+    def counted(self, problem):
+        built.append(problem)
+        real_init(self, problem)
+
+    monkeypatch.setattr(limits_module._Design, "__init__", counted)
+    truth = SpectralModel(components=(GaussianLine(7.7, 150.0), PolynomialBackground((300.0,))),
+                          response=RESPONSE)
+    grid = EnergyGrid.uniform(7.0, 8.5, 30)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    spectrum = simulate_spectrum(truth, grid, seed=1)
+
+    def outcome(problem):
+        fit = fit_minimize(problem)
+        limit = bayesian_upper_limit(problem, 0.95)
+        return (fit.values.tolist(), fit.statistic, fit.n_evaluations, fit.trace,
+                limit.upper_bound, limit.scan.tolist(), limit.metadata)
+
+    fresh = FitProblem.from_spectrum(spectrum, truth, free, free[1])
+    moved = FitProblem.from_spectrum(spectrum, truth, free, free[1])
+    other = replace(moved, observed=simulate_spectrum(truth, grid, seed=2).counts)
+    other._design = moved._design
+    fit_minimize(other)
+    moved._design.at([8.4])
+    assert outcome(moved) == outcome(fresh)
+    assert built == [moved, fresh]
+
+
+def test_chi2_free_centroid_work_counters_stay_pinned():
+    # the deterministic counters a regression gate keys on: the 2485
+    # grid tuples and the inner solves of the two-line fit, and the
+    # profile points and Newton iterations of its limit
+    for resolution_model, evaluations, iterations in (("constant", 2489, 263),
+                                                      ("sqrt", 2561, 264)):
+        problem = _two_line_problem("chi2", resolution_model)
+        assert fit_minimize(problem).n_evaluations == evaluations
+        limit = bayesian_upper_limit(problem, 0.95)
+        assert limit.metadata["profile_points"] == 130
+        assert limit.metadata["newton_iterations"] == iterations
 
 
 # nested-simplex bounds (the `simplex` profile, as run before variable

@@ -370,14 +370,14 @@ def test_line_centroid_derivatives_match_central_differences(model):
                                 resolution_model=model)
     grid = EnergyGrid.uniform(7.0, 8.5, 60)
     centroid, h = 7.73, 1e-5
-    fractions, first, second = _line_fractions_and_derivatives(grid.bin_edges, centroid,
-                                                               response)
+    fractions, first, second = (column[:, 0] for column in _line_fractions_and_derivatives(
+        grid.bin_edges, [centroid], response))
 
     def counts(c):
         return component_bin_counts(GaussianLine(c, 1.0), grid, response)
 
     def derivative(c):
-        return _line_fractions_and_derivatives(grid.bin_edges, c, response)[1]
+        return _line_fractions_and_derivatives(grid.bin_edges, [c], response)[1][:, 0]
 
     np.testing.assert_array_equal(fractions, counts(centroid))
     np.testing.assert_allclose(first, (counts(centroid + h) - counts(centroid - h)) / (2 * h),
@@ -385,3 +385,10 @@ def test_line_centroid_derivatives_match_central_differences(model):
     np.testing.assert_allclose(second,
                                (derivative(centroid + h) - derivative(centroid - h)) / (2 * h),
                                rtol=0, atol=1e-7 * np.abs(second).max())
+    # lines evaluated together are bit for bit the lines evaluated alone
+    together = _line_fractions_and_derivatives(grid.bin_edges, [centroid, 8.21], response)
+    for k, c in enumerate([centroid, 8.21]):
+        alone = _line_fractions_and_derivatives(grid.bin_edges, [c], response)
+        for both, one in zip(together, alone):
+            assert both.shape == (60, 2)
+            np.testing.assert_array_equal(both[:, k], one[:, 0])
