@@ -391,14 +391,11 @@ def _limit_pep(args, config: dict, base: Path) -> int:
     cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
     window_multiple = config_number(config.get("window_fwhm_multiple", 1.5),
                                     "window_fwhm_multiple")
-    # passed on, but it selects nothing: the residual bound is closed form
-    grid_rtol = config_number(config.get("grid_rtol", 1e-3), "grid_rtol")
     config["seed"] = config_number(config.get("seed", 0), "seed", int)
     config_hash = canonical_config_hash(config)
 
     limit = pep_upper_limit(residual, transition, response, run, cl,
-                            window_fwhm_multiple=window_multiple,
-                            grid_rtol=grid_rtol)
+                            window_fwhm_multiple=window_multiple)
     window_lo, window_hi = limit.metadata["window_kev"]
     write_residual(out / "residual.txt", residual,
                    extra_header={"config-hash": config_hash})

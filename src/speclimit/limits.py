@@ -195,7 +195,6 @@ class FitProblem:
     free: tuple
     signal: tuple
     statistic: str = "chi2"
-    names: dict = field(default_factory=dict)
 
     def __post_init__(self):
         observed = np.asarray(self.observed, dtype=float)
@@ -228,19 +227,18 @@ class FitProblem:
 
     @classmethod
     def from_spectrum(cls, spectrum: BinnedSpectrum, model: SpectralModel,
-                      free, signal, statistic: str = "chi2", names=None) -> "FitProblem":
-        return cls.from_values(spectrum.grid, spectrum.counts, model, free, signal,
-                               statistic, names)
+                      free, signal, statistic: str = "chi2") -> "FitProblem":
+        return cls.from_values(spectrum.grid, spectrum.counts, model, free, signal, statistic)
 
     @classmethod
     def from_values(cls, grid: EnergyGrid, values, model: SpectralModel,
-                    free, signal, statistic: str = "chi2", names=None) -> "FitProblem":
+                    free, signal, statistic: str = "chi2") -> "FitProblem":
         """Problem over real-valued expectations, e.g. noiseless closure fits."""
         return cls(grid=grid, observed=values, model=model, free=free, signal=signal,
-                   statistic=statistic, names=dict(names or {}))
+                   statistic=statistic)
 
     def parameter_name(self, ref) -> str:
-        return self.names.get(tuple(ref), _ref_name(tuple(ref)))
+        return _ref_name(tuple(ref))
 
     def initial_values(self) -> np.ndarray:
         return np.array([_ref_get(self.model, ref) for ref in self.free], dtype=float)
@@ -280,6 +278,10 @@ class _Design:
         # each free centroid's amplitude, as a free parameter and a column
         self.amplitude_idx = [free.index((c, "amplitude")) for c in lines]
         self.line_columns = [self.linear_idx.index(i) for i in self.amplitude_idx]
+        # the signal's column, and the columns that no free centroid moves
+        self.signal_column = self.linear_idx.index(problem.signal_index())
+        self.static_columns = [p for p in range(len(self.linear_idx))
+                               if p not in self.line_columns]
         # the base holds what no free parameter moves: the template's
         # counts with the free linear parameters at zero
         linear = [free[i] for i in self.linear_idx]
@@ -373,15 +375,28 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     centroid value, the centroids start from the best point of a grid
     about FWHM / 4 apart and a damped Newton iteration on the reduced
     statistic refines them inside the fit window; its evaluations count
-    the grid points and the inner solves. The grid and every chi-square
+    the grid points and the inner solves. The grid and every trial
     solve share one _Projection of the fit's counts, whose statics are
     projected out once per fit. Every fit reports 0 restarts
     and converged = True, and raises FitError when it cannot converge.
     seed selects nothing; it is kept for callers that pass it.
     """
-    design = problem._design
+    return _global_fit(problem, problem._design)[0]
+
+
+def _global_fit(problem: FitProblem, design: _Design):
+    """fit_minimize's fit, from which a limit's profile also starts: the
+    FitResult, a Counter of the profile points it solved and the Newton
+    iterations it took, and the _Projection it built (None if linear)."""
+    counts, space = Counter(newton_iterations=0, profile_points=0), None  # metadata order
     if not design.linear:
-        return _projection_fit(_Projection(problem, design))
+        space = _Projection(problem, design)
+        start = problem.initial_values()
+        start[design.centroid_idx], n_grid = _grid_start(space)
+        values, stat, solves, iterations = _reduced_newton(space, start)
+        counts.update(newton_iterations=iterations, profile_points=1)
+        return FitResult(values=values, statistic=stat, n_restarts=0, converged=True,
+                         n_evaluations=n_grid + solves, trace=((iterations, stat),)), counts, space
     try:
         if problem.statistic == "chi2":
             core = _core_from_fit_problem(problem, design, problem.observed)
@@ -389,11 +404,11 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
                                            problem.signal_index())
             stat = _chi2_from_mu(problem.observed, design(values))
         else:
-            values, stat = _linear_solution(problem, design, np.empty(0), None, None)[:2]
-    except DegenerateMapError as err:  # a fit, not a limit, has failed
+            values, stat = _linear_solution(problem, design, np.empty(0), None, None, counts)[:2]
+    except DegenerateMapError as err:  # a design the solve cannot invert fails the fit
         raise FitError(str(err)) from err
     return FitResult(values=values, statistic=stat, n_restarts=0, n_evaluations=1,
-                     converged=True, trace=((-1, stat),))
+                     converged=True, trace=((-1, stat),)), counts, space
 
 
 def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
@@ -465,7 +480,6 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     """
     design.at(centroids)
     linear = design.linear_idx
-    pos = linear.index(problem.signal_index())
     theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
     theta[design.centroid_idx] = centroids
     where = f"centroids {list(map(float, centroids))!r}" if len(centroids) else "the fit"
@@ -473,7 +487,7 @@ def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, st
     starts = None if start is None else theta[linear][None]
     if signal is None:
         x, nll, bins = _poisson_solve(problem, design, None, starts, where, counts)
-        if x[0, pos] >= 0.0:
+        if x[0, design.signal_column] >= 0.0:
             theta[linear] = x[0]
             return theta, float(nll[0]), False, np.flatnonzero(bins[0])
         # the NLL is convex: the bounded optimum has the signal at zero
@@ -498,7 +512,7 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     else:
         if signals is None:
             signals = np.array([max(core.best_signal(), 0.0)])
-        yield _signal_and_nuisances(core, signals, design.linear_idx.index(problem.signal_index()))
+        yield _signal_and_nuisances(core, signals, design.signal_column)
     yield problem.initial_values()[design.linear_idx][None]
 
 
@@ -509,15 +523,18 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     held value of the array signals, or one row with the signal free
     for signals None.
 
-    Each row starts from the first of _poisson_starts inside the Poisson
-    domain; a row that none puts inside raises FitError, naming where,
-    but a held signal with no other linear parameter takes the NLL
-    itself, +inf outside, and holds no bin. Counts the rows into
-    counts["profile_points"] and the Newton iterations into
-    counts["newton_iterations"].
+    A held row that leaves a bin with counts at mu <= 0 where every
+    free column is 0 lies outside the Poisson domain for any values of
+    the free parameters: its NLL is +inf, with no Newton solve and no
+    bin held, at the template's values. A held signal with no other linear
+    parameter is this rule with no free column, its NLL its own. Every
+    other row starts from the first of _poisson_starts inside the
+    domain; a row that none puts inside raises FitError, naming where.
+    Counts the rows into counts["profile_points"] and the Newton
+    iterations into counts["newton_iterations"].
     """
     observed, columns = problem.observed, design.columns
-    pos = design.linear_idx.index(problem.signal_index())
+    pos = design.signal_column
     held = signals is not None
     keep = [p for p in range(columns.shape[1]) if not held or p != pos]
     offsets = design.base + signals[:, None] * columns[:, pos] if held else design.base[None]
@@ -531,6 +548,13 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
                 np.zeros(offsets.shape, dtype=bool))
     cols = columns[:, keep]
     x = np.full((len(offsets), columns.shape[1]), np.nan)  # nan: no start inside yet
+    rows = None  # the rows that Newton solves, where not every row
+    if held:
+        unreached = (observed > 0) & ~cols.any(axis=1)
+        if unreached.any():
+            outside = np.any(offsets[:, unreached] <= 0.0, axis=1)
+            x[outside] = problem.initial_values()[design.linear_idx]
+            rows = np.flatnonzero(~outside)
     for candidate in _poisson_starts(problem, design, signals, starts):
         inside = in_poisson_domain(observed, offsets + candidate[:, keep] @ cols.T)
         x = np.where((inside & np.isnan(x[:, 0]))[:, None], candidate, x)
@@ -539,8 +563,15 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     else:
         raise FitError(f"no feasible start for the linear parameters at "
                        f"{where_row(int(np.argmax(np.isnan(x[:, 0]))))}")
-    x[:, keep], nll, iterations, bins = minimize_linear_poisson(observed, cols, offsets,
-                                                                x[:, keep], where_row)
+    if rows is None:
+        x[:, keep], nll, iterations, bins = minimize_linear_poisson(observed, cols, offsets,
+                                                                    x[:, keep], where_row)
+    else:
+        nll, bins, iterations = np.full(len(offsets), np.inf), np.zeros(offsets.shape, bool), 0
+        if rows.size:
+            solved = np.ix_(rows, keep)
+            x[solved], nll[rows], iterations, bins[rows] = minimize_linear_poisson(
+                observed, cols, offsets[rows], x[solved], lambda i: where_row(rows[i]))
     if held:
         x[:, pos] = signals
     counts["newton_iterations"] += iterations
@@ -550,7 +581,7 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
 def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_bins):
     """Gradient and Hessian over the centroids of the Poisson NLL, with
     the linear parameters re-solved at each centroid (the chi-square's
-    are _Projection.curvature's).
+    come from _Projection.solve's workspace).
 
     The linear parameters the inner solve leaves free are those other
     than a held signal; the empty bins held_bins, its working set at
@@ -607,43 +638,28 @@ def _reduced_newton(space: "_Projection", start, signal=None):
     """Minimize the statistic over the centroids, the linear parameters
     solved exactly at each, from the centroids of start.
 
-    One solve and curvature pair per statistic: the chi-square's are
-    _Projection.solve and _Projection.curvature on the given workspace,
-    the Poisson NLL's _linear_solution, warm-started from the last
-    accepted parameters, and _reduced_curvature. Steps are
-    _descent_step's, move a centroid by at most FWHM / 4, stop at the
-    edge of the fit window, are backtracked until the statistic falls,
-    and may not reorder the lines; a trial whose solve raises counts as
-    failed. A centroid on the window's edge that the step pushes
-    outwards is held there, out of the step and out of the stop test.
-    Stops once the predicted decrease falls below 1e-12 (1 + |stat|).
-    Returns the parameters, the statistic, the number of inner solves
-    and Newton iterations.
+    Each trial is one space.solve, which returns the reduced gradient
+    and Hessian with the statistic; the Poisson solve is warm-started
+    from the last accepted parameters. Steps are _descent_step's, move a
+    centroid by at most FWHM / 4, stop at the edge of the fit window,
+    are backtracked until the statistic falls, and may not reorder the
+    lines; a trial whose solve raises counts as failed. A centroid on
+    the window's edge that the step pushes outwards is held there, out
+    of the step and out of the stop test. Stops once the predicted
+    decrease falls below 1e-12 (1 + |stat|), or at the start where its
+    statistic is +inf. Returns the parameters, the statistic, the
+    number of inner solves and Newton iterations.
     """
-    problem, design = space.problem, space.design
-    if problem.statistic == "chi2":
-        k = 2.0  # statistic = k * l, l = chi2 / 2
-
-        def solve(centroids, theta):
-            return space.solve(centroids, signal)
-        curvature = space.curvature
-    else:
-        k = 1.0
-
-        def solve(centroids, theta):
-            theta, stat, held, held_bins = _linear_solution(problem, design, centroids,
-                                                            signal, theta)
-            return theta, stat, (theta, held, held_bins)
-
-        def curvature(point):
-            return _reduced_curvature(problem, design, *point)
+    design = space.design
+    k = 2.0 if space.problem.statistic == "chi2" else 1.0  # statistic = k * l, l = chi2 / 2
     cidx = design.centroid_idx
     lo, hi = design.window
     edge = 1e-12 * (hi - lo)
-    theta, stat, point = solve(start[cidx], start)
+    theta, stat, gradient, reduced = space.solve(start[cidx], start, signal)
     solves = 1
+    if stat == np.inf:  # the held signal leaves counts that no free column reaches
+        return theta, stat, solves, 0
     for iteration in range(_NEWTON_MAX_ITER + 1):
-        gradient, reduced = curvature(point)
         centroids = theta[cidx]
         at_lo, at_hi = centroids <= lo + edge, centroids >= hi - edge
         move = np.ones(len(cidx), dtype=bool)
@@ -668,12 +684,12 @@ def _reduced_newton(space: "_Projection", start, signal=None):
             trial_centroids = np.clip(centroids + t * step, lo, hi)
             if len(cidx) < 2 or design.order * (trial_centroids[1] - trial_centroids[0]) > 0:
                 try:
-                    trial = solve(trial_centroids, theta)
+                    trial = space.solve(trial_centroids, theta, signal)
                 except (FitError, DegenerateMapError):
                     trial = None
                 solves += 1
                 if trial is not None and trial[1] <= stat + 1e-4 * t * slope:
-                    theta, stat, point = trial
+                    theta, stat, gradient, reduced = trial
                     break
             t *= 0.5
         else:
@@ -708,20 +724,6 @@ def _small_inverse(gram: np.ndarray, centroids) -> np.ndarray:
     return 1.0 / gram
 
 
-@dataclass
-class _ProjectedPoint:
-    """The pieces of one _Projection.solve that its curvature reuses."""
-
-    amplitudes: np.ndarray  # every free line's, a held signal line's included
-    free: list              # the lines whose amplitudes the solve fitted
-    columns: np.ndarray     # their weighted columns, the statics projected out
-    inverse: np.ndarray     # the inverse of those columns' Gram
-    residual: np.ndarray    # the weighted residual
-    basis: np.ndarray       # the statics' basis that was projected out
-    first: np.ndarray       # the weighted first centroid derivatives of the lines
-    second: np.ndarray      # and their second
-
-
 class _Projection:
     """One problem's observed counts in weighted least-squares form, with
     the columns that no free centroid moves (the statics) projected out
@@ -733,21 +735,20 @@ class _Projection:
     span and their pseudo-inverse, and, for a static signal, a second
     basis and pseudo-inverse without it, for the signal held. Built once
     per fit or limit and never kept on the problem: _grid_start scores
-    its grid on it for either statistic, and a chi-square
-    _reduced_newton solves each centroid trial and takes its reduced
-    curvature from it.
+    its grid on it for either statistic, and each trial of
+    _reduced_newton is one solve.
     """
 
     def __init__(self, problem: FitProblem, design: _Design):
         self.problem, self.design = problem, design
         self.root_weights = 1.0 / np.sqrt(_variance_floor(problem.observed))
         self.y = (problem.observed - design.base) * self.root_weights
-        static = [p for p in range(len(design.linear_idx)) if p not in design.line_columns]
+        static = design.static_columns
         self.static_idx = [design.linear_idx[p] for p in static]
         self.statics = design.columns[:, static] * self.root_weights[:, None]
         self.basis, self.pinv, self.independent = _static_basis(self.statics)
         self.y_out = self.project(self.y)
-        pos = design.linear_idx.index(problem.signal_index())
+        pos = design.signal_column
         self.line_signal = pos in design.line_columns
         # the signal's index among the lines or among the statics
         self.signal = design.line_columns.index(pos) if self.line_signal else static.index(pos)
@@ -764,34 +765,47 @@ class _Projection:
         basis = self.held_basis if held else self.basis
         return v - basis @ (basis.T @ v)
 
-    def solve(self, centroids, signal=None):
-        """The linear parameters at the given centroids that minimize the
-        chi-square, with the signal clipped at zero (signal None) or held
-        at a value: the line columns projected, their amplitudes solved in
-        closed form, the statics recovered by the pseudo-inverse. Returns
-        the full parameter vector, the chi-square and the point that
-        curvature takes. A signal column that vanishes raises
-        DegenerateMapError, statics that are linearly dependent or a
-        singular line Gram FitError.
+    def solve(self, centroids, start=None, signal=None):
+        """One trial of _reduced_newton: the full parameter vector at the
+        given centroids, its linear parameters minimizing the statistic
+        with the signal clipped at zero (signal None) or held at a value,
+        the statistic, and the gradient and Hessian over the centroids of
+        l = chi2 / 2 or of the Poisson NLL (None where it is +inf). The
+        Poisson NLL's come from _linear_solution, warm-started from start,
+        and _reduced_curvature, the chi-square's from _solve. A
+        chi-square signal column that vanishes raises DegenerateMapError,
+        statics that are linearly dependent or a singular line Gram
+        FitError.
         """
-        design = self.design
-        weights = self.root_weights[:, None]
-        lines = design.at(centroids)[:, design.line_columns] * weights
+        problem, design = self.problem, self.design
+        if problem.statistic == "poisson_nll":
+            theta, stat, held, held_bins = _linear_solution(problem, design, centroids, signal,
+                                                            start)
+            if stat == np.inf:
+                return theta, stat, None, None
+            return (theta, stat) + _reduced_curvature(problem, design, theta, held, held_bins)
+        lines = design.at(centroids)[:, design.line_columns] * self.root_weights[:, None]
         column = lines[:, self.signal] if self.line_signal else self.statics[:, self.signal]
         if not column.any():
             raise DegenerateMapError(f"signal shape for {self.label!r} vanishes on the fit window")
         if not self.independent:
             raise FitError("degenerate nuisance basis: the columns that no free centroid "
                            "moves are linearly dependent")
-        derivatives = design.first * weights, design.second * weights
-        if signal is None:
-            solved = self._solve(centroids, lines, derivatives, None)
-            if solved[0][self.problem.signal_index()] >= 0.0:
-                return solved
-            signal = 0.0
-        return self._solve(centroids, lines, derivatives, float(signal))
+        return self._solve(centroids, lines, None if signal is None else float(signal))
 
-    def _solve(self, centroids, lines, derivatives, signal):
+    def _solve(self, centroids, lines, signal):
+        """solve's chi-square on the workspace, the signal None (free) or
+        held: the line columns projected, their amplitudes solved in
+        closed form, the statics recovered by the pseudo-inverse, and a
+        free signal below zero solved again held there. With r the
+        weighted residual, a_k the amplitudes and d1_k, d2_k the weighted
+        centroid derivatives of the line columns, the reduced gradient is
+        the envelope -a_k d1_k . r, and the Hessian the Schur complement
+        over the fitted amplitudes of the Hessian with the statics
+        projected out: J^T J - diag(a_k d2_k . r) in the centroids, with
+        J = a_k (d1_k less its statics fit), and L^T J - diag(d1_k . r)
+        between the fitted lines' projected columns L and the centroids.
+        """
         static_held = signal is not None and not self.line_signal
         if static_held:
             basis, pinv = self.held_basis, self.held_pinv
@@ -820,30 +834,18 @@ class _Projection:
         theta[design.centroid_idx] = centroids
         theta[design.amplitude_idx] = amplitudes
         theta[self.static_idx] = statics
-        point = _ProjectedPoint(amplitudes, free, columns, inverse, residual, basis,
-                                *derivatives)
-        return theta, float(residual @ residual), point
-
-    def curvature(self, point: _ProjectedPoint):
-        """Gradient and Hessian over the centroids of l = chi2 / 2 at a
-        solved point, the linear parameters re-solved at each centroid.
-
-        With r the weighted residual, a_k the amplitudes and d1_k, d2_k
-        the weighted centroid derivatives of the line columns, the
-        gradient is the envelope -a_k d1_k . r, and the Hessian is the
-        Schur complement over the fitted amplitudes of the Hessian with
-        the statics projected out: J^T J - diag(a_k d2_k . r) in the
-        centroids, with J = a_k (d1_k less its statics fit), and
-        L^T J - diag(d1_k . r) between the fitted lines' projected
-        columns L and the centroids.
-        """
-        first, a, basis = point.first, point.amplitudes, point.basis
-        first_r, second_r = first.T @ point.residual, point.second.T @ point.residual
-        moved = (first - basis @ (basis.T @ first)) * a
-        h_cc = moved.T @ moved - np.diag(a * second_r)
-        h_lc = point.columns.T @ moved
-        h_lc[range(len(point.free)), point.free] -= first_r[point.free]
-        return -a * first_r, h_cc - h_lc.T @ point.inverse @ h_lc
+        if signal is None and not theta[self.problem.signal_index()] >= 0.0:
+            # the chi-square is convex: the bounded optimum has the signal at zero
+            return self._solve(centroids, lines, 0.0)
+        weights = self.root_weights[:, None]
+        first, second = design.first * weights, design.second * weights
+        first_r, second_r = first.T @ residual, second.T @ residual
+        moved = (first - basis @ (basis.T @ first)) * amplitudes
+        h_cc = moved.T @ moved - np.diag(amplitudes * second_r)
+        h_lc = columns.T @ moved
+        h_lc[range(len(free)), free] -= first_r[free]
+        return (theta, float(residual @ residual), -amplitudes * first_r,
+                h_cc - h_lc.T @ inverse @ h_lc)
 
 
 def _tuple_scorer(lines: np.ndarray, y: np.ndarray):
@@ -918,16 +920,6 @@ def _grid_start(space: _Projection):
             held = _tuple_scorer(space.project(lines, held=True), space.held_y_out)
             stat[clipped] = held(tuples[clipped])[0]
     return points[tuples[int(np.argmin(stat))]], len(tuples)
-
-
-def _projection_fit(space: _Projection) -> FitResult:
-    centroids, n_grid = _grid_start(space)
-    start = space.problem.initial_values()
-    start[space.design.centroid_idx] = centroids
-    theta, stat, solves, iterations = _reduced_newton(space, start)
-    return FitResult(values=theta, statistic=stat, n_restarts=0,
-                     n_evaluations=n_grid + solves, converged=True,
-                     trace=((iterations, stat),))
 
 
 # ---------------------------------------------------------------------------
@@ -1041,7 +1033,7 @@ def _core_from_fit_problem(problem: FitProblem, design: _Design, observed: np.nd
     """The Gaussian core of the problem's linear parameters at the
     design's current centroids, for the given observed counts, one row
     per spectrum."""
-    pos = design.linear_idx.index(problem.signal_index())
+    pos = design.signal_column
     order = [pos] + [p for p in range(design.columns.shape[1]) if p != pos]
     return _LinearGaussianCore(
         y=observed - design.base,
@@ -1195,7 +1187,8 @@ def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
 
 def _profiler(problem: FitProblem, design: _Design):
     """Profiled statistic of a linear Poisson problem, or of a problem
-    with free centroids, from fit_minimize's own global fit.
+    with free centroids, from _global_fit, fit_minimize's own fit, and
+    on its _Projection.
 
     The solved points, the fit's included, are kept in signal order. A
     linear problem solves a batch of signal values in one _poisson_solve
@@ -1208,15 +1201,9 @@ def _profiler(problem: FitProblem, design: _Design):
     no bin with counts curves): the scan then brackets the profile's rise.
     """
     idx = problem.signal_index()
-    info = {"profile_solver": _solver_for(problem, design), "newton_iterations": 0,
-            "profile_points": 0}
-    if design.linear:
-        theta, stat_min = _linear_solution(problem, design, np.empty(0), None, None, info)[:2]
-    else:
-        space = _Projection(problem, design)
-        fit = _projection_fit(space)
-        theta, stat_min = fit.values, fit.statistic
-        info["newton_iterations"], info["profile_points"] = fit.trace[-1][0], 1
+    fit, counts, space = _global_fit(problem, design)
+    info = {"profile_solver": _solver_for(problem, design), **counts}
+    theta, stat_min = fit.values, fit.statistic
     known_s, known = theta[idx:idx + 1], theta[None]
 
     def remember(s, solved):

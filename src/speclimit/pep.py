@@ -125,8 +125,7 @@ def forbidden_window(transition: PepTransition, response: DetectorResponse,
 
 def pep_upper_limit(residual: ResidualSpectrum, transition: PepTransition,
                     response: DetectorResponse, config: PepRunConfig,
-                    cl: float, *, window_fwhm_multiple: float = 1.5,
-                    grid_rtol: float = 1e-3) -> LimitResult:
+                    cl: float, *, window_fwhm_multiple: float = 1.5) -> LimitResult:
     """Upper bound on beta^2/2 from the on/off residual.
 
     A Gaussian line at the forbidden energy is fit to the residual
@@ -158,7 +157,7 @@ def pep_upper_limit(residual: ResidualSpectrum, transition: PepTransition,
         signal_shape=shape,
         name="forbidden_line_counts",
     )
-    counts_limit = bayesian_upper_limit(problem, cl, grid_rtol=grid_rtol)
+    counts_limit = bayesian_upper_limit(problem, cl)
 
     unit_yield = pep_expected_counts(config, 1.0)
     if unit_yield <= 0:

@@ -699,15 +699,14 @@ def test_chi2_reduced_curvature_matches_central_differences(case, resolution_mod
     # terms of the Hessian count
     problem, centroids, held = _chi2_projection_case(case, resolution_model)
     space = limits_module._Projection(problem, problem._design)
-    theta, stat, point = space.solve(centroids, held)
-    gradient, hess = space.curvature(point)
+    theta, stat, gradient, hess = space.solve(centroids, None, held)
     spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
                               "simulated", 1.0)
     assert stat == pytest.approx(binned_chi2(spectrum, problem.with_values(theta)), rel=1e-13)
     np.testing.assert_array_equal(theta[problem.free.index((0, "centroid_kev"))], centroids[0])
 
     def stat_at(c):  # chi2 / 2, with the signal in the same state at every point
-        values, value, _ = space.solve(c, held)
+        values, value, _, _ = space.solve(c, None, held)
         signal = values[problem.signal_index()]
         if held is not None:
             assert signal == held
@@ -762,11 +761,11 @@ def test_chi2_projection_raises_for_a_vanishing_signal_and_a_singular_basis(monk
     clean = limits_module._reduced_newton(space, start)
     real, calls = space.solve, []
 
-    def failing(centroids, signal=None):
+    def failing(centroids, start=None, signal=None):
         calls.append(np.array(centroids))
         if len(calls) in (2, 3):  # the first line-search trial, then its half step
             raise (DegenerateMapError if len(calls) == 2 else FitError)("forced")
-        return real(centroids, signal)
+        return real(centroids, start, signal)
 
     monkeypatch.setattr(space, "solve", failing)
     theta, stat, solves, _ = limits_module._reduced_newton(space, start)
@@ -775,6 +774,49 @@ def test_chi2_projection_raises_for_a_vanishing_signal_and_a_singular_basis(monk
     assert solves > clean[2]
     assert stat == pytest.approx(clean[1], rel=1e-12)
     np.testing.assert_allclose(theta[[0, 2]], clean[0][[0, 2]], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("statistic", ["chi2", "poisson_nll"])
+def test_lone_free_line_fit_and_profile_match_a_centroid_search(statistic):
+    # a line whose centroid and amplitude are the only free parameters:
+    # no static column to project out. The fit and three profile points
+    # match a golden-section search over the centroid, the amplitude in
+    # closed form at each for the fit and held for the profile
+    problem = _background_free_free_centroid_problem(3)
+    problem = replace(problem, observed=problem.observed * 10.0, statistic=statistic)
+    assert not problem._design.static_columns
+    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
+                              "simulated", 1.0)
+    variance = np.maximum(problem.observed, 1.0)
+
+    def unit(c):
+        return predict_counts(replace(problem.model, components=(GaussianLine(c, 1.0),)),
+                              problem.grid)
+
+    def stat(c, amplitude=None):
+        if amplitude is None:
+            column = unit(c)
+            if statistic == "chi2":  # weighted least squares
+                amplitude = float(np.sum(problem.observed * column / variance)
+                                  / np.sum(column * column / variance))
+            else:  # N / C
+                amplitude = float(problem.observed.sum() / column.sum())
+        model = problem.with_values([c, amplitude])
+        if statistic == "chi2":
+            return binned_chi2(spectrum, model)
+        return binned_poisson_nll(spectrum, model)
+
+    fit = fit_minimize(problem)
+    centroid = fit.values[0]
+    oracle = _golden_minimum(stat, centroid - 0.05, centroid + 0.05)
+    assert fit.statistic <= oracle + 1e-10 * (1.0 + abs(oracle))
+    pstat, shat, stat_min, _, _ = limits_module._profiler(problem, problem._design)
+    assert (shat, stat_min) == (fit.values[1], fit.statistic)
+    for s in (0.8 * shat, 1.1 * shat, 1.3 * shat):
+        oracle = _golden_minimum(lambda c: stat(c, s), centroid - 0.05, centroid + 0.05)
+        assert pstat([s])[0] == pytest.approx(oracle, rel=1e-10)
+    result = bayesian_upper_limit(problem, 0.95)
+    assert np.isfinite(result.upper_bound) and result.upper_bound > shat
 
 
 def test_projection_fit_and_limit_carry_no_state_between_calls(monkeypatch):
@@ -1319,6 +1361,34 @@ def test_background_free_line_fit_and_limit_match_the_gamma_posterior(seed):
     assert bound == pytest.approx(gammaincinv(n + 1.0, 0.95) / c, rel=1e-3)
 
 
+def _background_free_free_centroid_problem(seed):
+    """A 20-count line at 8.0 keV on 80 bins over 7-9 keV at 200 eV FWHM,
+    its centroid and amplitude free and nothing else."""
+    grid = EnergyGrid.uniform(7.0, 9.0, 80)
+    response = DetectorResponse(fwhm_kev_at_ref=0.2, reference_energy_kev=8.0)
+    truth = SpectralModel(components=(GaussianLine(8.0, 20.0),), response=response)
+    free = ((0, "centroid_kev"), (0, "amplitude"))
+    return FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed), truth, free, free[1],
+                                    statistic="poisson_nll")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_background_free_free_centroid_fit_and_limit_match_the_gamma_posterior(seed):
+    # the free-centroid twin of the test above: at any centroid well
+    # inside the window the amplitude s gives the NLL s C - N ln s + a
+    # term in the centroid alone, so the fit is N / C at the fitted
+    # centroid and the posterior the same Gamma. The profile at s = 0 is
+    # +inf: no centroid puts a count where the line is held at zero
+    problem = _background_free_free_centroid_problem(seed)
+    fit = fit_minimize(problem)
+    unit = replace(problem.model, components=(GaussianLine(fit.values[0], 1.0),))
+    n, c = float(problem.observed.sum()), float(predict_counts(unit, problem.grid).sum())
+    assert abs(fit.values[1] - n / c) <= 1e-5 * (n / c)
+    result = bayesian_upper_limit(problem, 0.95)
+    assert result.upper_bound == pytest.approx(gammaincinv(n + 1.0, 0.95) / c, rel=1e-3)
+    assert result.scan[0, 1] == np.inf
+
+
 def test_newton_from_far_above_reaches_the_minimum_of_a_near_start():
     # the batch counts on a flat and a slope column, and a held signal
     # whose two lowest bins are zero: from (20, 20) the second pass lands
@@ -1642,6 +1712,22 @@ def _oracle_case_problems(case):
         # no background: the profile is infinite at zero signal
         truth = SpectralModel(components=(GaussianLine(7.7, 20.0),), response=RESPONSE)
         return _toy_problems(truth, grid, ((0, "amplitude"),), 2, 1, "poisson_nll")
+    if case.startswith("flat signal"):
+        # the flat term is the signal beside a 400-count line at 8.0 keV, a
+        # 40-count line at 7.7 keV held in the template beside a free
+        # centroid: held at zero, the flat term leaves the counts far from
+        # the lines where no free column reaches, so the profile is +inf
+        response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+        lines = (GaussianLine(8.0, 400.0),)
+        free = ((0, "amplitude"), (1, "coefficients", 0))
+        seeds = range(300, 310)
+        if case.endswith("free centroid"):
+            lines += (GaussianLine(7.7, 40.0),)
+            free = ((0, "centroid_kev"), (0, "amplitude"), (2, "coefficients", 0))
+            seeds = range(200, 202)
+        truth = SpectralModel(lines + (PolynomialBackground((30.0,)),), response)
+        return [FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed), truth, free,
+                                         free[-1], statistic="poisson_nll") for seed in seeds]
     statistic = case.split()[-1]
     truth = _line_model(150.0, 300.0)
     free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
@@ -1649,7 +1735,8 @@ def _oracle_case_problems(case):
                                      free[1], statistic=statistic)]
 
 
-@pytest.mark.parametrize("case", [*SPARSE_SETS, "lone signal", "free centroid, chi2",
+@pytest.mark.parametrize("case", [*SPARSE_SETS, "lone signal", "flat signal",
+                                  "flat signal, free centroid", "free centroid, chi2",
                                   "free centroid, poisson_nll"])
 def test_scan_bound_matches_an_every_point_scan(case):
     grid_rtol = 1e-3

@@ -113,14 +113,12 @@ def test_limit_requires_window_inside_grid():
 
 def test_limit_inverse_in_each_yield_factor():
     residual = _flat_residual()
-    base = pep_upper_limit(residual, PepTransition(), RESPONSE, RUN, 0.95,
-                           grid_rtol=1e-5)
+    base = pep_upper_limit(residual, PepTransition(), RESPONSE, RUN, 0.95)
 
     doubled_eff = PepRunConfig(current_a=40.0, duration_s=94_608_000.0,
                                geometric_acceptance=0.01, detection_efficiency=1.0,
                                capture_cascade_factor=0.1, capture_opportunities=1e5)
-    harder = pep_upper_limit(residual, PepTransition(), RESPONSE, doubled_eff, 0.95,
-                             grid_rtol=1e-5)
+    harder = pep_upper_limit(residual, PepTransition(), RESPONSE, doubled_eff, 0.95)
     # identical excess-count bound, twice the unit yield
     assert harder.metadata["counts_upper_bound"] == pytest.approx(
         base.metadata["counts_upper_bound"], rel=1e-9)
@@ -130,7 +128,7 @@ def test_limit_inverse_in_each_yield_factor():
                                    geometric_acceptance=0.01, detection_efficiency=0.5,
                                    capture_cascade_factor=0.1, capture_opportunities=1e5)
     assert pep_upper_limit(residual, PepTransition(), RESPONSE, doubled_current,
-                           0.95, grid_rtol=1e-5).upper_bound == pytest.approx(
+                           0.95).upper_bound == pytest.approx(
         base.upper_bound / 2.0, rel=1e-6)
 
 
@@ -183,9 +181,9 @@ def test_end_to_end_bound_scales_with_inverse_sqrt_background():
     # quadrupled flat background doubles the count bound on average;
     # exact here because the residual is noise-free
     base = pep_upper_limit(_flat_residual(sigma=5.0), PepTransition(), RESPONSE,
-                           RUN, 0.95, grid_rtol=1e-5)
+                           RUN, 0.95)
     worse = pep_upper_limit(_flat_residual(sigma=10.0), PepTransition(), RESPONSE,
-                            RUN, 0.95, grid_rtol=1e-5)
+                            RUN, 0.95)
     assert worse.upper_bound == pytest.approx(2.0 * base.upper_bound, rel=1e-3)
 
 
