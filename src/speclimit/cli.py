@@ -6,9 +6,10 @@ Bayesian upper limits (forbidden-line and continuum analyses),
 evaluate upgrade sensitivity budgets, and print the physical
 constants in use.
 
-Every run is driven by a JSON config whose resolved form (after
---seed/--cl overrides) is hashed into the report, so identical
-configs produce byte-identical output files.
+Every run is driven by a JSON config whose resolved form (after the
+simulate --seed and limit --cl overrides) is hashed into the report, so
+identical configs produce byte-identical output files; a setting it
+leaves out takes the default of the library type it configures.
 
 Each subcommand imports the modules it runs, and no others: importing
 numpy costs most of a short run's time, and `constants` or `--help`
@@ -30,9 +31,11 @@ from .errors import (
     ScanRangeError,
     SpectrumFormatError,
     ToolkitError,
+    config_keywords,
     config_number,
     config_numbers,
     config_object,
+    config_string,
 )
 
 if TYPE_CHECKING:
@@ -56,8 +59,9 @@ def _section(config: dict, key: str, kind: str, default=None) -> dict:
     return config_object(value, key)
 
 
-def _resolve_path(base: Path, value: str) -> Path:
-    path = Path(value)
+def _resolve_path(base: Path, config: dict, key: str, kind: str) -> Path:
+    """The file path a config sets under key, relative to the config's directory."""
+    path = Path(config_string(_require(config, key, kind), key))
     return path if path.is_absolute() else base / path
 
 
@@ -134,18 +138,18 @@ def _cmd_simulate(args) -> int:
     config["seed"] = seed
     acquisition_days = config_number(config.get("acquisition_days", exposure.live_time_days),
                                      "acquisition_days")
-    tag = config.get("tag", "simulated")
     config_hash = canonical_config_hash(config)
 
     spectrum = simulate_spectrum(model, grid, seed, exposure=exposure,
-                                 acquisition_days=acquisition_days, tag=tag)
+                                 acquisition_days=acquisition_days,
+                                 **config_keywords(config, tag=config_string))
     spectrum_path = write_spectrum(out / "spectrum.txt", spectrum,
                                    extra_header={"config-hash": config_hash})
     write_report(out / "report.txt", [
         ("command", "simulate"),
         ("config-hash", config_hash),
         ("seed", seed),
-        ("tag", tag),
+        ("tag", spectrum.tag),
         ("bins", grid.n_bins),
         ("energy-lo-kev", grid.lo_kev),
         ("energy-hi-kev", grid.hi_kev),
@@ -194,7 +198,7 @@ def _cmd_fit(args) -> int:
 
     config, base = _load_cli_config(args, "fit")
     out = _out_dir(args)
-    spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "fit")))
+    spectrum = load_spectrum(_resolve_path(base, config, "spectrum", "fit"))
     model = model_from_description(_section(config, "model", "fit"))
     entries = _require(config, "free", "fit")
     if not isinstance(entries, list) or not entries:
@@ -204,13 +208,11 @@ def _cmd_fit(args) -> int:
     signal = (_parse_ref(config["signal"], "signal") if "signal" in config else
               next((ref for ref in free if ref[1] != "centroid_kev"), free[0]))
     statistic = config.get("statistic", "chi2")
-    seed = config_number(config.get("seed", 0), "seed", int)
-    config["seed"] = seed
     config_hash = canonical_config_hash(config)
 
     problem = FitProblem.from_spectrum(spectrum, model, free=free, signal=signal,
                                        statistic=statistic)
-    result = fit_minimize(problem, seed=seed)
+    result = fit_minimize(problem)
     rows = [
         ("command", "fit"),
         ("config-hash", config_hash),
@@ -218,8 +220,6 @@ def _cmd_fit(args) -> int:
         ("statistic-value", result.statistic),
         ("bins", spectrum.grid.n_bins),
         ("free-parameters", len(free)),
-        ("converged", str(result.converged).lower()),
-        ("restarts", result.n_restarts),
         ("evaluations", result.n_evaluations),
     ]
     for name, value in result.by_name(problem).items():
@@ -261,13 +261,9 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     )
 
     out = _out_dir(args)
-    spectrum = load_spectrum(_resolve_path(base, _require(config, "spectrum", "limit")))
+    spectrum = load_spectrum(_resolve_path(base, config, "spectrum", "limit"))
     cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
     statistic = config.get("statistic", "chi2")
-    seed = config_number(config.get("seed", 0), "seed", int)
-    config["seed"] = seed
-    # the Poisson scan's tolerance; the closed-form chi-square bound ignores it
-    grid_rtol = config_number(config.get("grid_rtol", 1e-3), "grid_rtol")
     config_hash = canonical_config_hash(config)
 
     background_cfg = _section(config, "background", "limit", {})
@@ -277,9 +273,8 @@ def _limit_csl(args, config: dict, base: Path) -> int:
         _section(config, "response", "limit", {"fwhm_kev_at_ref": 0.3}))
     target_cfg = _section(config, "target", "limit", {})
     target = TargetMaterial.from_table(
-        target_cfg.get("element", "Ge"),
-        quasi_free_electrons=target_cfg.get("quasi_free_electrons"),
-    )
+        config_string(target_cfg.get("element", "Ge"), "target.element"),
+        **config_keywords(target_cfg, "target.", quasi_free_electrons=config_number))
     correlation_length_m = config_number(
         config.get("correlation_length_m", CODATA2018.correlation_length_default_m),
         "correlation_length_m")
@@ -303,7 +298,8 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     )
     problem = FitProblem.from_spectrum(spectrum, model, free=free,
                                        signal=(0, "alpha"), statistic=statistic)
-    limit = bayesian_upper_limit(problem, cl, seed=seed, grid_rtol=grid_rtol)
+    # grid_rtol is the Poisson scan's tolerance; the closed-form chi-square bound ignores it
+    limit = bayesian_upper_limit(problem, cl, **config_keywords(config, grid_rtol=config_number))
 
     # the fitted amplitude counts only detected photons; undo the
     # detection efficiency before mapping back to a collapse rate
@@ -359,43 +355,29 @@ def _limit_pep(args, config: dict, base: Path) -> int:
     from .spectra import _response_from_description, subtract_spectra
 
     out = _out_dir(args)
-    on = load_spectrum(_resolve_path(base, _require(config, "on", "limit")))
-    off = load_spectrum(_resolve_path(base, _require(config, "off", "limit")))
+    on = load_spectrum(_resolve_path(base, config, "on", "limit"))
+    off = load_spectrum(_resolve_path(base, config, "off", "limit"))
     ratio = config.get("ratio")
     residual = subtract_spectra(on, off,
                                 ratio=None if ratio is None else config_number(ratio, "ratio"))
 
     transition_cfg = _section(config, "transition", "limit", {})
-    transition = PepTransition(
-        normal_energy_kev=config_number(transition_cfg.get("normal_energy_kev", 8.0),
-                                        "transition.normal_energy_kev"),
-        shift_kev=config_number(transition_cfg.get("shift_kev", 0.30), "transition.shift_kev"),
-    )
+    transition = PepTransition(**config_keywords(
+        transition_cfg, "transition.", normal_energy_kev=config_number, shift_kev=config_number))
     response = _response_from_description(_section(config, "response", "limit"))
     run_cfg = _section(config, "run", "limit")
     for key in ("current_a", "duration_s", "geometric_acceptance", "detection_efficiency"):
         if key not in run_cfg:
             raise ConfigError(f"limit config run section requires '{key}'")
-    run = PepRunConfig(
-        current_a=config_number(run_cfg["current_a"], "run.current_a"),
-        duration_s=config_number(run_cfg["duration_s"], "run.duration_s"),
-        geometric_acceptance=config_number(run_cfg["geometric_acceptance"],
-                                           "run.geometric_acceptance"),
-        detection_efficiency=config_number(run_cfg["detection_efficiency"],
-                                           "run.detection_efficiency"),
-        capture_cascade_factor=config_number(run_cfg.get("capture_cascade_factor", 0.1),
-                                             "run.capture_cascade_factor"),
-        capture_opportunities=config_number(run_cfg.get("capture_opportunities", 1.0),
-                                            "run.capture_opportunities"),
-    )
+    run = PepRunConfig(**config_keywords(
+        run_cfg, "run.", current_a=config_number, duration_s=config_number,
+        geometric_acceptance=config_number, detection_efficiency=config_number,
+        capture_cascade_factor=config_number, capture_opportunities=config_number))
     cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
-    window_multiple = config_number(config.get("window_fwhm_multiple", 1.5),
-                                    "window_fwhm_multiple")
-    config["seed"] = config_number(config.get("seed", 0), "seed", int)
     config_hash = canonical_config_hash(config)
 
     limit = pep_upper_limit(residual, transition, response, run, cl,
-                            window_fwhm_multiple=window_multiple)
+                            **config_keywords(config, window_fwhm_multiple=config_number))
     window_lo, window_hi = limit.metadata["window_kev"]
     write_residual(out / "residual.txt", residual,
                    extra_header={"config-hash": config_hash})
@@ -507,13 +489,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a spectral model to a spectrum file")
     p.add_argument("--config", required=True, help="JSON config with kind 'fit'")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("limit", help="Bayesian upper limit (csl or pep analysis)")
     p.add_argument("--config", required=True, help="JSON config with kind 'limit'")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--cl", type=float, default=None,
                    help="override the config confidence level")
     p.add_argument("--out", required=True, help="output directory")

@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all modules, and the checked conversion
-of config numbers."""
+of config values."""
+
+import math
 
 
 class ToolkitError(Exception):
@@ -44,12 +46,22 @@ class ConfigError(ToolkitError, ValueError):
 
 
 def config_number(value, key: str, kind=float):
-    """A config value as float (or int), or a ConfigError naming its key."""
+    """A config value as a finite float (or int), or a ConfigError naming
+    its key; json reads NaN and Infinity, which no setting takes."""
     try:
-        return kind(value)
+        if math.isfinite(number := kind(value)):
+            return number
     except (TypeError, ValueError, OverflowError):
-        wanted = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}") from None
+        pass
+    wanted = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}")
+
+
+def config_keywords(section: dict, prefix: str = "", **convert) -> dict:
+    """The keyword arguments a config section sets, each converted by its
+    convert(value, key) with prefix + key naming it in errors. Keys the
+    section leaves out are not passed, so the callee's default applies."""
+    return {key: to(section[key], prefix + key) for key, to in convert.items() if key in section}
 
 
 def config_numbers(values, key: str) -> list:
@@ -62,6 +74,13 @@ def config_list(values, key: str):
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"config value {key!r} must be a list, got {values!r}")
     return values
+
+
+def config_string(value, key: str) -> str:
+    """A config value that must be a JSON string, or a ConfigError naming its key."""
+    if not isinstance(value, str):
+        raise ConfigError(f"config value {key!r} must be a string, got {value!r}")
+    return value
 
 
 def config_object(value, key: str) -> dict:

@@ -304,8 +304,8 @@ class _Design:
         """The columns with the free lines at the given centroids, the
         lines that moved rebuilt in one call."""
         centroids = np.asarray(centroids, dtype=float)
-        moved = np.flatnonzero(centroids != self.centroids)
-        if moved.size:
+        moved = [k for k, c in enumerate(centroids) if c != self.centroids[k]]
+        if moved:
             fractions, first, second = _line_fractions_and_derivatives(
                 self.edges, centroids[moved], self.response)
             eff = self.eff[:, None]
@@ -317,15 +317,11 @@ class _Design:
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if self.linear:
-            return self.base + self.columns @ theta
         self.at(theta[self.centroid_idx])
         return self.base + self.columns @ theta[self.linear_idx]
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         """d mu / d theta, bins x free parameters."""
-        if self.linear:
-            return self.columns
         self.at(theta[self.centroid_idx])
         jac = np.empty((self.edges.size - 1, theta.size))
         jac[:, self.linear_idx] = self.columns
@@ -334,8 +330,6 @@ class _Design:
 
     def second_derivatives(self, theta: np.ndarray):
         """The non-zero d2 mu / d theta_i d theta_j as (i, j, per-bin vector)."""
-        if self.linear:
-            return []
         self.at(theta[self.centroid_idx])
         terms = []
         for k, (i, a) in enumerate(zip(self.centroid_idx, self.amplitude_idx)):
@@ -352,10 +346,7 @@ class _Design:
 class FitResult:
     values: np.ndarray
     statistic: float
-    n_restarts: int
     n_evaluations: int
-    converged: bool
-    trace: tuple
 
     def by_name(self, problem: FitProblem) -> dict:
         return {problem.parameter_name(ref): float(v)
@@ -377,9 +368,8 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     statistic refines them inside the fit window; its evaluations count
     the grid points and the inner solves. The grid and every trial
     solve share one _Projection of the fit's counts, whose statics are
-    projected out once per fit. Every fit reports 0 restarts
-    and converged = True, and raises FitError when it cannot converge.
-    seed selects nothing; it is kept for callers that pass it.
+    projected out once per fit. A fit that cannot converge raises
+    FitError. seed selects nothing; it is kept for callers that pass it.
     """
     return _global_fit(problem, problem._design)[0]
 
@@ -395,8 +385,7 @@ def _global_fit(problem: FitProblem, design: _Design):
         start[design.centroid_idx], n_grid = _grid_start(space)
         values, stat, solves, iterations = _reduced_newton(space, start)
         counts.update(newton_iterations=iterations, profile_points=1)
-        return FitResult(values=values, statistic=stat, n_restarts=0, converged=True,
-                         n_evaluations=n_grid + solves, trace=((iterations, stat),)), counts, space
+        return FitResult(values, stat, n_grid + solves), counts, space
     try:
         if problem.statistic == "chi2":
             core = _core_from_fit_problem(problem, design, problem.observed)
@@ -407,8 +396,7 @@ def _global_fit(problem: FitProblem, design: _Design):
             values, stat = _linear_solution(problem, design, np.empty(0), None, None, counts)[:2]
     except DegenerateMapError as err:  # a design the solve cannot invert fails the fit
         raise FitError(str(err)) from err
-    return FitResult(values=values, statistic=stat, n_restarts=0, n_evaluations=1,
-                     converged=True, trace=((-1, stat),)), counts, space
+    return FitResult(values, stat, 1), counts, space
 
 
 def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
@@ -967,6 +955,8 @@ class GaussianResidualProblem:
                 self.nuisance_shapes = self.nuisance_shapes.T
             if self.nuisance_shapes.shape[0] == 0:
                 self.nuisance_shapes = None
+            elif self.nuisance_shapes.shape[1] != self.values.size:
+                raise ShapeError("nuisance shapes match the values on neither axis")
 
 
 class _LinearGaussianCore:
@@ -1467,11 +1457,14 @@ class EnsembleResult:
     coverage: float
     confidence_level: float
     n_requested: int
-    n_failed: int
     failures: tuple
     config_hash: str
     seed: int
     best_signals: np.ndarray
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
     @property
     def n_completed(self) -> int:
@@ -1588,7 +1581,6 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
         coverage=coverage,
         confidence_level=cl,
         n_requested=n,
-        n_failed=len(failures),
         failures=tuple(failures),
         config_hash=_ensemble_config_hash(truth, grid, free, signal, cl, statistic, n),
         seed=seed,

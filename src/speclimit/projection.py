@@ -42,6 +42,8 @@ def _as_fraction(value) -> Fraction:
     elif isinstance(value, int):
         result = Fraction(value)
     elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"improvement factors must be finite, got {value!r}")
         result = Fraction(value)  # exact binary value of the float
     else:
         raise DomainError(f"unsupported factor type {type(value).__name__}")

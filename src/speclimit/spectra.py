@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Exposure, fwhm_to_sigma
-from .errors import DomainError, ModelError, ShapeError
-from .errors import config_list, config_number, config_numbers, config_object
+from .errors import DomainError, ModelError, ShapeError, config_keywords, config_list
+from .errors import config_number, config_numbers, config_object, config_string
 
 __all__ = [
     "EnergyGrid",
@@ -121,9 +121,9 @@ class DetectorResponse:
     efficiency: float | tuple = 1.0
 
     def __post_init__(self):
-        if self.fwhm_kev_at_ref <= 0:
+        if not self.fwhm_kev_at_ref > 0:
             raise DomainError("reference FWHM must be positive")
-        if self.reference_energy_kev <= 0:
+        if not self.reference_energy_kev > 0:
             raise DomainError("reference energy must be positive")
         if self.resolution_model not in RESOLUTION_MODELS:
             raise DomainError(f"unknown resolution model {self.resolution_model!r}")
@@ -167,7 +167,7 @@ class GaussianLine:
     amplitude: float
 
     def __post_init__(self):
-        if self.centroid_kev <= 0:
+        if not self.centroid_kev > 0:
             raise DomainError("line centroid must be positive")
 
 
@@ -486,25 +486,26 @@ def model_description(model: SpectralModel) -> dict:
 
 
 def _response_from_description(entry: dict) -> DetectorResponse:
-    """The detector response of a model description or a run config."""
+    """The detector response of a model description or a run config; the
+    keys it leaves out take DetectorResponse's defaults."""
     if "fwhm_kev_at_ref" not in config_object(entry, "response"):
         raise ModelError("response lacks 'fwhm_kev_at_ref'")
-    efficiency = entry.get("efficiency", 1.0)
-    convert = config_numbers if isinstance(efficiency, (list, tuple)) else config_number
+
+    def efficiency(value, key):  # one number, or one per bin
+        return (config_numbers if isinstance(value, (list, tuple)) else config_number)(value, key)
+
     return DetectorResponse(
-        fwhm_kev_at_ref=config_number(entry["fwhm_kev_at_ref"], "response.fwhm_kev_at_ref"),
-        reference_energy_kev=config_number(entry.get("reference_energy_kev", 8.0),
-                                           "response.reference_energy_kev"),
-        resolution_model=entry.get("resolution_model", "constant"),
-        efficiency=convert(efficiency, "response.efficiency"),
-    )
+        config_number(entry["fwhm_kev_at_ref"], "response.fwhm_kev_at_ref"),
+        **config_keywords(entry, "response.", reference_energy_kev=config_number,
+                          resolution_model=config_string, efficiency=efficiency))
 
 
 def model_from_description(description: dict) -> SpectralModel:
     response = _response_from_description(description.get("response", {}))
     comps = []
     for index, entry in enumerate(config_list(description.get("components", []), "components")):
-        kind = config_object(entry, f"components[{index}]").get("kind")
+        kind = config_string(config_object(entry, f"components[{index}]").get("kind"),
+                             f"components[{index}].kind")
         if kind not in _COMPONENT_KINDS:
             raise ModelError(f"unknown component kind {kind!r}")
 

@@ -321,6 +321,49 @@ def test_cli_seed_override_changes_output_and_hash(tmp_path, capsys):
             != _report_dict(tmp_path / "c/report.txt")["config-hash"])
 
 
+@pytest.mark.parametrize("command", ["fit", "limit"])
+def test_cli_fit_and_limit_take_no_seed(tmp_path, capsys, command):
+    # no fit or limit draws a random number, so neither has a seed to set
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", "x.json", "--seed", "1", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_cli_pep_limit_defaults_are_the_library_defaults(tmp_path, capsys):
+    # the sample pep config with its optional keys left out, and with the
+    # library types' defaults written out, report the same rows
+    _copy_sample_configs(tmp_path)
+    for name, out in [("simulate_forbidden_on.json", "runs/on"),
+                      ("simulate_forbidden_off.json", "runs/off")]:
+        assert main(["simulate", "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / out)]) == 0
+    sample = json.loads((tmp_path / "limit_forbidden.json").read_text())
+    bare = {**sample, "response": {"fwhm_kev_at_ref": sample["response"]["fwhm_kev_at_ref"]},
+            "run": {key: sample["run"][key] for key in ("current_a", "duration_s",
+                                                         "geometric_acceptance",
+                                                         "detection_efficiency")}}
+    del bare["transition"], bare["window_fwhm_multiple"]
+    written = {**bare, "transition": {"normal_energy_kev": 8.0, "shift_kev": 0.30},
+               "response": {**bare["response"], "reference_energy_kev": 8.0,
+                            "resolution_model": "constant", "efficiency": 1.0},
+               "run": {**bare["run"], "capture_cascade_factor": 0.1,
+                       "capture_opportunities": 1.0},
+               "window_fwhm_multiple": 1.5}
+    reports = []
+    for name, config in [("bare", bare), ("written", written)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        assert main(["limit", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        report = _report_dict(tmp_path / name / "report.txt")
+        assert report.pop("config-hash")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["forbidden-energy-kev"] == "7.7"
+    assert (tmp_path / "bare/scan.dat").read_text().split("\n", 1)[1] == (
+        tmp_path / "written/scan.dat").read_text().split("\n", 1)[1]
+
+
 def test_cli_continuum_limit_reports_mass_mode_ratio(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_continuum.json"),
@@ -519,10 +562,23 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
      "'response.efficiency'"),
     ("simulate_continuum.json", {("model", "response", "efficiency"): [[0.5]]},
      "'response.efficiency'"),
+    ("fit_forbidden_line.json", {("model", "response", "fwhm_kev_at_ref"): float("nan")},
+     "'response.fwhm_kev_at_ref'"),
+    ("fit_forbidden_line.json", {("model", "components", 0, "amplitude"): float("inf")},
+     "'components[0].amplitude'"),
+    ("fit_forbidden_line.json", {"spectrum": ["runs/on/spectrum.txt"]}, "'spectrum'"),
+    ("limit_forbidden.json", {"on": 5}, "'on'"),
+    ("fit_forbidden_line.json", {("model", "components", 0, "kind"): ["gaussian_line"]},
+     "'components[0].kind'"),
+    ("limit_continuum.json", {("target", "element"): ["Ge"]}, "'target.element'"),
+    ("limit_continuum.json", {("target", "quasi_free_electrons"): "four"},
+     "'target.quasi_free_electrons'"),
 ], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count",
         "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients",
         "number-components", "number-component", "number-response", "word-efficiency",
-        "word-in-efficiency", "nested-efficiency"])
+        "word-in-efficiency", "nested-efficiency", "nan-fwhm", "infinite-amplitude",
+        "list-spectrum", "number-on-file", "list-kind", "list-element",
+        "word-electron-count"])
 def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
                                                                  change, key):
     _copy_sample_configs(tmp_path)
@@ -565,6 +621,18 @@ def test_cli_project_prints_headline_rows(tmp_path, capsys):
     assert report["background reduction"] == "200 - 400"
     assert report["overall improvement"] == "113.14 - 160.00"
     assert report["linear.target_length"] == "1/3"
+
+
+def test_cli_project_refuses_a_nan_factor(tmp_path, capsys):
+    config = json.loads((SAMPLE_DIR / "project_upgrade.json").read_text())
+    config["linear_factors"][0][1] = float("nan")
+    (tmp_path / "project.json").write_text(json.dumps(config))
+    code = main(["project", "--config", str(tmp_path / "project.json"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "speclimit: error [build]: improvement factors must be finite, got nan\n")
+    assert not (tmp_path / "x/report.txt").exists()
 
 
 def test_cli_constants_prints_the_table(capsys):

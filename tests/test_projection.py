@@ -59,6 +59,14 @@ def test_factors_must_be_positive():
                           background_factors=(("bad", (3, 2)),))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_factors_must_be_finite(value):
+    with pytest.raises(DomainError, match="finite"):
+        ImprovementBudget(linear_factors=(("bad", value),), background_factors=())
+    with pytest.raises(DomainError, match="finite"):
+        ImprovementBudget(linear_factors=(), background_factors=(("bad", (1, value)),))
+
+
 def test_range_needs_exactly_two_entries():
     with pytest.raises(DomainError):
         ImprovementBudget(linear_factors=(),

@@ -36,6 +36,7 @@ from speclimit import (
     simulate_spectrum,
     subtract_spectra,
 )
+from speclimit.spectra import _response_from_description
 
 RESPONSE = DetectorResponse(fwhm_kev_at_ref=0.32, reference_energy_kev=8.0)
 
@@ -100,6 +101,20 @@ def test_sqrt_resolution_model_scales_with_energy():
 def test_unknown_resolution_model_rejected():
     with pytest.raises(DomainError):
         DetectorResponse(fwhm_kev_at_ref=0.32, resolution_model="cubic")
+
+
+def test_nan_widths_and_centroids_are_rejected():
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        DetectorResponse(fwhm_kev_at_ref=nan)
+    with pytest.raises(DomainError):
+        DetectorResponse(fwhm_kev_at_ref=0.32, reference_energy_kev=nan)
+    with pytest.raises(DomainError):
+        GaussianLine(centroid_kev=nan, amplitude=1.0)
+
+
+def test_response_description_takes_the_response_defaults():
+    assert _response_from_description({"fwhm_kev_at_ref": 0.3}) == DetectorResponse(0.3)
 
 
 def test_per_bin_efficiency_must_match_grid():
