@@ -2,6 +2,7 @@
 of config values."""
 
 import math
+import numbers
 
 
 class ToolkitError(Exception):
@@ -47,12 +48,15 @@ class ConfigError(ToolkitError, ValueError):
 
 def config_number(value, key: str, kind=float):
     """A config value as a finite float (or int), or a ConfigError naming
-    its key; json reads NaN and Infinity, which no setting takes."""
-    try:
-        if math.isfinite(number := kind(value)):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
+    its key. A JSON boolean or string is no number, an int setting takes
+    no fractional number, and json reads NaN and Infinity, which no
+    setting takes."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(number := kind(value)) and (kind is float or number == value):
+                return number
+        except (ValueError, OverflowError):
+            pass
     wanted = "an integer" if kind is int else "a finite number"
     raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}")
 

@@ -60,25 +60,14 @@ def format_number(value) -> str:
 
 
 def write_spectrum(path, spectrum: BinnedSpectrum, *, extra_header: dict | None = None) -> Path:
-    path = Path(path)
-    lines = [
-        f"# format: {SPECTRUM_FORMAT}",
-        "# units-energy: keV",
-        "# units-counts: counts",
-        f"# tag: {spectrum.tag}",
-        f"# mass-kg: {format_number(spectrum.exposure.mass_kg)}",
-        f"# live-time-days: {format_number(spectrum.exposure.live_time_days)}",
-        f"# acquisition-days: {format_number(spectrum.acquisition_days)}",
-    ]
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append("# columns: bin_lo_kev bin_hi_kev counts")
-    lo = spectrum.grid.lower_edges
-    hi = spectrum.grid.upper_edges
-    for i in range(spectrum.grid.n_bins):
-        lines.append(f"{format_number(lo[i])} {format_number(hi[i])} {int(spectrum.counts[i])}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    exposure, grid = spectrum.exposure, spectrum.grid
+    header = [f"format: {SPECTRUM_FORMAT}", "units-energy: keV", "units-counts: counts",
+              f"tag: {spectrum.tag}", f"mass-kg: {format_number(exposure.mass_kg)}",
+              f"live-time-days: {format_number(exposure.live_time_days)}",
+              f"acquisition-days: {format_number(spectrum.acquisition_days)}"]
+    header += [f"{key}: {value}" for key, value in (extra_header or {}).items()]
+    return write_table(path, ("bin_lo_kev", "bin_hi_kev", "counts"),
+                       (grid.lower_edges, grid.upper_edges, spectrum.counts), header_lines=header)
 
 
 def _parse_header_and_rows(path: Path):
@@ -198,27 +187,15 @@ def load_spectrum(path) -> BinnedSpectrum:
 
 
 def write_residual(path, residual: ResidualSpectrum, *, extra_header: dict | None = None) -> Path:
-    path = Path(path)
-    lines = [
-        f"# format: {RESIDUAL_FORMAT}",
-        "# units-energy: keV",
-        "# units-values: counts",
-        f"# normalization-ratio: {format_number(residual.normalization_ratio)}",
-        f"# on-days: {format_number(residual.on_days)}",
-        f"# off-days: {format_number(residual.off_days)}",
-    ]
-    for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append("# columns: bin_lo_kev bin_hi_kev residual sigma")
-    lo = residual.grid.lower_edges
-    hi = residual.grid.upper_edges
-    for i in range(residual.grid.n_bins):
-        lines.append(
-            f"{format_number(lo[i])} {format_number(hi[i])} "
-            f"{format_number(residual.values[i])} {format_number(residual.sigmas[i])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    grid = residual.grid
+    header = [f"format: {RESIDUAL_FORMAT}", "units-energy: keV", "units-values: counts",
+              f"normalization-ratio: {format_number(residual.normalization_ratio)}",
+              f"on-days: {format_number(residual.on_days)}",
+              f"off-days: {format_number(residual.off_days)}"]
+    header += [f"{key}: {value}" for key, value in (extra_header or {}).items()]
+    return write_table(path, ("bin_lo_kev", "bin_hi_kev", "residual", "sigma"),
+                       (grid.lower_edges, grid.upper_edges, residual.values, residual.sigmas),
+                       header_lines=header)
 
 
 def load_residual(path) -> ResidualSpectrum:

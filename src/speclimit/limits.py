@@ -263,7 +263,8 @@ class _Design:
     once. A line whose centroid is free has its column, and the
     column's first two centroid derivatives, rebuilt only when that
     centroid moves. Without free centroids the columns never change
-    and mu is linear in the free parameters.
+    and mu is linear in the free parameters. point evaluates mu and its
+    first and second derivatives at one theta together.
     """
 
     def __init__(self, problem: FitProblem):
@@ -315,27 +316,20 @@ class _Design:
             self.centroids[moved] = centroids[moved]
         return self.columns
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
+    def point(self, theta):
+        """mu, d mu / d theta (bins x free parameters) and the non-zero
+        d2 mu / d theta_i d theta_j as (i, j, per-bin vector) at theta,
+        from one call of at."""
         theta = np.asarray(theta, dtype=float)
-        self.at(theta[self.centroid_idx])
-        return self.base + self.columns @ theta[self.linear_idx]
-
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """d mu / d theta, bins x free parameters."""
-        self.at(theta[self.centroid_idx])
-        jac = np.empty((self.edges.size - 1, theta.size))
-        jac[:, self.linear_idx] = self.columns
+        columns = self.at(theta[self.centroid_idx])
+        jac = np.empty((columns.shape[0], theta.size))
+        jac[:, self.linear_idx] = columns
         jac[:, self.centroid_idx] = self.first * theta[self.amplitude_idx]
-        return jac
-
-    def second_derivatives(self, theta: np.ndarray):
-        """The non-zero d2 mu / d theta_i d theta_j as (i, j, per-bin vector)."""
-        self.at(theta[self.centroid_idx])
         terms = []
         for k, (i, a) in enumerate(zip(self.centroid_idx, self.amplitude_idx)):
             terms.append((i, i, theta[a] * self.second[:, k]))
             terms.append((i, a, self.first[:, k]))
-        return terms
+        return self.base + columns @ theta[self.linear_idx], jac, terms
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +383,8 @@ def _global_fit(problem: FitProblem, design: _Design):
     try:
         if problem.statistic == "chi2":
             core = _core_from_fit_problem(problem, design, problem.observed)
-            values = _signal_and_nuisances(core, max(core.best_signal(), 0.0),
-                                           problem.signal_index())
-            stat = _chi2_from_mu(problem.observed, design(values))
+            values = core.values_at(max(core.best_signal(), 0.0))
+            stat = _chi2_from_mu(problem.observed, design.base + design.columns @ values)
         else:
             values, stat = _linear_solution(problem, design, np.empty(0), None, None, counts)[:2]
     except DegenerateMapError as err:  # a design the solve cannot invert fails the fit
@@ -404,18 +397,18 @@ def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
 
     The Hessian is exact: J^T diag(d2l/dmu2) J plus sum_i dl/dmu_i
     d2mu_i / dtheta^2, whose second term only free centroids make
-    non-zero. Its inverse is the covariance for either statistic.
+    non-zero. Its inverse is the covariance for either statistic. mu and
+    both derivatives come from one design.point.
     """
     observed = problem.observed
-    mu = design(theta)
-    jac = design.jacobian(theta)
+    mu, jac, terms = design.point(theta)
     if problem.statistic == "chi2":
         variance = _variance_floor(observed)
         dl_dmu = (mu - observed) / variance
         hess = jac.T @ (jac / variance[:, None])
     else:
         dl_dmu, hess = poisson_curvature(observed, jac, mu)
-    for i, j, d2mu in design.second_derivatives(theta):
+    for i, j, d2mu in terms:
         term = dl_dmu @ d2mu
         hess[i, j] += term
         if i != j:
@@ -500,7 +493,7 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     else:
         if signals is None:
             signals = np.array([max(core.best_signal(), 0.0)])
-        yield _signal_and_nuisances(core, signals, design.signal_column)
+        yield core.values_at(signals)
     yield problem.initial_values()[design.linear_idx][None]
 
 
@@ -584,11 +577,12 @@ def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_b
     linear = [i for i in design.linear_idx if not (held and i == problem.signal_index())]
     score, hess = _curvature(problem, design, theta)
     if held_bins.size:
-        rows = design.jacobian(theta)[held_bins]
+        _, jac, terms = design.point(theta)
+        rows = jac[held_bins]
         multipliers = np.linalg.solve(rows[:, linear] @ rows[:, linear].T,
                                       rows[:, linear] @ score[linear])
         score = score - multipliers @ rows
-        for i, j, d2mu in design.second_derivatives(theta):
+        for i, j, d2mu in terms:
             term = multipliers @ d2mu[held_bins]
             hess[i, j] -= term
             if i != j:
@@ -961,7 +955,8 @@ class GaussianResidualProblem:
 
 class _LinearGaussianCore:
     """Weighted least squares of one or more rows of data on one design,
-    shared by every row: bins x k columns, the signal's first.
+    shared by every row: bins x k columns in the design's order, the
+    signal's at index signal.
 
     y and variance hold one row per data set (a 1-D array is one row).
     The inverses of all rows' k x k normal matrices come from one
@@ -974,12 +969,13 @@ class _LinearGaussianCore:
     fail every row alike.
     """
 
-    def __init__(self, y, variance, columns, label):
+    def __init__(self, y, variance, columns, signal, label):
         self.y = np.atleast_2d(np.asarray(y, dtype=float))
         self.w = 1.0 / np.atleast_2d(np.asarray(variance, dtype=float))
         self.columns = np.asarray(columns, dtype=float)
+        self.signal = signal
         self.label = label
-        if not np.any(self.columns[:, 0] != 0):
+        if not np.any(self.columns[:, signal] != 0):
             raise DegenerateMapError(
                 f"signal shape for {label!r} vanishes on the fit window"
             )
@@ -988,8 +984,9 @@ class _LinearGaussianCore:
         try:
             self.cov = np.linalg.inv(gram)
         except np.linalg.LinAlgError as err:
+            nuisances = [p for p in range(gram.shape[1]) if p != signal]
             try:
-                np.linalg.inv(gram[:, 1:, 1:])
+                np.linalg.inv(gram[:, nuisances][:, :, nuisances])
             except np.linalg.LinAlgError:
                 raise FitError(f"degenerate nuisance basis: {err}") from err
             raise FitError(f"degenerate signal/nuisance basis: {err}") from err
@@ -997,21 +994,25 @@ class _LinearGaussianCore:
 
     def best_signal(self, row: int = 0) -> float:
         """The unclipped least-squares signal."""
-        return float(self.theta[row, 0])
+        return float(self.theta[row, self.signal])
 
     def signal_and_sigma(self, row: int = 0):
         """The unclipped signal and the parabola's exact 1-sigma width."""
-        shat, variance = self.best_signal(row), float(self.cov[row, 0, 0])
+        shat = self.best_signal(row)
+        variance = float(self.cov[row, self.signal, self.signal])
         if not (math.isfinite(shat) and math.isfinite(variance) and variance > 0):
             raise DegenerateMapError(f"flat profiled statistic for {self.label!r}")
         return shat, math.sqrt(variance)
 
-    def nuisances_at(self, signal, row: int = 0) -> np.ndarray:
-        """The nuisances solved with the signal held at the given value,
-        one row per value for an array of signals."""
-        cov = self.cov[row]
-        shift = np.asarray(signal, dtype=float)[..., None] - self.theta[row, 0]
-        return self.theta[row, 1:] + cov[1:, 0] / cov[0, 0] * shift
+    def values_at(self, signal, row: int = 0) -> np.ndarray:
+        """The parameters with the signal held at the given value and the
+        nuisances at their conditional mean, one row per value for an
+        array of signals."""
+        cov, theta, pos = self.cov[row], self.theta[row], self.signal
+        shift = np.asarray(signal, dtype=float)[..., None] - theta[pos]
+        values = theta + cov[:, pos] / cov[pos, pos] * shift
+        values[..., pos] = signal
+        return values
 
     def chi2_min(self, row: int = 0) -> float:
         """The chi-square at the unclipped least-squares point."""
@@ -1022,21 +1023,16 @@ class _LinearGaussianCore:
 def _core_from_fit_problem(problem: FitProblem, design: _Design, observed: np.ndarray):
     """The Gaussian core of the problem's linear parameters at the
     design's current centroids, for the given observed counts, one row
-    per spectrum."""
-    pos = design.signal_column
-    order = [pos] + [p for p in range(design.columns.shape[1]) if p != pos]
+    per spectrum. The columns go in Fortran-ordered: BLAS rounds the
+    normal matrices by memory layout, and the chi-square results keep
+    the last bits of this one."""
     return _LinearGaussianCore(
         y=observed - design.base,
         variance=_variance_floor(observed),
-        columns=design.columns[:, order],
+        columns=np.asfortranarray(design.columns),
+        signal=design.signal_column,
         label=problem.parameter_name(problem.signal),
     )
-
-
-def _signal_and_nuisances(core: _LinearGaussianCore, signal, idx: int) -> np.ndarray:
-    """The signal with the nuisances solved at it, the signal at idx; a
-    row each for an array of signals."""
-    return np.insert(core.nuisances_at(signal), idx, signal, axis=-1)
 
 
 def _core_from_residual_problem(problem: GaussianResidualProblem):
@@ -1047,6 +1043,7 @@ def _core_from_residual_problem(problem: GaussianResidualProblem):
         y=problem.values,
         variance=problem.sigmas ** 2,
         columns=np.column_stack(shapes),
+        signal=0,
         label=problem.name,
     )
 

@@ -434,8 +434,8 @@ def subtract_spectra(on: BinnedSpectrum, off: BinnedSpectrum, *,
         if on.acquisition_days <= 0:
             raise DomainError("on spectrum has zero acquisition time")
         ratio = on.acquisition_days / off.acquisition_days
-    elif ratio <= 0:
-        raise DomainError("normalization ratio must be positive")
+    elif not 0.0 < ratio < math.inf:
+        raise DomainError(f"normalization ratio must be finite and positive, got {ratio!r}")
     on_counts = on.counts.astype(float)
     off_counts = off.counts.astype(float)
     values = on_counts - ratio * off_counts

@@ -271,6 +271,23 @@ def test_cli_reports_io_stage_for_missing_spectrum(tmp_path, capsys):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf"])
+def test_cli_subtract_refuses_a_ratio_that_is_not_finite(tmp_path, capsys, ratio):
+    _copy_sample_configs(tmp_path)
+    for name, out in [("simulate_forbidden_on.json", "runs/on"),
+                      ("simulate_forbidden_off.json", "runs/off")]:
+        assert main(["simulate", "--config", str(tmp_path / name),
+                     "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    code = main(["subtract", "--on", str(tmp_path / "runs/on/spectrum.txt"),
+                 "--off", str(tmp_path / "runs/off/spectrum.txt"), "--ratio", ratio,
+                 "--out", str(tmp_path / "runs/residual")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [build]: normalization ratio must be finite")
+    assert not (tmp_path / "runs/residual/residual.txt").exists()
+
+
 def test_cli_forbidden_line_chain(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     for name, out in [("simulate_forbidden_on.json", "runs/on"),
@@ -573,12 +590,17 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     ("limit_continuum.json", {("target", "element"): ["Ge"]}, "'target.element'"),
     ("limit_continuum.json", {("target", "quasi_free_electrons"): "four"},
      "'target.quasi_free_electrons'"),
+    ("simulate_continuum.json", {("grid", "n_bins"): 88.7}, "'grid.n_bins'"),
+    ("simulate_continuum.json", {("grid", "n_bins"): True}, "'grid.n_bins'"),
+    ("simulate_continuum.json", {"seed": "7"}, "'seed'"),
+    ("limit_continuum.json", {"confidence_level": True}, "'confidence_level'"),
 ], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count",
         "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients",
         "number-components", "number-component", "number-response", "word-efficiency",
         "word-in-efficiency", "nested-efficiency", "nan-fwhm", "infinite-amplitude",
         "list-spectrum", "number-on-file", "list-kind", "list-element",
-        "word-electron-count"])
+        "word-electron-count", "fractional-bin-count", "boolean-bin-count", "word-seed",
+        "boolean-confidence-level"])
 def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
                                                                  change, key):
     _copy_sample_configs(tmp_path)

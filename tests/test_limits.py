@@ -364,6 +364,48 @@ def test_linear_uncertainties_are_the_exact_inverse_curvature(statistic):
     np.testing.assert_allclose(sigma, exact, rtol=1e-9)
 
 
+@pytest.mark.parametrize("signal", [37.5, np.array([-20.0, 0.0, 37.5, 400.0])],
+                         ids=["scalar", "array"])
+def test_gaussian_core_values_at_holds_a_middle_signal_as_least_squares(signal):
+    # the line amplitude is the middle of three columns: at each held
+    # value the other two are numpy's weighted least squares of the data
+    # less the signal's column, and the signal stays in its place
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(30.0, 300.0, alpha=100.0)
+    free = ((1, "alpha"), (0, "amplitude"), (2, "coefficients", 0))
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=5), truth, free,
+                                       free[1])
+    design = problem._design
+    observed = problem.observed
+    core = limits_module._core_from_fit_problem(problem, design, observed)
+    values = core.values_at(signal)
+    assert values.shape == np.shape(signal) + (3,)
+    root_w = 1.0 / np.sqrt(np.maximum(observed, 1.0))
+    nuisances = design.columns[:, [0, 2]] * root_w[:, None]
+    for s, row in zip(np.atleast_1d(signal), np.atleast_2d(values)):
+        assert row[1] == s
+        y = (observed - design.base - s * design.columns[:, 1]) * root_w
+        expected, *_ = np.linalg.lstsq(nuisances, y, rcond=None)
+        np.testing.assert_allclose(row[[0, 2]], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("third, message", [
+    (PolynomialBackground((100.0,)), "degenerate nuisance basis"),
+    (GaussianLine(7.7, 10.0), "degenerate signal/nuisance basis"),
+], ids=["nuisances", "signal"])
+def test_linear_chi2_fit_names_the_degenerate_basis_beside_a_middle_signal(third, message):
+    # the signal line sits between a flat term and a copy of the flat
+    # term or of the signal's own column
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    model = SpectralModel((PolynomialBackground((100.0,)), GaussianLine(7.7, 10.0), third),
+                          response=RESPONSE)
+    free = ((0, "coefficients", 0), (1, "amplitude"),
+            (2, "coefficients", 0) if isinstance(third, PolynomialBackground) else (2, "amplitude"))
+    problem = FitProblem.from_values(grid, predict_counts(model, grid), model, free, free[1])
+    with pytest.raises(FitError, match=message):
+        fit_minimize(problem)
+
+
 def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_infeasible():
     # two counts side by side at 0.05 counts per bin: the least-squares
     # start, the core's nuisances at the clipped signal, has a negative
@@ -378,9 +420,9 @@ def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_in
                                      statistic="poisson_nll")
     design = problem._design
     core = limits_module._core_from_fit_problem(problem, design, observed)
-    start = limits_module._signal_and_nuisances(core, max(core.best_signal(), 0.0), 0)
+    start = core.values_at(max(core.best_signal(), 0.0))
     assert start == pytest.approx([2.176, -0.0585], abs=1e-3)
-    assert not in_poisson_domain(observed, design(start))
+    assert not in_poisson_domain(observed, design.point(start)[0])
 
     result = fit_minimize(problem, seed=0)
     columns = np.column_stack([predict_counts(_line_model(1.0, 0.0), grid),
@@ -424,7 +466,8 @@ def test_design_reproduces_the_model_with_free_centroids():
     assert limits_module._solver_for(problem, design) == "projection"
     for theta in ([7.6, 500.0, 3.0], [7.75, 800.0, 1.5]):
         theta = np.array(theta)
-        np.testing.assert_allclose(design(theta), predict_counts(problem.with_values(theta), grid),
+        np.testing.assert_allclose(design.point(theta)[0],
+                                   predict_counts(problem.with_values(theta), grid),
                                    rtol=1e-13, atol=0)
 
 
@@ -630,7 +673,7 @@ def test_reduced_curvature_with_held_bins_matches_central_differences(offset):
     assert not held
     # the flat term's row ties in every bin far from the line: the solve
     # holds the first, at mu = 0 to rounding
-    mu = design(theta)
+    mu = design.point(theta)[0]
     assert held_bins.tolist() == [0]
     assert abs(mu[0]) <= 1e-15 * mu.max()
     gradient, hess = limits_module._reduced_curvature(problem, design, theta, held, held_bins)
@@ -1939,15 +1982,20 @@ def _toy_problems(truth, grid, free, n, seed, statistic="chi2", signal=None):
         signal or free[0], statistic=statistic) for child in children]
 
 
-def test_batched_chi2_ensemble_equals_per_toy_limits():
+@pytest.mark.parametrize("free", [
+    ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0)),
+    ((1, "alpha"), (0, "amplitude"), (2, "coefficients", 0)),
+], ids=["amplitude-first", "amplitude-middle"])
+def test_batched_chi2_ensemble_equals_per_toy_limits(free):
     # a zero truth, so about half the toys fit a negative signal
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
     truth = _line_model(0.0, 300.0, alpha=100.0)
-    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    signal = (0, "amplitude")
     n, cl, seed = 60, 0.95, 12
-    result = run_pseudo_experiments(truth, grid, free, free[0], n=n, cl=cl, seed=seed)
+    result = run_pseudo_experiments(truth, grid, free, signal, n=n, cl=cl, seed=seed)
     assert result.n_failed == 0 and result.failure_counts == {}
-    limits = [bayesian_upper_limit(p, cl) for p in _toy_problems(truth, grid, free, n, seed)]
+    limits = [bayesian_upper_limit(p, cl)
+              for p in _toy_problems(truth, grid, free, n, seed, signal=signal)]
     np.testing.assert_allclose(result.bounds, [r.upper_bound for r in limits],
                                rtol=1e-12, atol=0)
     best = np.array([r.metadata["best_signal"] for r in limits])

@@ -315,6 +315,15 @@ def test_subtraction_ratio_override():
         subtract_spectra(on, off, ratio=-1.0)
 
 
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 0.0])
+def test_subtraction_refuses_a_ratio_that_is_not_finite_and_positive(ratio):
+    # NaN passes a test of ratio <= 0 and would write an all-NaN residual
+    on = _flat_spectrum([20, 30, 40], days=2.0)
+    off = _flat_spectrum([5, 10, 15], tag="current_off", days=1.0)
+    with pytest.raises(DomainError, match="finite and positive"):
+        subtract_spectra(on, off, ratio=ratio)
+
+
 def test_subtraction_requires_matching_grids():
     on = _flat_spectrum([20, 30, 40])
     off_grid = EnergyGrid.uniform(6.0, 9.0, 3)
