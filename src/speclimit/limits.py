@@ -40,7 +40,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -358,7 +358,8 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     FitError. With one or two free line centroids the fit is a variable
     projection: the linear parameters are solved exactly at each
     centroid value, the centroids start from the best point of a grid
-    about FWHM / 4 apart and a damped Newton iteration on the reduced
+    about FWHM / 4 apart, whose unit line columns are built once per
+    grid object and response, and a damped Newton iteration on the reduced
     statistic refines them inside the fit window; its evaluations count
     the grid points and the inner solves. The grid and every trial
     solve share one _Projection of the fit's counts, whose statics are
@@ -861,33 +862,49 @@ def _tuple_scorer(lines: np.ndarray, y: np.ndarray):
     return score
 
 
+@lru_cache(maxsize=1)
+def _grid_lines(grid: EnergyGrid, response, n_points: int, n_lines: int, order: float):
+    """_grid_start's data-free part: the grid points, each one's unit line
+    column (bins x points, the transpose of _gaussian_bin_fractions'
+    layout) and the index tuples of one or two points, in the template's
+    centroid order, all read-only. They depend on the grid, the response
+    and the grid size alone, so repeated fits on one grid object build
+    them once; one entry holds one grid's columns, as a fit did anyway."""
+    points = grid.lo_kev + (np.arange(n_points) + 0.5) * (grid.hi_kev - grid.lo_kev) / n_points
+    points = points[points > 0]
+    sigmas = np.array([response.sigma_at(p) for p in points])
+    unit = _gaussian_bin_fractions(grid.bin_edges, points[:, None], sigmas[:, None]).T
+    if n_lines == 1:
+        tuples = np.arange(points.size)[:, None]
+    else:
+        first, second = np.triu_indices(points.size, 1)
+        tuples = np.column_stack([first, second] if order > 0 else [second, first])
+    points.flags.writeable = unit.flags.writeable = tuples.flags.writeable = False
+    return points, unit, tuples
+
+
 def _grid_start(space: _Projection):
     """Centroids of the best weighted least-squares fit on a grid about
     FWHM / 4 apart across the window, in the template's centroid order.
 
-    The workspace has the columns no free centroid moves (the statics)
-    projected out; each grid tuple is then a closed-form 1 x 1 or 2 x 2
-    solve over the reduced Gram of the grid's line columns. A tuple
-    whose signal comes out negative is scored with the signal held at
-    zero, as in the exact fit: without its line, or, for a static
-    signal, over the projection that leaves the signal out. Returns the
-    centroids and the number of tuples.
+    The grid's unit line columns come from _grid_lines, built once per
+    grid object, response and grid size; only their weighting by the
+    fit's efficiency and root weights is per fit. The workspace has the
+    columns no free centroid moves (the statics) projected out; each
+    grid tuple is then a closed-form 1 x 1 or 2 x 2 solve over the
+    reduced Gram of the grid's line columns. A tuple whose signal comes
+    out negative is scored with the signal held at zero, as in the exact
+    fit: without its line, or, for a static signal, over the projection
+    that leaves the signal out. Returns the centroids and the number of
+    tuples.
     """
     problem, design = space.problem, space.design
     grid = problem.grid
     n_points = max(int(np.ceil((grid.hi_kev - grid.lo_kev) / design.spacing)),
                    len(design.line_columns))
-    points = grid.lo_kev + (np.arange(n_points) + 0.5) * (grid.hi_kev - grid.lo_kev) / n_points
-    points = points[points > 0]
-    sigmas = np.array([design.response.sigma_at(p) for p in points])
-    lines = (_gaussian_bin_fractions(grid.bin_edges, points[:, None], sigmas[:, None]).T
-             * (design.eff * space.root_weights)[:, None])
-
-    if len(design.line_columns) == 1:
-        tuples = np.arange(points.size)[:, None]
-    else:
-        first, second = np.triu_indices(points.size, 1)
-        tuples = np.column_stack([first, second] if design.order > 0 else [second, first])
+    points, unit, tuples = _grid_lines(grid, design.response, n_points,
+                                       len(design.line_columns), design.order)
+    lines = unit * (design.eff * space.root_weights)[:, None]
     score = _tuple_scorer(space.project(lines), space.y_out)
     stat, amplitudes = score(tuples)
     k = space.signal

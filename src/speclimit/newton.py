@@ -45,6 +45,11 @@ _NEWTON_MAX_ITER = 100
 # smallest eigenvalue of the unit-diagonal (Jacobi-scaled) Hessian below
 # which a direction counts as uncurved by the bins with counts
 _SINGULAR_EIGENVALUE = 1e-12
+# share of the way to zero that a step may take in a bin with counts,
+# the fraction-to-boundary rule of interior-point methods (Waechter &
+# Biegler, Math. Program. 106 (2006) 25; Nocedal & Wright, 2nd ed.,
+# section 19.2); an empty bin is reached exactly, to join the working set
+_TO_BOUNDARY = 0.995
 
 
 def log_factorial(counts: np.ndarray) -> np.ndarray:
@@ -182,20 +187,32 @@ def _supported(columns: np.ndarray) -> bool:
     return bool(sv[-1] > 1e-12 * sv[0])
 
 
+def _require_finite(values, live, where):
+    """Raise FitError naming the first row whose value is nan or inf: a
+    Newton pass has put a bin with counts at mu <= 0. NLLs and
+    decrements lie far inside the float range, so their sum is finite
+    exactly when each is, and costs less to test."""
+    if not math.isfinite(values.sum()):
+        raise FitError(f"Poisson Newton iteration left the Poisson domain at "
+                       f"{where(live[np.argmin(np.isfinite(values))])}")
+
+
 def minimize_linear_poisson(observed, columns, offsets, starts, where):
     """Minimize the Poisson NLL of mu = offsets + x @ columns.T, row by row.
 
     offsets has shape (rows, bins) and starts (rows, k); every start
     must give mu > 0 in bins with counts and mu >= 0 in empty bins.
-    Each step is cut to the largest feasible fraction, with no limit
-    of 1 on a ray, and then backtracked until the NLL falls. Each row's
-    working set of empty bins held at mu = 0 starts empty. The first bin
-    to reach zero joins it if it is empty and the cut is taken whole,
-    and the row's parameters are then corrected in least squares to put
-    its held bins at mu = 0; a bin leaves when its multiplier turns
-    negative (_active_set_step). A parameter that moves no bin raises
-    FitError. where(i) names row i in errors, also after the rows that
-    stopped have left the batch. Returns the minimizers, the NLL (with
+    Each step is cut where the first bin reaches zero, a bin with counts
+    at _TO_BOUNDARY of its reach, with no limit of 1 on a ray, and then
+    backtracked until the NLL falls. Each row's working set of empty
+    bins held at mu = 0 starts empty. The first bin to reach zero joins
+    it if it is empty and the cut is taken whole, and the row's
+    parameters are then corrected in least squares to put its held bins
+    at mu = 0; a bin leaves when its multiplier turns negative
+    (_active_set_step). A parameter that moves no bin, or a row whose
+    NLL or Newton decrement is not finite, raises FitError. where(i)
+    names row i in errors, also after the rows that stopped have left
+    the batch. Returns the minimizers, the NLL (with
     the log n! constant), the number of Newton iterations and each
     row's working set, a mask of bins.
     """
@@ -220,6 +237,7 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
         for iteration in range(_NEWTON_MAX_ITER + 1):
             mu_occ = mu_live[:, occ]
             nll_live = mu_live.sum(axis=1) - np.log(mu_occ) @ n_occ
+            _require_finite(nll_live, live, where)  # before a nan reaches the Hessian
             ratio = n_occ / mu_occ
             grad = colsum - ratio @ cols_occ
             curvature = (ratio / mu_occ) @ outer_occ
@@ -244,6 +262,8 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
             moving |= limit > 1.0  # a ray step, however short, adds a held bin
             if not moving.all():
                 stopped = ~moving
+                # a nan decrement fails the test above, yet is no minimum
+                _require_finite(decrement[stopped], live[stopped], where)
                 x[live[stopped]] = x_live[stopped]
                 nll[live[stopped]] = nll_live[stopped]
                 held[live[stopped]] = held_live[stopped]
@@ -267,6 +287,9 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                     shrinking &= ~held_live
                 reach = np.where(shrinking, np.maximum(mu_live, 0.0)
                                  / np.where(shrinking, -dmu, 1.0), np.inf)
+                # a bin with counts blocks at a fraction of its reach: at
+                # the exact cut its mu, recomputed, rounds to <= 0
+                reach[:, occ] *= _TO_BOUNDARY
                 first = reach.min(axis=1)
                 t = np.minimum(limit, first)
             # backtrack on the NLL change, summed in log1p form so it stays

@@ -573,9 +573,13 @@ def _grid_start_oracle(problem):
             points[list(tuples[int(np.argmin(free_stats))])], len(tuples))
 
 
-def _grid_start_case(case):
-    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
-    grid = EnergyGrid.uniform(6.5, 9.5, 150)
+# every grid-start case shares one grid object, the key of the grid's cached unit columns
+_GRID_START_GRID = EnergyGrid.uniform(6.5, 9.5, 150)
+
+
+def _grid_start_case(case, fwhm):
+    response = DetectorResponse(fwhm_kev_at_ref=fwhm, reference_energy_kev=8.0)
+    grid = _GRID_START_GRID
     two = case.startswith("two")
     free = [(0, "centroid_kev"), (0, "amplitude")]
     free += [(1, "centroid_kev"), (1, "amplitude")] * two + [(1 + two, "coefficients", 0)]
@@ -615,15 +619,31 @@ def _grid_start_case(case):
 @pytest.mark.parametrize("case", ["one line", "one line, signal clipped", "two lines",
                                   "two lines, signal clipped", "two lines, flat term",
                                   "two lines, flat signal clipped"])
-def test_grid_start_picks_the_least_squares_tuple(case):
-    problem = _grid_start_case(case)
-    clipped, free, n_tuples = _grid_start_oracle(problem)
-    centroids, n_grid = limits_module._grid_start(
-        limits_module._Projection(problem, problem._design))
-    np.testing.assert_allclose(centroids, clipped, rtol=0, atol=1e-12)
-    assert n_grid == n_tuples
-    # the clipping decides the start only where the case says so
-    assert (not np.allclose(clipped, free)) == case.endswith("clipped")
+def test_grid_start_picks_the_least_squares_tuple(case, monkeypatch):
+    # two responses in turn on one grid: each must miss the other's columns
+    for fwhm in (0.17, 0.32):
+        problem = _grid_start_case(case, fwhm)
+        clipped, free, n_tuples = _grid_start_oracle(problem)
+        centroids, n_grid = limits_module._grid_start(
+            limits_module._Projection(problem, problem._design))
+        np.testing.assert_allclose(centroids, clipped, rtol=0, atol=1e-12)
+        assert n_grid == n_tuples
+        # the clipping decides the start only where the case says so
+        assert (not np.allclose(clipped, free)) == case.endswith("clipped"), fwhm
+    # a cold fit builds the columns, a warm one on a fresh problem reuses them
+    cached, built = limits_module._grid_lines, []
+
+    def recorded(*key):
+        built.append(cached(*key))
+        return built[-1]
+
+    monkeypatch.setattr(limits_module, "_grid_lines", recorded)
+    cached.cache_clear()
+    cold = fit_minimize(problem)
+    warm = fit_minimize(replace(problem))
+    assert built[1] is built[0] and cached.cache_info().misses == 1
+    assert np.array_equal(warm.values, cold.values) and warm.statistic == cold.statistic
+    assert not any(array.flags.writeable for array in built[0])
 
 
 @pytest.mark.parametrize("resolution_model", ["constant", "sqrt"])
@@ -1454,6 +1474,41 @@ def test_newton_from_far_above_reaches_the_minimum_of_a_near_start():
     assert np.array_equal(far[3], near[3]) and far[3].any()
 
 
+def _line_on_a_continuum_problem(seed, signal):
+    # 3 counts/bin, 60% of them from the 1/E term, a 20-count line at 7.7 keV
+    grid = EnergyGrid(np.linspace(6.5, 9.5, 61))
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+    truth = SpectralModel((GaussianLine(7.7, 20.0), OneOverEContinuum(288.0),
+                           PolynomialBackground((24.0,))), response)
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    return FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed), truth, free, signal,
+                                    statistic="poisson_nll")
+
+
+@pytest.mark.parametrize("seed, signal", [(1003, (1, "alpha")), (1009, (2, "coefficients", 0))])
+def test_newton_steps_stop_short_of_a_bin_with_counts(monkeypatch, seed, signal):
+    # cut at a bin's exact reach, the bin's recomputed mu rounds to <= 0;
+    # the next pass's nan decrement read as converged, the profile point
+    # came back nan and the scan found no integrable mass
+    nlls = []
+    real = limits_module.minimize_linear_poisson
+
+    def recorded(*args):
+        result = real(*args)
+        nlls.append(result[1])
+        return result
+
+    monkeypatch.setattr(limits_module, "minimize_linear_poisson", recorded)
+    problem = _line_on_a_continuum_problem(seed, signal)
+    result = bayesian_upper_limit(problem, 0.95)
+    assert np.isfinite(result.upper_bound) and result.upper_bound > 0.0
+    assert np.all(np.isfinite(np.concatenate(nlls)))
+    # with the exact cut a row that leaves the domain is named, not converged
+    monkeypatch.setattr(newton_module, "_TO_BOUNDARY", 1.0)
+    with pytest.raises(FitError, match="left the Poisson domain at signal = "):
+        bayesian_upper_limit(problem, 0.95)
+
+
 def test_free_centroid_limit_on_a_sparse_spectrum_gets_a_bound():
     # eight single counts at 0.05 counts/bin: several hundred inner Newton
     # solves, each warm-started from a solved neighbour, and none may fail
@@ -1463,6 +1518,28 @@ def test_free_centroid_limit_on_a_sparse_spectrum_gets_a_bound():
     free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
     problem = FitProblem.from_spectrum(spectrum, truth, free, free[1], statistic="poisson_nll")
     result = bayesian_upper_limit(problem, 0.95)
+    assert np.isfinite(result.upper_bound) and result.upper_bound > 0.0
+
+
+def test_two_line_poisson_limit_raises_only_toolkit_errors():
+    # no line at 7.7 keV beside a 3000-count K-alpha: a global-fit step
+    # cut at a bin's exact reach left a bin with counts at mu <= 0, and
+    # numpy's LinAlgError escaped from the eigenvalues of its nan Hessian
+    grid = EnergyGrid(np.linspace(6.5, 9.5, 61))
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+
+    def model(weak):
+        return SpectralModel((GaussianLine(7.7, weak), GaussianLine(8.0, 3000.0),
+                              PolynomialBackground((200.0,))), response)
+
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "centroid_kev"), (1, "amplitude"),
+            (2, "coefficients", 0))
+    problem = FitProblem.from_spectrum(simulate_spectrum(model(0.0), grid, seed=5), model(30.0),
+                                       free, free[1], statistic="poisson_nll")
+    try:
+        result = bayesian_upper_limit(problem, 0.95)
+    except ToolkitError:
+        return
     assert np.isfinite(result.upper_bound) and result.upper_bound > 0.0
 
 
