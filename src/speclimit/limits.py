@@ -61,6 +61,7 @@ from .newton import (
     minimize_linear_poisson,
     poisson_curvature,
     poisson_nll,
+    scoring_step,
 )
 from .spectra import (
     BinnedSpectrum,
@@ -484,7 +485,8 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     """The candidate starts of _poisson_solve, rows of linear parameters,
     in order: starts (None for none), the weighted least-squares values
     at each row's signal (the free signal clipped at zero), unless the
-    design cannot give them, and the template's."""
+    design cannot give them, and the template's. _poisson_solve scores
+    the candidate it picks, so these need only lie inside the domain."""
     if starts is not None:
         yield starts
     try:
@@ -511,9 +513,11 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     bin held, at the template's values. A held signal with no other linear
     parameter is this rule with no free column, its NLL its own. Every
     other row starts from the first of _poisson_starts inside the
-    domain; a row that none puts inside raises FitError, naming where.
-    Counts the rows into counts["profile_points"] and the Newton
-    iterations into counts["newton_iterations"].
+    domain, moved by one Fisher scoring step (newton.scoring_step, which
+    keeps a start it cannot improve inside the domain); a row that no
+    candidate puts inside raises FitError, naming where. Counts the rows
+    into counts["profile_points"] and the Newton iterations into
+    counts["newton_iterations"].
     """
     observed, columns = problem.observed, design.columns
     pos = design.signal_column
@@ -546,14 +550,16 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
         raise FitError(f"no feasible start for the linear parameters at "
                        f"{where_row(int(np.argmax(np.isnan(x[:, 0]))))}")
     if rows is None:
-        x[:, keep], nll, iterations, bins = minimize_linear_poisson(observed, cols, offsets,
-                                                                    x[:, keep], where_row)
+        x[:, keep], nll, iterations, bins = minimize_linear_poisson(
+            observed, cols, offsets, scoring_step(observed, cols, offsets, x[:, keep]), where_row)
     else:
         nll, bins, iterations = np.full(len(offsets), np.inf), np.zeros(offsets.shape, bool), 0
         if rows.size:
             solved = np.ix_(rows, keep)
             x[solved], nll[rows], iterations, bins[rows] = minimize_linear_poisson(
-                observed, cols, offsets[rows], x[solved], lambda i: where_row(rows[i]))
+                observed, cols, offsets[rows],
+                scoring_step(observed, cols, offsets[rows], x[solved]),
+                lambda i: where_row(rows[i]))
     if held:
         x[:, pos] = signals
     counts["newton_iterations"] += iterations
@@ -1197,12 +1203,13 @@ def _profiler(problem: FitProblem, design: _Design):
     The solved points, the fit's included, are kept in signal order. A
     linear problem solves a batch of signal values in one _poisson_solve
     from the parameters interpolated between them (np.interp holds the
-    end values beyond); free centroids run _reduced_newton per value
-    from the nearest. The scan scale is the signal's sigma from the
-    inverse exact Hessian at the fit, None when the fit holds the signal
-    at zero (the curvature below zero says nothing of the posterior
-    above it) or the Hessian is singular (an empty bin pins a parameter
-    no bin with counts curves): the scan then brackets the profile's rise.
+    end values beyond), each row scored once there before Newton; free
+    centroids run _reduced_newton per value from the nearest. The scan
+    scale is the signal's sigma from the inverse exact Hessian at the
+    fit, None when the fit holds the signal at zero (the curvature below
+    zero says nothing of the posterior above it) or the Hessian is
+    singular (an empty bin pins a parameter no bin with counts curves):
+    the scan then brackets the profile's rise.
     """
     idx = problem.signal_index()
     fit, counts, space = _global_fit(problem, design)

@@ -26,6 +26,13 @@ one- or two-column Hessian needs no LAPACK call: Jacobi-scaled, the
 singularity test, is 1 - |r| and whose inverse is
 [[1, -r], [-r, 1]] / (1 - r^2). Only a row with a singular Hessian or
 a non-empty working set takes the active-set step, row by row.
+
+A caller may first move its starts by one Fisher scoring step
+(scoring_step), the weighted least-squares fit with weights 1/mu at the
+start. From the Neyman least-squares point, pulled low by its max(n, 1)
+weights, or from a neighbour's nuisances, it lands about where a Newton
+pass would, and at the cost of less than one, so the solve that follows
+takes about half the passes.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ _SINGULAR_EIGENVALUE = 1e-12
 # Biegler, Math. Program. 106 (2006) 25; Nocedal & Wright, 2nd ed.,
 # section 19.2); an empty bin is reached exactly, to join the working set
 _TO_BOUNDARY = 0.995
+_SMALLEST_POSITIVE = math.ulp(0.0)
 
 
 def log_factorial(counts: np.ndarray) -> np.ndarray:
@@ -61,8 +69,9 @@ def log_factorial(counts: np.ndarray) -> np.ndarray:
 
 def in_poisson_domain(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Whether each row of mu is positive in bins with counts and
-    non-negative in empty bins."""
-    return np.all(np.where(observed > 0, mu > 0, mu >= 0), axis=-1)
+    non-negative in empty bins: mu > 0 exactly where mu is at least the
+    smallest positive float, one comparison for both."""
+    return np.all(mu >= np.where(observed > 0, _SMALLEST_POSITIVE, 0.0), axis=-1)
 
 
 def poisson_nll(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -132,6 +141,38 @@ def newton_steps(curvature: np.ndarray, grad: np.ndarray):
             scaled = np.where(singular[:, None, None], np.eye(k), scaled)
         solved = np.linalg.solve(scaled, scaled_grad[:, :, None])[:, :, 0]
     return -inv_sqrt * solved, singular
+
+
+def scoring_step(observed, columns, offsets, starts):
+    """Each row of starts moved by one Fisher scoring step toward the
+    minimum of the Poisson NLL of mu = offsets + x @ columns.T.
+
+    The step is Newton's with the expected information A^T diag(1/mu) A
+    in place of the Hessian, so the scored point is the weighted
+    least-squares fit of observed - offsets on the columns with weights
+    1/mu at the start: one step of iteratively reweighted least squares
+    with the identity link (McCullagh & Nelder, Generalized Linear
+    Models, 2nd ed., section 2.5; Green, JRSS B 46 (1984) 149). It is
+    solved as newton_steps solves. A row keeps its start where a bin has
+    mu <= 0 there, where the system is singular or not finite, or where
+    the scored point leaves the Poisson domain.
+    """
+    mu = offsets + starts @ columns.T
+    usable = mu.min(axis=1) > 0.0
+    if not usable.any():
+        return starts
+    k = columns.shape[1]
+    outer = (columns[:, :, None] * columns[:, None, :]).reshape(-1, k * k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_mu = 1.0 / mu
+        information = inv_mu @ outer
+        usable &= np.isfinite(information.sum(axis=1))
+        # a row set to zero is singular, and the solve passes it over
+        step, singular = newton_steps(np.where(usable[:, None], information, 0.0),
+                                      columns.sum(axis=0) - (observed * inv_mu) @ columns)
+        usable &= ~singular & np.isfinite(step.sum(axis=1))
+        usable &= in_poisson_domain(observed, mu + step @ columns.T)
+    return np.where(usable[:, None], starts + step, starts)
 
 
 def _null_space(rows: np.ndarray, k: int) -> np.ndarray:

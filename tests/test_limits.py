@@ -26,6 +26,7 @@ from speclimit.newton import (
     minimize_linear_poisson,
     newton_steps,
     poisson_nll,
+    scoring_step,
 )
 from speclimit import (
     BinnedSpectrum,
@@ -1389,6 +1390,44 @@ def test_newton_rows_solved_in_a_batch_match_each_row_solved_alone(kind, k):
     assert max(held) > 0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scoring_step_is_the_reweighted_least_squares_fit(k):
+    # weights 1/mu at the start: the first three curved rows score inside
+    # the domain; the last two, with a held signal of 30 and 60 above
+    # counts of at most 12, score outside it and keep their starts
+    columns, offsets, starts = _batch("curved", k)
+    scored = scoring_step(_BATCH_OBSERVED, columns, offsets, starts)
+    for r in range(5):
+        root_w = 1.0 / np.sqrt(offsets[r] + columns @ starts[r])
+        oracle = np.linalg.lstsq(root_w[:, None] * columns,
+                                 root_w * (_BATCH_OBSERVED - offsets[r]), rcond=None)[0]
+        inside = in_poisson_domain(_BATCH_OBSERVED, offsets[r] + columns @ oracle)
+        assert inside == (r < 3)
+        if inside:
+            np.testing.assert_allclose(scored[r], oracle, rtol=1e-12, atol=0.0)
+        else:
+            assert np.array_equal(scored[r], starts[r])
+
+
+def test_scoring_step_keeps_a_start_with_a_bin_at_zero():
+    # the third ray row starts with its lowest bin, an empty one, at mu = 0
+    columns, offsets, starts = _batch("ray", 3)
+    assert (offsets[2] + columns @ starts[2])[0] == 0.0
+    assert np.array_equal(scoring_step(_BATCH_OBSERVED, columns, offsets, starts)[2], starts[2])
+
+
+@pytest.mark.parametrize("kind", ["curved", "ray"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_newton_from_a_scored_start_reaches_the_unscored_minimum(kind, k):
+    columns, offsets, starts = _batch(kind, k)
+    plain = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, starts, str)
+    scored = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets,
+                                     scoring_step(_BATCH_OBSERVED, columns, offsets, starts),
+                                     str)
+    assert np.all(np.abs(scored[1] - plain[1]) <= 2e-12 * (1.0 + np.abs(plain[1])))
+    assert np.array_equal(scored[3], plain[3])
+
+
 def test_newton_errors_name_the_original_row_after_the_batch_shrinks(monkeypatch):
     import speclimit.newton as newton_module
 
@@ -1474,6 +1513,24 @@ def test_newton_from_far_above_reaches_the_minimum_of_a_near_start():
     assert np.array_equal(far[3], near[3]) and far[3].any()
 
 
+def test_a_scored_far_start_skips_the_doubling_stall():
+    # the stall row above from (20, 20): the scoring step lands inside the
+    # domain, away from the near-empty bin 19, and Newton then takes 3
+    # passes, not 10, to the same minimum and working set
+    columns = np.column_stack([np.ones(24), 1.0 - _BATCH_BINS / 23.0])
+    offsets = np.exp(-0.5 * ((_BATCH_BINS - 9.0) / 1.5) ** 2)[None]
+    offsets[:, :2] = 0.0
+    near = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, np.array([[2.0, 2.0]]),
+                                   str)
+    far = np.array([[20.0, 20.0]])
+    assert minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, far, str)[2] == 10
+    scored = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets,
+                                     scoring_step(_BATCH_OBSERVED, columns, offsets, far), str)
+    assert scored[2] == 3
+    assert abs(scored[1][0] - near[1][0]) <= 1e-14 * abs(near[1][0])
+    assert np.array_equal(scored[3], near[3])
+
+
 def _line_on_a_continuum_problem(seed, signal):
     # 3 counts/bin, 60% of them from the 1/E term, a 20-count line at 7.7 keV
     grid = EnergyGrid(np.linspace(6.5, 9.5, 61))
@@ -1490,21 +1547,35 @@ def test_newton_steps_stop_short_of_a_bin_with_counts(monkeypatch, seed, signal)
     # cut at a bin's exact reach, the bin's recomputed mu rounds to <= 0;
     # the next pass's nan decrement read as converged, the profile point
     # came back nan and the scan found no integrable mass
-    nlls = []
-    real = limits_module.minimize_linear_poisson
+    nlls, unscored = [], []
+    real_solve, real_score = limits_module.minimize_linear_poisson, limits_module.scoring_step
 
     def recorded(*args):
-        result = real(*args)
+        result = real_solve(*args)
         nlls.append(result[1])
         return result
 
+    def scored(*args):
+        unscored.append(args)
+        return real_score(*args)
+
     monkeypatch.setattr(limits_module, "minimize_linear_poisson", recorded)
+    monkeypatch.setattr(limits_module, "scoring_step", scored)
     problem = _line_on_a_continuum_problem(seed, signal)
     result = bayesian_upper_limit(problem, 0.95)
     assert np.isfinite(result.upper_bound) and result.upper_bound > 0.0
     assert np.all(np.isfinite(np.concatenate(nlls)))
-    # with the exact cut a row that leaves the domain is named, not converged
+    # the first level's 65 rows from their starts before scoring, which
+    # are the ones a solve without the scoring step takes: the cut holds
+    # them inside the domain, and with the exact cut a row that leaves it
+    # is named, not converged, whatever the start rule
+    observed, columns, offsets, starts = unscored[-1]
+    assert len(offsets) == 65
+    assert np.all(np.isfinite(minimize_linear_poisson(observed, columns, offsets, starts,
+                                                      str)[1]))
     monkeypatch.setattr(newton_module, "_TO_BOUNDARY", 1.0)
+    with pytest.raises(FitError, match="left the Poisson domain at "):
+        minimize_linear_poisson(observed, columns, offsets, starts, str)
     with pytest.raises(FitError, match="left the Poisson domain at signal = "):
         bayesian_upper_limit(problem, 0.95)
 
@@ -1919,7 +1990,7 @@ def _poisson_bench_problem(level, seed):
                                     free[0], statistic="poisson_nll")
 
 
-@pytest.mark.parametrize("level, seed, iterations", [(4.0, 0, 8), (24.0, 0, 7)])
+@pytest.mark.parametrize("level, seed, iterations", [(4.0, 0, 4), (24.0, 0, 3)])
 def test_poisson_limit_work_counters_stay_pinned(level, seed, iterations):
     # the deterministic counters a regression gate keys on: the global
     # fit and the first level's 65 nodes from the signal's sigma
@@ -1945,7 +2016,7 @@ def test_a_fit_held_at_zero_brackets_the_scan_scale_in_three_profile_calls(monke
     # the free fit, the fit held at zero, the bracketing, the first level
     assert rows == [None, 1, 6, 6, 6, 65]
     assert result.metadata["profile_points"] == 85
-    assert result.metadata["newton_iterations"] == 17
+    assert result.metadata["newton_iterations"] == 7
 
 
 def test_a_linear_poisson_limit_takes_two_newton_calls(monkeypatch):
