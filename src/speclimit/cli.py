@@ -87,9 +87,10 @@ def _parse_ref(entry, key: str) -> tuple:
             f"[component, 'coefficients', index], got {entry!r}"
         )
     component = config_number(entry[0], key, int)
+    attr = config_string(entry[1], key)
     if len(entry) == 2:
-        return component, str(entry[1])
-    return component, str(entry[1]), config_number(entry[2], key, int)
+        return component, attr
+    return component, attr, config_number(entry[2], key, int)
 
 
 def _out_dir(args) -> Path:
@@ -207,7 +208,7 @@ def _cmd_fit(args) -> int:
     # without a signal key, the first free parameter that enters linearly
     signal = (_parse_ref(config["signal"], "signal") if "signal" in config else
               next((ref for ref in free if ref[1] != "centroid_kev"), free[0]))
-    statistic = config.get("statistic", "chi2")
+    statistic = config_string(config.get("statistic", "chi2"), "statistic")
     config_hash = canonical_config_hash(config)
 
     problem = FitProblem.from_spectrum(spectrum, model, free=free, signal=signal,
@@ -263,7 +264,7 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     out = _out_dir(args)
     spectrum = load_spectrum(_resolve_path(base, config, "spectrum", "limit"))
     cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
-    statistic = config.get("statistic", "chi2")
+    statistic = config_string(config.get("statistic", "chi2"), "statistic")
     config_hash = canonical_config_hash(config)
 
     background_cfg = _section(config, "background", "limit", {})

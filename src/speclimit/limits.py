@@ -388,7 +388,8 @@ def _global_fit(problem: FitProblem, design: _Design):
             values = core.values_at(max(core.best_signal(), 0.0))
             stat = _chi2_from_mu(problem.observed, design.base + design.columns @ values)
         else:
-            values, stat = _linear_solution(problem, design, np.empty(0), None, None, counts)[:2]
+            x, nll = _poisson_solve(problem, design, None, None, "the fit", counts)[:2]
+            values, stat = x[0], float(nll[0])
     except DegenerateMapError as err:  # a design the solve cannot invert fails the fit
         raise FitError(str(err)) from err
     return FitResult(values, stat, 1), counts, space
@@ -449,38 +450,6 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
 # a problem in 1-2 centroids
 
 
-def _linear_solution(problem: FitProblem, design: _Design, centroids, signal, start,
-                     info=None):
-    """The linear parameters minimizing the Poisson NLL at the given
-    centroids (none for a linear problem), by _poisson_solve from the
-    linear values of the full parameter vector start (None for none).
-
-    signal None leaves the signal free, and a free signal that falls
-    below zero is solved again held there; a value holds it there. Each
-    Poisson solve is counted into info, where given. Returns the full
-    parameter vector, the NLL, whether the signal is held, and the empty
-    bins that the solve holds at mu = 0 (its working set).
-    """
-    design.at(centroids)
-    linear = design.linear_idx
-    theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
-    theta[design.centroid_idx] = centroids
-    where = f"centroids {list(map(float, centroids))!r}" if len(centroids) else "the fit"
-    counts = Counter() if info is None else info
-    starts = None if start is None else theta[linear][None]
-    if signal is None:
-        x, nll, bins = _poisson_solve(problem, design, None, starts, where, counts)
-        if x[0, design.signal_column] >= 0.0:
-            theta[linear] = x[0]
-            return theta, float(nll[0]), False, np.flatnonzero(bins[0])
-        # the NLL is convex: the bounded optimum has the signal at zero
-        signal = 0.0
-    x, nll, bins = _poisson_solve(problem, design, np.array([float(signal)]), starts, where,
-                                  counts)
-    theta[linear] = x[0]
-    return theta, float(nll[0]), True, np.flatnonzero(bins[0])
-
-
 def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     """The candidate starts of _poisson_solve, rows of linear parameters,
     in order: starts (None for none), the weighted least-squares values
@@ -502,10 +471,12 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
 
 def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where, counts):
     """The linear parameters minimizing the Poisson NLL at the design's
-    current centroids, the NLL and the empty bins held at mu = 0 (the
-    working set of minimize_linear_poisson, a mask of bins): a row per
-    held value of the array signals, or one row with the signal free
-    for signals None.
+    current centroids, the NLL, the empty bins held at mu = 0 (the
+    working set of minimize_linear_poisson, a mask of bins) and whether
+    the signal is held: a row per held value of the array signals, or
+    one row with the signal free for signals None. A free signal that
+    falls below zero is solved again held there, from the same starts
+    (the NLL is convex: the bounded optimum has the signal at zero).
 
     A held row that leaves a bin with counts at mu <= 0 where every
     free column is 0 lies outside the Poisson domain for any values of
@@ -517,7 +488,8 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     keeps a start it cannot improve inside the domain); a row that no
     candidate puts inside raises FitError, naming where. Counts the rows
     into counts["profile_points"] and the Newton iterations into
-    counts["newton_iterations"].
+    counts["newton_iterations"], a free signal's second solve included.
+    This is the one caller of scoring_step and minimize_linear_poisson.
     """
     observed, columns = problem.observed, design.columns
     pos = design.signal_column
@@ -531,7 +503,7 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
 
     if not keep:
         return (signals[:, None], poisson_nll(observed, offsets),
-                np.zeros(offsets.shape, dtype=bool))
+                np.zeros(offsets.shape, dtype=bool), True)
     cols = columns[:, keep]
     x = np.full((len(offsets), columns.shape[1]), np.nan)  # nan: no start inside yet
     rows = None  # the rows that Newton solves, where not every row
@@ -560,10 +532,12 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
                 observed, cols, offsets[rows],
                 scoring_step(observed, cols, offsets[rows], x[solved]),
                 lambda i: where_row(rows[i]))
+    counts["newton_iterations"] += iterations
     if held:
         x[:, pos] = signals
-    counts["newton_iterations"] += iterations
-    return x, nll, bins
+    elif not x[0, pos] >= 0.0:
+        return _poisson_solve(problem, design, np.zeros(1), starts, where, counts)
+    return x, nll, bins, held
 
 
 def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_bins):
@@ -571,8 +545,9 @@ def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_b
     the linear parameters re-solved at each centroid (the chi-square's
     come from _Projection.solve's workspace).
 
-    The linear parameters the inner solve leaves free are those other
-    than a held signal; the empty bins held_bins, its working set at
+    held and held_bins are what _poisson_solve returned at theta: the
+    linear parameters the inner solve leaves free are those other than
+    a held signal, and the empty bins held_bins, its working set at
     mu = 0 (linearly independent rows), constrain them. The gradient is
     the centroid part of the Lagrangian's gradient, its multipliers
     fitted to the linear part (envelope theorem), and the Hessian the
@@ -725,7 +700,8 @@ class _Projection:
     basis and pseudo-inverse without it, for the signal held. Built once
     per fit or limit and never kept on the problem: _grid_start scores
     its grid on it for either statistic, and each trial of
-    _reduced_newton is one solve.
+    _reduced_newton is one solve. inner counts the rows and Newton
+    passes of the Poisson trial solves.
     """
 
     def __init__(self, problem: FitProblem, design: _Design):
@@ -747,6 +723,7 @@ class _Projection:
             self.held_y_out = self.project(self.y, held=True)
             self.held_signal_out = self.project(self.statics[:, self.signal], held=True)
         self.label = problem.parameter_name(problem.signal)
+        self.inner = Counter()
 
     def project(self, v: np.ndarray, held: bool = False) -> np.ndarray:
         """v less its least-squares fit by the statics, or by the statics
@@ -760,19 +737,28 @@ class _Projection:
         with the signal clipped at zero (signal None) or held at a value,
         the statistic, and the gradient and Hessian over the centroids of
         l = chi2 / 2 or of the Poisson NLL (None where it is +inf). The
-        Poisson NLL's come from _linear_solution, warm-started from start,
-        and _reduced_curvature, the chi-square's from _solve. A
+        Poisson NLL's come from one _poisson_solve, warm-started from the
+        linear values of start (None for none) and counted into inner,
+        and from _reduced_curvature; the chi-square's from _solve. A
         chi-square signal column that vanishes raises DegenerateMapError,
         statics that are linearly dependent or a singular line Gram
         FitError.
         """
         problem, design = self.problem, self.design
         if problem.statistic == "poisson_nll":
-            theta, stat, held, held_bins = _linear_solution(problem, design, centroids, signal,
-                                                            start)
+            design.at(centroids)
+            linear = design.linear_idx
+            theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
+            theta[design.centroid_idx] = centroids
+            x, nll, bins, held = _poisson_solve(
+                problem, design, None if signal is None else np.array([float(signal)]),
+                None if start is None else theta[linear][None],
+                f"centroids {list(map(float, centroids))!r}", self.inner)
+            theta[linear], stat = x[0], float(nll[0])
             if stat == np.inf:
                 return theta, stat, None, None
-            return (theta, stat) + _reduced_curvature(problem, design, theta, held, held_bins)
+            return (theta, stat) + _reduced_curvature(problem, design, theta, held,
+                                                      np.flatnonzero(bins[0]))
         lines = design.at(centroids)[:, design.line_columns] * self.root_weights[:, None]
         column = lines[:, self.signal] if self.line_signal else self.statics[:, self.signal]
         if not column.any():
@@ -1204,7 +1190,8 @@ def _profiler(problem: FitProblem, design: _Design):
     linear problem solves a batch of signal values in one _poisson_solve
     from the parameters interpolated between them (np.interp holds the
     end values beyond), each row scored once there before Newton; free
-    centroids run _reduced_newton per value from the nearest. The scan
+    centroids run _reduced_newton per value from the nearest, their
+    trial solves' Newton passes kept as inner_newton_iterations. The scan
     scale is the signal's sigma from the inverse exact Hessian at the
     fit, None when the fit holds the signal at zero (the curvature below
     zero says nothing of the posterior above it) or the Hessian is
@@ -1227,7 +1214,7 @@ def _profiler(problem: FitProblem, design: _Design):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
         if design.linear:
             starts = np.column_stack([np.interp(s, known_s, column) for column in known.T])
-            solved, nll, _ = _poisson_solve(problem, design, s, starts, "the profile", info)
+            solved, nll, _, _ = _poisson_solve(problem, design, s, starts, "the profile", info)
             remember(s, solved)
             return nll
         nll = np.empty(s.size)
@@ -1237,6 +1224,7 @@ def _profiler(problem: FitProblem, design: _Design):
             info["newton_iterations"] += iterations
             info["profile_points"] += 1
             remember(s[k:k + 1], solved[None])
+        info["inner_newton_iterations"] = space.inner["newton_iterations"]
         return nll
 
     sigma = None
@@ -1407,7 +1395,11 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     ("exact-gaussian", "newton" or "projection"), and for the last two
     the Newton iterations taken and profile_points, the points at which
     the profile was solved: the global fit, any bracketing, any node
-    sets discarded by the range probe, and the scan's nodes.
+    sets discarded by the range probe, and the scan's nodes. A Newton
+    profile's iterations are minimize_linear_poisson's passes, a
+    projection's the outer centroid iterations; a projection also
+    records inner_newton_iterations, the minimize_linear_poisson passes
+    of all its trial solves (0 for chi-square).
     seed selects nothing; it is kept for callers that pass it.
     """
     if not 0.0 < cl < 1.0:

@@ -594,13 +594,22 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     ("simulate_continuum.json", {("grid", "n_bins"): True}, "'grid.n_bins'"),
     ("simulate_continuum.json", {"seed": "7"}, "'seed'"),
     ("limit_continuum.json", {"confidence_level": True}, "'confidence_level'"),
+    ("fit_forbidden_line.json", {"statistic": ["chi2"]}, "'statistic'"),
+    ("fit_forbidden_line.json", {"statistic": 3}, "'statistic'"),
+    ("fit_forbidden_line.json", {"statistic": None}, "'statistic'"),
+    ("limit_continuum.json", {"statistic": ["chi2"]}, "'statistic'"),
+    ("limit_continuum.json", {"statistic": 3}, "'statistic'"),
+    ("limit_continuum.json", {"statistic": None}, "'statistic'"),
+    ("fit_forbidden_line.json", {"free": [[0, 5]]}, "'free'"),
 ], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count",
         "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients",
         "number-components", "number-component", "number-response", "word-efficiency",
         "word-in-efficiency", "nested-efficiency", "nan-fwhm", "infinite-amplitude",
         "list-spectrum", "number-on-file", "list-kind", "list-element",
         "word-electron-count", "fractional-bin-count", "boolean-bin-count", "word-seed",
-        "boolean-confidence-level"])
+        "boolean-confidence-level", "list-fit-statistic", "number-fit-statistic",
+        "null-fit-statistic", "list-limit-statistic", "number-limit-statistic",
+        "null-limit-statistic", "number-attribute"])
 def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
                                                                  change, key):
     _copy_sample_configs(tmp_path)

@@ -9,6 +9,7 @@ exact up to minimizer tolerance, never up to luck.
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -689,8 +690,12 @@ def test_reduced_curvature_with_held_bins_matches_central_differences(offset):
     fit = fit_minimize(problem)
     assert fit.values[0] == pytest.approx(8.025, abs=1e-6)
     centroid = fit.values[0] + offset
-    theta, _, held, held_bins = limits_module._linear_solution(problem, design, [centroid],
-                                                               None, fit.values)
+    space = limits_module._Projection(problem, design)
+    theta = space.solve([centroid], fit.values)[0]
+    design.at([centroid])
+    _, _, bins, held = limits_module._poisson_solve(
+        problem, design, None, fit.values[design.linear_idx][None], "the test", Counter())
+    held_bins = np.flatnonzero(bins[0])
     assert not held
     # the flat term's row ties in every bin far from the line: the solve
     # holds the first, at mu = 0 to rounding
@@ -700,7 +705,7 @@ def test_reduced_curvature_with_held_bins_matches_central_differences(offset):
     gradient, hess = limits_module._reduced_curvature(problem, design, theta, held, held_bins)
 
     def stat(c):
-        return limits_module._linear_solution(problem, design, [c], None, theta)[1]
+        return space.solve([c], theta)[1]
 
     h = 1e-4
     up, mid, down = stat(centroid + h), stat(centroid), stat(centroid - h)
@@ -2017,6 +2022,66 @@ def test_a_fit_held_at_zero_brackets_the_scan_scale_in_three_profile_calls(monke
     assert rows == [None, 1, 6, 6, 6, 65]
     assert result.metadata["profile_points"] == 85
     assert result.metadata["newton_iterations"] == 7
+
+
+def _counted_newton_passes(monkeypatch):
+    """A list that records each minimize_linear_poisson call's return
+    value, the function patched to fill it."""
+    calls = []
+    real = limits_module.minimize_linear_poisson
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(limits_module, "minimize_linear_poisson", counted)
+    return calls
+
+
+def test_a_free_signal_below_zero_is_solved_again_held_at_zero(monkeypatch):
+    # a dip where the line sits: the free signal's optimum is negative,
+    # and the bounded one is the row solved with the signal held at zero
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    observed = np.round(predict_counts(_line_model(-60.0, 300.0), grid))
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_values(grid, observed, _line_model(20.0, 300.0), free, free[0],
+                                     statistic="poisson_nll")
+    design = problem._design
+    calls = _counted_newton_passes(monkeypatch)
+    counts = Counter()
+    x, nll, bins, held = limits_module._poisson_solve(problem, design, None, None, "the fit",
+                                                      counts)
+    assert held and len(calls) == 2
+    assert calls[0][0][0, design.signal_column] < 0.0
+    assert counts == Counter(profile_points=2, newton_iterations=calls[0][2] + calls[1][2])
+    held_counts = Counter()
+    x0, nll0, bins0, held0 = limits_module._poisson_solve(problem, design, np.zeros(1), None,
+                                                          "the fit", held_counts)
+    assert held0 and x[0, design.signal_column] == 0.0
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(nll, nll0)
+    np.testing.assert_array_equal(bins, bins0)
+    assert held_counts == Counter(profile_points=1, newton_iterations=calls[1][2])
+
+
+def test_a_free_centroid_limit_records_its_inner_newton_passes(monkeypatch):
+    # newton_iterations counts the outer centroid iterations, and
+    # inner_newton_iterations the minimize_linear_poisson passes of every
+    # trial solve, the fit's included
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+    truth = SpectralModel((GaussianLine(7.7, 20.0), PolynomialBackground((60.0,))), response)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    spectrum = simulate_spectrum(truth, grid, 0)
+    problem = FitProblem.from_spectrum(spectrum, truth, free, free[1], statistic="poisson_nll")
+    calls = _counted_newton_passes(monkeypatch)
+    metadata = bayesian_upper_limit(problem, 0.95).metadata
+    assert metadata["inner_newton_iterations"] == sum(call[2] for call in calls) == 82
+    assert metadata["newton_iterations"] == 119
+    chi2 = FitProblem.from_spectrum(spectrum, truth, free, free[1])
+    assert bayesian_upper_limit(chi2, 0.95).metadata["inner_newton_iterations"] == 0
+    linear = FitProblem.from_spectrum(spectrum, truth, free[1:], free[1], statistic="poisson_nll")
+    assert "inner_newton_iterations" not in bayesian_upper_limit(linear, 0.95).metadata
 
 
 def test_a_linear_poisson_limit_takes_two_newton_calls(monkeypatch):
