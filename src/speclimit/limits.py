@@ -180,14 +180,17 @@ def _validate_ref(model: SpectralModel, ref):
 # fit problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitProblem:
     """Binned data plus a model template with designated free parameters.
 
     Exactly one free parameter is the signal, a linear one bounded
     below by zero; the remaining free parameters are background
     nuisances. At most two line centroids may be free, each with its
-    line's amplitude.
+    line's amplitude. The problem is frozen and keeps a read-only copy
+    of the observed values, so its design and, without free centroids,
+    its least-squares core are built on first use and hold for its
+    lifetime.
     """
 
     grid: EnergyGrid
@@ -198,14 +201,15 @@ class FitProblem:
     statistic: str = "chi2"
 
     def __post_init__(self):
-        observed = np.asarray(self.observed, dtype=float)
+        observed = np.array(self.observed, dtype=float)
         if observed.shape != (self.grid.n_bins,):
             raise ShapeError("observed array does not match the grid")
         if np.any(observed < 0) or np.any(~np.isfinite(observed)):
             raise DomainError("observed values must be finite and non-negative")
-        self.observed = observed
-        self.free = tuple(tuple(r) for r in self.free)
-        self.signal = tuple(self.signal)
+        observed.flags.writeable = False
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "free", tuple(tuple(r) for r in self.free))
+        object.__setattr__(self, "signal", tuple(self.signal))
         if self.statistic not in STATISTICS:
             raise DomainError(f"unknown statistic {self.statistic!r}")
         if len(set(self.free)) != len(self.free):
@@ -255,6 +259,16 @@ class FitProblem:
     def _design(self) -> "_Design":
         # one design per problem, shared by its fit, uncertainties and limit
         return _Design(self)
+
+    @cached_property
+    def _core(self) -> "_LinearGaussianCore":
+        # the least-squares solution of the problem's counts, shared by its
+        # chi-square fit, uncertainties and limit and its Poisson starts; a
+        # free centroid moves the columns, so it has none
+        if not self._design.linear:
+            raise DomainError("a problem with a free line centroid has no fixed "
+                              "least-squares core")
+        return _core_from_fit_problem(self, self._design, self.observed)
 
 
 class _Design:
@@ -353,7 +367,9 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
 
     A linear problem is solved in one call: weighted least squares for
     chi-square, the signal clipped at zero with the nuisances solved at
-    that signal (the parabola is convex with one bound), and damped
+    that signal (the parabola is convex with one bound), on the
+    problem's least-squares core, which its uncertainties and limit
+    then read rather than build again, and damped
     Newton for the convex Poisson NLL, the signal held at zero when its
     free optimum falls below. A design the solve cannot invert raises
     FitError. With one or two free line centroids the fit is a variable
@@ -384,7 +400,7 @@ def _global_fit(problem: FitProblem, design: _Design):
         return FitResult(values, stat, n_grid + solves), counts, space
     try:
         if problem.statistic == "chi2":
-            core = _core_from_fit_problem(problem, design, problem.observed)
+            core = problem._core
             values = core.values_at(max(core.best_signal(), 0.0))
             stat = _chi2_from_mu(problem.observed, design.base + design.columns @ values)
         else:
@@ -425,18 +441,34 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
     The covariance is the inverse Hessian of chi2 / 2 or of the
     Poisson NLL: (A^T W A)^-1 and (A^T diag(n/mu^2) A)^-1 for linear
     problems, with the residual-weighted second derivatives of mu added
-    for free centroids. A Poisson Hessian that jacobi_scaled calls
-    singular (an empty bin pins a direction no bin with counts curves)
-    raises FitError, as the Newton profile treats it; chi-square weights
-    every bin, so only np.linalg.inv judges its curvature.
+    for free centroids; values holds one per free parameter, else
+    ShapeError. A linear chi-square Hessian is constant, so the
+    values are not read there: the covariance is the inverse normal
+    matrix of the problem's least-squares core, the one its fit and
+    limit solve with, and a design that core cannot solve (a signal
+    column that vanishes, dependent columns) raises FitError. A Poisson
+    Hessian that jacobi_scaled calls singular (an empty bin pins a
+    direction no bin with counts curves) raises FitError, as the Newton
+    profile treats it; a free-centroid chi-square weights every bin, so
+    only np.linalg.inv judges its curvature.
     """
-    _, hess = _curvature(problem, problem._design, np.asarray(values, dtype=float))
-    if problem.statistic == "poisson_nll" and jacobi_scaled(hess)[2]:
-        raise FitError("singular curvature matrix: a direction that no bin with counts curves")
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError as err:
-        raise FitError(f"singular curvature matrix: {err}") from err
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(problem.free),):
+        raise ShapeError(f"{len(problem.free)} parameter values expected, got {values.shape}")
+    if problem.statistic == "chi2" and problem._design.linear:
+        try:
+            cov = problem._core.cov[0]
+        except DegenerateMapError as err:
+            raise FitError(str(err)) from err
+    else:
+        _, hess = _curvature(problem, problem._design, values)
+        if problem.statistic == "poisson_nll" and jacobi_scaled(hess)[2]:
+            raise FitError("singular curvature matrix: a direction that no bin with counts "
+                           "curves")
+        try:
+            cov = np.linalg.inv(hess)
+        except np.linalg.LinAlgError as err:
+            raise FitError(f"singular curvature matrix: {err}") from err
     diag = np.diag(cov)
     if np.any(diag <= 0):
         raise FitError("curvature matrix is not positive definite at the minimum")
@@ -455,11 +487,15 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     in order: starts (None for none), the weighted least-squares values
     at each row's signal (the free signal clipped at zero), unless the
     design cannot give them, and the template's. _poisson_solve scores
-    the candidate it picks, so these need only lie inside the domain."""
+    the candidate it picks, so these need only lie inside the domain.
+    A linear design reads the problem's own core, so its free fit and
+    its fit held at zero share one; a free-centroid trial builds a core
+    at the design's current centroids."""
     if starts is not None:
         yield starts
     try:
-        core = _core_from_fit_problem(problem, design, problem.observed)
+        core = (problem._core if design.linear else
+                _core_from_fit_problem(problem, design, problem.observed))
     except (FitError, DegenerateMapError):
         pass  # a singular least-squares core: Newton names the cause
     else:
@@ -1417,7 +1453,7 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         label = problem.parameter_name(problem.signal)
         method = f"bayesian-{statistic}-profile"
         if _solver_for(problem, design) == "exact-gaussian":
-            core = _core_from_fit_problem(problem, design, problem.observed)
+            core = problem._core
         else:
             profile = _profiler(problem, design)
     else:
@@ -1535,7 +1571,7 @@ def _toy_limit(problem: FitProblem, observed: np.ndarray, cl: float, grid_rtol: 
     """A toy's bound and best signal, or the error that failed it. The toy
     takes the problem's design, which never reads the observed counts."""
     toy = replace(problem, observed=observed)
-    toy._design = problem._design
+    vars(toy)["_design"] = problem._design  # the cached property's slot
     try:
         limit = bayesian_upper_limit(toy, cl, grid_rtol=grid_rtol)
     except (FitError, ScanRangeError, DegenerateMapError) as err:

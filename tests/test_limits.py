@@ -224,6 +224,36 @@ def test_fit_problem_validation():
                    signal=(1, "coefficients", 0))
 
 
+def test_fit_problem_keeps_its_own_read_only_copy_of_the_observed_values():
+    # the caller edits its float array after the problem was built, and
+    # again after the fit solved it: the problem, its fit, uncertainties
+    # and limit are those of the values it was given
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(40.0, 300.0)
+    values = simulate_spectrum(truth, grid, seed=7).counts.astype(float)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    pristine = FitProblem.from_values(grid, values.copy(), truth, free, free[0])
+    problem = FitProblem.from_values(grid, values, truth, free, free[0])
+    values[20:30] += 50.0
+    first = fit_minimize(problem)
+    values[:] = 0.0
+    expected = fit_minimize(pristine)
+    for fit in (first, fit_minimize(problem)):
+        np.testing.assert_array_equal(fit.values, expected.values)
+        assert fit.statistic == expected.statistic
+    np.testing.assert_array_equal(parameter_uncertainties(problem, first.values),
+                                  parameter_uncertainties(pristine, expected.values))
+    assert (bayesian_upper_limit(problem, 0.95).upper_bound
+            == bayesian_upper_limit(pristine, 0.95).upper_bound)
+    np.testing.assert_array_equal(problem.observed, pristine.observed)
+    assert not problem.observed.flags.writeable
+    with pytest.raises(ValueError):
+        problem.observed[0] = 1.0
+    # nor can the values be swapped under the memoised design and core
+    with pytest.raises(AttributeError):
+        problem.observed = values
+
+
 TRUTH_AMPLITUDE = 37.0
 TRUTH_ALPHA = 12.0
 TRUTH_BACKGROUND = 55.0
@@ -364,6 +394,95 @@ def test_linear_uncertainties_are_the_exact_inverse_curvature(statistic):
     exact = np.sqrt(np.diag(np.linalg.inv(columns.T @ (columns * weights[:, None]))))
     assert abs(values[1]) < exact[1]  # the 1/E amplitude really fits near zero
     np.testing.assert_allclose(sigma, exact, rtol=1e-9)
+
+
+def test_linear_chi2_uncertainties_do_not_read_the_values_passed():
+    # the Hessian of chi2 / 2 is the constant A^T W A: the uncertainties
+    # at the fit and at the template are the same bits, and they are
+    # the inverse of _curvature's Hessian at either
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = SpectralModel(components=(GaussianLine(7.7, 60.0), OneOverEContinuum(1600.0),
+                                      PolynomialBackground((400.0,))), response=RESPONSE)
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=3), truth, free,
+                                       free[0])
+    fitted = fit_minimize(problem).values
+    template = problem.initial_values()
+    assert not np.array_equal(fitted, template)
+    sigma = parameter_uncertainties(problem, fitted)
+    np.testing.assert_array_equal(parameter_uncertainties(problem, template), sigma)
+    with pytest.raises(ShapeError):  # though they must be one per free parameter
+        parameter_uncertainties(problem, fitted[:2])
+    for values in (fitted, template):
+        hess = limits_module._curvature(problem, problem._design, values)[1]
+        np.testing.assert_allclose(sigma, np.sqrt(np.diag(np.linalg.inv(hess))), rtol=1e-12)
+
+
+@pytest.mark.parametrize("components, free", [
+    ((GaussianLine(40.0, 0.0), PolynomialBackground((200.0,))),
+     ((0, "amplitude"), (1, "coefficients", 0))),
+    ((GaussianLine(7.7, 0.0), PolynomialBackground((100.0,)), PolynomialBackground((100.0,))),
+     ((0, "amplitude"), (1, "coefficients", 0), (2, "coefficients", 0))),
+], ids=["vanishing-signal", "dependent-nuisances"])
+def test_linear_chi2_uncertainties_of_a_degenerate_design_raise_fit_error(components, free):
+    # the one class that speclimit fit reports as unavailable curvature
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    model = SpectralModel(components=components, response=RESPONSE)
+    problem = FitProblem.from_values(grid, np.full(30, 100.0), model, free, free[0])
+    with pytest.raises(FitError) as err:
+        parameter_uncertainties(problem, problem.initial_values())
+    assert not isinstance(err.value, DegenerateMapError)
+
+
+def _counted_cores(monkeypatch):
+    """A list that gets one entry per _LinearGaussianCore built."""
+    built = []
+    real = limits_module._LinearGaussianCore.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(limits_module._LinearGaussianCore, "__init__", counted)
+    return built
+
+
+def test_a_linear_chi2_problem_builds_one_least_squares_core(monkeypatch):
+    # its fit, uncertainties and limit solve on the same normal matrix
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(40.0, 300.0, alpha=100.0)
+    free = ((0, "amplitude"), (1, "alpha"), (2, "coefficients", 0))
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=5), truth, free,
+                                       free[0])
+    built = _counted_cores(monkeypatch)
+    fit = fit_minimize(problem)
+    parameter_uncertainties(problem, fit.values)
+    limit = bayesian_upper_limit(problem, 0.95)
+    assert limit.metadata["profile_solver"] == "exact-gaussian"
+    assert len(built) == 1
+
+
+def test_a_poisson_limit_held_at_zero_builds_one_least_squares_core(monkeypatch):
+    # the free fit and the fit held at zero start from the same core
+    problem = _poisson_bench_problem(4.0, 4)
+    built = _counted_cores(monkeypatch)
+    result = bayesian_upper_limit(problem, 0.95, grid_rtol=3e-3)
+    assert result.metadata["best_signal"] == 0.0
+    assert len(built) == 1
+
+
+def test_a_free_centroid_problem_has_no_fixed_least_squares_core():
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    truth = _line_model(40.0, 300.0)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed=5), truth, free,
+                                       free[1])
+    with pytest.raises(DomainError, match="free line centroid"):
+        problem._core
+    # its uncertainties keep the exact curvature at the values passed
+    fit = fit_minimize(problem)
+    assert not np.array_equal(parameter_uncertainties(problem, fit.values),
+                              parameter_uncertainties(problem, problem.initial_values()))
 
 
 @pytest.mark.parametrize("signal", [37.5, np.array([-20.0, 0.0, 37.5, 400.0])],
@@ -909,7 +1028,7 @@ def test_projection_fit_and_limit_carry_no_state_between_calls(monkeypatch):
     fresh = FitProblem.from_spectrum(spectrum, truth, free, free[1])
     moved = FitProblem.from_spectrum(spectrum, truth, free, free[1])
     other = replace(moved, observed=simulate_spectrum(truth, grid, seed=2).counts)
-    other._design = moved._design
+    vars(other)["_design"] = moved._design
     fit_minimize(other)
     moved._design.at([8.4])
     assert outcome(moved) == outcome(fresh)
