@@ -8,8 +8,10 @@ constants in use.
 
 Every run is driven by a JSON config whose resolved form (after the
 simulate --seed and limit --cl overrides) is hashed into the report, so
-identical configs produce byte-identical output files; a setting it
-leaves out takes the default of the library type it configures.
+identical configs produce byte-identical output files. The config is
+checked against the table of its kind before any file is read, so a key
+no table knows is refused; a setting it leaves out takes the default of
+the library type it configures.
 
 Each subcommand imports the modules it runs, and no others: importing
 numpy costs most of a short run's time, and `constants` or `--help`
@@ -24,19 +26,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (
-    ConfigError,
-    DegenerateMapError,
-    FitError,
-    ScanRangeError,
-    SpectrumFormatError,
-    ToolkitError,
-    config_keywords,
-    config_number,
-    config_numbers,
-    config_object,
-    config_string,
-)
+from .errors import ConfigError, DegenerateMapError, FitError, ScanRangeError
+from .errors import SpectrumFormatError, ToolkitError, config_checked, config_int, config_keywords
+from .errors import config_list, config_number, config_numbers, config_object, config_section
+from .errors import config_string
 
 if TYPE_CHECKING:
     from .spectra import EnergyGrid
@@ -46,36 +39,29 @@ __all__ = ["main"]
 _FLAT_PRIOR_NOTE = "flat in the signal amplitude, zero below zero"
 
 
-def _require(config: dict, key: str, kind: str):
-    if key not in config:
-        raise ConfigError(f"{kind} config requires '{key}'")
-    return config[key]
-
-
-def _section(config: dict, key: str, kind: str, default=None) -> dict:
-    """The config section under key, which must be a JSON object; default
-    where it is absent, or required when default is None."""
-    value = _require(config, key, kind) if default is None else config.get(key, default)
-    return config_object(value, key)
-
-
-def _resolve_path(base: Path, config: dict, key: str, kind: str) -> Path:
-    """The file path a config sets under key, relative to the config's directory."""
-    path = Path(config_string(_require(config, key, kind), key))
-    return path if path.is_absolute() else base / path
-
-
-def _build_grid(entry: dict) -> EnergyGrid:
+def _grid(entry, key: str) -> EnergyGrid:
     from .spectra import EnergyGrid
 
-    if "edges" in entry:
-        return EnergyGrid(config_numbers(entry["edges"], "grid.edges"))
-    for key in ("lo_kev", "hi_kev", "n_bins"):
-        if key not in entry:
-            raise ConfigError(f"grid needs 'edges' or lo_kev/hi_kev/n_bins, missing {key!r}")
-    return EnergyGrid.uniform(config_number(entry["lo_kev"], "grid.lo_kev"),
-                              config_number(entry["hi_kev"], "grid.hi_kev"),
-                              config_number(entry["n_bins"], "grid.n_bins", int))
+    grid = config_checked(entry, _GRID, key + ".")
+    if list(grid) == ["edges"]:
+        return EnergyGrid(grid["edges"])
+    if sorted(grid) != ["hi_kev", "lo_kev", "n_bins"]:
+        raise ConfigError(f"grid takes 'edges' or lo_kev/hi_kev/n_bins, got {sorted(grid)}")
+    return EnergyGrid.uniform(**grid)
+
+
+# spectra's description readers as table entries, imported when a config
+# is checked, so that only the commands that need numpy load it
+def _model(value, key: str):
+    from .spectra import model_from_description
+
+    return model_from_description(config_object(value, key))
+
+
+def _response(value, key: str):
+    from .spectra import _response_from_description
+
+    return _response_from_description(value, key)
 
 
 def _parse_ref(entry, key: str) -> tuple:
@@ -86,11 +72,50 @@ def _parse_ref(entry, key: str) -> tuple:
             f"parameter reference must be [component, attr] or "
             f"[component, 'coefficients', index], got {entry!r}"
         )
-    component = config_number(entry[0], key, int)
-    attr = config_string(entry[1], key)
-    if len(entry) == 2:
-        return component, attr
-    return component, attr, config_number(entry[2], key, int)
+    return (config_int(entry[0], key), config_string(entry[1], key),
+            *(config_int(index, key) for index in entry[2:]))
+
+
+def _free(entries, key: str) -> tuple:
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"fit config {key!r} must list at least one parameter, got {entries!r}")
+    return tuple(_parse_ref(entry, key) for entry in entries)
+
+
+# One table per config kind (a limit's analysis picks its kind) and per
+# nested section. A default the library owns stays out of them, so a
+# handler passes only the keys a config sets. In fit and limit configs
+# 'seed' selects nothing: it stays known while benchmark configs set it.
+_GRID = {"edges": config_numbers, "lo_kev": config_number, "hi_kev": config_number,
+         "n_bins": config_int}
+_EXPOSURE = {"mass_kg": (config_number, True), "live_time_days": (config_number, True)}
+_RUN = {"current_a": (config_number, True), "duration_s": (config_number, True),
+        "geometric_acceptance": (config_number, True),
+        "detection_efficiency": (config_number, True),
+        "capture_cascade_factor": config_number, "capture_opportunities": config_number}
+_TRANSITION = {"normal_energy_kev": config_number, "shift_kev": config_number}
+_TARGET = {"element": config_string, "quasi_free_electrons": config_number}
+_BACKGROUND = {"coefficients": config_numbers}
+_LIMIT = {"kind": config_string, "analysis": config_string, "seed": config_int,
+          "confidence_level": config_number}
+_TABLES = {
+    "simulate": {"kind": config_string, "seed": config_int, "tag": config_string,
+                 "grid": (_grid, True), "model": (_model, True),
+                 "exposure": config_section(_EXPOSURE), "acquisition_days": config_number},
+    "fit": {"kind": config_string, "seed": config_int, "spectrum": (config_string, True),
+            "model": (_model, True), "free": (_free, True), "signal": _parse_ref,
+            "statistic": config_string},
+    "csl": {**_LIMIT, "spectrum": (config_string, True), "statistic": config_string,
+            "background": config_section(_BACKGROUND), "response": _response,
+            "target": config_section(_TARGET), "correlation_length_m": config_number,
+            "detection_efficiency": config_number, "grid_rtol": config_number},
+    "pep": {**_LIMIT, "on": (config_string, True), "off": (config_string, True),
+            "ratio": config_number, "transition": config_section(_TRANSITION),
+            "response": (_response, True), "run": (config_section(_RUN), True),
+            "window_fwhm_multiple": config_number},
+    "project": {"kind": config_string, "linear_factors": (config_list, True),
+                "background_factors": (config_list, True)},
+}
 
 
 def _out_dir(args) -> Path:
@@ -99,21 +124,30 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_cli_config(args, expected_kind: str) -> tuple[dict, Path]:
-    from .fileio import load_config
+def _load_cli_config(args, kind: str) -> tuple[dict, str, Path]:
+    """The config args name, checked against the table of its kind; the
+    hash of its resolved form, after the --seed and --cl overrides; and
+    its directory, which relative paths in it start from."""
+    from .fileio import canonical_config_hash, load_config
 
     path = Path(args.config)
     config = load_config(path)
-    kind = config.get("kind")
-    if kind != expected_kind:
+    if config.get("kind") != kind:
         raise ConfigError(
-            f"{path}: config kind {kind!r} does not match command {expected_kind!r}"
+            f"{path}: config kind {config.get('kind')!r} does not match command {kind!r}"
         )
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     if getattr(args, "cl", None) is not None:
         config["confidence_level"] = args.cl
-    return config, path.parent
+    if kind == "limit":
+        kind = config.get("analysis")
+        if kind not in ("csl", "pep"):
+            raise ConfigError(f"unknown limit analysis {kind!r}, expected 'csl' or 'pep'")
+    checked = config_checked(config, _TABLES[kind])
+    if kind == "simulate":  # the hash records the seed a simulation draws from
+        config["seed"] = checked.setdefault("seed", 0)
+    return checked, canonical_config_hash(config), path.parent
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +156,17 @@ def _load_cli_config(args, expected_kind: str) -> tuple[dict, Path]:
 
 def _cmd_simulate(args) -> int:
     from .constants import Exposure
-    from .fileio import canonical_config_hash, write_report, write_spectrum
-    from .spectra import model_from_description, simulate_spectrum
+    from .fileio import write_report, write_spectrum
+    from .spectra import simulate_spectrum
 
-    config, _ = _load_cli_config(args, "simulate")
+    config, config_hash, _ = _load_cli_config(args, "simulate")
+    grid, seed = config["grid"], config["seed"]
+    exposure = Exposure(**config.get("exposure", {"mass_kg": 1.0, "live_time_days": 1.0}))
+    acquisition_days = config.get("acquisition_days", exposure.live_time_days)
     out = _out_dir(args)
-    grid = _build_grid(_section(config, "grid", "simulate"))
-    model = model_from_description(_section(config, "model", "simulate"))
-    exposure_cfg = _section(config, "exposure", "simulate",
-                            {"mass_kg": 1.0, "live_time_days": 1.0})
-    exposure = Exposure(
-        mass_kg=config_number(_require(exposure_cfg, "mass_kg", "exposure"), "exposure.mass_kg"),
-        live_time_days=config_number(_require(exposure_cfg, "live_time_days", "exposure"),
-                                     "exposure.live_time_days"))
-    seed = config_number(config.get("seed", 0), "seed", int)
-    config["seed"] = seed
-    acquisition_days = config_number(config.get("acquisition_days", exposure.live_time_days),
-                                     "acquisition_days")
-    config_hash = canonical_config_hash(config)
-
-    spectrum = simulate_spectrum(model, grid, seed, exposure=exposure,
+    spectrum = simulate_spectrum(config["model"], grid, seed, exposure=exposure,
                                  acquisition_days=acquisition_days,
-                                 **config_keywords(config, tag=config_string))
+                                 **config_keywords(config, "tag"))
     spectrum_path = write_spectrum(out / "spectrum.txt", spectrum,
                                    extra_header={"config-hash": config_hash})
     write_report(out / "report.txt", [
@@ -193,26 +216,20 @@ def _cmd_subtract(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .fileio import canonical_config_hash, format_number, load_spectrum, write_report
+    from .fileio import format_number, load_spectrum, write_report
     from .limits import FitProblem, fit_minimize, parameter_uncertainties
-    from .spectra import model_description, model_from_description
+    from .spectra import model_description
 
-    config, base = _load_cli_config(args, "fit")
-    out = _out_dir(args)
-    spectrum = load_spectrum(_resolve_path(base, config, "spectrum", "fit"))
-    model = model_from_description(_section(config, "model", "fit"))
-    entries = _require(config, "free", "fit")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"fit config 'free' must list at least one parameter, got {entries!r}")
-    free = tuple(_parse_ref(entry, "free") for entry in entries)
+    config, config_hash, base = _load_cli_config(args, "fit")
+    free = config["free"]
     # without a signal key, the first free parameter that enters linearly
-    signal = (_parse_ref(config["signal"], "signal") if "signal" in config else
-              next((ref for ref in free if ref[1] != "centroid_kev"), free[0]))
-    statistic = config_string(config.get("statistic", "chi2"), "statistic")
-    config_hash = canonical_config_hash(config)
-
-    problem = FitProblem.from_spectrum(spectrum, model, free=free, signal=signal,
-                                       statistic=statistic)
+    signal = config["signal"] if "signal" in config else next(
+        (ref for ref in free if ref[1] != "centroid_kev"), free[0])
+    spectrum = load_spectrum(base / config["spectrum"])
+    out = _out_dir(args)
+    problem = FitProblem.from_spectrum(spectrum, config["model"], free=free, signal=signal,
+                                       **config_keywords(config, "statistic"))
+    statistic = problem.statistic
     result = fit_minimize(problem)
     rows = [
         ("command", "fit"),
@@ -243,43 +260,22 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _limit_csl(args, config: dict, base: Path) -> int:
+def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
     from .constants import CODATA2018
     from .csl import TargetMaterial, lambda_from_alpha
-    from .fileio import (
-        canonical_config_hash,
-        format_number,
-        load_spectrum,
-        write_report,
-        write_table,
-    )
+    from .fileio import format_number, load_spectrum, write_report, write_table
     from .limits import FitProblem, bayesian_upper_limit
-    from .spectra import (
-        OneOverEContinuum,
-        PolynomialBackground,
-        SpectralModel,
-        _response_from_description,
-    )
+    from .spectra import DetectorResponse, OneOverEContinuum, PolynomialBackground, SpectralModel
 
-    out = _out_dir(args)
-    spectrum = load_spectrum(_resolve_path(base, config, "spectrum", "limit"))
-    cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
-    statistic = config_string(config.get("statistic", "chi2"), "statistic")
-    config_hash = canonical_config_hash(config)
-
-    background_cfg = _section(config, "background", "limit", {})
-    coefficients = tuple(config_numbers(background_cfg.get("coefficients", [0.0]),
-                                        "background.coefficients"))
-    response = _response_from_description(
-        _section(config, "response", "limit", {"fwhm_kev_at_ref": 0.3}))
-    target_cfg = _section(config, "target", "limit", {})
-    target = TargetMaterial.from_table(
-        config_string(target_cfg.get("element", "Ge"), "target.element"),
-        **config_keywords(target_cfg, "target.", quasi_free_electrons=config_number))
-    correlation_length_m = config_number(
-        config.get("correlation_length_m", CODATA2018.correlation_length_default_m),
-        "correlation_length_m")
-    efficiency = config_number(config.get("detection_efficiency", 1.0), "detection_efficiency")
+    cl = config.get("confidence_level", 0.95)
+    # a count spectrum's statistic, unless the config asks for chi2
+    statistic = config.get("statistic", "poisson_nll")
+    coefficients = tuple(config.get("background", {}).get("coefficients", [0.0]))
+    response = config["response"] if "response" in config else DetectorResponse(0.3)
+    target = TargetMaterial.from_table(**{"element": "Ge", **config.get("target", {})})
+    correlation_length_m = config.get("correlation_length_m",
+                                      CODATA2018.correlation_length_default_m)
+    efficiency = config.get("detection_efficiency", 1.0)
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("detection_efficiency must lie in (0, 1]")
     # the response efficiency is folded into the fitted columns, so the
@@ -290,6 +286,8 @@ def _limit_csl(args, config: dict, base: Path) -> int:
         raise ConfigError("detection_efficiency and response efficiency both differ from 1; "
                           "the fit already applies the response efficiency, so set only one")
 
+    spectrum = load_spectrum(base / config["spectrum"])
+    out = _out_dir(args)
     model = SpectralModel(
         components=(OneOverEContinuum(alpha=1.0), PolynomialBackground(coefficients)),
         response=response,
@@ -300,7 +298,7 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     problem = FitProblem.from_spectrum(spectrum, model, free=free,
                                        signal=(0, "alpha"), statistic=statistic)
     # grid_rtol is the Poisson scan's tolerance; the closed-form chi-square bound ignores it
-    limit = bayesian_upper_limit(problem, cl, **config_keywords(config, grid_rtol=config_number))
+    limit = bayesian_upper_limit(problem, cl, **config_keywords(config, "grid_rtol"))
 
     # the fitted amplitude counts only detected photons; undo the
     # detection efficiency before mapping back to a collapse rate
@@ -343,42 +341,21 @@ def _limit_csl(args, config: dict, base: Path) -> int:
     return 0
 
 
-def _limit_pep(args, config: dict, base: Path) -> int:
-    from .fileio import (
-        canonical_config_hash,
-        format_number,
-        load_spectrum,
-        write_report,
-        write_residual,
-        write_table,
-    )
+def _limit_pep(args, config: dict, config_hash: str, base: Path) -> int:
+    from .fileio import format_number, load_spectrum, write_report, write_residual, write_table
     from .pep import PepRunConfig, PepTransition, pep_upper_limit
-    from .spectra import _response_from_description, subtract_spectra
+    from .spectra import subtract_spectra
 
+    transition = PepTransition(**config.get("transition", {}))
+    response = config["response"]
+    run = PepRunConfig(**config["run"])
+    cl = config.get("confidence_level", 0.95)
+    on = load_spectrum(base / config["on"])
+    off = load_spectrum(base / config["off"])
+    residual = subtract_spectra(on, off, **config_keywords(config, "ratio"))
     out = _out_dir(args)
-    on = load_spectrum(_resolve_path(base, config, "on", "limit"))
-    off = load_spectrum(_resolve_path(base, config, "off", "limit"))
-    ratio = config.get("ratio")
-    residual = subtract_spectra(on, off,
-                                ratio=None if ratio is None else config_number(ratio, "ratio"))
-
-    transition_cfg = _section(config, "transition", "limit", {})
-    transition = PepTransition(**config_keywords(
-        transition_cfg, "transition.", normal_energy_kev=config_number, shift_kev=config_number))
-    response = _response_from_description(_section(config, "response", "limit"))
-    run_cfg = _section(config, "run", "limit")
-    for key in ("current_a", "duration_s", "geometric_acceptance", "detection_efficiency"):
-        if key not in run_cfg:
-            raise ConfigError(f"limit config run section requires '{key}'")
-    run = PepRunConfig(**config_keywords(
-        run_cfg, "run.", current_a=config_number, duration_s=config_number,
-        geometric_acceptance=config_number, detection_efficiency=config_number,
-        capture_cascade_factor=config_number, capture_opportunities=config_number))
-    cl = config_number(config.get("confidence_level", 0.95), "confidence_level")
-    config_hash = canonical_config_hash(config)
-
     limit = pep_upper_limit(residual, transition, response, run, cl,
-                            **config_keywords(config, window_fwhm_multiple=config_number))
+                            **config_keywords(config, "window_fwhm_multiple"))
     window_lo, window_hi = limit.metadata["window_kev"]
     write_residual(out / "residual.txt", residual,
                    extra_header={"config-hash": config_hash})
@@ -410,28 +387,21 @@ def _limit_pep(args, config: dict, base: Path) -> int:
 
 
 def _cmd_limit(args) -> int:
-    config, base = _load_cli_config(args, "limit")
-    analysis = _require(config, "analysis", "limit")
-    if analysis == "csl":
-        return _limit_csl(args, config, base)
-    if analysis == "pep":
-        return _limit_pep(args, config, base)
-    raise ConfigError(f"unknown limit analysis {analysis!r}, expected 'csl' or 'pep'")
+    config, config_hash, base = _load_cli_config(args, "limit")
+    handler = _limit_csl if config["analysis"] == "csl" else _limit_pep
+    return handler(args, config, config_hash, base)
 
 
 def _cmd_project(args) -> int:
-    from .fileio import canonical_config_hash, load_config, write_report
+    from .fileio import canonical_config_hash, write_report
     from .projection import ImprovementBudget, budget_report_rows, reference_budget
 
     if args.config is not None:
-        config = load_config(Path(args.config))
-        if config.get("kind") != "project":
-            raise ConfigError(f"{args.config}: config kind must be 'project'")
+        config, config_hash, _ = _load_cli_config(args, "project")
         budget = ImprovementBudget.from_mapping(config)
     else:
-        config = {"kind": "project", "budget": "reference"}
         budget = reference_budget()
-    config_hash = canonical_config_hash(config)
+        config_hash = canonical_config_hash({"kind": "project", "budget": "reference"})
 
     rows = [("command", "project"), ("config-hash", config_hash)]
     for name, value in budget.linear_factors:

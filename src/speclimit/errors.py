@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by all modules, and the checked conversion
-of config values."""
+"""Exception taxonomy shared by all modules, the checked conversion of
+config values, and the one checker that applies a config table."""
 
 import math
 import numbers
@@ -61,11 +61,16 @@ def config_number(value, key: str, kind=float):
     raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}")
 
 
-def config_keywords(section: dict, prefix: str = "", **convert) -> dict:
-    """The keyword arguments a config section sets, each converted by its
-    convert(value, key) with prefix + key naming it in errors. Keys the
-    section leaves out are not passed, so the callee's default applies."""
-    return {key: to(section[key], prefix + key) for key, to in convert.items() if key in section}
+def config_keywords(section: dict, *keys) -> dict:
+    """The keyword arguments among keys that a checked config section
+    sets. Keys the section leaves out are not passed, so the callee's
+    default applies."""
+    return {key: section[key] for key in keys if key in section}
+
+
+def config_int(value, key: str) -> int:
+    """A config value as an int, or a ConfigError naming its key."""
+    return config_number(value, key, int)
 
 
 def config_numbers(values, key: str) -> list:
@@ -92,3 +97,33 @@ def config_object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"config value {key!r} must be an object, got {value!r}")
     return value
+
+
+def config_checked(section, table: dict, prefix: str = "", lacks=None) -> dict:
+    """A config object checked against its table, as a new dict of the
+    keys it sets, each converted by convert(value, prefix + key).
+
+    The table maps every key the object may set to its converter, or to
+    (converter, True) where the object must set it. A key the table does
+    not know fails, naming the closest known key; a required key left out
+    raises lacks(key), a ConfigError naming its path by default."""
+    section = config_object(section, prefix[:-1] or "config")
+    for key in section:
+        if key not in table:
+            from difflib import get_close_matches  # only a refused config pays the import
+
+            near = get_close_matches(key, table, n=1)
+            hint = f", did you mean {prefix + near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {prefix + key!r}{hint}")
+    entries = {key: entry if isinstance(entry, tuple) else (entry, False)
+               for key, entry in table.items()}
+    for key, (_, required) in entries.items():
+        if required and key not in section:
+            raise lacks(key) if lacks else ConfigError(f"config requires {prefix + key!r}")
+    return {key: entries[key][0](value, prefix + key) for key, value in section.items()}
+
+
+def config_section(table: dict):
+    """The converter of a nested config object, checked against its table
+    with its own key as the path of its keys."""
+    return lambda value, key: config_checked(value, table, key + ".")

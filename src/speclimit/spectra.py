@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Exposure, fwhm_to_sigma
-from .errors import DomainError, ModelError, ShapeError, config_keywords, config_list
+from .errors import DomainError, ModelError, ShapeError, config_checked, config_list
 from .errors import config_number, config_numbers, config_object, config_string
 
 __all__ = [
@@ -450,78 +450,66 @@ def subtract_spectra(on: BinnedSpectrum, off: BinnedSpectrum, *,
     )
 
 
+def model_description(model: SpectralModel) -> dict:
+    """JSON-friendly description, with the keys of the description tables;
+    inverse of model_from_description."""
+    comps = []
+    for comp in model.components:
+        kind = next((kind for kind, (kind_type, _) in _COMPONENT_KINDS.items()
+                     if isinstance(comp, kind_type)), None)
+        if kind is None:
+            raise ModelError(f"unknown spectral component {type(comp).__name__}")
+        fields = _COMPONENT_KINDS[kind][1]
+        comps.append({"kind": kind, **{key: getattr(comp, key) for key in fields}})
+    return {"components": comps,
+            "response": {key: getattr(model.response, key) for key in _RESPONSE}}
+
+
+def _efficiency(value, key: str):
+    """A response efficiency: one number, or one per bin."""
+    return (config_numbers if isinstance(value, (list, tuple)) else config_number)(value, key)
+
+
+_RESPONSE = {"fwhm_kev_at_ref": (config_number, True), "reference_energy_kev": config_number,
+             "resolution_model": config_string, "efficiency": _efficiency}
+# each component kind's type, and the table of the keys besides 'kind'
+# that its description sets, which are the type's fields
 _COMPONENT_KINDS = {
-    "gaussian_line": GaussianLine,
-    "one_over_e_continuum": OneOverEContinuum,
-    "polynomial_background": PolynomialBackground,
+    "gaussian_line": (GaussianLine, {"centroid_kev": (config_number, True),
+                                     "amplitude": (config_number, True)}),
+    "one_over_e_continuum": (OneOverEContinuum, {"alpha": (config_number, True)}),
+    "polynomial_background": (PolynomialBackground, {"coefficients": (config_numbers, True)}),
 }
 
 
-def model_description(model: SpectralModel) -> dict:
-    """JSON-friendly description; inverse of model_from_description."""
-    comps = []
-    for comp in model.components:
-        if isinstance(comp, GaussianLine):
-            comps.append({"kind": "gaussian_line",
-                          "centroid_kev": comp.centroid_kev,
-                          "amplitude": comp.amplitude})
-        elif isinstance(comp, OneOverEContinuum):
-            comps.append({"kind": "one_over_e_continuum", "alpha": comp.alpha})
-        elif isinstance(comp, PolynomialBackground):
-            comps.append({"kind": "polynomial_background",
-                          "coefficients": list(comp.coefficients)})
-        else:
-            raise ModelError(f"unknown spectral component {type(comp).__name__}")
-    response = model.response
-    eff = response.efficiency
-    return {
-        "components": comps,
-        "response": {
-            "fwhm_kev_at_ref": response.fwhm_kev_at_ref,
-            "reference_energy_kev": response.reference_energy_kev,
-            "resolution_model": response.resolution_model,
-            "efficiency": list(eff) if np.ndim(eff) else eff,
-        },
-    }
-
-
-def _response_from_description(entry: dict) -> DetectorResponse:
+def _response_from_description(entry: dict, key: str = "response") -> DetectorResponse:
     """The detector response of a model description or a run config; the
     keys it leaves out take DetectorResponse's defaults."""
-    if "fwhm_kev_at_ref" not in config_object(entry, "response"):
-        raise ModelError("response lacks 'fwhm_kev_at_ref'")
+    return DetectorResponse(**config_checked(entry, _RESPONSE, key + "."))
 
-    def efficiency(value, key):  # one number, or one per bin
-        return (config_numbers if isinstance(value, (list, tuple)) else config_number)(value, key)
 
-    return DetectorResponse(
-        config_number(entry["fwhm_kev_at_ref"], "response.fwhm_kev_at_ref"),
-        **config_keywords(entry, "response.", reference_energy_kev=config_number,
-                          resolution_model=config_string, efficiency=efficiency))
+def _components(entries, key: str) -> tuple:
+    """The components a description lists, each checked against the
+    table of its kind."""
+    components = []
+    for index, entry in enumerate(config_list(entries, key)):
+        where = f"{key}[{index}]"
+        kind = config_string(config_object(entry, where).get("kind"), where + ".kind")
+        if kind not in _COMPONENT_KINDS:
+            raise ModelError(f"unknown component kind {kind!r}")
+        kind_type, table = _COMPONENT_KINDS[kind]
+        fields = config_checked(
+            entry, {"kind": config_string, **table}, where + ".",
+            lambda name: ModelError(f"component {index} ({kind}) lacks {name!r}"))
+        del fields["kind"]
+        components.append(kind_type(**fields))
+    return tuple(components)
+
+
+_MODEL = {"components": _components, "response": (_response_from_description, True)}
 
 
 def model_from_description(description: dict) -> SpectralModel:
-    response = _response_from_description(description.get("response", {}))
-    comps = []
-    for index, entry in enumerate(config_list(description.get("components", []), "components")):
-        kind = config_string(config_object(entry, f"components[{index}]").get("kind"),
-                             f"components[{index}].kind")
-        if kind not in _COMPONENT_KINDS:
-            raise ModelError(f"unknown component kind {kind!r}")
-
-        def value(key):
-            if key not in entry:
-                raise ModelError(f"component {index} ({kind}) lacks {key!r}")
-            return entry[key]
-
-        def number(key):
-            return config_number(value(key), f"components[{index}].{key}")
-
-        if kind == "gaussian_line":
-            comps.append(GaussianLine(number("centroid_kev"), number("amplitude")))
-        elif kind == "one_over_e_continuum":
-            comps.append(OneOverEContinuum(number("alpha")))
-        else:
-            comps.append(PolynomialBackground(tuple(
-                config_numbers(value("coefficients"), f"components[{index}].coefficients"))))
-    return SpectralModel(components=tuple(comps), response=response)
+    """The model a description in model_description's form sets, checked
+    against the model's tables; its key paths start at the description."""
+    return SpectralModel(**{"components": (), **config_checked(description, _MODEL)})

@@ -461,6 +461,14 @@ def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):
     assert fitted.components[0].amplitude == float(report["fit.c0.amplitude"])
     # simulated line amplitude is 600 with sqrt(600)-level noise
     assert fitted.components[0].amplitude == pytest.approx(600.0, abs=150.0)
+    # and its description passes a fit config's schema as that config's model
+    config = json.loads((tmp_path / "fit_forbidden_line.json").read_text())
+    config["model"] = json.loads((tmp_path / "fit/fitted_model.json").read_text())
+    (tmp_path / "refit.json").write_text(json.dumps(config))
+    assert main(["fit", "--config", str(tmp_path / "refit.json"),
+                 "--out", str(tmp_path / "refit")]) == 0
+    refit = _report_dict(tmp_path / "refit/report.txt")
+    assert refit["fit.c0.amplitude"] == report["fit.c0.amplitude"]
 
 
 def test_cli_fit_rejects_a_signal_that_vanishes_on_the_grid(tmp_path, capsys):
@@ -601,6 +609,9 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
     ("limit_continuum.json", {"statistic": 3}, "'statistic'"),
     ("limit_continuum.json", {"statistic": None}, "'statistic'"),
     ("fit_forbidden_line.json", {"free": [[0, 5]]}, "'free'"),
+    ("limit_continuum.json", {"seed": "banana"}, "'seed'"),
+    ("fit_forbidden_line.json", {"seed": "banana"}, "'seed'"),
+    ("simulate_continuum.json", {("grid", "edges"): [4.5, 26.5, 48.5]}, "'edges'"),
 ], ids=["empty-free", "named-component", "word-confidence-level", "word-bin-count",
         "word-amplitude", "word-fwhm", "word-edges", "number-exposure", "number-coefficients",
         "number-components", "number-component", "number-response", "word-efficiency",
@@ -609,7 +620,8 @@ def test_cli_limit_names_a_missing_response_key(tmp_path, capsys):
         "word-electron-count", "fractional-bin-count", "boolean-bin-count", "word-seed",
         "boolean-confidence-level", "list-fit-statistic", "number-fit-statistic",
         "null-fit-statistic", "list-limit-statistic", "number-limit-statistic",
-        "null-limit-statistic", "number-attribute"])
+        "null-limit-statistic", "number-attribute", "word-limit-seed", "word-fit-seed",
+        "edges-and-uniform-grid"])
 def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys, name,
                                                                  change, key):
     _copy_sample_configs(tmp_path)
@@ -634,6 +646,50 @@ def test_cli_malformed_config_values_fail_with_the_config_stage(tmp_path, capsys
     assert err.startswith("speclimit: error [config]:")
     assert key in err
     assert not (tmp_path / "x/report.txt").exists()
+
+
+@pytest.mark.parametrize("name, section, key, typo, path", [
+    ("fit_forbidden_line.json", (), "statistic", "statistc", ""),
+    ("limit_continuum.json", (), "statistic", "statistc", ""),
+    ("limit_forbidden.json", (), "confidence_level", "confidence_levl", ""),
+    ("simulate_continuum.json", (), "acquisition_days", "acquisition_day", ""),
+    ("project_upgrade.json", (), "linear_factors", "linear_factor", ""),
+    ("simulate_continuum.json", ("grid",), "n_bins", "n_bin", "grid."),
+    # a model description's paths start at the description, as in fitted_model.json
+    ("fit_forbidden_line.json", ("model", "components", 0), "amplitude", "amplitud",
+     "components[0]."),
+    ("limit_forbidden.json", ("response",), "fwhm_kev_at_ref", "fwhm_kev", "response."),
+    ("simulate_continuum.json", ("exposure",), "mass_kg", "mass", "exposure."),
+    ("limit_forbidden.json", ("run",), "current_a", "current", "run."),
+    ("limit_forbidden.json", ("transition",), "shift_kev", "shift", "transition."),
+    ("limit_continuum.json", ("target",), "element", "elemnt", "target."),
+    ("limit_continuum.json", ("background",), "coefficients", "coeffs", "background."),
+], ids=["fit", "limit-csl", "limit-pep", "simulate", "project", "grid", "component",
+        "response", "exposure", "run", "transition", "target", "background"])
+def test_cli_refuses_a_misspelt_key_and_names_the_known_one(tmp_path, capsys, name, section,
+                                                            key, typo, path):
+    # with the key spelt right each config runs; an unknown key once fell
+    # back to the default of the key it misspelt, without a word
+    _copy_sample_configs(tmp_path)
+    for simulate, out in [("simulate_forbidden_on.json", "runs/on"),
+                          ("simulate_forbidden_off.json", "runs/off"),
+                          ("simulate_continuum.json", "runs/continuum")]:
+        assert main(["simulate", "--config", str(tmp_path / simulate),
+                     "--out", str(tmp_path / out)]) == 0
+    config = json.loads((tmp_path / name).read_text())
+    entry = config
+    for step in section:
+        entry = entry[step]
+    entry[typo] = entry.pop(key)
+    (tmp_path / name).write_text(json.dumps(config))
+    capsys.readouterr()
+    code = main([config["kind"], "--config", str(tmp_path / name), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [config]:")
+    assert f"'{path}{typo}'" in err
+    assert f"did you mean '{path}{key}'?" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_project_prints_headline_rows(tmp_path, capsys):

@@ -81,6 +81,9 @@ def pipeline_dir(tmp_path_factory):
         config = json.loads((work / f"{name}.json").read_text())
         config["statistic"] = "poisson_nll"
         (work / f"{name}_poisson.json").write_text(json.dumps(config))
+    # the sample continuum limit is Poisson; its chi2 variant takes the closed form
+    chi2 = {**json.loads((work / "limit_continuum.json").read_text()), "statistic": "chi2"}
+    (work / "limit_continuum_chi2.json").write_text(json.dumps(chi2))
     return work
 
 
@@ -89,7 +92,7 @@ def pipeline_dir(tmp_path_factory):
     ["subtract", "--on", "runs/on/spectrum.txt", "--off", "runs/off/spectrum.txt",
      "--out", "check/subtract"],
     ["limit", "--config", "limit_forbidden.json", "--out", "check/pep"],
-    ["limit", "--config", "limit_continuum.json", "--out", "check/csl"],
+    ["limit", "--config", "limit_continuum_chi2.json", "--out", "check/csl"],
     ["fit", "--config", "fit_forbidden_line.json", "--out", "check/fit"],
     ["fit", "--config", "fit_free_centroid.json", "--out", "check/fit-centroid"],
     ["fit", "--config", "fit_forbidden_line_poisson.json", "--out", "check/fit-poisson"],
@@ -106,7 +109,7 @@ def test_pipeline_subcommands_skip_optimize_and_integrate(pipeline_dir, argv):
 
 @pytest.mark.parametrize("argv", [
     ["limit", "--config", "limit_forbidden.json", "--out", "check/pep-stdlib"],
-    ["limit", "--config", "limit_continuum.json", "--out", "check/csl-stdlib"],
+    ["limit", "--config", "limit_continuum_chi2.json", "--out", "check/csl-stdlib"],
 ], ids=["limit-pep", "limit-csl"])
 def test_closed_form_limits_load_no_statistics_module(pipeline_dir, argv):
     # the normal quantile of a linear chi-square bound is speclimit's own,

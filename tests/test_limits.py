@@ -2293,6 +2293,21 @@ def test_poisson_ensemble_covers_an_injected_line_at_low_counts():
     assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
 
 
+def test_poisson_ensemble_covers_on_the_sample_continuum_geometry():
+    # the geometry of sample_configs/limit_continuum.json, whose statistic
+    # is the Poisson NLL: 88 bins over 4.5-48.5 keV, 1/E with alpha = 20 on
+    # a flat 4 counts/bin, where a chi2 bound undercovers (about 0.9)
+    grid = EnergyGrid.uniform(4.5, 48.5, 88)
+    truth = SpectralModel((OneOverEContinuum(20.0), PolynomialBackground((8.0,))),
+                          DetectorResponse(0.5, 10.0))
+    free = ((0, "alpha"), (1, "coefficients", 0))
+    n, cl = 400, 0.95
+    result = run_pseudo_experiments(truth, grid, free, free[0], n=n, cl=cl, seed=7,
+                                    statistic="poisson_nll")
+    assert result.n_failed == 0
+    assert result.coverage >= cl - 3.0 * math.sqrt(cl * (1.0 - cl) / n)
+
+
 def test_chi2_ensemble_covers_an_injected_line():
     # unlike a zero truth, which every bound >= 0 covers, an injected
     # signal can fall above a bound that is too tight
