@@ -27,9 +27,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DegenerateMapError, FitError, ScanRangeError
-from .errors import SpectrumFormatError, ToolkitError, config_checked, config_int, config_keywords
-from .errors import config_list, config_number, config_numbers, config_object, config_section
-from .errors import config_string
+from .errors import SpectrumFormatError, ToolkitError, config_checked, config_choice, config_int
+from .errors import config_keywords, config_list, config_number, config_numbers, config_object
+from .errors import config_section, config_string
 
 if TYPE_CHECKING:
     from .spectra import EnergyGrid
@@ -50,8 +50,21 @@ def _grid(entry, key: str) -> EnergyGrid:
     return EnergyGrid.uniform(**grid)
 
 
-# spectra's description readers as table entries, imported when a config
-# is checked, so that only the commands that need numpy load it
+# spectra's description readers and the choices numpy modules define, as
+# table entries imported when a config is checked, so that only the
+# commands that need numpy load it
+def _statistic(value, key: str) -> str:
+    from .limits import STATISTICS
+
+    return config_choice(STATISTICS)(value, key)
+
+
+def _tag(value, key: str) -> str:
+    from .spectra import SPECTRUM_TAGS
+
+    return config_choice(SPECTRUM_TAGS)(value, key)
+
+
 def _model(value, key: str):
     from .spectra import model_from_description
 
@@ -96,16 +109,16 @@ _RUN = {"current_a": (config_number, True), "duration_s": (config_number, True),
 _TRANSITION = {"normal_energy_kev": config_number, "shift_kev": config_number}
 _TARGET = {"element": config_string, "quasi_free_electrons": config_number}
 _BACKGROUND = {"coefficients": config_numbers}
-_LIMIT = {"kind": config_string, "analysis": config_string, "seed": config_int,
+_LIMIT = {"kind": config_string, "analysis": config_choice(("csl", "pep")), "seed": config_int,
           "confidence_level": config_number}
 _TABLES = {
-    "simulate": {"kind": config_string, "seed": config_int, "tag": config_string,
+    "simulate": {"kind": config_string, "seed": config_int, "tag": _tag,
                  "grid": (_grid, True), "model": (_model, True),
                  "exposure": config_section(_EXPOSURE), "acquisition_days": config_number},
     "fit": {"kind": config_string, "seed": config_int, "spectrum": (config_string, True),
             "model": (_model, True), "free": (_free, True), "signal": _parse_ref,
-            "statistic": config_string},
-    "csl": {**_LIMIT, "spectrum": (config_string, True), "statistic": config_string,
+            "statistic": _statistic},
+    "csl": {**_LIMIT, "spectrum": (config_string, True), "statistic": _statistic,
             "background": config_section(_BACKGROUND), "response": _response,
             "target": config_section(_TARGET), "correlation_length_m": config_number,
             "detection_efficiency": config_number, "grid_rtol": config_number},
@@ -141,9 +154,7 @@ def _load_cli_config(args, kind: str) -> tuple[dict, str, Path]:
     if getattr(args, "cl", None) is not None:
         config["confidence_level"] = args.cl
     if kind == "limit":
-        kind = config.get("analysis")
-        if kind not in ("csl", "pep"):
-            raise ConfigError(f"unknown limit analysis {kind!r}, expected 'csl' or 'pep'")
+        kind = _LIMIT["analysis"](config.get("analysis"), "analysis")
     checked = config_checked(config, _TABLES[kind])
     if kind == "simulate":  # the hash records the seed a simulation draws from
         config["seed"] = checked.setdefault("seed", 0)
@@ -163,10 +174,10 @@ def _cmd_simulate(args) -> int:
     grid, seed = config["grid"], config["seed"]
     exposure = Exposure(**config.get("exposure", {"mass_kg": 1.0, "live_time_days": 1.0}))
     acquisition_days = config.get("acquisition_days", exposure.live_time_days)
-    out = _out_dir(args)
     spectrum = simulate_spectrum(config["model"], grid, seed, exposure=exposure,
                                  acquisition_days=acquisition_days,
                                  **config_keywords(config, "tag"))
+    out = _out_dir(args)
     spectrum_path = write_spectrum(out / "spectrum.txt", spectrum,
                                    extra_header={"config-hash": config_hash})
     write_report(out / "report.txt", [
@@ -192,7 +203,6 @@ def _cmd_subtract(args) -> int:
     from .fileio import canonical_config_hash, load_spectrum, write_report, write_residual
     from .spectra import subtract_spectra
 
-    out = _out_dir(args)
     on = load_spectrum(Path(args.on))
     off = load_spectrum(Path(args.off))
     ratio = None if args.ratio is None else float(args.ratio)
@@ -200,6 +210,7 @@ def _cmd_subtract(args) -> int:
     config_hash = canonical_config_hash(
         {"kind": "subtract", "on": args.on, "off": args.off, "ratio": ratio}
     )
+    out = _out_dir(args)
     residual_path = write_residual(out / "residual.txt", residual,
                                    extra_header={"config-hash": config_hash})
     write_report(out / "report.txt", [
@@ -226,7 +237,6 @@ def _cmd_fit(args) -> int:
     signal = config["signal"] if "signal" in config else next(
         (ref for ref in free if ref[1] != "centroid_kev"), free[0])
     spectrum = load_spectrum(base / config["spectrum"])
-    out = _out_dir(args)
     problem = FitProblem.from_spectrum(spectrum, config["model"], free=free, signal=signal,
                                        **config_keywords(config, "statistic"))
     statistic = problem.statistic
@@ -249,6 +259,7 @@ def _cmd_fit(args) -> int:
     else:
         for ref, value in zip(problem.free, uncertainties):
             rows.append((f"uncertainty.{problem.parameter_name(ref)}", value))
+    out = _out_dir(args)
     write_report(out / "report.txt", rows)
 
     fitted = problem.with_values(result.values)
@@ -287,7 +298,6 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
                           "the fit already applies the response efficiency, so set only one")
 
     spectrum = load_spectrum(base / config["spectrum"])
-    out = _out_dir(args)
     model = SpectralModel(
         components=(OneOverEContinuum(alpha=1.0), PolynomialBackground(coefficients)),
         response=response,
@@ -312,6 +322,7 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
                                  window_edges_kev=spectrum.grid.bin_edges,
                                  correlation_length_m=correlation_length_m,
                                  mass_proportional=True)
+    out = _out_dir(args)
     write_report(out / "report.txt", [
         ("command", "limit"),
         ("analysis", "csl"),
@@ -353,10 +364,10 @@ def _limit_pep(args, config: dict, config_hash: str, base: Path) -> int:
     on = load_spectrum(base / config["on"])
     off = load_spectrum(base / config["off"])
     residual = subtract_spectra(on, off, **config_keywords(config, "ratio"))
-    out = _out_dir(args)
     limit = pep_upper_limit(residual, transition, response, run, cl,
                             **config_keywords(config, "window_fwhm_multiple"))
     window_lo, window_hi = limit.metadata["window_kev"]
+    out = _out_dir(args)
     write_residual(out / "residual.txt", residual,
                    extra_header={"config-hash": config_hash})
     write_report(out / "report.txt", [

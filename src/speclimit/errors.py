@@ -99,6 +99,26 @@ def config_object(value, key: str) -> dict:
     return value
 
 
+def _did_you_mean(word: str, known, prefix: str = "") -> str:
+    """The hint naming the known word closest to word, or ''."""
+    from difflib import get_close_matches  # only a refused config pays the import
+
+    near = get_close_matches(word, known, n=1)
+    return f", did you mean {prefix + near[0]!r}?" if near else ""
+
+
+def config_choice(choices):
+    """The converter of a setting that takes one of the strings choices;
+    any other value is a ConfigError naming its key and the nearest choice."""
+    def convert(value, key: str) -> str:
+        if config_string(value, key) not in choices:
+            raise ConfigError(f"config value {key!r} must be one of "
+                              f"{', '.join(map(repr, choices))}, got {value!r}"
+                              f"{_did_you_mean(value, choices)}")
+        return value
+    return convert
+
+
 def config_checked(section, table: dict, prefix: str = "", lacks=None) -> dict:
     """A config object checked against its table, as a new dict of the
     keys it sets, each converted by convert(value, prefix + key).
@@ -110,11 +130,8 @@ def config_checked(section, table: dict, prefix: str = "", lacks=None) -> dict:
     section = config_object(section, prefix[:-1] or "config")
     for key in section:
         if key not in table:
-            from difflib import get_close_matches  # only a refused config pays the import
-
-            near = get_close_matches(key, table, n=1)
-            hint = f", did you mean {prefix + near[0]!r}?" if near else ""
-            raise ConfigError(f"unknown config key {prefix + key!r}{hint}")
+            raise ConfigError(f"unknown config key {prefix + key!r}"
+                              f"{_did_you_mean(key, table, prefix)}")
     entries = {key: entry if isinstance(entry, tuple) else (entry, False)
                for key, entry in table.items()}
     for key, (_, required) in entries.items():

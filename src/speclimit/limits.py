@@ -1201,10 +1201,10 @@ def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
     parabola sampled at 513 points from zero to 10 sigma above the
     clipped signal, the clipped signal and the chi-square there.
 
-    This is where the range rule of _scan_upper_bound ends: it widens
-    the range by 1.7 until the posterior tail at its end is below
-    1e-10, and on the exact parabola the tail 10 sigma above the
-    clipped signal is at most exp(-50).
+    This is where the range rule of _scan ends: it widens the range by
+    1.7 until the posterior tail at its end is below 1e-10, and on the
+    exact parabola the tail 10 sigma above the clipped signal is at
+    most exp(-50).
     """
     shat, sigma = core.signal_and_sigma()
     chi2_min = core.chi2_min()
@@ -1307,53 +1307,53 @@ def _cubic_fill(nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-# rungs of the bracketing ladder solved per profile call: a fit held at
-# zero needs about 14 on the benchmark's 4 counts/bin spectra, so 3 calls
+# rungs of the bracketing ladder requested at once: a fit held at zero
+# needs about 14 on the benchmark's 4 counts/bin spectra, so 3 requests
 _BRACKET_RUNGS = 6
 
 
-def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
-                      sigma_hint=None, label="signal"):
-    """Adaptive quantile of the truncated posterior exp(-delta_stat / k),
-    for the Newton and projection profiles, which have no closed form.
+def _profile_at(s, stat_min, label):
+    """Request the profile at the signal values s, and return the values
+    sent back. A value below stat_min, beyond rounding, means the profile
+    found a lower minimum than the global fit did, so the posterior is
+    normalised to the wrong peak: that raises ScanRangeError."""
+    values = yield s
+    if np.any(values < stat_min - 1e-9 * (1.0 + abs(stat_min))):
+        k = int(np.argmin(values))
+        raise ScanRangeError(
+            f"profiled statistic for {label!r} at signal = {float(s[k])!r} is "
+            f"{float(values[k])!r}, below the fit's minimum {stat_min!r}: "
+            "the profile missed the global fit")
+    return values
+
+
+def _scan(shat, stat_min, statistic, cl, grid_rtol, sigma_hint=None, label="signal"):
+    """Adaptive quantile of the truncated posterior exp(-delta_stat / k)
+    for the Newton and projection profiles, as a generator: it yields each
+    array of signal values it needs the profile at, through _profile_at,
+    is sent the values there, and returns the bound, the fill's points
+    and its values. It calls no profile; _scan_upper_bound drives it.
 
     The scan grid runs from zero to s_max in 257, 513, 1025, ... points.
-    The profile is solved at every 8th point, the nodes; every other
+    The profile is requested at every 8th point, the nodes; every other
     point takes the cubic through its four nearest nodes (_cubic_fill).
     The scale sigma is sigma_hint where given, else it brackets the
     profile's rise: the first delta = 1e-3 max(|shat|, 1) 2**j, j < 60,
     at which the profile has risen by at least 1 above stat_min, the
-    ladder solved _BRACKET_RUNGS rungs per pstat call. s_max starts 10
-    sigma above the clipped signal. The first level's 65 nodes are
-    solved in one pstat call, and they are also the range probe: until
-    the posterior weight at the last of them is below 1e-10, s_max grows
-    by 1.7 and a fresh set is solved. The scan then compares the
-    257-point fill from the 33 even nodes with the 513-point fill from
-    all 65, and each refinement after that solves only the new
-    midpoints. It stops at the first level where both the bound moved
-    by less than grid_rtol and the fill misplaced at most a share
-    grid_rtol of the posterior at the new nodes: sum |w(solved) -
-    w(previous fill)| times the old node spacing, over the integral of w.
-    The second test catches a kink that the bound alone can pass over,
-    such as where an empty bin reaches mu = 0 on a sparse spectrum.
-
-    A solved value below stat_min, beyond rounding, means the profile
-    found a lower minimum than the global fit did, so the posterior is
-    normalised to the wrong peak: that raises ScanRangeError.
+    ladder requested _BRACKET_RUNGS rungs at a time. s_max starts 10
+    sigma above the clipped signal. The first level's 65 nodes are one
+    request, and they are also the range probe: until the posterior
+    weight at the last of them is below 1e-10, s_max grows by 1.7 and a
+    fresh set is requested. The scan then compares the 257-point fill
+    from the 33 even nodes with the 513-point fill from all 65, and each
+    refinement after that requests only the new midpoints, 64, 128, ...
+    It stops at the first level where both the bound moved by less than
+    grid_rtol and the fill misplaced at most a share grid_rtol of the
+    posterior at the new nodes: sum |w(solved) - w(previous fill)| times
+    the old node spacing, over the integral of w. The second test
+    catches a kink that the bound alone can pass over, such as where an
+    empty bin reaches mu = 0 on a sparse spectrum.
     """
-    profile = pstat
-    floor = stat_min - 1e-9 * (1.0 + abs(stat_min))
-
-    def pstat(s_values):
-        values = profile(s_values)
-        if np.any(values < floor):
-            k = int(np.argmin(values))
-            raise ScanRangeError(
-                f"profiled statistic for {label!r} at signal = "
-                f"{float(np.atleast_1d(s_values)[k])!r} is {float(values[k])!r}, below the "
-                f"fit's minimum {stat_min!r}: the profile missed the global fit")
-        return values
-
     if sigma_hint is not None and np.isfinite(sigma_hint) and sigma_hint > 0:
         sigma = sigma_hint
     else:
@@ -1362,7 +1362,7 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
         sigma = None
         for first in range(0, ladder.size, _BRACKET_RUNGS):
             deltas = ladder[first:first + _BRACKET_RUNGS]
-            risen = pstat(shat + deltas) - stat_min >= 1.0
+            risen = (yield from _profile_at(shat + deltas, stat_min, label)) - stat_min >= 1.0
             if risen.any():
                 sigma = float(deltas[np.argmax(risen)])
                 break
@@ -1373,7 +1373,7 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
     s_max = max(shat, 0.0) + 10.0 * sigma
     for _ in range(60):
         # the first level's nodes; the last one is the range probe
-        nodes = pstat(np.linspace(0.0, s_max, 65))
+        nodes = yield from _profile_at(np.linspace(0.0, s_max, 65), stat_min, label)
         if _posterior_weight(nodes[-1:], stat_min, statistic)[0] < 1e-10:
             break
         s_max *= 1.7
@@ -1407,8 +1407,22 @@ def _scan_upper_bound(pstat, shat, stat_min, statistic, cl, grid_rtol,
         previous_bound, previous_weights = bound, weights
         refined = np.empty(2 * nodes.size - 1)
         refined[::2] = nodes
-        refined[1::2] = pstat(np.linspace(0.0, s_max, refined.size)[1::2])
+        refined[1::2] = yield from _profile_at(np.linspace(0.0, s_max, refined.size)[1::2],
+                                               stat_min, label)
         nodes = refined
+
+
+def _scan_upper_bound(pstat, *args, **kwargs):
+    """_scan(*args, **kwargs) driven from one profile: each array of
+    signal values it requests goes to pstat, and its values go back."""
+    scan = _scan(*args, **kwargs)
+    s = next(scan)
+    while True:
+        values = pstat(s)
+        try:
+            s = scan.send(values)
+        except StopIteration as done:
+            return done.value
 
 
 def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
@@ -1423,11 +1437,12 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     clipped signal are the metadata's statistic_min and best_signal:
     damped Newton for a linear Poisson NLL, each solve started by the
     one rule of _poisson_solve, and variable projection with the signal
-    held for free centroids. _scan_upper_bound solves that profile at
-    every 8th point of a 513, 1025, ... point grid, the first 65 nodes in
-    one call, fills the rest by cubics, and refines until the bound
-    moves by less than grid_rtol and the fill misplaced at most that
-    share of the posterior. The metadata names the profile solver
+    held for free centroids. The scan generator _scan requests that
+    profile at every 8th point of a 513, 1025, ... point grid, the first
+    65 nodes at once, fills the rest by cubics, and refines until the
+    bound moves by less than grid_rtol and the fill misplaced at most
+    that share of the posterior; _scan_upper_bound solves each request
+    with the profile's pstat. The metadata names the profile solver
     ("exact-gaussian", "newton" or "projection"), and for the last two
     the Newton iterations taken and profile_points, the points at which
     the profile was solved: the global fit, any bracketing, any node

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import Exposure, fwhm_to_sigma
-from .errors import DomainError, ModelError, ShapeError, config_checked, config_list
-from .errors import config_number, config_numbers, config_object, config_string
+from .errors import DomainError, ModelError, ShapeError, config_checked, config_choice
+from .errors import config_list, config_number, config_numbers, config_object, config_string
 
 __all__ = [
     "EnergyGrid",
@@ -471,7 +471,7 @@ def _efficiency(value, key: str):
 
 
 _RESPONSE = {"fwhm_kev_at_ref": (config_number, True), "reference_energy_kev": config_number,
-             "resolution_model": config_string, "efficiency": _efficiency}
+             "resolution_model": config_choice(RESOLUTION_MODELS), "efficiency": _efficiency}
 # each component kind's type, and the table of the keys besides 'kind'
 # that its description sets, which are the type's fields
 _COMPONENT_KINDS = {
@@ -494,9 +494,8 @@ def _components(entries, key: str) -> tuple:
     components = []
     for index, entry in enumerate(config_list(entries, key)):
         where = f"{key}[{index}]"
-        kind = config_string(config_object(entry, where).get("kind"), where + ".kind")
-        if kind not in _COMPONENT_KINDS:
-            raise ModelError(f"unknown component kind {kind!r}")
+        kind = config_choice(_COMPONENT_KINDS)(config_object(entry, where).get("kind"),
+                                               where + ".kind")
         kind_type, table = _COMPONENT_KINDS[kind]
         fields = config_checked(
             entry, {"kind": config_string, **table}, where + ".",

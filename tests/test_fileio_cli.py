@@ -414,7 +414,25 @@ def test_cli_continuum_limit_rejects_a_relativistic_window(tmp_path, capsys):
     assert code == 1
     assert err.startswith("speclimit: error [build]:")
     assert "non-relativistic" in err
-    assert not (tmp_path / "limit/report.txt").exists()
+    assert not (tmp_path / "limit").exists()
+
+
+@pytest.mark.parametrize("name", ["limit_continuum.json", "limit_forbidden.json"])
+def test_cli_limit_refuses_a_confidence_level_above_one_and_writes_nothing(tmp_path, capsys,
+                                                                            name):
+    _copy_sample_configs(tmp_path)
+    for simulate, out in [("simulate_forbidden_on.json", "runs/on"),
+                          ("simulate_forbidden_off.json", "runs/off"),
+                          ("simulate_continuum.json", "runs/continuum")]:
+        assert main(["simulate", "--config", str(tmp_path / simulate),
+                     "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    code = main(["limit", "--config", str(tmp_path / name), "--cl", "1.5",
+                 "--out", str(tmp_path / "limits/cl15")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [build]: confidence level must lie")
+    assert not (tmp_path / "limits").exists()
 
 
 @pytest.mark.parametrize("response_efficiency", [0.8, [0.9] * 88])
@@ -527,7 +545,7 @@ def test_cli_fit_refuses_shapes_no_exact_solver_takes(tmp_path, capsys, change, 
     assert code == 1
     assert err.startswith("speclimit: error [build]:")
     assert message in err
-    assert not (tmp_path / "fit/report.txt").exists()
+    assert not (tmp_path / "fit").exists()
 
 
 def test_cli_fit_names_a_missing_component_key(tmp_path, capsys):
@@ -689,6 +707,37 @@ def test_cli_refuses_a_misspelt_key_and_names_the_known_one(tmp_path, capsys, na
     assert err.startswith("speclimit: error [config]:")
     assert f"'{path}{typo}'" in err
     assert f"did you mean '{path}{key}'?" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name, section, key, path, typo, value", [
+    ("fit_forbidden_line.json", (), "statistic", "statistic", "poison_nll", "poisson_nll"),
+    ("limit_continuum.json", (), "statistic", "statistic", "poison_nll", "poisson_nll"),
+    ("simulate_forbidden_on.json", (), "tag", "tag", "curent_on", "current_on"),
+    ("limit_continuum.json", ("response",), "resolution_model", "response.resolution_model",
+     "sqr", "sqrt"),
+    ("fit_forbidden_line.json", ("model", "components", 0), "kind", "components[0].kind",
+     "gausian_line", "gaussian_line"),
+    ("limit_forbidden.json", (), "analysis", "analysis", "pepp", "pep"),
+], ids=["fit-statistic", "limit-statistic", "simulate-tag", "resolution-model",
+        "component-kind", "analysis"])
+def test_cli_refuses_a_misspelt_value_and_names_the_nearest_one(tmp_path, capsys, name,
+                                                               section, key, path, typo,
+                                                               value):
+    # a value no setting takes once failed as [build], after the output
+    # directory was made
+    _copy_sample_configs(tmp_path)
+    config = json.loads((tmp_path / name).read_text())
+    entry = config
+    for step in section:
+        entry = entry[step]
+    entry[key] = typo
+    (tmp_path / name).write_text(json.dumps(config))
+    code = main([config["kind"], "--config", str(tmp_path / name), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"speclimit: error [config]: config value '{path}' must be one of")
+    assert f"got '{typo}', did you mean '{value}'?" in err
     assert not (tmp_path / "x").exists()
 
 

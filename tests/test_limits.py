@@ -8,6 +8,7 @@ exact up to minimizer tolerance, never up to luck.
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -1968,6 +1969,34 @@ def test_scan_refinement_profiles_only_the_new_midpoints():
     np.testing.assert_allclose(values, cubic(s), rtol=1e-12, atol=1e-12)
 
 
+def test_scan_generator_requests_rungs_then_the_first_level_then_midpoints():
+    # driven by hand with a profile whose fit holds the signal at zero, the
+    # scan asks for the bracket's rungs, at most _BRACKET_RUNGS at a time,
+    # then the first level's 65 nodes, then each refinement's new
+    # midpoints; the one-profile driver returns the same triple
+    def held_at_zero(s):
+        return s * (1.0 + s)
+
+    args = (0.0, 0.0, "chi2", 0.95, 1e-6)
+    scan, sizes = limits_module._scan(*args), []
+    s = next(scan)
+    while True:
+        sizes.append(s.size)
+        try:
+            s = scan.send(held_at_zero(s))
+        except StopIteration as done:
+            by_hand = done.value
+            break
+    rungs = sizes.index(65)
+    assert rungs > 1
+    assert all(0 < size <= limits_module._BRACKET_RUNGS for size in sizes[:rungs])
+    assert len(sizes) > rungs + 2
+    assert sizes[rungs + 1:] == [64 * 2**k for k in range(len(sizes) - rungs - 1)]
+    driven = limits_module._scan_upper_bound(held_at_zero, *args)
+    assert by_hand[0] == driven[0]
+    assert np.array_equal(by_hand[1], driven[1]) and np.array_equal(by_hand[2], driven[2])
+
+
 def _trapezoid_quantile(s, values, stat_min, k, cl=0.95):
     weights = np.exp(-(values - stat_min) / k)
     cdf = np.concatenate([[0.0], np.cumsum(np.diff(s) * (weights[1:] + weights[:-1]) / 2.0)])
@@ -2068,14 +2097,23 @@ def test_scan_bound_matches_an_every_point_scan(case):
         assert result.metadata["profile_min_excess"] >= -1e-9 * (1.0 + abs(stat_min))
 
 
-def test_scan_rejects_a_profile_below_the_fit_minimum():
+@pytest.mark.parametrize("sigma_hint, dip", [
+    (None, 1.0 + 1e-3 * 2.0**9),  # the second request of the ladder
+    (1.0, float(np.linspace(0.0, 11.0, 65)[40])),
+    (1.0, float(np.linspace(0.0, 11.0, 129)[81])),  # a new midpoint of the first refinement
+], ids=["bracket-rung", "first-level", "refinement"])
+def test_scan_rejects_a_profile_below_the_fit_minimum(sigma_hint, dip):
+    # a second, deeper minimum at one signal value that the global fit
+    # missed; the scan first requests it as a bracket rung, a node of the
+    # first level or a refinement midpoint, and names it
     def dipping(s_values):
-        # a second, deeper minimum at s = 3 that the global fit missed
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        return np.minimum((s - 1.0) ** 2, (s - 3.0) ** 2 - 0.5)
+        return np.where(s == dip, -0.5, (s - 1.0) ** 2)
 
-    with pytest.raises(ScanRangeError, match="at signal = .* below the fit's minimum"):
-        limits_module._scan_upper_bound(dipping, 1.0, 0.0, "chi2", 0.95, 1e-3, sigma_hint=1.0)
+    with pytest.raises(ScanRangeError,
+                       match=re.escape(f"at signal = {dip!r} is -0.5, below the fit's minimum")):
+        limits_module._scan_upper_bound(dipping, 1.0, 0.0, "chi2", 0.95, 1e-9,
+                                        sigma_hint=sigma_hint)
 
 
 @pytest.mark.parametrize("free, solver", [
