@@ -15,6 +15,7 @@ for the modules it touches. numpy is the only numeric dependency.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -65,18 +66,19 @@ _EXPORTS = {
         "simulate_spectrum", "subtract_spectra",
     ),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)
 
 
 def __getattr__(name):
     # resolved on every access and never stored in this module, so a
-    # function replaced in its home module is what the package returns
-    module = _HOME.get(name)
-    if module is None:
+    # function replaced in its home module is what the package returns;
+    # a home module already imported is read from sys.modules directly
+    home = _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return getattr(sys.modules.get(home) or importlib.import_module(home), name)
 
 
 def __dir__():

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DegenerateMapError, FitError, ScanRangeError
 from .errors import SpectrumFormatError, ToolkitError, config_checked, config_choice, config_int
-from .errors import config_keywords, config_list, config_number, config_numbers, config_object
-from .errors import config_section, config_string
+from .errors import config_fraction, config_keywords, config_list, config_number, config_numbers
+from .errors import config_object, config_section, config_string
 
 if TYPE_CHECKING:
     from .spectra import EnergyGrid
@@ -110,7 +110,7 @@ _TRANSITION = {"normal_energy_kev": config_number, "shift_kev": config_number}
 _TARGET = {"element": config_string, "quasi_free_electrons": config_number}
 _BACKGROUND = {"coefficients": config_numbers}
 _LIMIT = {"kind": config_string, "analysis": config_choice(("csl", "pep")), "seed": config_int,
-          "confidence_level": config_number}
+          "confidence_level": config_fraction}
 _TABLES = {
     "simulate": {"kind": config_string, "seed": config_int, "tag": _tag,
                  "grid": (_grid, True), "model": (_model, True),
@@ -121,7 +121,7 @@ _TABLES = {
     "csl": {**_LIMIT, "spectrum": (config_string, True), "statistic": _statistic,
             "background": config_section(_BACKGROUND), "response": _response,
             "target": config_section(_TARGET), "correlation_length_m": config_number,
-            "detection_efficiency": config_number, "grid_rtol": config_number},
+            "detection_efficiency": config_number, "grid_rtol": config_fraction},
     "pep": {**_LIMIT, "on": (config_string, True), "off": (config_string, True),
             "ratio": config_number, "transition": config_section(_TRANSITION),
             "response": (_response, True), "run": (config_section(_RUN), True),

@@ -61,6 +61,15 @@ def config_number(value, key: str, kind=float):
     raise ConfigError(f"config value {key!r} must be {wanted}, got {value!r}")
 
 
+def config_fraction(value, key: str) -> float:
+    """A config value as a float strictly between 0 and 1 (a confidence
+    level, a relative tolerance), or a ConfigError naming its key."""
+    if not 0.0 < (number := config_number(value, key)) < 1.0:
+        raise ConfigError(f"config value {key!r} must lie strictly between 0 and 1, "
+                          f"got {value!r}")
+    return number
+
+
 def config_keywords(section: dict, *keys) -> dict:
     """The keyword arguments among keys that a checked config section
     sets. Keys the section leaves out are not passed, so the callee's

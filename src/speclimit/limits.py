@@ -374,14 +374,16 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     free optimum falls below. A design the solve cannot invert raises
     FitError. With one or two free line centroids the fit is a variable
     projection: the linear parameters are solved exactly at each
-    centroid value, the centroids start from the best point of a grid
+    centroid value, the centroids start near the best point of a grid
     about FWHM / 4 apart, whose unit line columns are built once per
-    grid object and response, and a damped Newton iteration on the reduced
-    statistic refines them inside the fit window; its evaluations count
-    the grid points and the inner solves. The grid and every trial
-    solve share one _Projection of the fit's counts, whose statics are
-    projected out once per fit. A fit that cannot converge raises
-    FitError. seed selects nothing; it is kept for callers that pass it.
+    grid object and response, at the vertex of the parabola through the
+    grid's scores along each, and a damped Newton iteration on the
+    reduced statistic refines them inside the fit window; its
+    evaluations count the grid tuples and the inner solves. The grid and
+    every trial solve share one _Projection of the fit's counts, whose
+    statics are projected out once per fit. A fit that cannot converge
+    raises FitError. seed selects nothing; it is kept for callers that
+    pass it.
     """
     return _global_fit(problem, problem._design)[0]
 
@@ -874,8 +876,6 @@ def _tuple_scorer(lines: np.ndarray, y: np.ndarray):
     b = (lines.T @ y) / d
 
     def score(tuples):
-        if not tuples.shape[1]:
-            return np.full(len(tuples), total), np.zeros((len(tuples), 0))
         i = tuples[:, 0]
         if tuples.shape[1] == 1:
             x = b[i] / diagonal[i]
@@ -912,8 +912,12 @@ def _grid_lines(grid: EnergyGrid, response, n_points: int, n_lines: int, order: 
 
 
 def _grid_start(space: _Projection):
-    """Centroids of the best weighted least-squares fit on a grid about
-    FWHM / 4 apart across the window, in the template's centroid order.
+    """Newton's start: the best tuple of a weighted least-squares grid of
+    centroids about FWHM / 4 apart across the window, in the template's
+    centroid order, each centroid moved by at most half a grid step to
+    the vertex of the parabola through the tuple's score and its two
+    grid neighbours' along it (Brent, 1973, ch. 5), unless a neighbour
+    is off the grid or out of order or the parabola is not convex.
 
     The grid's unit line columns come from _grid_lines, built once per
     grid object, response and grid size; only their weighting by the
@@ -922,9 +926,9 @@ def _grid_start(space: _Projection):
     grid tuple is then a closed-form 1 x 1 or 2 x 2 solve over the
     reduced Gram of the grid's line columns. A tuple whose signal comes
     out negative is scored with the signal held at zero, as in the exact
-    fit: without its line, or, for a static signal, over the projection
-    that leaves the signal out. Returns the centroids and the number of
-    tuples.
+    fit: without its line (the other line's score, one per grid point),
+    or, for a static signal, over the projection that leaves the signal
+    out. Returns the centroids and the number of tuples.
     """
     problem, design = space.problem, space.design
     grid = problem.grid
@@ -938,7 +942,10 @@ def _grid_start(space: _Projection):
     k = space.signal
     if space.line_signal:
         clipped = amplitudes[:, k] < 0
-        stat[clipped] = score(np.delete(tuples[clipped], k, axis=1))[0]
+        if tuples.shape[1] == 2:  # the other line alone, scored once per grid point
+            stat[clipped] = score(np.arange(points.size)[:, None])[0][tuples[clipped, 1 - k]]
+        else:  # no line left: the statics' fit
+            stat[clipped] = float(space.y_out @ space.y_out)
     else:
         signal = (space.pinv[k] @ space.y
                   - np.sum((space.pinv[k] @ lines)[tuples] * amplitudes, axis=1))
@@ -946,7 +953,20 @@ def _grid_start(space: _Projection):
         if clipped.any():
             held = _tuple_scorer(space.project(lines, held=True), space.held_y_out)
             stat[clipped] = held(tuples[clipped])[0]
-    return points[tuples[int(np.argmin(stat))]], len(tuples)
+    best = tuples[int(np.argmin(stat))]
+    # each tuple's score at its grid indices, +inf off the grid and out of order
+    table = np.full((points.size + 2,) * best.size, np.inf)
+    table[tuple(tuples.T + 1)] = stat
+    steps = np.eye(best.size, dtype=int)
+    lower, upper = (table[tuple((best + 1 + d * steps).T)] for d in (-1, 1))
+    curvature = lower - 2.0 * stat.min() + upper
+    bend = (curvature > 0.0) & (curvature < np.inf)
+    vertex = points[best]
+    shift = np.clip((lower[bend] - upper[bend]) / (2.0 * curvature[bend]), -0.5, 0.5)
+    # a line never moves towards the other from the next grid point, so
+    # two lines stay at least a grid step apart and in order
+    vertex[bend] += shift * (grid.hi_kev - grid.lo_kev) / n_points
+    return vertex, len(tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -1450,12 +1470,11 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
     profile's iterations are minimize_linear_poisson's passes, a
     projection's the outer centroid iterations; a projection also
     records inner_newton_iterations, the minimize_linear_poisson passes
-    of all its trial solves (0 for chi-square).
+    of all its trial solves (0 for chi-square). A cl or grid_rtol
+    outside (0, 1) raises DomainError.
     seed selects nothing; it is kept for callers that pass it.
     """
-    if not 0.0 < cl < 1.0:
-        raise DomainError("confidence level must lie strictly between 0 and 1")
-
+    _require_fractions(cl, grid_rtol)
     core = None
     if isinstance(problem, GaussianResidualProblem):
         core = _core_from_residual_problem(problem)
@@ -1501,6 +1520,13 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
             **info,
         },
     )
+
+
+def _require_fractions(cl: float, grid_rtol: float):
+    """DomainError unless cl and grid_rtol lie strictly between 0 and 1."""
+    for value, name in ((cl, "confidence level"), (grid_rtol, "grid_rtol")):
+        if not 0.0 < value < 1.0:
+            raise DomainError(f"{name} must lie strictly between 0 and 1")
 
 
 def _thin_scan(s: np.ndarray, values: np.ndarray, keep: int = 513) -> np.ndarray:
@@ -1608,10 +1634,12 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
     ensembles set each toy's limit in turn on that design. Cycles whose
     fit or scan fails are excluded from coverage and recorded with their
     error message (failure_counts tallies them by class); when every
-    cycle fails, bounds are empty and coverage is NaN.
+    cycle fails, bounds are empty and coverage is NaN. A cl or grid_rtol
+    outside (0, 1) raises DomainError before any toy is drawn.
     """
     if n < 1:
         raise DomainError("ensemble needs at least one pseudo-experiment")
+    _require_fractions(cl, grid_rtol)
     free = tuple(tuple(r) for r in free)
     signal = tuple(signal)
     truth_value = float(_ref_get(truth, signal))

@@ -420,18 +420,31 @@ def test_cli_continuum_limit_rejects_a_relativistic_window(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["limit_continuum.json", "limit_forbidden.json"])
 def test_cli_limit_refuses_a_confidence_level_above_one_and_writes_nothing(tmp_path, capsys,
                                                                             name):
+    # refused by the config check, before the spectra (not simulated here) are read
     _copy_sample_configs(tmp_path)
-    for simulate, out in [("simulate_forbidden_on.json", "runs/on"),
-                          ("simulate_forbidden_off.json", "runs/off"),
-                          ("simulate_continuum.json", "runs/continuum")]:
-        assert main(["simulate", "--config", str(tmp_path / simulate),
-                     "--out", str(tmp_path / out)]) == 0
-    capsys.readouterr()
     code = main(["limit", "--config", str(tmp_path / name), "--cl", "1.5",
                  "--out", str(tmp_path / "limits/cl15")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("speclimit: error [build]: confidence level must lie")
+    assert err.startswith("speclimit: error [config]: config value 'confidence_level' "
+                          "must lie strictly between 0 and 1, got 1.5")
+    assert not (tmp_path / "limits").exists()
+
+
+@pytest.mark.parametrize("key, value", [("grid_rtol", 0), ("grid_rtol", -0.5),
+                                        ("grid_rtol", 1), ("confidence_level", 0)])
+def test_cli_limit_refuses_a_fraction_outside_zero_one_and_writes_nothing(tmp_path, capsys,
+                                                                          key, value):
+    _copy_sample_configs(tmp_path)
+    limit = json.loads((tmp_path / "limit_continuum.json").read_text())
+    limit[key] = value
+    (tmp_path / "limit_continuum.json").write_text(json.dumps(limit))
+    code = main(["limit", "--config", str(tmp_path / "limit_continuum.json"),
+                 "--out", str(tmp_path / "limits/csl")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"speclimit: error [config]: config value {key!r} must lie "
+                          f"strictly between 0 and 1, got {value!r}")
     assert not (tmp_path / "limits").exists()
 
 

@@ -175,3 +175,19 @@ print(json.dumps({"all": speclimit.__all__, "resolved": resolved, "dir": dir(spe
     # names are looked up on each access, never cached in the package
     assert result["stored"] == []
     assert result["unknown"] == "AttributeError"
+
+
+def test_a_function_replaced_in_its_home_module_is_what_the_package_returns(monkeypatch):
+    import speclimit.limits as home
+
+    original = home.fit_minimize
+    assert speclimit.fit_minimize is original
+
+    def replaced(problem, *, seed=0):
+        return None
+
+    monkeypatch.setattr(home, "fit_minimize", replaced)
+    assert speclimit.fit_minimize is replaced
+    monkeypatch.undo()
+    assert speclimit.fit_minimize is original
+    assert "fit_minimize" not in vars(speclimit)

@@ -662,12 +662,22 @@ def test_free_centroid_stays_inside_the_fit_window(statistic):
     assert bayesian_upper_limit(problem, 0.95).metadata["profile_solver"] == "projection"
 
 
+def _grid_step(problem):
+    """The spacing of the centroid grid of _grid_start, in keV."""
+    grid, design = problem.grid, problem._design
+    width = grid.hi_kev - grid.lo_kev
+    return width / max(int(np.ceil(width / design.spacing)), len(design.line_columns))
+
+
 def _grid_start_oracle(problem):
     """The grid tuple of lowest weighted residual sum of squares, one
     np.linalg.lstsq per tuple over its lines and the columns no centroid
     moves, refitted without the signal where the signal comes out
-    negative. Returns the centroids with and without that clipping, and
-    the number of tuples."""
+    negative. Returns the centroids with and without that clipping, the
+    clipped tuple's centroids each moved to the vertex of the parabola
+    through its score and its two grid neighbours' along that centroid
+    (at most half a grid step; none where a neighbour is no tuple or
+    the parabola is not convex), and every tuple's clipped score."""
     design = problem._design
     grid, observed = problem.grid, problem.observed
     n_lines = len(design.line_columns)
@@ -691,8 +701,16 @@ def _grid_start_oracle(problem):
             columns = np.delete(columns, pos, axis=1)
             x = np.linalg.lstsq(columns, y, rcond=None)[0]
         clipped_stats.append(float(np.sum((y - columns @ x) ** 2)))
-    return (points[list(tuples[int(np.argmin(clipped_stats))])],
-            points[list(tuples[int(np.argmin(free_stats))])], len(tuples))
+    scores = dict(zip(tuples, clipped_stats))
+    best = tuples[int(np.argmin(clipped_stats))]
+    vertex = points[list(best)]
+    for m in range(n_lines):
+        lower, upper = (scores.get(best[:m] + (best[m] + d,) + best[m + 1:]) for d in (-1, 1))
+        if lower is not None and upper is not None and lower + upper > 2.0 * scores[best]:
+            shift = (lower - upper) / (2.0 * (lower + upper - 2.0 * scores[best]))
+            vertex[m] += min(max(shift, -0.5), 0.5) * _grid_step(problem)
+    return (points[list(best)], points[list(tuples[int(np.argmin(free_stats))])], vertex,
+            np.array(clipped_stats))
 
 
 # every grid-start case shares one grid object, the key of the grid's cached unit columns
@@ -742,14 +760,32 @@ def _grid_start_case(case, fwhm):
                                   "two lines, signal clipped", "two lines, flat term",
                                   "two lines, flat signal clipped"])
 def test_grid_start_picks_the_least_squares_tuple(case, monkeypatch):
+    # the first array a tuple scorer returns is the grid's scores, which
+    # _grid_start then clips in place
+    scorer, scores = limits_module._tuple_scorer, []
+
+    def recording(lines, y):
+        score = scorer(lines, y)
+
+        def recorded(tuples):
+            stat, amplitudes = score(tuples)
+            scores.append(stat)
+            return stat, amplitudes
+        return recorded
+
+    monkeypatch.setattr(limits_module, "_tuple_scorer", recording)
     # two responses in turn on one grid: each must miss the other's columns
     for fwhm in (0.17, 0.32):
         problem = _grid_start_case(case, fwhm)
-        clipped, free, n_tuples = _grid_start_oracle(problem)
+        clipped, free, vertex, stats = _grid_start_oracle(problem)
+        scores.clear()
         centroids, n_grid = limits_module._grid_start(
             limits_module._Projection(problem, problem._design))
-        np.testing.assert_allclose(centroids, clipped, rtol=0, atol=1e-12)
-        assert n_grid == n_tuples
+        np.testing.assert_allclose(scores[0], stats, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(centroids, vertex, rtol=0, atol=1e-10)
+        # the start stays within half a grid step of the least-squares tuple
+        assert np.abs(centroids - clipped).max() <= 0.5 * _grid_step(problem) + 1e-12
+        assert n_grid == stats.size
         # the clipping decides the start only where the case says so
         assert (not np.allclose(clipped, free)) == case.endswith("clipped"), fwhm
     # a cold fit builds the columns, a warm one on a fresh problem reuses them
@@ -766,6 +802,37 @@ def test_grid_start_picks_the_least_squares_tuple(case, monkeypatch):
     assert built[1] is built[0] and cached.cache_info().misses == 1
     assert np.array_equal(warm.values, cold.values) and warm.statistic == cold.statistic
     assert not any(array.flags.writeable for array in built[0])
+
+
+def _twenty_count_line_problem(statistic):
+    """A 20-count line at 7.7 keV on 3 counts/bin, centroid, amplitude
+    and flat term free, the amplitude the signal."""
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+    truth = SpectralModel((GaussianLine(7.7, 20.0), PolynomialBackground((60.0,))), response)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    spectrum = simulate_spectrum(truth, EnergyGrid.uniform(6.5, 9.5, 60), 0)
+    return FitProblem.from_spectrum(spectrum, truth, free, free[1], statistic=statistic)
+
+
+@pytest.mark.parametrize("lines, statistic", [("two", "chi2"), ("one", "chi2"),
+                                              ("one", "poisson_nll")])
+def test_the_vertex_start_saves_a_trial_solve(lines, statistic):
+    # the parabola's vertex lies within half a grid step of the best
+    # tuple and closer to the converged centroids, so Newton needs one
+    # trial solve fewer than from the tuple itself
+    problem = (_two_line_problem if lines == "two" else _twenty_count_line_problem)(statistic)
+    design = problem._design
+    space = limits_module._Projection(problem, design)
+    tuple_centroids = _grid_start_oracle(problem)[0]
+    start, n_grid = limits_module._grid_start(space)
+    assert np.abs(start - tuple_centroids).max() <= 0.5 * _grid_step(problem) + 1e-12
+    fit = fit_minimize(problem)
+    converged = fit.values[design.centroid_idx]
+    assert np.abs(start - converged).max() < np.abs(tuple_centroids - converged).max()
+    from_tuple = problem.initial_values()
+    from_tuple[design.centroid_idx] = tuple_centroids
+    solves = limits_module._reduced_newton(space, from_tuple)[2]
+    assert fit.n_evaluations - n_grid == solves - 1
 
 
 @pytest.mark.parametrize("resolution_model", ["constant", "sqrt"])
@@ -1040,8 +1107,8 @@ def test_chi2_free_centroid_work_counters_stay_pinned():
     # the deterministic counters a regression gate keys on: the 2485
     # grid tuples and the inner solves of the two-line fit, and the
     # profile points and Newton iterations of its limit
-    for resolution_model, evaluations, iterations in (("constant", 2489, 263),
-                                                      ("sqrt", 2561, 264)):
+    for resolution_model, evaluations, iterations in (("constant", 2488, 262),
+                                                      ("sqrt", 2560, 263)):
         problem = _two_line_problem("chi2", resolution_model)
         assert fit_minimize(problem).n_evaluations == evaluations
         limit = bayesian_upper_limit(problem, 0.95)
@@ -1299,6 +1366,25 @@ def test_confidence_level_must_be_interior():
         bayesian_upper_limit(problem, 1.0)
     with pytest.raises(DomainError):
         bayesian_upper_limit(problem, 0.0)
+
+
+@pytest.mark.parametrize("cl, grid_rtol", [(1.5, 1e-3), (0.95, 0.0), (0.95, -0.5),
+                                           (0.95, 1.0), (0.95, math.nan)])
+def test_limits_and_ensembles_refuse_a_cl_or_grid_rtol_outside_zero_one(cl, grid_rtol):
+    # refused before any solve, even where the closed-form bound ignores grid_rtol
+    grid = EnergyGrid.uniform(6.5, 9.5, 30)
+    truth = _line_model(10.0, 200.0)
+    free = ((0, "amplitude"), (1, "coefficients", 0))
+    problem = FitProblem.from_values(grid, predict_counts(truth, grid), truth, free, free[0],
+                                     statistic="poisson_nll")
+    residual = GaussianResidualProblem(values=[0.0], sigmas=[1.0], signal_shape=[1.0])
+    for limited in (problem, residual):
+        with pytest.raises(DomainError, match="strictly between 0 and 1"):
+            bayesian_upper_limit(limited, cl, grid_rtol=grid_rtol)
+    for statistic in ("chi2", "poisson_nll"):
+        with pytest.raises(DomainError, match="strictly between 0 and 1"):
+            run_pseudo_experiments(truth, grid, free, free[0], n=2, cl=cl, seed=1,
+                                   statistic=statistic, grid_rtol=grid_rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -2234,7 +2320,7 @@ def test_a_free_centroid_limit_records_its_inner_newton_passes(monkeypatch):
     calls = _counted_newton_passes(monkeypatch)
     metadata = bayesian_upper_limit(problem, 0.95).metadata
     assert metadata["inner_newton_iterations"] == sum(call[2] for call in calls) == 82
-    assert metadata["newton_iterations"] == 119
+    assert metadata["newton_iterations"] == 118
     chi2 = FitProblem.from_spectrum(spectrum, truth, free, free[1])
     assert bayesian_upper_limit(chi2, 0.95).metadata["inner_newton_iterations"] == 0
     linear = FitProblem.from_spectrum(spectrum, truth, free[1:], free[1], statistic="poisson_nll")
