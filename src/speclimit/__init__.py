@@ -22,12 +22,13 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "constants": (
-        "AVOGADRO_PER_MOL", "BETA2_OVER_2_BOUND_CCD_SEARCH", "CODATA2018",
-        "ELEMENTARY_CHARGE_C", "EV_PER_KEV", "FWHM_PER_SIGMA",
+        "ALPHA_EM", "AVOGADRO_PER_MOL", "BETA2_OVER_2_BOUND_CCD_SEARCH",
+        "CORRELATION_LENGTH_DEFAULT_M", "ELECTRON_MASS_KEV", "ELEMENTARY_CHARGE_C",
+        "EV_PER_KEV", "FWHM_PER_SIGMA", "HBAR_C_KEV_M", "HBAR_KEV_S",
         "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S", "LAMBDA_BOUND_80KGDAY_PER_S",
         "LAMBDA_BOUND_SLAB_CORRECTED_PER_S", "LAMBDA_BOUND_SLAB_PER_S",
-        "SECONDS_PER_DAY", "Exposure", "PhysicalConstants", "constants_table",
-        "days_to_seconds", "ev_to_kev", "fwhm_to_sigma", "kev_to_ev",
+        "LAMBDA_QMSL_REFERENCE_PER_S", "NUCLEON_MASS_KEV", "SECONDS_PER_DAY", "Exposure",
+        "constants_table", "days_to_seconds", "ev_to_kev", "fwhm_to_sigma", "kev_to_ev",
         "mass_ratio_squared", "seconds_to_days", "sigma_to_fwhm",
     ),
     "csl": (
@@ -47,8 +48,8 @@ _EXPORTS = {
     ),
     "limits": (
         "EnsembleResult", "FitProblem", "FitResult", "GaussianResidualProblem",
-        "LimitResult", "bayesian_upper_limit", "binned_chi2", "binned_poisson_nll",
-        "fit_minimize", "parameter_uncertainties", "run_pseudo_experiments",
+        "LimitResult", "bayesian_upper_limit", "fit_minimize", "parameter_uncertainties",
+        "run_pseudo_experiments",
     ),
     "pep": (
         "PepRunConfig", "PepTransition", "PepViolationParameter", "forbidden_window",

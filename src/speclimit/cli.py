@@ -271,8 +271,19 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _one_efficiency(detection_efficiency: float, response) -> None:
+    """Refuse a detection_efficiency and a response efficiency that both
+    differ from 1: the fit already folds the response efficiency into the
+    signal shape, so applying both would compound them."""
+    folded = response.efficiency if isinstance(response.efficiency, tuple) else (
+        response.efficiency,)
+    if detection_efficiency != 1.0 and any(float(v) != 1.0 for v in folded):
+        raise ConfigError("detection_efficiency and response efficiency both differ from 1; "
+                          "the fit already applies the response efficiency, so set only one")
+
+
 def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
-    from .constants import CODATA2018
+    from .constants import CORRELATION_LENGTH_DEFAULT_M
     from .csl import TargetMaterial, lambda_from_alpha
     from .fileio import format_number, load_spectrum, write_report, write_table
     from .limits import FitProblem, bayesian_upper_limit
@@ -284,18 +295,11 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
     coefficients = tuple(config.get("background", {}).get("coefficients", [0.0]))
     response = config["response"] if "response" in config else DetectorResponse(0.3)
     target = TargetMaterial.from_table(**{"element": "Ge", **config.get("target", {})})
-    correlation_length_m = config.get("correlation_length_m",
-                                      CODATA2018.correlation_length_default_m)
+    correlation_length_m = config.get("correlation_length_m", CORRELATION_LENGTH_DEFAULT_M)
     efficiency = config.get("detection_efficiency", 1.0)
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError("detection_efficiency must lie in (0, 1]")
-    # the response efficiency is folded into the fitted columns, so the
-    # two knobs would compound: only one may differ from 1
-    folded = response.efficiency if isinstance(response.efficiency, tuple) else (
-        response.efficiency,)
-    if efficiency != 1.0 and any(float(v) != 1.0 for v in folded):
-        raise ConfigError("detection_efficiency and response efficiency both differ from 1; "
-                          "the fit already applies the response efficiency, so set only one")
+    _one_efficiency(efficiency, response)
 
     spectrum = load_spectrum(base / config["spectrum"])
     model = SpectralModel(
@@ -310,7 +314,7 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
     # grid_rtol is the Poisson scan's tolerance; the closed-form chi-square bound ignores it
     limit = bayesian_upper_limit(problem, cl, **config_keywords(config, "grid_rtol"))
 
-    # the fitted amplitude counts only detected photons; undo the
+    # the fitted amplitudes count only detected photons; undo the
     # detection efficiency before mapping back to a collapse rate
     alpha_bound = limit.upper_bound / efficiency
     # the collapse-rate map holds only in the non-relativistic window
@@ -337,7 +341,7 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
         ("correlation-length-m", correlation_length_m),
         ("detection-efficiency", efficiency),
         ("continuum-amplitude-upper-bound", alpha_bound),
-        ("best-fit-amplitude", limit.metadata["best_signal"]),
+        ("best-fit-amplitude", limit.metadata["best_signal"] / efficiency),
         ("statistic-min", limit.metadata["statistic_min"]),
         ("lambda-upper-bound-per-s", lam),
         ("lambda-mass-proportional-upper-bound-per-s", lam_mass),
@@ -359,6 +363,7 @@ def _limit_pep(args, config: dict, config_hash: str, base: Path) -> int:
 
     transition = PepTransition(**config.get("transition", {}))
     response = config["response"]
+    _one_efficiency(config["run"]["detection_efficiency"], response)
     run = PepRunConfig(**config["run"])
     cl = config.get("confidence_level", 0.95)
     on = load_spectrum(base / config["on"])

@@ -8,14 +8,24 @@ on these exact digits, so do not refresh them casually.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import DomainError
 
 __all__ = [
-    "PhysicalConstants",
     "Exposure",
-    "CODATA2018",
+    "ELECTRON_MASS_KEV",
+    "NUCLEON_MASS_KEV",
+    "ALPHA_EM",
+    "HBAR_KEV_S",
+    "HBAR_C_KEV_M",
+    "CORRELATION_LENGTH_DEFAULT_M",
+    "LAMBDA_QMSL_REFERENCE_PER_S",
+    "LAMBDA_BOUND_SLAB_PER_S",
+    "LAMBDA_BOUND_SLAB_CORRECTED_PER_S",
+    "LAMBDA_BOUND_80KGDAY_PER_S",
+    "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S",
+    "BETA2_OVER_2_BOUND_CCD_SEARCH",
     "SECONDS_PER_DAY",
     "EV_PER_KEV",
     "FWHM_PER_SIGMA",
@@ -40,41 +50,18 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 ELEMENTARY_CHARGE_C = 1.602176634e-19  # exact since the 2019 SI redefinition
 AVOGADRO_PER_MOL = 6.02214076e23       # exact since the 2019 SI redefinition
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the constants entering rate formulas.
-
-    The electromagnetic coupling is stored as the dimensionless
-    alpha_em = e^2 / (hbar c), i.e. the squared charge in the Gaussian
-    convention measured in units of hbar c. Formulas that need e^2
-    restore hbar c explicitly so emitted rates come out in 1/(s keV).
-    """
-
-    electron_mass_kev: float = 510.99895000
-    nucleon_mass_kev: float = 938272.08816        # proton rest energy
-    electron_charge_squared: float = 7.2973525693e-3  # alpha_em, dimensionless
-    hbar_kev_s: float = 6.582119569e-19
-    hbar_c_kev_m: float = 1.973269804e-10
-    correlation_length_default_m: float = 1.0e-7
-    lambda_qmsl_reference_per_s: float = 1.0e-16
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise DomainError(f"{f.name} must be strictly positive")
-        ratio = self.nucleon_mass_kev / self.electron_mass_kev
-        if not 1836.0 <= ratio <= 1836.3:
-            raise DomainError(
-                "nucleon to electron mass ratio %.6f outside accepted window [1836.0, 1836.3]" % ratio
-            )
-
-    def mass_ratio_squared(self) -> float:
-        """(m_e / m_N)^2, the suppression of mass-proportional emission."""
-        return (self.electron_mass_kev / self.nucleon_mass_kev) ** 2
-
-
-CODATA2018 = PhysicalConstants()
+# CODATA 2018 values entering the rate formulas. The electromagnetic
+# coupling is the dimensionless alpha_em = e^2 / (hbar c), i.e. the
+# squared charge in the Gaussian convention measured in units of hbar c;
+# formulas that need e^2 restore hbar c so emitted rates come out in
+# 1/(s keV).
+ELECTRON_MASS_KEV = 510.99895000
+NUCLEON_MASS_KEV = 938272.08816         # proton rest energy
+ALPHA_EM = 7.2973525693e-3              # e^2 / (hbar c), dimensionless
+HBAR_KEV_S = 6.582119569e-19
+HBAR_C_KEV_M = 1.973269804e-10
+CORRELATION_LENGTH_DEFAULT_M = 1.0e-7
+LAMBDA_QMSL_REFERENCE_PER_S = 1.0e-16
 
 # Published collapse-rate and violation-probability bounds, kept as
 # comparison references for reports and consistency tests. These are
@@ -134,25 +121,26 @@ def seconds_to_days(seconds):
     return seconds / SECONDS_PER_DAY
 
 
-def mass_ratio_squared(constants: PhysicalConstants = CODATA2018) -> float:
-    return constants.mass_ratio_squared()
+def mass_ratio_squared() -> float:
+    """(m_e / m_N)^2, the suppression of mass-proportional emission."""
+    return (ELECTRON_MASS_KEV / NUCLEON_MASS_KEV) ** 2
 
 
-def constants_table(constants: PhysicalConstants = CODATA2018) -> str:
+def constants_table() -> str:
     """Key/value dump of every constant with units, one per line."""
     rows = [
-        ("electron-mass-kev", constants.electron_mass_kev),
-        ("nucleon-mass-kev", constants.nucleon_mass_kev),
-        ("electron-charge-squared-alpha-em", constants.electron_charge_squared),
-        ("hbar-kev-s", constants.hbar_kev_s),
-        ("hbar-c-kev-m", constants.hbar_c_kev_m),
-        ("correlation-length-default-m", constants.correlation_length_default_m),
-        ("lambda-qmsl-reference-per-s", constants.lambda_qmsl_reference_per_s),
+        ("electron-mass-kev", ELECTRON_MASS_KEV),
+        ("nucleon-mass-kev", NUCLEON_MASS_KEV),
+        ("electron-charge-squared-alpha-em", ALPHA_EM),
+        ("hbar-kev-s", HBAR_KEV_S),
+        ("hbar-c-kev-m", HBAR_C_KEV_M),
+        ("correlation-length-default-m", CORRELATION_LENGTH_DEFAULT_M),
+        ("lambda-qmsl-reference-per-s", LAMBDA_QMSL_REFERENCE_PER_S),
         ("elementary-charge-c", ELEMENTARY_CHARGE_C),
         ("avogadro-per-mol", AVOGADRO_PER_MOL),
         ("seconds-per-day", SECONDS_PER_DAY),
         ("fwhm-per-sigma", FWHM_PER_SIGMA),
-        ("nucleon-to-electron-mass-ratio", constants.nucleon_mass_kev / constants.electron_mass_kev),
-        ("mass-ratio-squared", constants.mass_ratio_squared()),
+        ("nucleon-to-electron-mass-ratio", NUCLEON_MASS_KEV / ELECTRON_MASS_KEV),
+        ("mass-ratio-squared", mass_ratio_squared()),
     ]
     return "\n".join(f"{name}: {value!r}" for name, value in rows) + "\n"

@@ -30,7 +30,15 @@ from importlib import resources
 
 import numpy as np
 
-from .constants import AVOGADRO_PER_MOL, CODATA2018, Exposure, PhysicalConstants
+from .constants import (
+    ALPHA_EM,
+    AVOGADRO_PER_MOL,
+    CORRELATION_LENGTH_DEFAULT_M,
+    ELECTRON_MASS_KEV,
+    HBAR_C_KEV_M,
+    Exposure,
+    mass_ratio_squared,
+)
 from .errors import DegenerateMapError, DomainError, ValidityError
 from .spectra import EnergyGrid, _one_over_e_unit_integrals
 
@@ -57,7 +65,7 @@ class CslParams:
     """Collapse rate, correlation length and coupling variant."""
 
     lambda_per_s: float
-    correlation_length_m: float = CODATA2018.correlation_length_default_m
+    correlation_length_m: float = CORRELATION_LENGTH_DEFAULT_M
     mass_proportional: bool = False
 
     def __post_init__(self):
@@ -113,18 +121,16 @@ def _load_material_table() -> dict:
     return payload["materials"]
 
 
-def rate_coefficient(params: CslParams,
-                     constants: PhysicalConstants = CODATA2018) -> float:
+def rate_coefficient(params: CslParams) -> float:
     """C such that the per-electron rate density is C / E in 1/(s keV)."""
-    c = constants
     coeff = (
-        c.electron_charge_squared * c.hbar_c_kev_m ** 2 * params.lambda_per_s
+        ALPHA_EM * HBAR_C_KEV_M ** 2 * params.lambda_per_s
         / (4.0 * math.pi ** 2
            * params.correlation_length_m ** 2
-           * c.electron_mass_kev ** 2)
+           * ELECTRON_MASS_KEV ** 2)
     )
     if params.mass_proportional:
-        coeff *= c.mass_ratio_squared()
+        coeff *= mass_ratio_squared()
     return coeff
 
 
@@ -140,11 +146,10 @@ def _check_energy_validity(energy):
         )
 
 
-def csl_rate_density(energy_kev, params: CslParams,
-                     constants: PhysicalConstants = CODATA2018):
+def csl_rate_density(energy_kev, params: CslParams):
     """Per-electron emission rate density in 1/(s keV)."""
     _check_energy_validity(energy_kev)
-    coeff = rate_coefficient(params, constants)
+    coeff = rate_coefficient(params)
     out = coeff / np.asarray(energy_kev, dtype=float)
     if np.ndim(energy_kev) == 0:
         return float(out)
@@ -157,8 +162,7 @@ def electron_second_exposure(target: TargetMaterial, exposure: Exposure) -> floa
 
 
 def expected_csl_counts(params: CslParams, target: TargetMaterial,
-                        exposure: Exposure, grid: EnergyGrid,
-                        constants: PhysicalConstants = CODATA2018) -> np.ndarray:
+                        exposure: Exposure, grid: EnergyGrid) -> np.ndarray:
     """Expected emitted counts per bin over the exposure.
 
     Uses the closed-form bin integral C * ln(hi/lo) of the 1/E density,
@@ -167,23 +171,21 @@ def expected_csl_counts(params: CslParams, target: TargetMaterial,
     if exposure.product_kg_day <= 0:
         raise DomainError("exposure must be positive")
     _check_energy_validity(grid.bin_edges)
-    coeff = rate_coefficient(params, constants)
+    coeff = rate_coefficient(params)
     return (coeff * electron_second_exposure(target, exposure)
             * _one_over_e_unit_integrals(grid))
 
 
 def alpha_from_lambda(params: CslParams, target: TargetMaterial,
-                      exposure: Exposure,
-                      constants: PhysicalConstants = CODATA2018) -> float:
+                      exposure: Exposure) -> float:
     """Continuum amplitude alpha with expected count density alpha / E."""
-    return rate_coefficient(params, constants) * electron_second_exposure(target, exposure)
+    return rate_coefficient(params) * electron_second_exposure(target, exposure)
 
 
 def lambda_from_alpha(alpha: float, target: TargetMaterial, exposure: Exposure, *,
                       window_edges_kev: np.ndarray,
-                      correlation_length_m: float = CODATA2018.correlation_length_default_m,
-                      mass_proportional: bool = False,
-                      constants: PhysicalConstants = CODATA2018) -> float:
+                      correlation_length_m: float = CORRELATION_LENGTH_DEFAULT_M,
+                      mass_proportional: bool = False) -> float:
     """Collapse rate whose expected continuum amplitude equals alpha.
 
     Inverse of alpha_from_lambda at fixed target, exposure and
@@ -199,7 +201,7 @@ def lambda_from_alpha(alpha: float, target: TargetMaterial, exposure: Exposure, 
     unit = CslParams(lambda_per_s=1.0,
                      correlation_length_m=correlation_length_m,
                      mass_proportional=mass_proportional)
-    per_lambda = alpha_from_lambda(unit, target, exposure, constants)
+    per_lambda = alpha_from_lambda(unit, target, exposure)
     if per_lambda <= 0:
         raise DegenerateMapError(
             "alpha does not constrain lambda: zero exposure or no quasi-free electrons"

@@ -4,6 +4,19 @@ config values, and the one checker that applies a config table."""
 import math
 import numbers
 
+__all__ = [
+    "ToolkitError",
+    "DomainError",
+    "ValidityError",
+    "ShapeError",
+    "ModelError",
+    "FitError",
+    "DegenerateMapError",
+    "ScanRangeError",
+    "SpectrumFormatError",
+    "ConfigError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""

@@ -26,8 +26,6 @@ if TYPE_CHECKING:
     from .spectra import BinnedSpectrum, ResidualSpectrum
 
 __all__ = [
-    "SPECTRUM_FORMAT",
-    "RESIDUAL_FORMAT",
     "write_spectrum",
     "load_spectrum",
     "load_spectrum_with_header",

@@ -48,7 +48,6 @@ from .errors import (
     DegenerateMapError,
     DomainError,
     FitError,
-    ModelError,
     ScanRangeError,
     ShapeError,
 )
@@ -77,14 +76,11 @@ from .spectra import (
 )
 
 __all__ = [
-    "STATISTICS",
     "FitProblem",
     "FitResult",
     "GaussianResidualProblem",
     "LimitResult",
     "EnsembleResult",
-    "binned_chi2",
-    "binned_poisson_nll",
     "fit_minimize",
     "parameter_uncertainties",
     "bayesian_upper_limit",
@@ -102,23 +98,6 @@ def _variance_floor(observed: np.ndarray) -> np.ndarray:
 def _chi2_from_mu(observed: np.ndarray, mu: np.ndarray) -> float:
     resid = observed - mu
     return float(np.sum(resid * resid / _variance_floor(observed)))
-
-
-def binned_chi2(spectrum: BinnedSpectrum, model: SpectralModel) -> float:
-    """Neyman chi-square of the model against the spectrum."""
-    mu = predict_counts(model, spectrum.grid)
-    return _chi2_from_mu(spectrum.counts.astype(float), mu)
-
-
-def binned_poisson_nll(spectrum: BinnedSpectrum, model: SpectralModel) -> float:
-    """Poisson negative log likelihood, -sum(n ln mu - mu - ln n!)."""
-    mu = predict_counts(model, spectrum.grid)
-    observed = spectrum.counts.astype(float)
-    if np.any(~np.isfinite(mu)) or np.any(mu < 0):
-        raise ModelError("expected counts must be finite and non-negative")
-    if np.any((mu == 0) & (observed > 0)):
-        raise ModelError("expected count of zero in a bin with observed counts gives infinite NLL")
-    return float(poisson_nll(observed, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ __all__ = [
     "OneOverEContinuum",
     "PolynomialBackground",
     "SpectralModel",
-    "SPECTRUM_TAGS",
-    "RESOLUTION_MODELS",
     "gaussian_line_density",
     "component_bin_counts",
     "predict_counts",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speclimit import (
-    CODATA2018,
+    CORRELATION_LENGTH_DEFAULT_M,
     CslParams,
     DegenerateMapError,
     DomainError,
@@ -200,5 +200,5 @@ def test_params_validation():
 
 
 def test_default_correlation_length_is_standard_choice():
-    assert CODATA2018.correlation_length_default_m == 1e-7
+    assert CORRELATION_LENGTH_DEFAULT_M == 1e-7
     assert CslParams(1e-16).correlation_length_m == 1e-7

@@ -476,6 +476,42 @@ def test_cli_continuum_limit_refuses_two_efficiencies(tmp_path, capsys, response
                      "--out", str(tmp_path / "limit")]) == 0
 
 
+def test_cli_pep_limit_refuses_two_efficiencies_and_writes_nothing(tmp_path, capsys):
+    # the pep fit folds the response efficiency into the line shape and its
+    # unit yield applies run.detection_efficiency (0.5 in the sample): both
+    # at 0.5 would bound beta^2/2 as one efficiency of 0.25. Refused by the
+    # config check, before the spectra (not simulated here) are read
+    _copy_sample_configs(tmp_path)
+    limit = json.loads((tmp_path / "limit_forbidden.json").read_text())
+    limit["response"]["efficiency"] = 0.5
+    (tmp_path / "limit_forbidden.json").write_text(json.dumps(limit))
+    code = main(["limit", "--config", str(tmp_path / "limit_forbidden.json"),
+                 "--out", str(tmp_path / "limits/pep")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("speclimit: error [config]: detection_efficiency and response "
+                          "efficiency both differ from 1")
+    assert not (tmp_path / "limits").exists()
+
+
+def test_cli_continuum_limit_reports_both_amplitudes_before_detection(tmp_path, capsys):
+    # the bound and the best fit are both divided by detection_efficiency,
+    # so at 0.5 each row is exactly twice its value at 1
+    _copy_sample_configs(tmp_path)
+    assert main(["simulate", "--config", str(tmp_path / "simulate_continuum.json"),
+                 "--out", str(tmp_path / "runs/continuum")]) == 0
+    limit = json.loads((tmp_path / "limit_continuum.json").read_text())
+    reports = {}
+    for efficiency in (1.0, 0.5):
+        limit["detection_efficiency"] = efficiency
+        (tmp_path / "limit_continuum.json").write_text(json.dumps(limit))
+        assert main(["limit", "--config", str(tmp_path / "limit_continuum.json"),
+                     "--out", str(tmp_path / f"limit-{efficiency}")]) == 0
+        reports[efficiency] = _report_dict(tmp_path / f"limit-{efficiency}/report.txt")
+    for row in ("continuum-amplitude-upper-bound", "best-fit-amplitude"):
+        assert float(reports[0.5][row]) == 2.0 * float(reports[1.0][row]) > 0.0, row
+
+
 def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),

@@ -7,6 +7,7 @@ Every check starts a fresh interpreter, because the test process itself
 has long since imported everything.
 """
 
+import importlib
 import json
 import os
 import re
@@ -169,12 +170,21 @@ print(json.dumps({"all": speclimit.__all__, "resolved": resolved, "dir": dir(spe
                   "unknown": unknown}))
 """
     result = _fresh_python(probe)
-    assert len(result["all"]) == len(set(result["all"])) == 88
+    assert len(result["all"]) == len(set(result["all"])) == 91
     assert result["resolved"] == result["all"]
     assert set(result["all"]) <= set(result["dir"])
     # names are looked up on each access, never cached in the package
     assert result["stored"] == []
     assert result["unknown"] == "AttributeError"
+
+
+def test_each_module_lists_the_names_the_package_exports():
+    # one list of public names: a module's __all__ is its row of the
+    # package's lazy export table, no more and no fewer
+    for module, names in speclimit._EXPORTS.items():
+        listed = importlib.import_module(f"speclimit.{module}").__all__
+        assert len(listed) == len(set(listed)), module
+        assert sorted(listed) == sorted(names), module
 
 
 def test_a_function_replaced_in_its_home_module_is_what_the_package_returns(monkeypatch):

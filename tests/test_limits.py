@@ -31,17 +31,14 @@ from speclimit.newton import (
     scoring_step,
 )
 from speclimit import (
-    BinnedSpectrum,
     DegenerateMapError,
     DetectorResponse,
     DomainError,
     EnergyGrid,
-    Exposure,
     FitError,
     FitProblem,
     GaussianLine,
     GaussianResidualProblem,
-    ModelError,
     OneOverEContinuum,
     PolynomialBackground,
     ScanRangeError,
@@ -49,9 +46,7 @@ from speclimit import (
     SpectralModel,
     ToolkitError,
     bayesian_upper_limit,
-    binned_chi2,
     component_bin_counts,
-    binned_poisson_nll,
     fit_minimize,
     parameter_uncertainties,
     predict_counts,
@@ -89,39 +84,42 @@ def _line_model(amplitude=30.0, background=500.0, alpha=0.0, centroid=7.7):
 # binned statistics
 
 
+def _recomputed(statistic, problem, values):
+    """The problem's statistic at values, recomputed from the expected
+    counts of its model with the statistic functions the fits share."""
+    mu = predict_counts(problem.with_values(values), problem.grid)
+    if statistic == "chi2":
+        return limits_module._chi2_from_mu(problem.observed, mu)
+    return float(poisson_nll(problem.observed, mu))
+
+
 def test_chi2_matches_hand_rolled_sum():
     grid = EnergyGrid.uniform(6.5, 9.5, 3)
-    spectrum = BinnedSpectrum(grid=grid, counts=np.array([4, 9, 16]),
-                              exposure=Exposure(1.0, 1.0), tag="measured",
-                              acquisition_days=1.0)
     model = SpectralModel(components=(PolynomialBackground((10.0,)),),
                           response=RESPONSE)
     mu = predict_counts(model, grid)
     expected = sum((n - m) ** 2 / n for n, m in zip([4, 9, 16], mu))
-    assert binned_chi2(spectrum, model) == pytest.approx(expected, rel=1e-12)
+    assert limits_module._chi2_from_mu(np.array([4.0, 9.0, 16.0]), mu) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_chi2_floors_empty_bin_variance_at_one():
     grid = EnergyGrid.uniform(6.5, 9.5, 2)
-    spectrum = BinnedSpectrum(grid=grid, counts=np.array([0, 2]),
-                              exposure=Exposure(1.0, 1.0), tag="measured",
-                              acquisition_days=1.0)
     # flat density 2/3 per keV over 1.5 keV bins -> exactly 1 expected count
     model = SpectralModel(components=(PolynomialBackground((2.0 / 3.0,)),),
                           response=RESPONSE)
-    assert binned_chi2(spectrum, model) == pytest.approx(1.0 + 0.5, rel=1e-12)
+    mu = predict_counts(model, grid)
+    assert limits_module._chi2_from_mu(np.array([0.0, 2.0]), mu) == pytest.approx(
+        1.0 + 0.5, rel=1e-12)
 
 
 def test_poisson_nll_matches_scipy_logpmf():
     grid = EnergyGrid.uniform(6.5, 9.5, 4)
     counts = np.array([0, 3, 7, 12])
-    spectrum = BinnedSpectrum(grid=grid, counts=counts,
-                              exposure=Exposure(1.0, 1.0), tag="measured",
-                              acquisition_days=1.0)
     model = SpectralModel(components=(PolynomialBackground((8.0,)),),
                           response=RESPONSE)
     mu = predict_counts(model, grid)
-    assert binned_poisson_nll(spectrum, model) == pytest.approx(
+    assert poisson_nll(counts.astype(float), mu) == pytest.approx(
         -poisson.logpmf(counts, mu).sum(), rel=1e-12)
 
 
@@ -139,26 +137,19 @@ def test_poisson_nll_zero_expectation_rules():
     grid = EnergyGrid.uniform(6.5, 9.5, 1)
     model = SpectralModel(components=(PolynomialBackground((0.0,)),),
                           response=RESPONSE)
-    empty = BinnedSpectrum(grid=grid, counts=np.array([0]),
-                           exposure=Exposure(1.0, 1.0), tag="measured",
-                           acquisition_days=1.0)
-    assert binned_poisson_nll(empty, model) == 0.0
-    occupied = BinnedSpectrum(grid=grid, counts=np.array([3]),
-                              exposure=Exposure(1.0, 1.0), tag="measured",
-                              acquisition_days=1.0)
-    with pytest.raises(ModelError):
-        binned_poisson_nll(occupied, model)
+    mu = predict_counts(model, grid)
+    assert poisson_nll(np.array([0.0]), mu) == 0.0
+    # counts where nothing is expected lie outside the Poisson domain
+    assert np.isposinf(poisson_nll(np.array([3.0]), mu))
 
 
 def test_poisson_nll_of_a_batch_of_rows_equals_each_rows_binned_nll():
     grid = EnergyGrid.uniform(6.5, 9.5, 60)
-    counts = simulate_spectrum(_line_model(20.0, 30.0), grid, seed=11).counts
-    spectrum = BinnedSpectrum(grid=grid, counts=counts, exposure=Exposure(1.0, 1.0),
-                              tag="measured", acquisition_days=1.0)
+    observed = simulate_spectrum(_line_model(20.0, 30.0), grid, seed=11).counts.astype(float)
     models = [_line_model(a, b) for a, b in [(20.0, 30.0), (0.0, 12.5), (75.0, 3.0)]]
     rows = np.array([predict_counts(model, grid) for model in models])
-    nll = poisson_nll(counts.astype(float), rows)
-    assert nll.tolist() == [binned_poisson_nll(spectrum, model) for model in models]
+    nll = poisson_nll(observed, rows)
+    assert nll.tolist() == [float(poisson_nll(observed, row)) for row in rows]
 
 
 def test_poisson_nll_is_infinite_outside_the_domain_without_a_warning():
@@ -177,13 +168,10 @@ def test_poisson_nll_is_infinite_outside_the_domain_without_a_warning():
 def test_single_empty_bin_nll_equals_expectation():
     # with n = 0, -ln P(0 | mu) = mu exactly
     grid = EnergyGrid.uniform(6.5, 9.5, 1)
-    spectrum = BinnedSpectrum(grid=grid, counts=np.array([0]),
-                              exposure=Exposure(1.0, 1.0), tag="measured",
-                              acquisition_days=1.0)
     model = SpectralModel(components=(PolynomialBackground((2.5,)),),
                           response=RESPONSE)
-    mu = float(predict_counts(model, grid)[0])
-    assert binned_poisson_nll(spectrum, model) == pytest.approx(mu, rel=1e-12)
+    mu = predict_counts(model, grid)
+    assert poisson_nll(np.array([0.0]), mu) == pytest.approx(float(mu[0]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +617,8 @@ def test_free_centroid_fit_is_no_worse_than_the_simplex(statistic):
     simplex_statistic, simplex_values, simplex_converged = SIMPLEX_TWO_LINE_FITS[statistic]
     result = fit_minimize(problem)
     assert result.statistic <= simplex_statistic + 1e-9 * (1.0 + abs(simplex_statistic))
-    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
-                              "simulated", 1.0)
-    recomputed = (binned_chi2 if statistic == "chi2" else binned_poisson_nll)(
-        spectrum, problem.with_values(result.values))
-    assert result.statistic == pytest.approx(recomputed, rel=1e-12)
+    assert result.statistic == pytest.approx(_recomputed(statistic, problem, result.values),
+                                             rel=1e-12)
     # the Poisson simplex spent its 4800 evaluations on this spectrum
     # without meeting its tolerances, so only its statistic is an oracle
     if simplex_converged:
@@ -842,14 +827,10 @@ def test_free_centroid_uncertainties_match_a_central_difference_hessian(statisti
     problem = _two_line_problem(statistic, resolution_model)
     values = fit_minimize(problem).values
     sigma = parameter_uncertainties(problem, values)
-    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
-                              "simulated", 1.0)
 
     def stat(theta):  # chi2 / 2 or the NLL, both with covariance H^-1
-        model = problem.with_values(theta)
-        if statistic == "chi2":
-            return binned_chi2(spectrum, model) / 2.0
-        return binned_poisson_nll(spectrum, model)
+        value = _recomputed(statistic, problem, theta)
+        return value / 2.0 if statistic == "chi2" else value
 
     n = values.size
     steps = np.diag(1e-2 * sigma)
@@ -950,9 +931,7 @@ def test_chi2_reduced_curvature_matches_central_differences(case, resolution_mod
     problem, centroids, held = _chi2_projection_case(case, resolution_model)
     space = limits_module._Projection(problem, problem._design)
     theta, stat, gradient, hess = space.solve(centroids, None, held)
-    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
-                              "simulated", 1.0)
-    assert stat == pytest.approx(binned_chi2(spectrum, problem.with_values(theta)), rel=1e-13)
+    assert stat == pytest.approx(_recomputed("chi2", problem, theta), rel=1e-13)
     np.testing.assert_array_equal(theta[problem.free.index((0, "centroid_kev"))], centroids[0])
 
     def stat_at(c):  # chi2 / 2, with the signal in the same state at every point
@@ -1035,8 +1014,6 @@ def test_lone_free_line_fit_and_profile_match_a_centroid_search(statistic):
     problem = _background_free_free_centroid_problem(3)
     problem = replace(problem, observed=problem.observed * 10.0, statistic=statistic)
     assert not problem._design.static_columns
-    spectrum = BinnedSpectrum(problem.grid, problem.observed.astype(int), Exposure(1.0, 1.0),
-                              "simulated", 1.0)
     variance = np.maximum(problem.observed, 1.0)
 
     def unit(c):
@@ -1051,10 +1028,7 @@ def test_lone_free_line_fit_and_profile_match_a_centroid_search(statistic):
                                   / np.sum(column * column / variance))
             else:  # N / C
                 amplitude = float(problem.observed.sum() / column.sum())
-        model = problem.with_values([c, amplitude])
-        if statistic == "chi2":
-            return binned_chi2(spectrum, model)
-        return binned_poisson_nll(spectrum, model)
+        return _recomputed(statistic, problem, [c, amplitude])
 
     fit = fit_minimize(problem)
     centroid = fit.values[0]
