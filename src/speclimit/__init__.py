@@ -24,12 +24,10 @@ _EXPORTS = {
     "constants": (
         "ALPHA_EM", "AVOGADRO_PER_MOL", "BETA2_OVER_2_BOUND_CCD_SEARCH",
         "CORRELATION_LENGTH_DEFAULT_M", "ELECTRON_MASS_KEV", "ELEMENTARY_CHARGE_C",
-        "EV_PER_KEV", "FWHM_PER_SIGMA", "HBAR_C_KEV_M", "HBAR_KEV_S",
-        "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S", "LAMBDA_BOUND_80KGDAY_PER_S",
-        "LAMBDA_BOUND_SLAB_CORRECTED_PER_S", "LAMBDA_BOUND_SLAB_PER_S",
-        "LAMBDA_QMSL_REFERENCE_PER_S", "NUCLEON_MASS_KEV", "SECONDS_PER_DAY", "Exposure",
-        "constants_table", "days_to_seconds", "ev_to_kev", "fwhm_to_sigma", "kev_to_ev",
-        "mass_ratio_squared", "seconds_to_days", "sigma_to_fwhm",
+        "FWHM_PER_SIGMA", "HBAR_C_KEV_M", "HBAR_KEV_S", "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S",
+        "LAMBDA_BOUND_80KGDAY_PER_S", "LAMBDA_BOUND_SLAB_CORRECTED_PER_S",
+        "LAMBDA_BOUND_SLAB_PER_S", "LAMBDA_QMSL_REFERENCE_PER_S", "NUCLEON_MASS_KEV",
+        "SECONDS_PER_DAY", "Exposure", "constants_table", "fwhm_to_sigma", "mass_ratio_squared",
     ),
     "csl": (
         "NONRELATIVISTIC_LIMIT_KEV", "CslParams", "TargetMaterial", "alpha_from_lambda",
@@ -52,8 +50,8 @@ _EXPORTS = {
         "run_pseudo_experiments",
     ),
     "pep": (
-        "PepRunConfig", "PepTransition", "PepViolationParameter", "forbidden_window",
-        "pep_expected_counts", "pep_upper_limit",
+        "PepRunConfig", "PepTransition", "forbidden_window", "pep_expected_counts",
+        "pep_upper_limit",
     ),
     "projection": (
         "ImprovementBudget", "background_reduction", "budget_report_rows",

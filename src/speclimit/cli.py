@@ -28,8 +28,9 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DegenerateMapError, FitError, ScanRangeError
 from .errors import SpectrumFormatError, ToolkitError, config_checked, config_choice, config_int
-from .errors import config_fraction, config_keywords, config_list, config_number, config_numbers
-from .errors import config_object, config_section, config_string
+from .errors import config_efficiency, config_fraction, config_keywords, config_list
+from .errors import config_number, config_numbers, config_object, config_positive
+from .errors import config_section, config_string
 
 if TYPE_CHECKING:
     from .spectra import EnergyGrid
@@ -102,10 +103,11 @@ def _free(entries, key: str) -> tuple:
 _GRID = {"edges": config_numbers, "lo_kev": config_number, "hi_kev": config_number,
          "n_bins": config_int}
 _EXPOSURE = {"mass_kg": (config_number, True), "live_time_days": (config_number, True)}
-_RUN = {"current_a": (config_number, True), "duration_s": (config_number, True),
-        "geometric_acceptance": (config_number, True),
-        "detection_efficiency": (config_number, True),
-        "capture_cascade_factor": config_number, "capture_opportunities": config_number}
+# every run factor multiplies the unit yield, so none may be 0
+_RUN = {"current_a": (config_positive, True), "duration_s": (config_positive, True),
+        "geometric_acceptance": (config_efficiency, True),
+        "detection_efficiency": (config_efficiency, True),
+        "capture_cascade_factor": config_efficiency, "capture_opportunities": config_positive}
 _TRANSITION = {"normal_energy_kev": config_number, "shift_kev": config_number}
 _TARGET = {"element": config_string, "quasi_free_electrons": config_number}
 _BACKGROUND = {"coefficients": config_numbers}
@@ -121,7 +123,7 @@ _TABLES = {
     "csl": {**_LIMIT, "spectrum": (config_string, True), "statistic": _statistic,
             "background": config_section(_BACKGROUND), "response": _response,
             "target": config_section(_TARGET), "correlation_length_m": config_number,
-            "detection_efficiency": config_number, "grid_rtol": config_fraction},
+            "detection_efficiency": config_efficiency, "grid_rtol": config_fraction},
     "pep": {**_LIMIT, "on": (config_string, True), "off": (config_string, True),
             "ratio": config_number, "transition": config_section(_TRANSITION),
             "response": (_response, True), "run": (config_section(_RUN), True),
@@ -297,8 +299,6 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
     target = TargetMaterial.from_table(**{"element": "Ge", **config.get("target", {})})
     correlation_length_m = config.get("correlation_length_m", CORRELATION_LENGTH_DEFAULT_M)
     efficiency = config.get("detection_efficiency", 1.0)
-    if not 0.0 < efficiency <= 1.0:
-        raise ConfigError("detection_efficiency must lie in (0, 1]")
     _one_efficiency(efficiency, response)
 
     spectrum = load_spectrum(base / config["spectrum"])
@@ -348,8 +348,9 @@ def _limit_csl(args, config: dict, config_hash: str, base: Path) -> int:
         ("mass-mode-ratio", lam_mass / lam),
         ("scan-points", limit.metadata["scan_points"]),
     ])
+    # emitted amplitudes, like the report's rows
     write_table(out / "scan.dat", ("amplitude", "profiled_statistic"),
-                (limit.scan[:, 0], limit.scan[:, 1]),
+                (limit.scan[:, 0] / efficiency, limit.scan[:, 1]),
                 header_lines=(f"config-hash: {config_hash}",))
     print(f"lambda upper bound at {format_number(cl)} CL: {format_number(lam)} 1/s")
     print(f"mass-proportional: {format_number(lam_mass)} 1/s")

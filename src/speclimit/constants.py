@@ -1,4 +1,5 @@
-"""Physical constants and the unit conversions the toolkit relies on.
+"""Physical constants, exposures and the FWHM-to-sigma conversion the
+toolkit relies on.
 
 Internal units are keV for energy, seconds for time and metres for
 length. Values are frozen CODATA 2018 numbers; tests pin arithmetic
@@ -27,22 +28,15 @@ __all__ = [
     "LAMBDA_BOUND_80KGDAY_MASSPROP_PER_S",
     "BETA2_OVER_2_BOUND_CCD_SEARCH",
     "SECONDS_PER_DAY",
-    "EV_PER_KEV",
     "FWHM_PER_SIGMA",
     "ELEMENTARY_CHARGE_C",
     "AVOGADRO_PER_MOL",
     "fwhm_to_sigma",
-    "sigma_to_fwhm",
-    "kev_to_ev",
-    "ev_to_kev",
-    "days_to_seconds",
-    "seconds_to_days",
     "mass_ratio_squared",
     "constants_table",
 ]
 
 SECONDS_PER_DAY = 86400.0
-EV_PER_KEV = 1000.0
 
 # FWHM = 2 sqrt(2 ln 2) sigma for a Gaussian response
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -97,28 +91,6 @@ def fwhm_to_sigma(fwhm_kev: float) -> float:
     if fwhm_kev <= 0:
         raise DomainError("FWHM must be positive")
     return fwhm_kev / FWHM_PER_SIGMA
-
-
-def sigma_to_fwhm(sigma_kev: float) -> float:
-    if sigma_kev <= 0:
-        raise DomainError("sigma must be positive")
-    return sigma_kev * FWHM_PER_SIGMA
-
-
-def kev_to_ev(energy_kev):
-    return energy_kev * EV_PER_KEV
-
-
-def ev_to_kev(energy_ev):
-    return energy_ev / EV_PER_KEV
-
-
-def days_to_seconds(days):
-    return days * SECONDS_PER_DAY
-
-
-def seconds_to_days(seconds):
-    return seconds / SECONDS_PER_DAY
 
 
 def mass_ratio_squared() -> float:

@@ -83,6 +83,23 @@ def config_fraction(value, key: str) -> float:
     return number
 
 
+def config_positive(value, key: str) -> float:
+    """A config value as a float above 0 (a current, a duration), or a
+    ConfigError naming its key."""
+    if not (number := config_number(value, key)) > 0.0:
+        raise ConfigError(f"config value {key!r} must be positive, got {value!r}")
+    return number
+
+
+def config_efficiency(value, key: str) -> float:
+    """A config value as a float in (0, 1] (an acceptance, an efficiency),
+    or a ConfigError naming its key: a factor of 0 leaves no expected
+    counts to bound."""
+    if not 0.0 < (number := config_number(value, key)) <= 1.0:
+        raise ConfigError(f"config value {key!r} must lie in (0, 1], got {value!r}")
+    return number
+
+
 def config_keywords(section: dict, *keys) -> dict:
     """The keyword arguments among keys that a checked config section
     sets. Keys the section leaves out are not passed, so the callee's

@@ -212,14 +212,7 @@ class FitProblem:
     @classmethod
     def from_spectrum(cls, spectrum: BinnedSpectrum, model: SpectralModel,
                       free, signal, statistic: str = "chi2") -> "FitProblem":
-        return cls.from_values(spectrum.grid, spectrum.counts, model, free, signal, statistic)
-
-    @classmethod
-    def from_values(cls, grid: EnergyGrid, values, model: SpectralModel,
-                    free, signal, statistic: str = "chi2") -> "FitProblem":
-        """Problem over real-valued expectations, e.g. noiseless closure fits."""
-        return cls(grid=grid, observed=values, model=model, free=free, signal=signal,
-                   statistic=statistic)
+        return cls(spectrum.grid, spectrum.counts, model, free, signal, statistic)
 
     def parameter_name(self, ref) -> str:
         return _ref_name(tuple(ref))
@@ -247,7 +240,7 @@ class FitProblem:
         if not self._design.linear:
             raise DomainError("a problem with a free line centroid has no fixed "
                               "least-squares core")
-        return _core_from_fit_problem(self, self._design, self.observed)
+        return _core_from_fit_problem(self, self.observed)
 
 
 class _Design:
@@ -364,16 +357,17 @@ def fit_minimize(problem: FitProblem, *, seed: int = 0) -> FitResult:
     raises FitError. seed selects nothing; it is kept for callers that
     pass it.
     """
-    return _global_fit(problem, problem._design)[0]
+    return _global_fit(problem)[0]
 
 
-def _global_fit(problem: FitProblem, design: _Design):
+def _global_fit(problem: FitProblem):
     """fit_minimize's fit, from which a limit's profile also starts: the
     FitResult, a Counter of the profile points it solved and the Newton
     iterations it took, and the _Projection it built (None if linear)."""
+    design = problem._design
     counts, space = Counter(newton_iterations=0, profile_points=0), None  # metadata order
     if not design.linear:
-        space = _Projection(problem, design)
+        space = _Projection(problem)
         start = problem.initial_values()
         start[design.centroid_idx], n_grid = _grid_start(space)
         values, stat, solves, iterations = _reduced_newton(space, start)
@@ -385,14 +379,14 @@ def _global_fit(problem: FitProblem, design: _Design):
             values = core.values_at(max(core.best_signal(), 0.0))
             stat = _chi2_from_mu(problem.observed, design.base + design.columns @ values)
         else:
-            x, nll = _poisson_solve(problem, design, None, None, "the fit", counts)[:2]
+            x, nll = _poisson_solve(problem, None, None, "the fit", counts)[:2]
             values, stat = x[0], float(nll[0])
     except DegenerateMapError as err:  # a design the solve cannot invert fails the fit
         raise FitError(str(err)) from err
     return FitResult(values, stat, 1), counts, space
 
 
-def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
+def _curvature(problem: FitProblem, theta: np.ndarray):
     """Gradient and Hessian of l = chi2 / 2, or of the Poisson NLL, at theta.
 
     The Hessian is exact: J^T diag(d2l/dmu2) J plus sum_i dl/dmu_i
@@ -401,7 +395,7 @@ def _curvature(problem: FitProblem, design: _Design, theta: np.ndarray):
     both derivatives come from one design.point.
     """
     observed = problem.observed
-    mu, jac, terms = design.point(theta)
+    mu, jac, terms = problem._design.point(theta)
     if problem.statistic == "chi2":
         variance = _variance_floor(observed)
         dl_dmu = (mu - observed) / variance
@@ -436,13 +430,13 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
     values = np.asarray(values, dtype=float)
     if values.shape != (len(problem.free),):
         raise ShapeError(f"{len(problem.free)} parameter values expected, got {values.shape}")
-    if problem.statistic == "chi2" and problem._design.linear:
+    if _solver_for(problem) == "exact-gaussian":
         try:
             cov = problem._core.cov[0]
         except DegenerateMapError as err:
             raise FitError(str(err)) from err
     else:
-        _, hess = _curvature(problem, problem._design, values)
+        _, hess = _curvature(problem, values)
         if problem.statistic == "poisson_nll" and jacobi_scaled(hess)[2]:
             raise FitError("singular curvature matrix: a direction that no bin with counts "
                            "curves")
@@ -463,7 +457,7 @@ def parameter_uncertainties(problem: FitProblem, values: np.ndarray) -> np.ndarr
 # a problem in 1-2 centroids
 
 
-def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
+def _poisson_starts(problem: FitProblem, signals, starts):
     """The candidate starts of _poisson_solve, rows of linear parameters,
     in order: starts (None for none), the weighted least-squares values
     at each row's signal (the free signal clipped at zero), unless the
@@ -474,9 +468,10 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     at the design's current centroids."""
     if starts is not None:
         yield starts
+    design = problem._design
     try:
         core = (problem._core if design.linear else
-                _core_from_fit_problem(problem, design, problem.observed))
+                _core_from_fit_problem(problem, problem.observed))
     except (FitError, DegenerateMapError):
         pass  # a singular least-squares core: Newton names the cause
     else:
@@ -486,7 +481,7 @@ def _poisson_starts(problem: FitProblem, design: _Design, signals, starts):
     yield problem.initial_values()[design.linear_idx][None]
 
 
-def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where, counts):
+def _poisson_solve(problem: FitProblem, signals, starts, where, counts):
     """The linear parameters minimizing the Poisson NLL at the design's
     current centroids, the NLL, the empty bins held at mu = 0 (the
     working set of minimize_linear_poisson, a mask of bins) and whether
@@ -508,6 +503,7 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     counts["newton_iterations"], a free signal's second solve included.
     This is the one caller of scoring_step and minimize_linear_poisson.
     """
+    design = problem._design
     observed, columns = problem.observed, design.columns
     pos = design.signal_column
     held = signals is not None
@@ -530,7 +526,7 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
             outside = np.any(offsets[:, unreached] <= 0.0, axis=1)
             x[outside] = problem.initial_values()[design.linear_idx]
             rows = np.flatnonzero(~outside)
-    for candidate in _poisson_starts(problem, design, signals, starts):
+    for candidate in _poisson_starts(problem, signals, starts):
         inside = in_poisson_domain(observed, offsets + candidate[:, keep] @ cols.T)
         x = np.where((inside & np.isnan(x[:, 0]))[:, None], candidate, x)
         if not np.isnan(x[:, 0]).any():
@@ -553,11 +549,11 @@ def _poisson_solve(problem: FitProblem, design: _Design, signals, starts, where,
     if held:
         x[:, pos] = signals
     elif not x[0, pos] >= 0.0:
-        return _poisson_solve(problem, design, np.zeros(1), starts, where, counts)
+        return _poisson_solve(problem, np.zeros(1), starts, where, counts)
     return x, nll, bins, held
 
 
-def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_bins):
+def _reduced_curvature(problem: FitProblem, theta, held, held_bins):
     """Gradient and Hessian over the centroids of the Poisson NLL, with
     the linear parameters re-solved at each centroid (the chi-square's
     come from _Projection.solve's workspace).
@@ -572,9 +568,10 @@ def _reduced_curvature(problem: FitProblem, design: _Design, theta, held, held_b
     directions the held bins leave free, in least squares where no bin
     with counts curves one of them.
     """
+    design = problem._design
     cidx = design.centroid_idx
     linear = [i for i in design.linear_idx if not (held and i == problem.signal_index())]
-    score, hess = _curvature(problem, design, theta)
+    score, hess = _curvature(problem, theta)
     if held_bins.size:
         _, jac, terms = design.point(theta)
         rows = jac[held_bins]
@@ -721,7 +718,8 @@ class _Projection:
     passes of the Poisson trial solves.
     """
 
-    def __init__(self, problem: FitProblem, design: _Design):
+    def __init__(self, problem: FitProblem):
+        design = problem._design
         self.problem, self.design = problem, design
         self.root_weights = 1.0 / np.sqrt(_variance_floor(problem.observed))
         self.y = (problem.observed - design.base) * self.root_weights
@@ -768,13 +766,13 @@ class _Projection:
             theta = np.zeros(len(problem.free)) if start is None else np.array(start, dtype=float)
             theta[design.centroid_idx] = centroids
             x, nll, bins, held = _poisson_solve(
-                problem, design, None if signal is None else np.array([float(signal)]),
+                problem, None if signal is None else np.array([float(signal)]),
                 None if start is None else theta[linear][None],
                 f"centroids {list(map(float, centroids))!r}", self.inner)
             theta[linear], stat = x[0], float(nll[0])
             if stat == np.inf:
                 return theta, stat, None, None
-            return (theta, stat) + _reduced_curvature(problem, design, theta, held,
+            return (theta, stat) + _reduced_curvature(problem, theta, held,
                                                       np.flatnonzero(bins[0]))
         lines = design.at(centroids)[:, design.line_columns] * self.root_weights[:, None]
         column = lines[:, self.signal] if self.line_signal else self.statics[:, self.signal]
@@ -969,14 +967,12 @@ class GaussianResidualProblem:
     """Gaussian-error measurements with a linear signal shape.
 
     Covers residual spectra (and, with a single bin of unit sigma, the
-    textbook truncated-Gaussian counting measurement). Optional
-    nuisance shapes are profiled linearly.
+    textbook truncated-Gaussian counting measurement).
     """
 
     values: np.ndarray
     sigmas: np.ndarray
     signal_shape: np.ndarray
-    nuisance_shapes: np.ndarray | None = None
     name: str = "signal"
 
     def __post_init__(self):
@@ -987,14 +983,6 @@ class GaussianResidualProblem:
             raise ShapeError("values, sigmas and signal shape must have equal length")
         if np.any(self.sigmas <= 0):
             raise DomainError("all sigmas must be positive")
-        if self.nuisance_shapes is not None:
-            self.nuisance_shapes = np.atleast_2d(np.asarray(self.nuisance_shapes, dtype=float))
-            if self.nuisance_shapes.shape[1] != self.values.size:
-                self.nuisance_shapes = self.nuisance_shapes.T
-            if self.nuisance_shapes.shape[0] == 0:
-                self.nuisance_shapes = None
-            elif self.nuisance_shapes.shape[1] != self.values.size:
-                raise ShapeError("nuisance shapes match the values on neither axis")
 
 
 class _LinearGaussianCore:
@@ -1064,12 +1052,13 @@ class _LinearGaussianCore:
         return float(np.sum(self.w[row] * resid * resid))
 
 
-def _core_from_fit_problem(problem: FitProblem, design: _Design, observed: np.ndarray):
-    """The Gaussian core of the problem's linear parameters at the
+def _core_from_fit_problem(problem: FitProblem, observed: np.ndarray):
+    """The Gaussian core of the problem's linear parameters at its
     design's current centroids, for the given observed counts, one row
     per spectrum. The columns go in Fortran-ordered: BLAS rounds the
     normal matrices by memory layout, and the chi-square results keep
     the last bits of this one."""
+    design = problem._design
     return _LinearGaussianCore(
         y=observed - design.base,
         variance=_variance_floor(observed),
@@ -1080,23 +1069,22 @@ def _core_from_fit_problem(problem: FitProblem, design: _Design, observed: np.nd
 
 
 def _core_from_residual_problem(problem: GaussianResidualProblem):
-    shapes = [problem.signal_shape]
-    if problem.nuisance_shapes is not None:
-        shapes.extend(problem.nuisance_shapes)
+    # the signal's column as np.column_stack lays it out: BLAS rounds by
+    # memory layout, and the pep bound keeps the last bits of this one
     return _LinearGaussianCore(
         y=problem.values,
         variance=problem.sigmas ** 2,
-        columns=np.column_stack(shapes),
+        columns=np.column_stack([problem.signal_shape]),
         signal=0,
         label=problem.name,
     )
 
 
-def _solver_for(problem: FitProblem, design: _Design) -> str:
-    """The solver for the fit and the profile: linear problems are solved
-    exactly ("exact-gaussian" for chi2, "newton" for the Poisson NLL),
-    one or two free centroids by "projection"."""
-    if design.linear:
+def _solver_for(problem: FitProblem) -> str:
+    """The solver for the fit, the uncertainties and the profile: linear
+    problems are solved exactly ("exact-gaussian" for chi2, "newton" for
+    the Poisson NLL), one or two free centroids by "projection"."""
+    if problem._design.linear:
         return "exact-gaussian" if problem.statistic == "chi2" else "newton"
     return "projection"
 
@@ -1216,7 +1204,7 @@ def _exact_gaussian_limit(core: _LinearGaussianCore, cl: float):
     return _truncated_gaussian_upper(shat, sigma, cl), s, profiled(s), clipped, profiled(clipped)
 
 
-def _profiler(problem: FitProblem, design: _Design):
+def _profiler(problem: FitProblem):
     """Profiled statistic of a linear Poisson problem, or of a problem
     with free centroids, from _global_fit, fit_minimize's own fit, and
     on its _Projection.
@@ -1234,8 +1222,8 @@ def _profiler(problem: FitProblem, design: _Design):
     the scan then brackets the profile's rise.
     """
     idx = problem.signal_index()
-    fit, counts, space = _global_fit(problem, design)
-    info = {"profile_solver": _solver_for(problem, design), **counts}
+    fit, counts, space = _global_fit(problem)
+    info = {"profile_solver": _solver_for(problem), **counts}
     theta, stat_min = fit.values, fit.statistic
     known_s, known = theta[idx:idx + 1], theta[None]
 
@@ -1247,9 +1235,9 @@ def _profiler(problem: FitProblem, design: _Design):
 
     def pstat(s_values):
         s = np.atleast_1d(np.asarray(s_values, dtype=float))
-        if design.linear:
+        if space is None:
             starts = np.column_stack([np.interp(s, known_s, column) for column in known.T])
-            solved, nll, _, _ = _poisson_solve(problem, design, s, starts, "the profile", info)
+            solved, nll, _, _ = _poisson_solve(problem, s, starts, "the profile", info)
             remember(s, solved)
             return nll
         nll = np.empty(s.size)
@@ -1264,7 +1252,7 @@ def _profiler(problem: FitProblem, design: _Design):
 
     sigma = None
     if theta[idx] > 0.0:
-        hess = _curvature(problem, design, theta)[1]
+        hess = _curvature(problem, theta)[1]
         if not jacobi_scaled(hess)[2]:
             sigma = float(np.sqrt(np.linalg.inv(hess)[idx, idx]))
     return pstat, float(theta[idx]), stat_min, sigma, info
@@ -1461,14 +1449,13 @@ def bayesian_upper_limit(problem, cl: float, *, seed: int = 0,
         label = problem.name
         method = "bayesian-gaussian-residual"
     elif isinstance(problem, FitProblem):
-        design = problem._design
         statistic = problem.statistic
         label = problem.parameter_name(problem.signal)
         method = f"bayesian-{statistic}-profile"
-        if _solver_for(problem, design) == "exact-gaussian":
+        if _solver_for(problem) == "exact-gaussian":
             core = problem._core
         else:
-            profile = _profiler(problem, design)
+            profile = _profiler(problem)
     else:
         raise DomainError(f"cannot set a limit on {type(problem).__name__}")
 
@@ -1508,9 +1495,9 @@ def _require_fractions(cl: float, grid_rtol: float):
             raise DomainError(f"{name} must lie strictly between 0 and 1")
 
 
-def _thin_scan(s: np.ndarray, values: np.ndarray, keep: int = 513) -> np.ndarray:
-    if s.size > keep:
-        idx = np.unique(np.linspace(0, s.size - 1, keep).astype(int))
+def _thin_scan(s: np.ndarray, values: np.ndarray) -> np.ndarray:
+    if s.size > 513:
+        idx = np.unique(np.linspace(0, s.size - 1, 513).astype(int))
         s, values = s[idx], values[idx]
     return np.column_stack([s, values])
 
@@ -1573,7 +1560,7 @@ def _chi2_toys(problem: FitProblem, counts: np.ndarray, cl: float) -> list:
     that cannot be solved fails every toy with the error it raises.
     """
     try:
-        core = _core_from_fit_problem(problem, problem._design, counts.astype(float))
+        core = _core_from_fit_problem(problem, counts.astype(float))
     except (FitError, DegenerateMapError) as err:
         return [err] * len(counts)
     outcomes = []
@@ -1630,9 +1617,8 @@ def run_pseudo_experiments(truth: SpectralModel, grid: EnergyGrid, free, signal,
     for first in range(0, n, _TOYS_PER_BATCH):
         counts = _poisson_counts(mu, seeds[first:first + _TOYS_PER_BATCH])
         if first == 0:
-            problem = FitProblem.from_values(grid, counts[0], truth, free, signal,
-                                             statistic=statistic)
-            batched = _solver_for(problem, problem._design) == "exact-gaussian"
+            problem = FitProblem(grid, counts[0], truth, free, signal, statistic)
+            batched = _solver_for(problem) == "exact-gaussian"
         if batched:
             outcomes = _chi2_toys(problem, counts, cl)
         else:

@@ -31,7 +31,6 @@ from .spectra import DetectorResponse, ResidualSpectrum, _gaussian_bin_fractions
 __all__ = [
     "PepTransition",
     "PepRunConfig",
-    "PepViolationParameter",
     "pep_expected_counts",
     "forbidden_window",
     "pep_upper_limit",
@@ -86,17 +85,6 @@ class PepRunConfig:
     @property
     def new_electron_count(self) -> float:
         return self.current_a * self.duration_s / ELEMENTARY_CHARGE_C
-
-
-@dataclass(frozen=True)
-class PepViolationParameter:
-    """Symmetric-state formation probability beta^2 / 2."""
-
-    beta2_over_2: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta2_over_2 <= 1.0:
-            raise DomainError("beta^2/2 is a probability and must lie in [0, 1]")
 
 
 def pep_expected_counts(config: PepRunConfig, beta2_over_2: float) -> float:

@@ -150,8 +150,8 @@ def test_acceptance_4_fit_recovery(capfd):
         mu = predict_counts(FIT_TRUTH, FIT_GRID)
         assert mu.min() > 1e4  # the toy spectra really are 1e4 counts per bin
         for statistic in ("chi2", "poisson_nll"):
-            problem = FitProblem.from_values(FIT_GRID, mu, FIT_START, FIT_FREE,
-                                             FIT_FREE[0], statistic=statistic)
+            problem = FitProblem(FIT_GRID, mu, FIT_START, FIT_FREE,
+                                 FIT_FREE[0], statistic=statistic)
             result = fit_minimize(problem, seed=0)
             rel = np.abs(result.values / FIT_TRUE_VALUES - 1.0)
             assert rel.max() < 1e-6

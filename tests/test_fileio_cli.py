@@ -495,21 +495,55 @@ def test_cli_pep_limit_refuses_two_efficiencies_and_writes_nothing(tmp_path, cap
 
 
 def test_cli_continuum_limit_reports_both_amplitudes_before_detection(tmp_path, capsys):
-    # the bound and the best fit are both divided by detection_efficiency,
-    # so at 0.5 each row is exactly twice its value at 1
+    # the bound, the best fit and scan.dat's amplitudes are all divided by
+    # detection_efficiency, so at 0.5 each is exactly twice its value at 1;
+    # scan.dat once stayed in detected units. The profiled statistic is
+    # the same profile at either efficiency
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_continuum.json"),
                  "--out", str(tmp_path / "runs/continuum")]) == 0
     limit = json.loads((tmp_path / "limit_continuum.json").read_text())
-    reports = {}
+    reports, scans = {}, {}
     for efficiency in (1.0, 0.5):
         limit["detection_efficiency"] = efficiency
         (tmp_path / "limit_continuum.json").write_text(json.dumps(limit))
         assert main(["limit", "--config", str(tmp_path / "limit_continuum.json"),
                      "--out", str(tmp_path / f"limit-{efficiency}")]) == 0
         reports[efficiency] = _report_dict(tmp_path / f"limit-{efficiency}/report.txt")
+        scans[efficiency] = np.loadtxt(tmp_path / f"limit-{efficiency}/scan.dat")
     for row in ("continuum-amplitude-upper-bound", "best-fit-amplitude"):
         assert float(reports[0.5][row]) == 2.0 * float(reports[1.0][row]) > 0.0, row
+    assert scans[1.0][-1, 0] > 0.0
+    np.testing.assert_array_equal(scans[0.5][:, 0], 2.0 * scans[1.0][:, 0])
+    np.testing.assert_array_equal(scans[0.5][:, 1], scans[1.0][:, 1])
+
+
+@pytest.mark.parametrize("name, path", [
+    *(("limit_forbidden.json", ("run", key))
+      for key in ("current_a", "duration_s", "geometric_acceptance", "detection_efficiency",
+                  "capture_cascade_factor", "capture_opportunities")),
+    ("limit_continuum.json", ("detection_efficiency",)),
+], ids=["pep-current", "pep-duration", "pep-acceptance", "pep-efficiency", "pep-cascade",
+        "pep-opportunities", "csl-efficiency"])
+def test_cli_limit_refuses_a_factor_of_zero_before_reading_a_spectrum(tmp_path, capsys, name,
+                                                                      path):
+    # a factor of 0 leaves no expected counts to bound: a pep run factor
+    # of 0 once passed the config check and failed as [limit] after both
+    # spectra were read. No spectrum is simulated here, so a run that got
+    # as far as reading one would fail as [io]
+    _copy_sample_configs(tmp_path)
+    config = json.loads((tmp_path / name).read_text())
+    section = config
+    for step in path[:-1]:
+        section = section[step]
+    section[path[-1]] = 0
+    (tmp_path / name).write_text(json.dumps(config))
+    code = main(["limit", "--config", str(tmp_path / name), "--out", str(tmp_path / "limits/x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"speclimit: error [config]: config value {'.'.join(path)!r} must ")
+    assert err.rstrip().endswith("got 0")
+    assert not (tmp_path / "limits").exists()
 
 
 def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):

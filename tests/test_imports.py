@@ -170,7 +170,7 @@ print(json.dumps({"all": speclimit.__all__, "resolved": resolved, "dir": dir(spe
                   "unknown": unknown}))
 """
     result = _fresh_python(probe)
-    assert len(result["all"]) == len(set(result["all"])) == 91
+    assert len(result["all"]) == len(set(result["all"])) == 84
     assert result["resolved"] == result["all"]
     assert set(result["all"]) <= set(result["dir"])
     # names are looked up on each access, never cached in the package

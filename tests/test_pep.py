@@ -21,7 +21,6 @@ from speclimit import (
     GaussianLine,
     PepRunConfig,
     PepTransition,
-    PepViolationParameter,
     PolynomialBackground,
     ResidualSpectrum,
     SpectralModel,
@@ -82,9 +81,6 @@ def test_run_config_validation():
         PepRunConfig(current_a=1.0, duration_s=1.0,
                      geometric_acceptance=0.5, detection_efficiency=0.5,
                      capture_opportunities=0.0)
-    with pytest.raises(DomainError):
-        PepViolationParameter(beta2_over_2=-0.1)
-    assert PepViolationParameter(beta2_over_2=1e-29).beta2_over_2 == 1e-29
 
 
 def test_forbidden_window_spans_fwhm_multiples():
