@@ -40,9 +40,8 @@ _EXPORTS = {
         "ValidityError",
     ),
     "fileio": (
-        "canonical_config_hash", "format_number", "load_config", "load_residual",
-        "load_spectrum", "load_spectrum_with_header", "write_report", "write_residual",
-        "write_spectrum", "write_table",
+        "canonical_config_hash", "format_number", "load_config", "load_spectrum",
+        "write_report", "write_residual", "write_spectrum", "write_table",
     ),
     "limits": (
         "EnsembleResult", "FitProblem", "FitResult", "GaussianResidualProblem",

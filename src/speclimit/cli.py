@@ -109,7 +109,7 @@ _RUN = {"current_a": (config_positive, True), "duration_s": (config_positive, Tr
         "detection_efficiency": (config_efficiency, True),
         "capture_cascade_factor": config_efficiency, "capture_opportunities": config_positive}
 _TRANSITION = {"normal_energy_kev": config_number, "shift_kev": config_number}
-_TARGET = {"element": config_string, "quasi_free_electrons": config_number}
+_TARGET = {"element": config_string, "quasi_free_electrons": config_positive}
 _BACKGROUND = {"coefficients": config_numbers}
 _LIMIT = {"kind": config_string, "analysis": config_choice(("csl", "pep")), "seed": config_int,
           "confidence_level": config_fraction}
@@ -122,12 +122,12 @@ _TABLES = {
             "statistic": _statistic},
     "csl": {**_LIMIT, "spectrum": (config_string, True), "statistic": _statistic,
             "background": config_section(_BACKGROUND), "response": _response,
-            "target": config_section(_TARGET), "correlation_length_m": config_number,
+            "target": config_section(_TARGET), "correlation_length_m": config_positive,
             "detection_efficiency": config_efficiency, "grid_rtol": config_fraction},
     "pep": {**_LIMIT, "on": (config_string, True), "off": (config_string, True),
-            "ratio": config_number, "transition": config_section(_TRANSITION),
+            "ratio": config_positive, "transition": config_section(_TRANSITION),
             "response": (_response, True), "run": (config_section(_RUN), True),
-            "window_fwhm_multiple": config_number},
+            "window_fwhm_multiple": config_positive},
     "project": {"kind": config_string, "linear_factors": (config_list, True),
                 "background_factors": (config_list, True)},
 }

@@ -1,13 +1,14 @@
 """On-disk formats: spectra, residuals, reports, run configurations.
 
 Spectrum files are plain text with a versioned header of `# key: value`
-lines followed by one `bin_lo bin_hi counts` row per bin. Floats are
-written with repr so files and reports round trip bit for bit; every
-report carries the sha256 hash of the resolved configuration that
-produced it.
+lines followed by one `bin_lo bin_hi counts` row per bin. Residual
+files share the layout with `residual sigma` columns; they are a data
+product, written and never read back. Floats are written with repr so
+files and reports round trip bit for bit; every report carries the
+sha256 hash of the resolved configuration that produced it.
 
 Reports, tables and configs need no numpy: the spectrum types are
-imported by the loaders that build them, so a run that only writes a
+imported by the loader that builds them, so a run that only writes a
 report (`speclimit project`) stays free of the numeric stack.
 """
 
@@ -28,9 +29,7 @@ if TYPE_CHECKING:
 __all__ = [
     "write_spectrum",
     "load_spectrum",
-    "load_spectrum_with_header",
     "write_residual",
-    "load_residual",
     "load_config",
     "canonical_config_hash",
     "format_number",
@@ -68,7 +67,12 @@ def write_spectrum(path, spectrum: BinnedSpectrum, *, extra_header: dict | None 
                        (grid.lower_edges, grid.upper_edges, spectrum.counts), header_lines=header)
 
 
-def _parse_header_and_rows(path: Path):
+def load_spectrum(path) -> BinnedSpectrum:
+    from .spectra import SPECTRUM_TAGS, BinnedSpectrum, EnergyGrid
+
+    path = Path(path)
+    if not path.exists():
+        raise SpectrumFormatError(f"{path}: no such file")
     header = {}
     rows = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -82,21 +86,31 @@ def _parse_header_and_rows(path: Path):
                 header[key.strip()] = value.strip()
             continue
         rows.append((lineno, line))
-    return header, rows
-
-
-def _parse_bin_rows(path: Path, rows, n_value_columns: int):
-    """Shared bin-row parser; returns (edges, value columns)."""
+    for key in _REQUIRED_SPECTRUM_KEYS:
+        if key not in header:
+            raise SpectrumFormatError(f"{path}: missing required header '{key}'")
+    if header["format"] != SPECTRUM_FORMAT:
+        raise SpectrumFormatError(
+            f"{path}: unsupported format {header['format']!r}, expected {SPECTRUM_FORMAT!r}"
+        )
+    if header["units-energy"] != "keV":
+        raise SpectrumFormatError(
+            f"{path}: unsupported energy unit {header['units-energy']!r}, expected keV"
+        )
+    if header["units-counts"] != "counts":
+        raise SpectrumFormatError(
+            f"{path}: unsupported counts unit {header['units-counts']!r}"
+        )
+    if header["tag"] not in SPECTRUM_TAGS:
+        raise SpectrumFormatError(f"{path}: unknown tag {header['tag']!r}")
     if not rows:
         raise SpectrumFormatError(f"{path}: no data rows")
-    lower, upper = [], []
-    values = [[] for _ in range(n_value_columns)]
+
+    lower, upper, counts = [], [], []
     for row_index, (lineno, line) in enumerate(rows, start=1):
         tokens = line.split()
-        if len(tokens) != 2 + n_value_columns:
-            raise SpectrumFormatError(
-                f"{path}:{lineno}: expected {2 + n_value_columns} columns, got {len(tokens)}"
-            )
+        if len(tokens) != 3:
+            raise SpectrumFormatError(f"{path}:{lineno}: expected 3 columns, got {len(tokens)}")
         try:
             lo = float(tokens[0])
             hi = float(tokens[1])
@@ -121,45 +135,12 @@ def _parse_bin_rows(path: Path, rows, n_value_columns: int):
                 )
         lower.append(lo)
         upper.append(hi)
-        for c in range(n_value_columns):
-            values[c].append((lineno, row_index, tokens[2 + c]))
-    return lower + [upper[-1]], values
-
-
-def load_spectrum_with_header(path) -> tuple[BinnedSpectrum, dict]:
-    from .spectra import SPECTRUM_TAGS, BinnedSpectrum, EnergyGrid
-
-    path = Path(path)
-    if not path.exists():
-        raise SpectrumFormatError(f"{path}: no such file")
-    header, rows = _parse_header_and_rows(path)
-    for key in _REQUIRED_SPECTRUM_KEYS:
-        if key not in header:
-            raise SpectrumFormatError(f"{path}: missing required header '{key}'")
-    if header["format"] != SPECTRUM_FORMAT:
-        raise SpectrumFormatError(
-            f"{path}: unsupported format {header['format']!r}, expected {SPECTRUM_FORMAT!r}"
-        )
-    if header["units-energy"] != "keV":
-        raise SpectrumFormatError(
-            f"{path}: unsupported energy unit {header['units-energy']!r}, expected keV"
-        )
-    if header["units-counts"] != "counts":
-        raise SpectrumFormatError(
-            f"{path}: unsupported counts unit {header['units-counts']!r}"
-        )
-    if header["tag"] not in SPECTRUM_TAGS:
-        raise SpectrumFormatError(f"{path}: unknown tag {header['tag']!r}")
-
-    edges, (count_tokens,) = _parse_bin_rows(path, rows, 1)
-    counts = []
-    for lineno, row_index, token in count_tokens:
         try:
-            value = int(token)
+            value = int(tokens[2])
         except ValueError as err:
             raise SpectrumFormatError(
                 f"{path}:{lineno}: row {row_index} counts must be a plain integer, "
-                f"got {token!r}"
+                f"got {tokens[2]!r}"
             ) from err
         if value < 0:
             raise SpectrumFormatError(
@@ -171,17 +152,11 @@ def load_spectrum_with_header(path) -> tuple[BinnedSpectrum, dict]:
         exposure = Exposure(mass_kg=float(header["mass-kg"]),
                             live_time_days=float(header["live-time-days"]))
         acquisition_days = float(header["acquisition-days"])
-        spectrum = BinnedSpectrum(grid=EnergyGrid(edges), counts=counts,
-                                  exposure=exposure, tag=header["tag"],
-                                  acquisition_days=acquisition_days)
+        return BinnedSpectrum(grid=EnergyGrid(lower + [upper[-1]]), counts=counts,
+                              exposure=exposure, tag=header["tag"],
+                              acquisition_days=acquisition_days)
     except ValueError as err:
         raise SpectrumFormatError(f"{path}: {err}") from err
-    return spectrum, header
-
-
-def load_spectrum(path) -> BinnedSpectrum:
-    spectrum, _ = load_spectrum_with_header(path)
-    return spectrum
 
 
 def write_residual(path, residual: ResidualSpectrum, *, extra_header: dict | None = None) -> Path:
@@ -194,43 +169,6 @@ def write_residual(path, residual: ResidualSpectrum, *, extra_header: dict | Non
     return write_table(path, ("bin_lo_kev", "bin_hi_kev", "residual", "sigma"),
                        (grid.lower_edges, grid.upper_edges, residual.values, residual.sigmas),
                        header_lines=header)
-
-
-def load_residual(path) -> ResidualSpectrum:
-    from .spectra import EnergyGrid, ResidualSpectrum
-
-    path = Path(path)
-    if not path.exists():
-        raise SpectrumFormatError(f"{path}: no such file")
-    header, rows = _parse_header_and_rows(path)
-    if header.get("format") != RESIDUAL_FORMAT:
-        raise SpectrumFormatError(f"{path}: not a residual file")
-    if header.get("units-energy") != "keV":
-        raise SpectrumFormatError(f"{path}: residual energies must be in keV")
-    edges, (value_tokens, sigma_tokens) = _parse_bin_rows(path, rows, 2)
-
-    def as_float(entries, what):
-        out = []
-        for lineno, row_index, token in entries:
-            try:
-                out.append(float(token))
-            except ValueError as err:
-                raise SpectrumFormatError(
-                    f"{path}:{lineno}: row {row_index} has bad {what}: {token!r}"
-                ) from err
-        return out
-
-    try:
-        return ResidualSpectrum(
-            grid=EnergyGrid(edges),
-            values=as_float(value_tokens, "residual"),
-            sigmas=as_float(sigma_tokens, "sigma"),
-            normalization_ratio=float(header.get("normalization-ratio", "1")),
-            on_days=float(header.get("on-days", "0")),
-            off_days=float(header.get("off-days", "0")),
-        )
-    except ValueError as err:
-        raise SpectrumFormatError(f"{path}: {err}") from err
 
 
 def load_config(path) -> dict:

@@ -129,19 +129,18 @@ def pep_upper_limit(residual: ResidualSpectrum, transition: PepTransition,
             f"forbidden window [{lo:.3f}, {hi:.3f}] keV extends beyond the "
             f"residual grid [{grid.lo_kev:.3f}, {grid.hi_kev:.3f}] keV"
         )
-    window = residual.restrict(lo, hi)
+    # the window is every bin that overlaps [lo, hi], one contiguous run
+    mask = (grid.upper_edges > lo) & (grid.lower_edges < hi)
+    bins = np.flatnonzero(mask)
 
     center = transition.forbidden_energy_kev
     sigma = response.sigma_at(center)
-    shape = _gaussian_bin_fractions(window.grid.bin_edges, center, sigma)
-    eff = response.efficiency_for(grid)
-    mask = (grid.upper_edges > lo) & (grid.lower_edges < hi)
-    shape = shape * eff[mask]
+    shape = _gaussian_bin_fractions(grid.bin_edges[bins[0]:bins[-1] + 2], center, sigma)
+    shape = shape * response.efficiency_for(grid)[mask]
 
-    sigmas = np.maximum(window.sigmas, 1.0)
     problem = GaussianResidualProblem(
-        values=window.values,
-        sigmas=sigmas,
+        values=residual.values[mask],
+        sigmas=np.maximum(residual.sigmas[mask], 1.0),
         signal_shape=shape,
         name="forbidden_line_counts",
     )
@@ -160,7 +159,7 @@ def pep_upper_limit(residual: ResidualSpectrum, transition: PepTransition,
         "counts_upper_bound": counts_limit.upper_bound,
         "unit_yield_counts": unit_yield,
         "window_kev": (lo, hi),
-        "window_bins": int(window.grid.n_bins),
+        "window_bins": bins.size,
         "best_signal": counts_limit.metadata["best_signal"] / unit_yield,
     })
     return LimitResult(

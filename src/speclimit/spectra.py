@@ -266,24 +266,6 @@ class ResidualSpectrum:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sigmas", sigmas)
 
-    def restrict(self, lo_kev: float, hi_kev: float) -> "ResidualSpectrum":
-        """Residual restricted to bins overlapping [lo_kev, hi_kev]."""
-        if hi_kev <= lo_kev:
-            raise DomainError("window upper edge must exceed lower edge")
-        mask = (self.grid.upper_edges > lo_kev) & (self.grid.lower_edges < hi_kev)
-        if not np.any(mask):
-            raise DomainError("window does not overlap the residual grid")
-        idx = np.flatnonzero(mask)
-        edges = np.append(self.grid.lower_edges[idx], self.grid.upper_edges[idx[-1]])
-        return ResidualSpectrum(
-            grid=EnergyGrid(edges),
-            values=self.values[idx],
-            sigmas=self.sigmas[idx],
-            normalization_ratio=self.normalization_ratio,
-            on_days=self.on_days,
-            off_days=self.off_days,
-        )
-
 
 def gaussian_line_density(energy_kev, centroid_kev, fwhm_kev, amplitude):
     """Line density in counts per keV at the given energies.

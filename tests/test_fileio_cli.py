@@ -24,9 +24,7 @@ from speclimit import (
     canonical_config_hash,
     format_number,
     load_config,
-    load_residual,
     load_spectrum,
-    load_spectrum_with_header,
     model_from_description,
     simulate_spectrum,
     subtract_spectra,
@@ -71,16 +69,16 @@ def test_spectrum_round_trip_preserves_everything(tmp_path):
     spectrum = _small_spectrum()
     first = tmp_path / "a.txt"
     write_spectrum(first, spectrum, extra_header={"note": "smoke"})
-    loaded, header = load_spectrum_with_header(first)
+    assert "# note: smoke" in first.read_text().splitlines()
+    loaded = load_spectrum(first)
     assert loaded.grid == spectrum.grid
     assert np.array_equal(loaded.counts, spectrum.counts)
     assert loaded.tag == "current_on"
     assert loaded.exposure.mass_kg == 1.0
     assert loaded.exposure.live_time_days == 10.0
     assert loaded.acquisition_days == 10.0
-    assert header["note"] == "smoke"
     second = tmp_path / "b.txt"
-    write_spectrum(second, loaded, extra_header={"note": header["note"]})
+    write_spectrum(second, loaded, extra_header={"note": "smoke"})
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -163,26 +161,40 @@ def test_counts_must_be_plain_nonnegative_integers(tmp_path):
         load_spectrum(path)
 
 
+def _read_residual(path):
+    """The header rows and the float columns of a residual file, parsed
+    here: the package writes residuals and reads none back."""
+    header, rows = {}, []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            header[key] = value
+        else:
+            rows.append([float(token) for token in line.split()])
+    return header, np.array(rows)
+
+
 def test_residual_round_trip_and_format_guard(tmp_path):
     on = _small_spectrum(seed=1, tag="current_on")
     off = _small_spectrum(seed=2, tag="current_off")
     residual = subtract_spectra(on, off)
     first = tmp_path / "r.txt"
     write_residual(first, residual)
-    loaded = load_residual(first)
-    assert loaded.grid == residual.grid
-    assert np.array_equal(loaded.values, residual.values)
-    assert np.array_equal(loaded.sigmas, residual.sigmas)
-    assert loaded.normalization_ratio == residual.normalization_ratio
-    assert loaded.on_days == 10.0
-    assert loaded.off_days == 10.0
+    header, rows = _read_residual(first)
+    assert header["format"] == "speclimit-residual/1"
+    assert header["units-energy"] == "keV"
+    assert header["columns"] == "bin_lo_kev bin_hi_kev residual sigma"
+    # repr floats read back bit for bit
+    assert np.array_equal(rows[:, 0], residual.grid.lower_edges)
+    assert np.array_equal(rows[:, 1], residual.grid.upper_edges)
+    assert np.array_equal(rows[:, 2], residual.values)
+    assert np.array_equal(rows[:, 3], residual.sigmas)
+    assert float(header["normalization-ratio"]) == residual.normalization_ratio
+    assert float(header["on-days"]) == 10.0
+    assert float(header["off-days"]) == 10.0
     second = tmp_path / "r2.txt"
-    write_residual(second, loaded)
+    write_residual(second, residual)
     assert first.read_bytes() == second.read_bytes()
-
-    spectrum_path = write_spectrum(tmp_path / "s.txt", on)
-    with pytest.raises(SpectrumFormatError, match="not a residual file"):
-        load_residual(spectrum_path)
 
 
 def test_load_config_failure_modes(tmp_path):
@@ -302,8 +314,7 @@ def test_cli_forbidden_line_chain(tmp_path, capsys):
     assert main(["subtract", "--on", str(tmp_path / "runs/on/spectrum.txt"),
                  "--off", str(tmp_path / "runs/off/spectrum.txt"),
                  "--out", str(tmp_path / "runs/residual")]) == 0
-    residual = load_residual(tmp_path / "runs/residual/residual.txt")
-    assert residual.normalization_ratio == 1.0
+    assert _report_dict(tmp_path / "runs/residual/report.txt")["normalization-ratio"] == "1.0"
 
     assert main(["limit", "--config", str(tmp_path / "limit_forbidden.json"),
                  "--out", str(tmp_path / "limit")]) == 0
@@ -518,6 +529,23 @@ def test_cli_continuum_limit_reports_both_amplitudes_before_detection(tmp_path, 
     np.testing.assert_array_equal(scans[0.5][:, 1], scans[1.0][:, 1])
 
 
+def _limit_refused_before_reading(tmp_path, capsys, name, path, value):
+    """stderr of a sample limit config run with the setting at path set
+    to value, which must fail, writing nothing. No spectrum is simulated,
+    so a run that got as far as reading one would fail as [io]."""
+    _copy_sample_configs(tmp_path)
+    config = json.loads((tmp_path / name).read_text())
+    section = config
+    for step in path[:-1]:
+        section = section[step]
+    section[path[-1]] = value
+    (tmp_path / name).write_text(json.dumps(config))
+    code = main(["limit", "--config", str(tmp_path / name), "--out", str(tmp_path / "limits/x")])
+    assert code == 1
+    assert not (tmp_path / "limits").exists()
+    return capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, path", [
     *(("limit_forbidden.json", ("run", key))
       for key in ("current_a", "duration_s", "geometric_acceptance", "detection_efficiency",
@@ -529,21 +557,26 @@ def test_cli_limit_refuses_a_factor_of_zero_before_reading_a_spectrum(tmp_path, 
                                                                       path):
     # a factor of 0 leaves no expected counts to bound: a pep run factor
     # of 0 once passed the config check and failed as [limit] after both
-    # spectra were read. No spectrum is simulated here, so a run that got
-    # as far as reading one would fail as [io]
-    _copy_sample_configs(tmp_path)
-    config = json.loads((tmp_path / name).read_text())
-    section = config
-    for step in path[:-1]:
-        section = section[step]
-    section[path[-1]] = 0
-    (tmp_path / name).write_text(json.dumps(config))
-    code = main(["limit", "--config", str(tmp_path / name), "--out", str(tmp_path / "limits/x")])
-    err = capsys.readouterr().err
-    assert code == 1
+    # spectra were read
+    err = _limit_refused_before_reading(tmp_path, capsys, name, path, 0)
     assert err.startswith(f"speclimit: error [config]: config value {'.'.join(path)!r} must ")
     assert err.rstrip().endswith("got 0")
-    assert not (tmp_path / "limits").exists()
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("limit_forbidden.json", ("window_fwhm_multiple",), 0),
+    ("limit_forbidden.json", ("ratio",), 0),
+    ("limit_forbidden.json", ("ratio",), -1),
+    ("limit_continuum.json", ("correlation_length_m",), 0),
+    ("limit_continuum.json", ("target", "quasi_free_electrons"), 0),
+], ids=["pep-window", "pep-ratio-zero", "pep-ratio-negative", "csl-correlation-length",
+        "csl-quasi-free-electrons"])
+def test_cli_limit_refuses_a_setting_that_must_be_positive(tmp_path, capsys, name, path, value):
+    # each of these once passed the config check and failed as [build] or
+    # [limit] after the spectra were read
+    err = _limit_refused_before_reading(tmp_path, capsys, name, path, value)
+    assert err.startswith(f"speclimit: error [config]: config value {'.'.join(path)!r} "
+                          f"must be positive, got {value}")
 
 
 def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):

@@ -58,8 +58,9 @@ def test_import_speclimit_loads_no_numeric_module():
     assert _under(modules, "speclimit") == ["speclimit"]
 
 
-def test_constants_subcommand_loads_no_numeric_module(tmp_path):
-    assert _under(_cli_modules(["constants"], tmp_path), "numpy", "scipy") == []
+@pytest.mark.parametrize("argv", [["constants"], ["project"]], ids=["constants", "project"])
+def test_constants_subcommand_loads_no_numeric_module(tmp_path, argv):
+    assert _under(_cli_modules(argv, tmp_path), "numpy", "scipy") == []
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +171,7 @@ print(json.dumps({"all": speclimit.__all__, "resolved": resolved, "dir": dir(spe
                   "unknown": unknown}))
 """
     result = _fresh_python(probe)
-    assert len(result["all"]) == len(set(result["all"])) == 84
+    assert len(result["all"]) == len(set(result["all"])) == 82
     assert result["resolved"] == result["all"]
     assert set(result["all"]) <= set(result["dir"])
     # names are looked up on each access, never cached in the package

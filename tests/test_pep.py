@@ -142,6 +142,32 @@ def test_limit_metadata_documents_the_window():
     assert result.scan[-1, 0] >= result.upper_bound
 
 
+def test_limit_window_is_every_bin_overlapping_the_forbidden_window():
+    residual = _flat_residual()
+    lo, hi = forbidden_window(PepTransition(), RESPONSE)
+    edges = residual.grid.bin_edges.tolist()
+    overlapping = [i for i in range(len(edges) - 1) if edges[i + 1] > lo and edges[i] < hi]
+    # 25 eV bins: the window's edges cover [lo, hi], one partial bin at each end
+    assert edges[overlapping[0]] < lo < edges[overlapping[0] + 1]
+    assert edges[overlapping[-1]] < hi < edges[overlapping[-1] + 1]
+    base = pep_upper_limit(residual, PepTransition(), RESPONSE, RUN, 0.95)
+    assert base.metadata["window_bins"] == len(overlapping) == 40
+
+    def bound_with_spike(i):
+        values = residual.values.copy()
+        values[i] = 1e4
+        spiked = ResidualSpectrum(grid=residual.grid, values=values, sigmas=residual.sigmas,
+                                  normalization_ratio=1.0, on_days=1095.0, off_days=1095.0)
+        return pep_upper_limit(spiked, PepTransition(), RESPONSE, RUN, 0.95).upper_bound
+
+    # a bin just outside the window leaves the bound's bits alone, and each
+    # partial bin at its ends moves it
+    assert bound_with_spike(overlapping[0] - 1) == base.upper_bound
+    assert bound_with_spike(overlapping[-1] + 1) == base.upper_bound
+    assert bound_with_spike(overlapping[0]) != base.upper_bound
+    assert bound_with_spike(overlapping[-1]) != base.upper_bound
+
+
 def test_zero_yield_configuration_cannot_be_bounded():
     zero_current = PepRunConfig(current_a=0.0, duration_s=94_608_000.0,
                                 geometric_acceptance=0.01, detection_efficiency=0.5)

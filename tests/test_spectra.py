@@ -24,7 +24,6 @@ from speclimit import (
     ModelError,
     OneOverEContinuum,
     PolynomialBackground,
-    ResidualSpectrum,
     ShapeError,
     SpectralModel,
     component_bin_counts,
@@ -341,21 +340,6 @@ def test_subtraction_requires_positive_acquisition_times():
         subtract_spectra(on, off)
     assert subtract_spectra(on, off, ratio=1.0).values == pytest.approx(
         [15.0, 20.0, 25.0])
-
-
-def test_residual_restrict_selects_overlapping_bins():
-    grid = EnergyGrid.uniform(6.5, 9.5, 120)
-    residual = ResidualSpectrum(grid=grid, values=np.zeros(120),
-                                sigmas=np.ones(120), normalization_ratio=1.0,
-                                on_days=1.0, off_days=1.0)
-    window = residual.restrict(7.22, 8.18)
-    assert window.grid.lo_kev <= 7.22 and window.grid.hi_kev >= 8.18
-    # 25 eV bins: the window spans ceil plus boundary alignment
-    assert window.grid.n_bins in (39, 40)
-    with pytest.raises(DomainError):
-        residual.restrict(10.0, 11.0)
-    with pytest.raises(DomainError):
-        residual.restrict(8.0, 7.0)
 
 
 # erf identity: bin fractions of a unit line reproduce the cdf difference
