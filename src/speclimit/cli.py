@@ -102,7 +102,7 @@ def _free(entries, key: str) -> tuple:
 # 'seed' selects nothing: it stays known while benchmark configs set it.
 _GRID = {"edges": config_numbers, "lo_kev": config_number, "hi_kev": config_number,
          "n_bins": config_int}
-_EXPOSURE = {"mass_kg": (config_number, True), "live_time_days": (config_number, True)}
+_EXPOSURE = {"mass_kg": (config_positive, True), "live_time_days": (config_positive, True)}
 # every run factor multiplies the unit yield, so none may be 0
 _RUN = {"current_a": (config_positive, True), "duration_s": (config_positive, True),
         "geometric_acceptance": (config_efficiency, True),
@@ -116,7 +116,7 @@ _LIMIT = {"kind": config_string, "analysis": config_choice(("csl", "pep")), "see
 _TABLES = {
     "simulate": {"kind": config_string, "seed": config_int, "tag": _tag,
                  "grid": (_grid, True), "model": (_model, True),
-                 "exposure": config_section(_EXPOSURE), "acquisition_days": config_number},
+                 "exposure": config_section(_EXPOSURE), "acquisition_days": config_positive},
     "fit": {"kind": config_string, "seed": config_int, "spectrum": (config_string, True),
             "model": (_model, True), "free": (_free, True), "signal": _parse_ref,
             "statistic": _statistic},

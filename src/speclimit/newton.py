@@ -20,12 +20,32 @@ blocks it.
 A Newton pass works on the rows still moving and on the bins with
 counts: the NLL is sum(mu) - n.log(mu), the gradient the column sums
 minus (n/mu) A and the Hessian (n/mu^2) times the columns' outer
-products, which a call forms once with the column sums and log n!. A
-one- or two-column Hessian needs no LAPACK call: Jacobi-scaled, the
-2x2 one is [[1, r], [r, 1]], whose smallest eigenvalue, for the
-singularity test, is 1 - |r| and whose inverse is
-[[1, -r], [-r, 1]] / (1 - r^2). Only a row with a singular Hessian or
-a non-empty working set takes the active-set step, row by row.
+products. What these read of the counts and columns alone (the bins
+with counts, the outer products, the column sums and sum(log n!)) is
+a LinearPoisson, built once for each pair of counts and columns and
+handed to every solve on them. A one- or two-column Hessian needs no
+LAPACK call: Jacobi-scaled, the 2x2 one is [[1, r], [r, 1]], whose
+smallest eigenvalue, for the singularity test, is 1 - |r| and whose
+inverse is [[1, -r], [-r, 1]] / (1 - r^2). Only a row with a singular
+Hessian or a non-empty working set takes the active-set step, row by
+row.
+
+Where every bin with counts has n >= 1, each term -n log(mu) of an
+affine mu has |phi'''| <= 2 phi''^(3/2), so the NLL is standard
+self-concordant (Nesterov, Introductory Lectures on Convex
+Optimization, 2004, section 4.1; Boyd & Vandenberghe, Convex
+Optimization, 2004, section 9.6). A row whose step is Newton's own
+(not singular, not a ray, no bin held) and whose decrement lambda^2
+is below 0.36 is then in the quadratic phase, where no search is
+needed. The change f(x + step) - f(x) <= -lambda^2 - lambda -
+log(1 - lambda) passes the line search's test at the full step, and
+with no empty bin no bin needs the boundary cut, since
+|d mu_i| / mu_i <= lambda / sqrt(n_i) < 0.6 (the Dikin ellipsoid).
+After the full step the decrement is at most (lambda / (1 - lambda))^4
+(Nesterov, Theorem 4.1.14). Once that bound meets every row's stop
+test, the solve ends with the NLL at the new point, without another
+pass. A count in (0, 1) keeps the damped path throughout, and an
+empty bin keeps the cut.
 
 A caller may first move its starts by one Fisher scoring step
 (scoring_step), the weighted least-squares fit with weights 1/mu at the
@@ -38,6 +58,7 @@ takes about half the passes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +78,9 @@ _SINGULAR_EIGENVALUE = 1e-12
 # Biegler, Math. Program. 106 (2006) 25; Nocedal & Wright, 2nd ed.,
 # section 19.2); an empty bin is reached exactly, to join the working set
 _TO_BOUNDARY = 0.995
+# the Newton decrement lambda^2 below which a self-concordant row is in
+# its quadratic phase: lambda < 0.6 (module docstring)
+_QUADRATIC_DECREMENT = 0.36
 _SMALLEST_POSITIVE = math.ulp(0.0)
 
 
@@ -143,9 +167,49 @@ def newton_steps(curvature: np.ndarray, grad: np.ndarray):
     return -inv_sqrt * solved, singular
 
 
-def scoring_step(observed, columns, offsets, starts):
+@dataclass(frozen=True, eq=False)
+class LinearPoisson:
+    """The Poisson NLL of mu = offsets + x @ columns.T for one spectrum of
+    counts, with what every Newton pass and scoring step reads of the
+    counts and columns alone, built once (of): the bins with counts
+    (occupied, an index, or every bin where none is empty) with their
+    counts and columns, the columns' outer products over those bins
+    and over every bin, the column sums, |columns|, sum(log n!), and
+    whether every count in a bin with counts is at least 1, which makes
+    the NLL standard self-concordant (module docstring)."""
+
+    observed: np.ndarray
+    columns: np.ndarray
+    empty: np.ndarray
+    any_empty: bool
+    occupied: np.ndarray | slice
+    n_occ: np.ndarray
+    cols_occ: np.ndarray
+    outer_occ: np.ndarray
+    outer: np.ndarray
+    colsum: np.ndarray
+    abs_cols: np.ndarray
+    log_factorials: float
+    self_concordant: bool
+
+    @classmethod
+    def of(cls, observed: np.ndarray, columns: np.ndarray) -> "LinearPoisson":
+        empty = ~(observed > 0)
+        any_empty = bool(empty.any())  # without one no bin is ever held
+        occupied = np.flatnonzero(~empty) if any_empty else slice(None)
+        n_occ, cols_occ = observed[occupied], columns[occupied]
+        k = columns.shape[1]
+        outer = (columns[:, :, None] * columns[:, None, :]).reshape(-1, k * k)
+        outer_occ = ((cols_occ[:, :, None] * cols_occ[:, None, :]).reshape(-1, k * k)
+                     if any_empty else outer)
+        return cls(observed, columns, empty, any_empty, occupied, n_occ, cols_occ, outer_occ,
+                   outer, columns.sum(axis=0), np.abs(columns),
+                   float(np.sum(log_factorial(observed))), bool(np.all(n_occ >= 1.0)))
+
+
+def scoring_step(system: LinearPoisson, offsets, starts):
     """Each row of starts moved by one Fisher scoring step toward the
-    minimum of the Poisson NLL of mu = offsets + x @ columns.T.
+    minimum of the system's Poisson NLL of mu = offsets + x @ columns.T.
 
     The step is Newton's with the expected information A^T diag(1/mu) A
     in place of the Hessian, so the scored point is the weighted
@@ -157,19 +221,18 @@ def scoring_step(observed, columns, offsets, starts):
     mu <= 0 there, where the system is singular or not finite, or where
     the scored point leaves the Poisson domain.
     """
+    observed, columns = system.observed, system.columns
     mu = offsets + starts @ columns.T
     usable = mu.min(axis=1) > 0.0
     if not usable.any():
         return starts
-    k = columns.shape[1]
-    outer = (columns[:, :, None] * columns[:, None, :]).reshape(-1, k * k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_mu = 1.0 / mu
-        information = inv_mu @ outer
+        information = inv_mu @ system.outer
         usable &= np.isfinite(information.sum(axis=1))
         # a row set to zero is singular, and the solve passes it over
         step, singular = newton_steps(np.where(usable[:, None], information, 0.0),
-                                      columns.sum(axis=0) - (observed * inv_mu) @ columns)
+                                      system.colsum - (observed * inv_mu) @ columns)
         usable &= ~singular & np.isfinite(step.sum(axis=1))
         usable &= in_poisson_domain(observed, mu + step @ columns.T)
     return np.where(usable[:, None], starts + step, starts)
@@ -238,8 +301,9 @@ def _require_finite(values, live, where):
                        f"{where(live[np.argmin(np.isfinite(values))])}")
 
 
-def minimize_linear_poisson(observed, columns, offsets, starts, where):
-    """Minimize the Poisson NLL of mu = offsets + x @ columns.T, row by row.
+def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
+    """Minimize the system's Poisson NLL of mu = offsets + x @ columns.T,
+    row by row.
 
     offsets has shape (rows, bins) and starts (rows, k); every start
     must give mu > 0 in bins with counts and mu >= 0 in empty bins.
@@ -250,28 +314,33 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
     it if it is empty and the cut is taken whole, and the row's
     parameters are then corrected in least squares to put its held bins
     at mu = 0; a bin leaves when its multiplier turns negative
-    (_active_set_step). A parameter that moves no bin, or a row whose
+    (_active_set_step). Where every count in a bin with counts is at
+    least 1, the NLL is standard self-concordant: a row in the quadratic
+    phase (Newton's own step with decrement below _QUADRATIC_DECREMENT)
+    takes its full step without the line search, and without the cut
+    where no bin is empty, and the solve ends as soon as Nesterov's
+    bound on the next decrement (Introductory Lectures on Convex
+    Optimization, 2004, Theorem 4.1.14; Boyd & Vandenberghe, Convex
+    Optimization, 2004, section 9.6) meets every row's stop test
+    (module docstring). A parameter that moves no bin, or a row whose
     NLL or Newton decrement is not finite, raises FitError. where(i)
     names row i in errors, also after the rows that stopped have left
-    the batch. Returns the minimizers, the NLL (with
-    the log n! constant), the number of Newton iterations and each
-    row's working set, a mask of bins.
+    the batch. Returns the minimizers, the NLL (with the log n!
+    constant), the number of Newton iterations and each row's working
+    set, a mask of bins.
     """
-    occupied = observed > 0
-    empty = ~occupied
-    any_empty = bool(empty.any())  # without one no bin is ever held
-    occ = np.flatnonzero(occupied) if any_empty else slice(None)
-    n_occ, cols_occ = observed[occ], columns[occ]
+    observed, columns, empty, any_empty = (system.observed, system.columns, system.empty,
+                                           system.any_empty)
+    occ, n_occ, cols_occ, outer_occ = (system.occupied, system.n_occ, system.cols_occ,
+                                       system.outer_occ)
+    constant = system.log_factorials
     k = columns.shape[1]
-    outer_occ = (cols_occ[:, :, None] * cols_occ[:, None, :]).reshape(-1, k * k)
-    colsum = columns.sum(axis=0)
-    constant = float(np.sum(log_factorial(observed)))
-    abs_cols = np.abs(columns)
     x = np.array(starts, dtype=float)
     nll = np.empty(x.shape[0])
     held = np.zeros((x.shape[0], observed.size), dtype=bool)
     live, x_live, off_live, held_live = np.arange(x.shape[0]), x, offsets, held.copy()
     mu_live = offsets + x @ columns.T
+    certificate = None  # each row's bound on its decrement after a full quadratic step
     # the line search may try steps that leave the domain: their NLL
     # change is nan or inf, and the trial fails
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -279,8 +348,12 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
             mu_occ = mu_live[:, occ]
             nll_live = mu_live.sum(axis=1) - np.log(mu_occ) @ n_occ
             _require_finite(nll_live, live, where)  # before a nan reaches the Hessian
+            stop = 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
+            if certificate is not None and np.all(certificate <= stop):
+                x[live], nll[live], held[live] = x_live, nll_live, held_live
+                break
             ratio = n_occ / mu_occ
-            grad = colsum - ratio @ cols_occ
+            grad = system.colsum - ratio @ cols_occ
             curvature = (ratio / mu_occ) @ outer_occ
             step, singular = newton_steps(curvature, grad)
             any_singular = bool(singular.any())
@@ -288,18 +361,21 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                 raise FitError(f"a free parameter moves no bin at "
                                f"{where(live[np.argmax(singular)])}, so no bin constrains it")
             limit = np.ones(live.size)  # the cut's upper limit: none on a ray
+            pure = True  # the step is Newton's own
             if any_empty or any_singular:
-                for r in np.flatnonzero(singular | held_live.any(axis=1)):
+                pure = ~(singular | held_live.any(axis=1))
+                for r in np.flatnonzero(~pure):
                     ratio_r = np.zeros(observed.size)
                     ratio_r[occ] = ratio[r]
                     bins = np.flatnonzero(held_live[r])
                     step[r], ray, held_live[r, bins] = _active_set_step(
                         curvature[r].reshape(k, k), grad[r], columns[bins],
-                        np.abs(1.0 - ratio_r) @ abs_cols)
+                        np.abs(1.0 - ratio_r) @ system.abs_cols)
                     if ray:
                         limit[r] = np.inf
             decrement = -np.sum(grad * step, axis=1)
-            moving = decrement > 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
+            quadratic = pure & (decrement < _QUADRATIC_DECREMENT) & system.self_concordant
+            moving = decrement > stop
             moving |= limit > 1.0  # a ray step, however short, adds a held bin
             if not moving.all():
                 stopped = ~moving
@@ -308,21 +384,24 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                 x[live[stopped]] = x_live[stopped]
                 nll[live[stopped]] = nll_live[stopped]
                 held[live[stopped]] = held_live[stopped]
-                live, x_live, off_live, held_live, mu_live, mu_occ, step, decrement, limit = (
+                (live, x_live, off_live, held_live, mu_live, mu_occ, step, decrement, limit,
+                 quadratic) = (
                     live[moving], x_live[moving], off_live[moving], held_live[moving],
                     mu_live[moving], mu_occ[moving], step[moving], decrement[moving],
-                    limit[moving])
+                    limit[moving], quadratic[moving])
                 if not live.size:
                     break
             if iteration == _NEWTON_MAX_ITER:
                 raise FitError(f"Poisson Newton iteration did not converge in "
                                f"{_NEWTON_MAX_ITER} steps at {where(live[0])}")
-            dmu = step @ columns.T
-            # largest feasible fraction of the step: mu must not cross zero
-            # in a bin outside the working set; rounding noise does not count
-            shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
             t = limit
-            blocked = shrinking.any()
+            blocked = False
+            if any_empty or not quadratic.all():
+                dmu = step @ columns.T
+                # largest feasible fraction of the step: mu must not cross zero
+                # in a bin outside the working set; rounding noise does not count
+                shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
+                blocked = shrinking.any()
             if blocked:
                 if any_empty:
                     shrinking &= ~held_live
@@ -334,22 +413,31 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                 first = reach.min(axis=1)
                 t = np.minimum(limit, first)
             # backtrack on the NLL change, summed in log1p form so it stays
-            # accurate when it is far below the NLL itself
-            dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
-            pending = slice(None)  # every row, then those whose last trial failed
-            for _ in range(60):
-                tp = t[pending]
-                change = tp * dmu_sum[pending] - np.log1p(
-                    tp[:, None] * dmu_occ[pending] / mu_occ[pending]) @ n_occ
-                ok = np.isfinite(change) & (change <= -1e-4 * tp * decrement[pending])
-                if ok.all():
-                    break
-                pending = np.arange(live.size)[pending][~ok]
-                t[pending] *= 0.5
-            else:
-                raise FitError(f"Poisson Newton line search failed at {where(live[pending][0])}")
+            # accurate when it is far below the NLL itself; a quadratic row
+            # that the cut leaves whole passes at the full step
+            searched = ~quadratic | (t < 1.0)
+            if searched.any():
+                dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
+                # the searched rows, then those whose last trial failed
+                pending = slice(None) if searched.all() else np.flatnonzero(searched)
+                for _ in range(60):
+                    tp = t[pending]
+                    change = tp * dmu_sum[pending] - np.log1p(
+                        tp[:, None] * dmu_occ[pending] / mu_occ[pending]) @ n_occ
+                    ok = np.isfinite(change) & (change <= -1e-4 * tp * decrement[pending])
+                    if ok.all():
+                        break
+                    pending = np.arange(live.size)[pending][~ok]
+                    t[pending] *= 0.5
+                else:
+                    raise FitError(f"Poisson Newton line search failed at "
+                                   f"{where(live[pending][0])}")
             x_live = x_live + t[:, None] * step
             mu_live = off_live + x_live @ columns.T
+            certificate = None
+            if quadratic.all() and not (blocked and np.any(t < 1.0)):
+                # (lambda / (1 - lambda))^4, the bound on each row's next decrement
+                certificate = (decrement / (1.0 - np.sqrt(decrement)) ** 2) ** 2
             if blocked and any_empty:
                 # the correction removes the held bins' rounding residue, which
                 # a later warm start would take for a tiny positive mu
@@ -360,4 +448,5 @@ def minimize_linear_poisson(observed, columns, offsets, starts, where):
                     x_live[r] -= np.linalg.lstsq(columns[bins], mu_live[r, bins],
                                                  rcond=None)[0]
                     mu_live[r] = off_live[r] + columns @ x_live[r]
+                    certificate = None  # the row left its full step
     return x, nll + constant, iteration, held

@@ -579,6 +579,31 @@ def test_cli_limit_refuses_a_setting_that_must_be_positive(tmp_path, capsys, nam
                           f"must be positive, got {value}")
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("simulate_continuum.json", ("exposure", "mass_kg"), 0),
+    ("simulate_continuum.json", ("exposure", "live_time_days"), 0),
+    ("simulate_forbidden_off.json", ("exposure", "live_time_days"), -1),
+    ("simulate_forbidden_off.json", ("acquisition_days",), 0),
+], ids=["mass", "live-time", "live-time-negative", "acquisition-time"])
+def test_cli_simulate_refuses_an_exposure_that_is_not_positive(tmp_path, capsys, name, path,
+                                                               value):
+    # a mass of 0 once wrote a spectrum whose limit failed as [limit], and
+    # an acquisition time of 0 one that subtract refused as [build]
+    _copy_sample_configs(tmp_path)
+    config = json.loads((tmp_path / name).read_text())
+    section = config
+    for step in path[:-1]:
+        section = section[step]
+    section[path[-1]] = value
+    (tmp_path / name).write_text(json.dumps(config))
+    code = main(["simulate", "--config", str(tmp_path / name), "--out", str(tmp_path / "runs/x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"speclimit: error [config]: config value {'.'.join(path)!r} must be positive, "
+        f"got {value}")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_fit_writes_a_loadable_model(tmp_path, capsys):
     _copy_sample_configs(tmp_path)
     assert main(["simulate", "--config", str(tmp_path / "simulate_forbidden_on.json"),

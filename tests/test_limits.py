@@ -15,18 +15,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gammaincinv, gammaln
 from scipy.stats import norm, poisson
 
 import speclimit.limits as limits_module
 import speclimit.newton as newton_module
 from speclimit.newton import (
+    LinearPoisson,
     in_poisson_domain,
     jacobi_scaled,
     log_factorial,
     minimize_linear_poisson,
     newton_steps,
+    poisson_curvature,
     poisson_nll,
     scoring_step,
 )
@@ -537,7 +539,7 @@ def test_poisson_fit_starts_from_the_template_when_the_least_squares_start_is_in
     result = fit_minimize(problem, seed=0)
     columns = np.column_stack([predict_counts(_line_model(1.0, 0.0), grid),
                                predict_counts(_line_model(0.0, 1.0), grid)])
-    x, nll = minimize_linear_poisson(observed, columns, np.zeros((1, 60)),
+    x, nll = minimize_linear_poisson(LinearPoisson.of(observed, columns), np.zeros((1, 60)),
                                      problem.initial_values()[None], lambda i: "the test")[:2]
     # Newton holds the flat term at mu = 0 in the empty bins exactly
     assert abs(result.statistic - nll[0]) <= 1e-9 * (1.0 + nll[0])
@@ -1500,7 +1502,7 @@ def test_newton_profile_holds_empty_bins_at_zero_expectation():
     # from a start far above the optimum the first Newton steps overshoot
     # onto the floor, which must be released where the optimum is interior
     s = np.linspace(0.5, 60.0, 120)
-    nll = minimize_linear_poisson(observed, flat[:, None], s[:, None] * line,
+    nll = minimize_linear_poisson(LinearPoisson.of(observed, flat[:, None]), s[:, None] * line,
                                   np.full((s.size, 1), 50.0), str)[1]
     expected = np.array([_profile_flat_background(observed, line, flat, v) for v in s])
     assert 0 < expected[:, 1].sum() < s.size
@@ -1545,12 +1547,12 @@ def test_newton_rows_solved_in_a_batch_match_each_row_solved_alone(kind, k):
     # column each row but the third starts above the floor, steps along a
     # ray to the first of the two low bins that reaches mu = 0 and ends there
     columns, offsets, starts = _batch(kind, k)
-    x, nll, iterations, working = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets,
-                                                          starts, str)
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
+    x, nll, iterations, working = minimize_linear_poisson(system, offsets, starts, str)
     passes, held = [], []
     for r in range(offsets.shape[0]):
         x_r, nll_r, passes_r, working_r = minimize_linear_poisson(
-            _BATCH_OBSERVED, columns, offsets[r:r + 1], starts[r:r + 1], str)
+            system, offsets[r:r + 1], starts[r:r + 1], str)
         assert abs(nll[r] - nll_r[0]) <= 1e-12 * (1.0 + abs(nll_r[0]))
         np.testing.assert_allclose(x[r], x_r[0], rtol=1e-9, atol=1e-12)
         assert np.array_equal(working[r], working_r[0])
@@ -1573,7 +1575,8 @@ def test_scoring_step_is_the_reweighted_least_squares_fit(k):
     # the domain; the last two, with a held signal of 30 and 60 above
     # counts of at most 12, score outside it and keep their starts
     columns, offsets, starts = _batch("curved", k)
-    scored = scoring_step(_BATCH_OBSERVED, columns, offsets, starts)
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
+    scored = scoring_step(system, offsets, starts)
     for r in range(5):
         root_w = 1.0 / np.sqrt(offsets[r] + columns @ starts[r])
         oracle = np.linalg.lstsq(root_w[:, None] * columns,
@@ -1589,17 +1592,18 @@ def test_scoring_step_is_the_reweighted_least_squares_fit(k):
 def test_scoring_step_keeps_a_start_with_a_bin_at_zero():
     # the third ray row starts with its lowest bin, an empty one, at mu = 0
     columns, offsets, starts = _batch("ray", 3)
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
     assert (offsets[2] + columns @ starts[2])[0] == 0.0
-    assert np.array_equal(scoring_step(_BATCH_OBSERVED, columns, offsets, starts)[2], starts[2])
+    assert np.array_equal(scoring_step(system, offsets, starts)[2], starts[2])
 
 
 @pytest.mark.parametrize("kind", ["curved", "ray"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_newton_from_a_scored_start_reaches_the_unscored_minimum(kind, k):
     columns, offsets, starts = _batch(kind, k)
-    plain = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, starts, str)
-    scored = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets,
-                                     scoring_step(_BATCH_OBSERVED, columns, offsets, starts),
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
+    plain = minimize_linear_poisson(system, offsets, starts, str)
+    scored = minimize_linear_poisson(system, offsets, scoring_step(system, offsets, starts),
                                      str)
     assert np.all(np.abs(scored[1] - plain[1]) <= 2e-12 * (1.0 + np.abs(plain[1])))
     assert np.array_equal(scored[3], plain[3])
@@ -1609,16 +1613,97 @@ def test_newton_errors_name_the_original_row_after_the_batch_shrinks(monkeypatch
     import speclimit.newton as newton_module
 
     columns, offsets, starts = _batch("curved", 1)
-    passes = [minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets[r:r + 1],
-                                      starts[r:r + 1], str)[2] for r in range(5)]
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
+    passes = [minimize_linear_poisson(system, offsets[r:r + 1], starts[r:r + 1], str)[2]
+              for r in range(5)]
     # every row but the slowest stops within the pass limit
     slowest = int(np.argmax(passes))
     limit = sorted(passes)[-2]
     assert slowest != 0 and passes[slowest] > limit
     monkeypatch.setattr(newton_module, "_NEWTON_MAX_ITER", limit)
     with pytest.raises(FitError, match=f"did not converge in {limit} steps at row {slowest}$"):
-        minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, starts,
-                                lambda i: f"row {i}")
+        minimize_linear_poisson(system, offsets, starts, lambda i: f"row {i}")
+
+
+def _assert_no_row_stopped_early(system, offsets, solved):
+    """Each returned row with no bin held meets the stop test, its Newton
+    decrement g^T H^-1 g recomputed from poisson_curvature at most
+    2e-12 (1 + |NLL|); returns how many rows were checked."""
+    x, nll, _, held = solved
+    free = ~held.any(axis=1)
+    mu = offsets[free] + x[free] @ system.columns.T
+    dl_dmu, hess = poisson_curvature(system.observed, system.columns, mu)
+    grad = dl_dmu @ system.columns
+    assert not jacobi_scaled(hess)[2].any()
+    decrement = np.sum(grad * np.linalg.solve(hess, grad[:, :, None])[:, :, 0], axis=1)
+    assert np.all(decrement <= 2e-12 * (1.0 + np.abs(nll[free])))
+    return int(free.sum())
+
+
+def test_the_quadratic_stop_certificate_never_stops_a_batch_row_early():
+    # with every count at least 1 a full quadratic step bounds the next
+    # decrement by (lambda / (1 - lambda))^4, and the solve may stop on
+    # that bound without computing the decrement; the batch's empty bins
+    # keep the cut but not the bound. With two columns every row ends
+    # with a bin held
+    checked = 0
+    for k in (1, 2, 3):
+        columns, offsets, starts = _batch("curved", k)
+        system = LinearPoisson.of(_BATCH_OBSERVED, columns)
+        assert system.self_concordant and system.any_empty
+        solved = minimize_linear_poisson(system, offsets, starts, str)
+        checked += _assert_no_row_stopped_early(system, offsets, solved)
+    assert checked >= 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16), k=st.integers(min_value=1, max_value=3),
+       level=st.sampled_from([0.5, 2.0, 8.0, 40.0]))
+def test_the_quadratic_stop_certificate_never_stops_a_generated_row_early(seed, k, level):
+    # integer counts on a flat, a slope and a line column, some bins empty
+    # at low levels, and a held line of six heights as the offsets
+    rng = np.random.default_rng(seed)
+    bins = np.arange(30)
+    columns = np.column_stack([
+        np.ones(30), bins / 29.0,
+        np.exp(-0.5 * ((bins - rng.uniform(5.0, 25.0)) / rng.uniform(1.0, 4.0)) ** 2)])[:, :k]
+    observed = rng.poisson(level * (columns @ rng.uniform(0.2, 1.0, k))).astype(float)
+    assume(observed.sum() >= 3.0)
+    offsets = rng.uniform(0.0, level, (6, 1)) * np.exp(-0.5 * ((bins - 15.0) / 3.0) ** 2)
+    starts = rng.uniform(0.5, 2.0, (6, k)) * level
+    system = LinearPoisson.of(observed, columns)
+    assert system.self_concordant
+    _assert_no_row_stopped_early(system, offsets,
+                                 minimize_linear_poisson(system, offsets, starts, str))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_counts_below_one_take_the_damped_path_to_the_minimum(k):
+    # a count in (0, 1) has |phi'''| above 2 phi''^(3/2) somewhere, so the
+    # NLL is not standard self-concordant and neither the full step nor
+    # the stop bound holds: the line search runs, from a far start too
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(7)
+    bins = np.arange(24)
+    columns = np.column_stack([np.ones(24), np.exp(-0.5 * ((bins - 11.0) / 2.5) ** 2)])[:, :k]
+    observed = np.round(rng.uniform(0.05, 0.95, 24), 2)
+    observed[[4, 11, 12]] = [3.0, 2.5, 1.0]
+    offsets = np.full((1, 24), 0.05)
+    system = LinearPoisson.of(observed, columns)
+    assert not system.self_concordant and not system.any_empty
+
+    def nll(x):
+        mu = offsets[0] + columns @ x
+        return float(poisson_nll(observed, mu)) if np.all(mu > 0) else np.inf
+
+    for start in (np.full(k, 0.5), np.full(k, 30.0)):
+        x, value = minimize_linear_poisson(system, offsets, start[None], str)[:2]
+        oracle = minimize(nll, start, method="Nelder-Mead",
+                          options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20000})
+        assert oracle.success
+        assert value[0] <= oracle.fun + 1e-12 * (1.0 + abs(oracle.fun))
+        np.testing.assert_allclose(x[0], oracle.x, rtol=1e-5)
 
 
 @pytest.mark.parametrize("seed", range(100, 140))
@@ -1672,6 +1757,23 @@ def test_background_free_free_centroid_fit_and_limit_match_the_gamma_posterior(s
     assert result.scan[0, 1] == np.inf
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_free_centroid_poisson_fit_reads_the_columns_of_its_own_centroid(seed):
+    # every centroid trial rewrites the design's line column in place, so
+    # its Poisson system is built at each trial; one kept from an earlier
+    # centroid would report the NLL of that centroid's columns
+    response = DetectorResponse(fwhm_kev_at_ref=0.17, reference_energy_kev=8.0)
+    truth = SpectralModel((GaussianLine(7.7, 20.0), PolynomialBackground((60.0,))), response)
+    free = ((0, "centroid_kev"), (0, "amplitude"), (1, "coefficients", 0))
+    grid = EnergyGrid.uniform(6.5, 9.5, 60)
+    for problem in (FitProblem.from_spectrum(simulate_spectrum(truth, grid, seed), truth, free,
+                                             free[1], statistic="poisson_nll"),
+                    _background_free_free_centroid_problem(seed)):
+        fit = fit_minimize(problem)
+        nll = float(poisson_nll(problem.observed, problem._design.point(fit.values)[0]))
+        assert abs(fit.statistic - nll) <= 1e-12 * (1.0 + abs(nll))
+
+
 def test_newton_from_far_above_reaches_the_minimum_of_a_near_start():
     # the batch counts on a flat and a slope column, and a held signal
     # whose two lowest bins are zero: from (20, 20) the second pass lands
@@ -1679,11 +1781,12 @@ def test_newton_from_far_above_reaches_the_minimum_of_a_near_start():
     # bins at zero; the working set must not take a released bin back at
     # a zero-length step
     columns = np.column_stack([np.ones(24), 1.0 - _BATCH_BINS / 23.0])
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
     offsets = np.exp(-0.5 * ((_BATCH_BINS - 9.0) / 1.5) ** 2)[None]
     offsets[:, :2] = 0.0
-    near = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, np.array([[2.0, 2.0]]),
+    near = minimize_linear_poisson(system, offsets, np.array([[2.0, 2.0]]),
                                    str)
-    far = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, np.array([[20.0, 20.0]]),
+    far = minimize_linear_poisson(system, offsets, np.array([[20.0, 20.0]]),
                                   str)
     assert near[1][0] == pytest.approx(62.1129, abs=1e-4)
     assert abs(far[1][0] - near[1][0]) <= 1e-12 * abs(near[1][0])
@@ -1695,14 +1798,15 @@ def test_a_scored_far_start_skips_the_doubling_stall():
     # domain, away from the near-empty bin 19, and Newton then takes 3
     # passes, not 10, to the same minimum and working set
     columns = np.column_stack([np.ones(24), 1.0 - _BATCH_BINS / 23.0])
+    system = LinearPoisson.of(_BATCH_OBSERVED, columns)
     offsets = np.exp(-0.5 * ((_BATCH_BINS - 9.0) / 1.5) ** 2)[None]
     offsets[:, :2] = 0.0
-    near = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, np.array([[2.0, 2.0]]),
+    near = minimize_linear_poisson(system, offsets, np.array([[2.0, 2.0]]),
                                    str)
     far = np.array([[20.0, 20.0]])
-    assert minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets, far, str)[2] == 10
-    scored = minimize_linear_poisson(_BATCH_OBSERVED, columns, offsets,
-                                     scoring_step(_BATCH_OBSERVED, columns, offsets, far), str)
+    assert minimize_linear_poisson(system, offsets, far, str)[2] == 10
+    scored = minimize_linear_poisson(system, offsets,
+                                     scoring_step(system, offsets, far), str)
     assert scored[2] == 3
     assert abs(scored[1][0] - near[1][0]) <= 1e-14 * abs(near[1][0])
     assert np.array_equal(scored[3], near[3])
@@ -1746,13 +1850,13 @@ def test_newton_steps_stop_short_of_a_bin_with_counts(monkeypatch, seed, signal)
     # are the ones a solve without the scoring step takes: the cut holds
     # them inside the domain, and with the exact cut a row that leaves it
     # is named, not converged, whatever the start rule
-    observed, columns, offsets, starts = unscored[-1]
+    system, offsets, starts = unscored[-1]
     assert len(offsets) == 65
-    assert np.all(np.isfinite(minimize_linear_poisson(observed, columns, offsets, starts,
+    assert np.all(np.isfinite(minimize_linear_poisson(system, offsets, starts,
                                                       str)[1]))
     monkeypatch.setattr(newton_module, "_TO_BOUNDARY", 1.0)
     with pytest.raises(FitError, match="left the Poisson domain at "):
-        minimize_linear_poisson(observed, columns, offsets, starts, str)
+        minimize_linear_poisson(system, offsets, starts, str)
     with pytest.raises(FitError, match="left the Poisson domain at signal = "):
         bayesian_upper_limit(problem, 0.95)
 
@@ -1973,10 +2077,10 @@ def test_profile_errors_name_the_signal_as_a_float(monkeypatch):
                                        (0, "amplitude"), statistic="poisson_nll")
     real = limits_module.minimize_linear_poisson
 
-    def failing(observed, columns, offsets, starts, where):
+    def failing(system, offsets, starts, where):
         if "signal" in where(0):  # a profile row, not the fit
             raise FitError(f"stalled at {where(0)}")
-        return real(observed, columns, offsets, starts, where)
+        return real(system, offsets, starts, where)
 
     monkeypatch.setattr(limits_module, "minimize_linear_poisson", failing)
     with pytest.raises(FitError) as raised:
@@ -2183,7 +2287,7 @@ def test_profile_points_count_the_solved_profile_values(monkeypatch, free, solve
     real = getattr(limits_module, solver)
 
     def counted(*args):
-        solved.append(len(args[3]) if solver == "minimize_linear_poisson" else 1)
+        solved.append(len(args[2]) if solver == "minimize_linear_poisson" else 1)
         return real(*args)
 
     monkeypatch.setattr(limits_module, solver, counted)
@@ -2299,9 +2403,9 @@ def test_a_linear_poisson_limit_takes_two_newton_calls(monkeypatch):
     rows = []
     real = limits_module.minimize_linear_poisson
 
-    def counted(observed, columns, offsets, *args):
+    def counted(system, offsets, *args):
         rows.append(len(offsets))
-        return real(observed, columns, offsets, *args)
+        return real(system, offsets, *args)
 
     monkeypatch.setattr(limits_module, "minimize_linear_poisson", counted)
     result = bayesian_upper_limit(_poisson_bench_problem(24.0, 0), 0.95, grid_rtol=3e-3)
