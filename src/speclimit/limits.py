@@ -169,8 +169,8 @@ class FitProblem:
     nuisances. At most two line centroids may be free, each with its
     line's amplitude. The problem is frozen and keeps a read-only copy
     of the observed values, so its design and, without free centroids,
-    its least-squares core and Poisson systems are built on first use
-    and hold for its lifetime.
+    its least-squares core are built on first use and hold for its
+    lifetime.
     """
 
     grid: EnergyGrid
@@ -242,17 +242,6 @@ class FitProblem:
             raise DomainError("a problem with a free line centroid has no fixed "
                               "least-squares core")
         return _core_from_fit_problem(self, self.observed)
-
-    @cached_property
-    def _free_poisson(self):
-        # the Poisson systems of a linear problem's counts, with the signal
-        # free and held, shared by its fit and limit; a free centroid
-        # rewrites the design's columns, so each of its trials builds its own
-        return _poisson_system(self, False)
-
-    @cached_property
-    def _held_poisson(self):
-        return _poisson_system(self, True)
 
 
 class _Design:
@@ -493,20 +482,6 @@ def _poisson_starts(problem: FitProblem, signals, starts):
     yield problem.initial_values()[design.linear_idx][None]
 
 
-def _poisson_system(problem: FitProblem, held: bool):
-    """The columns that _poisson_solve keeps free (all but the signal's
-    when held) at the design's current centroids, their LinearPoisson on
-    the problem's counts (None when none is kept) and, when held, the
-    bins with counts that no kept column reaches."""
-    design = problem._design
-    keep = [p for p in range(design.columns.shape[1]) if not held or p != design.signal_column]
-    if not keep:
-        return keep, None, None
-    cols = design.columns[:, keep]
-    unreached = (problem.observed > 0) & ~cols.any(axis=1) if held else None
-    return keep, LinearPoisson.of(problem.observed, cols), unreached
-
-
 def _poisson_solve(problem: FitProblem, signals, starts, where, counts):
     """The linear parameters minimizing the Poisson NLL at the design's
     current centroids, the NLL, the empty bins held at mu = 0 (the
@@ -528,16 +503,13 @@ def _poisson_solve(problem: FitProblem, signals, starts, where, counts):
     into counts["profile_points"] and the Newton iterations into
     counts["newton_iterations"], a free signal's second solve included.
     This is the one caller of scoring_step and minimize_linear_poisson,
-    on the problem's cached systems where the design is linear and on
-    systems built at the call where a free centroid moves the columns.
+    which share the one LinearPoisson it builds at each call.
     """
     design = problem._design
     observed, columns = problem.observed, design.columns
     pos = design.signal_column
     held = signals is not None
-    keep, system, unreached = (
-        (problem._held_poisson if held else problem._free_poisson) if design.linear
-        else _poisson_system(problem, held))
+    keep = [p for p in range(columns.shape[1]) if not held or p != pos]
     offsets = design.base + signals[:, None] * columns[:, pos] if held else design.base[None]
     counts["profile_points"] += len(offsets)
 
@@ -547,10 +519,12 @@ def _poisson_solve(problem: FitProblem, signals, starts, where, counts):
     if not keep:
         return (signals[:, None], poisson_nll(observed, offsets),
                 np.zeros(offsets.shape, dtype=bool), True)
-    cols = system.columns
+    cols = columns[:, keep]
+    system = LinearPoisson.of(observed, cols)
     x = np.full((len(offsets), columns.shape[1]), np.nan)  # nan: no start inside yet
     rows = None  # the rows that Newton solves, where not every row
     if held:
+        unreached = (observed > 0) & ~cols.any(axis=1)
         if unreached.any():
             outside = np.any(offsets[:, unreached] <= 0.0, axis=1)
             x[outside] = problem.initial_values()[design.linear_idx]

@@ -23,12 +23,12 @@ minus (n/mu) A and the Hessian (n/mu^2) times the columns' outer
 products. What these read of the counts and columns alone (the bins
 with counts, the outer products, the column sums and sum(log n!)) is
 a LinearPoisson, built once for each pair of counts and columns and
-handed to every solve on them. A one- or two-column Hessian needs no
-LAPACK call: Jacobi-scaled, the 2x2 one is [[1, r], [r, 1]], whose
-smallest eigenvalue, for the singularity test, is 1 - |r| and whose
-inverse is [[1, -r], [-r, 1]] / (1 - r^2). Only a row with a singular
-Hessian or a non-empty working set takes the active-set step, row by
-row.
+shared by the scoring step and every Newton pass on them. A one- or
+two-column Hessian needs no LAPACK call: Jacobi-scaled, the 2x2 one is
+[[1, r], [r, 1]], whose smallest eigenvalue, for the singularity test,
+is 1 - |r| and whose inverse is [[1, -r], [-r, 1]] / (1 - r^2). Only a
+row with a singular Hessian or a non-empty working set takes the
+active-set step, row by row.
 
 Where every bin with counts has n >= 1, each term -n log(mu) of an
 affine mu has |phi'''| <= 2 phi''^(3/2), so the NLL is standard
@@ -39,7 +39,7 @@ Optimization, 2004, section 9.6). A row whose step is Newton's own
 is below 0.36 is then in the quadratic phase, where no search is
 needed. The change f(x + step) - f(x) <= -lambda^2 - lambda -
 log(1 - lambda) passes the line search's test at the full step, and
-with no empty bin no bin needs the boundary cut, since
+with no empty bin the boundary cut leaves the step whole, since
 |d mu_i| / mu_i <= lambda / sqrt(n_i) < 0.6 (the Dikin ellipsoid).
 After the full step the decrement is at most (lambda / (1 - lambda))^4
 (Nesterov, Theorem 4.1.14). Once that bound meets every row's stop
@@ -95,7 +95,7 @@ def in_poisson_domain(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Whether each row of mu is positive in bins with counts and
     non-negative in empty bins: mu > 0 exactly where mu is at least the
     smallest positive float, one comparison for both."""
-    return np.all(mu >= np.where(observed > 0, _SMALLEST_POSITIVE, 0.0), axis=-1)
+    return (mu >= np.where(observed > 0, _SMALLEST_POSITIVE, 0.0)).all(axis=-1)
 
 
 def poisson_nll(observed: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -155,15 +155,21 @@ def newton_steps(curvature: np.ndarray, grad: np.ndarray):
         # a 1x1 unit-diagonal Hessian is 1: singular only at zero
         singular = curvature[:, 0] <= 0.0
         return -grad / np.where(singular[:, None], 1.0, curvature), singular
-    scaled, inv_sqrt, singular = jacobi_scaled(curvature.reshape(-1, k, k))
-    scaled_grad = inv_sqrt * grad
     if k == 2:
-        r = np.where(singular, 0.0, scaled[:, 1, 0])[:, None]
+        # jacobi_scaled read off the flat (h00, h01, h10, h11): the scale
+        # from the diagonal, and r the scaled h10
+        diag = curvature[:, ::3]
+        inv_sqrt = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+        r = curvature[:, 2] * inv_sqrt[:, 1] * inv_sqrt[:, 0]
+        singular = (diag <= 0).any(axis=1) | (1.0 - np.abs(r) <= _SINGULAR_EIGENVALUE)
+        r = np.where(singular, 0.0, r)[:, None]
+        scaled_grad = inv_sqrt * grad
         solved = (scaled_grad - r * scaled_grad[:, ::-1]) / (1.0 - r * r)
     else:
+        scaled, inv_sqrt, singular = jacobi_scaled(curvature.reshape(-1, k, k))
         if singular.any():
             scaled = np.where(singular[:, None, None], np.eye(k), scaled)
-        solved = np.linalg.solve(scaled, scaled_grad[:, :, None])[:, :, 0]
+        solved = np.linalg.solve(scaled, (inv_sqrt * grad)[:, :, None])[:, :, 0]
     return -inv_sqrt * solved, singular
 
 
@@ -317,11 +323,11 @@ def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
     (_active_set_step). Where every count in a bin with counts is at
     least 1, the NLL is standard self-concordant: a row in the quadratic
     phase (Newton's own step with decrement below _QUADRATIC_DECREMENT)
-    takes its full step without the line search, and without the cut
-    where no bin is empty, and the solve ends as soon as Nesterov's
-    bound on the next decrement (Introductory Lectures on Convex
-    Optimization, 2004, Theorem 4.1.14; Boyd & Vandenberghe, Convex
-    Optimization, 2004, section 9.6) meets every row's stop test
+    takes its full step without the line search unless the cut shortens
+    it, which it cannot where no bin is empty, and the solve ends as soon
+    as Nesterov's bound on the next decrement (Introductory Lectures on
+    Convex Optimization, 2004, Theorem 4.1.14; Boyd & Vandenberghe,
+    Convex Optimization, 2004, section 9.6) meets every row's stop test
     (module docstring). A parameter that moves no bin, or a row whose
     NLL or Newton decrement is not finite, raises FitError. where(i)
     names row i in errors, also after the rows that stopped have left
@@ -349,7 +355,7 @@ def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
             nll_live = mu_live.sum(axis=1) - np.log(mu_occ) @ n_occ
             _require_finite(nll_live, live, where)  # before a nan reaches the Hessian
             stop = 2.0 * _NEWTON_RTOL * (1.0 + np.abs(nll_live + constant))
-            if certificate is not None and np.all(certificate <= stop):
+            if certificate is not None and (certificate <= stop).all():
                 x[live], nll[live], held[live] = x_live, nll_live, held_live
                 break
             ratio = n_occ / mu_occ
@@ -373,7 +379,7 @@ def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
                         np.abs(1.0 - ratio_r) @ system.abs_cols)
                     if ray:
                         limit[r] = np.inf
-            decrement = -np.sum(grad * step, axis=1)
+            decrement = -(grad * step).sum(axis=1)
             quadratic = pure & (decrement < _QUADRATIC_DECREMENT) & system.self_concordant
             moving = decrement > stop
             moving |= limit > 1.0  # a ray step, however short, adds a held bin
@@ -384,24 +390,22 @@ def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
                 x[live[stopped]] = x_live[stopped]
                 nll[live[stopped]] = nll_live[stopped]
                 held[live[stopped]] = held_live[stopped]
+                if not moving.any():
+                    break
                 (live, x_live, off_live, held_live, mu_live, mu_occ, step, decrement, limit,
                  quadratic) = (
                     live[moving], x_live[moving], off_live[moving], held_live[moving],
                     mu_live[moving], mu_occ[moving], step[moving], decrement[moving],
                     limit[moving], quadratic[moving])
-                if not live.size:
-                    break
             if iteration == _NEWTON_MAX_ITER:
                 raise FitError(f"Poisson Newton iteration did not converge in "
                                f"{_NEWTON_MAX_ITER} steps at {where(live[0])}")
+            dmu = step @ columns.T
+            # largest feasible fraction of the step: mu must not cross zero
+            # in a bin outside the working set; rounding noise does not count
+            shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
             t = limit
-            blocked = False
-            if any_empty or not quadratic.all():
-                dmu = step @ columns.T
-                # largest feasible fraction of the step: mu must not cross zero
-                # in a bin outside the working set; rounding noise does not count
-                shrinking = dmu < -1e-12 * np.abs(dmu).max(axis=1, keepdims=True)
-                blocked = shrinking.any()
+            blocked = shrinking.any()
             if blocked:
                 if any_empty:
                     shrinking &= ~held_live
@@ -414,7 +418,8 @@ def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
                 t = np.minimum(limit, first)
             # backtrack on the NLL change, summed in log1p form so it stays
             # accurate when it is far below the NLL itself; a quadratic row
-            # that the cut leaves whole passes at the full step
+            # that the cut leaves whole passes at the full step, and with no
+            # empty bin the cut leaves it whole (the Dikin ellipsoid)
             searched = ~quadratic | (t < 1.0)
             if searched.any():
                 dmu_sum, dmu_occ = dmu.sum(axis=1), dmu[:, occ]
@@ -435,7 +440,7 @@ def minimize_linear_poisson(system: LinearPoisson, offsets, starts, where):
             x_live = x_live + t[:, None] * step
             mu_live = off_live + x_live @ columns.T
             certificate = None
-            if quadratic.all() and not (blocked and np.any(t < 1.0)):
+            if quadratic.all() and (t >= 1.0).all():
                 # (lambda / (1 - lambda))^4, the bound on each row's next decrement
                 certificate = (decrement / (1.0 - np.sqrt(decrement)) ** 2) ** 2
             if blocked and any_empty:
